@@ -454,11 +454,6 @@ def solve(M, b):
     return dec.V.apply(y)
 
 
-def lattice_contains(rows_matrix, vec):
-    """Is vec in the integer row span of rows_matrix?"""
-    return solve(rows_matrix.transpose(), list(vec)) is not None
-
-
 # ---------------------------------------------------------------------------
 # Finitely generated abelian groups
 # ---------------------------------------------------------------------------
@@ -473,18 +468,8 @@ def _normalize_cyclic_orders(orders):
             continue
         if o < 0:
             raise ValueError("negative cyclic order")
-        n = o
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                e = 0
-                while n % d == 0:
-                    n //= d
-                    e += 1
-                primes.setdefault(d, []).append(d**e)
-            d += 1
-        if n > 1:
-            primes.setdefault(n, []).append(n)
+        for p, e in modular.factorize(o):
+            primes.setdefault(p, []).append(p**e)
     for p in primes:
         primes[p].sort(reverse=True)
     depth = max((len(v) for v in primes.values()), default=0)
@@ -590,18 +575,8 @@ class FinAbGroup:
             if f == 0:
                 nfree += 1
                 continue
-            n = f
-            d = 2
-            while d * d <= n:
-                if n % d == 0:
-                    e = 0
-                    while n % d == 0:
-                        n //= d
-                        e += 1
-                    coords.append((d, e, idx, _crt_embed(f, d**e)))
-                d += 1
-            if n > 1:
-                coords.append((n, 1, idx, _crt_embed(f, n)))
+            for p, e in modular.factorize(f):
+                coords.append((p, e, idx, _crt_embed(f, p**e)))
         return coords, nfree
 
     def __str__(self):
@@ -754,7 +729,6 @@ def _dedupe_rows(M):
     for r, entries in by_row.items():
         entries.sort()
         key = tuple(entries)
-        first = entries[0][1]
         neg = tuple((c, -v) for c, v in entries)
         if key in seen or neg in seen:
             continue

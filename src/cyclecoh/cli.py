@@ -521,9 +521,6 @@ def main(argv=None):
         return 2
     try:
         report = run(spec)
-    except ParameterDomainError as exc:
-        _emit_error("parameter-domain", str(exc))
-        return 2
     except ValueError as exc:
         _emit_error("parameter-domain", str(exc))
         return 2

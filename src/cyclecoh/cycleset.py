@@ -15,20 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .modular import factorize
+
 
 class ParameterDomainError(ValueError):
     """A (p, nu, eta) triple outside the admissible parameter domain."""
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -45,7 +36,7 @@ class CyclicFamilyParams:
     eta: int
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if factorize(self.p) != [(self.p, 1)]:
             raise ParameterDomainError(f"p = {self.p} is not prime")
         if not (0 < self.nu <= self.eta <= 2 * self.nu):
             raise ParameterDomainError(
@@ -246,7 +237,7 @@ def family_members(max_v):
     """All admissible (p, nu, eta) with v = p^eta <= max_v."""
     out = []
     for p in range(2, max_v + 1):
-        if not _is_prime(p):
+        if factorize(p) != [(p, 1)]:
             continue
         eta = 1
         while p**eta <= max_v:

@@ -26,11 +26,11 @@ bases.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .abelian import IntegerMatrix, PresentedModule, block_matrix
-from .cycleset import CyclicFamilyParams
 from .homology_engine import ChainComplex, CheckReport
 
 
@@ -57,10 +57,6 @@ class CrossedProduct:
         """The isomorphism onto Z/v: x^i w_{y^j} -> t*i + j."""
         return self.t * e[0] + e[1]
 
-    def from_exp(self, a):
-        a %= self.v
-        return (a // self.t, a % self.t)
-
     def right_perm(self, e):
         """Permutation of element indices given by right multiplication."""
         return [self.index[self.mul(m, e)] for m in self.elems]
@@ -68,6 +64,31 @@ class CrossedProduct:
 
 def _vec(n):
     return [0] * n
+
+
+def exp_tuples(n, v):
+    """Basis of Dbar^{x n} for D = Z[C_v]: exponent tuples with entries 1..v-1."""
+    return list(itertools.product(range(1, v), repeat=n))
+
+
+def tuple_bar_differential(n, v):
+    """Tuple-level normalized bar differential Dbar^{x n} -> Dbar^{x (n-1)}
+    with trivial coefficients (the map Mbar(n) -> Mbar(n-1) before any
+    position sign)."""
+    src = exp_tuples(n, v)
+    tgt_index = {t: i for i, t in enumerate(exp_tuples(n - 1, v))}
+    data = {}
+    for col, tup in enumerate(src):
+        def add(key, c):
+            if all(x % v for x in key):
+                k = (tgt_index[key], col)
+                data[k] = data.get(k, 0) + c
+
+        add(tup[1:], 1)
+        for i in range(n - 1):
+            add(tup[:i] + ((tup[i] + tup[i + 1]) % v,) + tup[i + 2 :], (-1) ** (i + 1))
+        add(tup[:-1], (-1) ** n)
+    return IntegerMatrix(len(tgt_index), len(src), data)
 
 
 class ResolutionContext:
@@ -86,7 +107,6 @@ class ResolutionContext:
         self._resolution = {}
         self._bar_bases = {}
         self._bar_index = {}
-        self._bar_right = {}
         self._bprime = {}
         self._phi = {}
         self._varphi = {}
@@ -114,7 +134,7 @@ class ResolutionContext:
             for j in range(t):
                 for l in range(t):
                     data[(l, j)] = data.get((l, j), 0) + 1
-        return IntegerMatrix(t, t, {k: v for k, v in data.items() if v})
+        return IntegerMatrix(t, t, data)
 
     def d0(self, alpha, beta):
         """X_{alpha,beta} -> X_{alpha-1,beta}: x - 1 or the x-norm."""
@@ -131,7 +151,7 @@ class ResolutionContext:
                 for l in range(self.u):
                     key = (G.index[((i + l) % self.u, j)], col)
                     data[key] = data.get(key, 0) + 1
-        return IntegerMatrix(v, v, {k: val for k, val in data.items() if val})
+        return IntegerMatrix(v, v, data)
 
     def sigma0(self, alpha):
         """Row homotopy into column position alpha (alpha = 0: Y -> X_{0,beta})."""
@@ -189,7 +209,7 @@ class ResolutionContext:
             for src, x in enumerate(val):
                 if x:
                     data[(perm[src], col)] = data.get((perm[src], col), 0) + x
-        return IntegerMatrix(v, v, {k: x for k, x in data.items() if x})
+        return IntegerMatrix(v, v, data)
 
     def _w1(self):
         vec = _vec(self.v)
@@ -416,13 +436,8 @@ class ResolutionContext:
         data = {}
         for col, tup in enumerate(src):
             def add(key, c):
-                if c:
-                    k = (tgt_index[key], col)
-                    s = data.get(k, 0) + c
-                    if s:
-                        data[k] = s
-                    elif k in data:
-                        del data[k]
+                k = (tgt_index[key], col)
+                data[k] = data.get(k, 0) + c
 
             add(tup[1:], 1)
             for i in range(n - 1):
@@ -451,29 +466,6 @@ class ResolutionContext:
             if b != ident:
                 data[(tgt_index[tup[:-1] + (b, ident)], col)] = (-1) ** n
         return IntegerMatrix(self.bar_rank(n), self.bar_rank(n - 1), data)
-
-    def bar_extend_right(self, n, vals_at_w1):
-        """Right E-linear extension on bar_n: vals_at_w1 maps column tuples
-        with coefficient slot 1 to value vectors (dicts row -> coeff)."""
-        G = self.G
-        ident = G.index[G.identity]
-        src = self.bar_basis(n)
-        tgt_index = self._bar_index_for(n)
-        src_index = self._bar_index[n]
-        data = {}
-        for col, tup in enumerate(src):
-            e = tup[-1]
-            base = vals_at_w1[tup[:-1] + (ident,)]
-            if e == ident:
-                for row, c in base.items():
-                    data[(row, col)] = c
-            else:
-                for row, c in base.items():
-                    rt = self.bar_basis(n)[row]
-                    moved = rt[:-1] + (G.index[G.mul(G.elems[rt[-1]], G.elems[e])],)
-                    k = (tgt_index[moved], col)
-                    data[k] = data.get(k, 0) + c
-        return IntegerMatrix(self.bar_rank(n), self.bar_rank(n), {k: v for k, v in data.items() if v})
 
     # -- comparison maps ---------------------------------------------------
 
@@ -530,7 +522,7 @@ class ResolutionContext:
                         moved = rt[:-1] + (G.index[G.mul(G.elems[rt[-1]], e)],)
                         k = (tgt_index[moved], col)
                         data[k] = data.get(k, 0) + c
-        out = IntegerMatrix(self.bar_rank(n), (n + 1) * self.v, {k: v for k, v in data.items() if v})
+        out = IntegerMatrix(self.bar_rank(n), (n + 1) * self.v, data)
         self._phi[n] = out
         return out
 
@@ -572,7 +564,7 @@ class ResolutionContext:
                     cell, inner = divmod(row, self.v)
                     k = (cell * self.v + perm[inner], col)
                     data[k] = data.get(k, 0) + c
-        out = IntegerMatrix(xrank, self.bar_rank(n), {k: v for k, v in data.items() if v})
+        out = IntegerMatrix(xrank, self.bar_rank(n), data)
         self._varphi[n] = out
         return out
 
@@ -634,14 +626,9 @@ class ResolutionContext:
                     moved = rt[:-1] + (G.index[G.mul(G.elems[rt[-1]], G.elems[e])],)
                     k = (tgt_index[moved], col)
                     data[k] = data.get(k, 0) + c
-        return IntegerMatrix(self.bar_rank(n), self.bar_rank(m), {k: v for k, v in data.items() if v})
-
+        return IntegerMatrix(self.bar_rank(n), self.bar_rank(m), data)
 
     # -- induced maps on trivial coefficients ------------------------------
-
-    def tuple_basis(self, n):
-        """Basis of Dbar^{x n} for D = Z[C_v]: exponent tuples in 1..v-1."""
-        return list(itertools.product(range(1, self.v), repeat=n))
 
     def _to_exp_tuple(self, elem_tuple):
         return tuple(self.G.f_exp(self.G.elems[k]) for k in elem_tuple)
@@ -703,28 +690,6 @@ class ResolutionContext:
                 out[self._to_exp_tuple(tupE)] = terms
         return out
 
-    def breve_b(self, n):
-        """Tuple-level normalized bar differential with trivial coefficients."""
-        src = self.tuple_basis(n)
-        tgt_index = {t: i for i, t in enumerate(self.tuple_basis(n - 1))}
-        data = {}
-        v = self.v
-        for col, tup in enumerate(src):
-            def add(key, c):
-                if c and all(x % v for x in key):
-                    k = (tgt_index[key], col)
-                    s = data.get(k, 0) + c
-                    if s:
-                        data[k] = s
-                    elif k in data:
-                        del data[k]
-
-            add(tup[1:], 1)
-            for i in range(n - 1):
-                add(tup[:i] + ((tup[i] + tup[i + 1]) % v,) + tup[i + 2 :], (-1) ** (i + 1))
-            add(tup[:-1], (-1) ** n)
-        return IntegerMatrix(len(tgt_index), len(src), data)
-
 
 def pepito_scalar(l, alpha, beta, u, t):
     """The integer by which the (l, alpha, beta) differential acts on a
@@ -748,18 +713,6 @@ class ComparisonData:
     phi: dict
     varphi: dict
     omega: dict
-
-    def component(self, n, alpha, beta):
-        """The (alpha, beta)-component of varphi_n (a block of rows)."""
-        cells = self.context.cells(n)
-        bj = cells.index((alpha, beta))
-        v = self.context.v
-        m = self.varphi[n]
-        data = {}
-        for (r, c), val in m.data.items():
-            if bj * v <= r < (bj + 1) * v:
-                data[(r - bj * v, c)] = val
-        return IntegerMatrix(v, m.cols, data)
 
     def verify(self):
         """The comparison identities.
@@ -818,17 +771,10 @@ class ComparisonData:
 # ---------------------------------------------------------------------------
 
 
-_contexts = {}
-
-
-def get_context(params_or_ut):
-    if isinstance(params_or_ut, CyclicFamilyParams):
-        key = (params_or_ut.u, params_or_ut.t)
-    else:
-        key = tuple(params_or_ut)
-    if key not in _contexts:
-        _contexts[key] = ResolutionContext(*key)
-    return _contexts[key]
+@functools.cache
+def get_context(params):
+    """The resolution matrices of one family member, shared by every caller."""
+    return ResolutionContext(params.u, params.t)
 
 
 def crossed_product(params):
@@ -947,10 +893,7 @@ def comparison_maps(params, n_max):
     """Comparison with the normalized bar resolution, fully verified."""
     if n_max > 3:
         raise ValueError("comparison maps capped at degree 3")
-    return _comparison(get_context(params), n_max, verify=True)
-
-
-def _comparison(ctx, n_max, verify):
+    ctx = get_context(params)
     data = ComparisonData(
         ctx,
         n_max,
@@ -958,10 +901,9 @@ def _comparison(ctx, n_max, verify):
         {n: ctx.varphi(n) for n in range(n_max + 1)},
         {n: ctx.omega(n) for n in range(1, n_max + 1)},
     )
-    if verify:
-        report = data.verify()
-        if not report:
-            raise AssertionError(f"comparison maps failed verification: {report}")
+    report = data.verify()
+    if not report:
+        raise AssertionError(f"comparison maps failed verification: {report}")
     return data
 
 
@@ -982,22 +924,6 @@ class CoefficientComplex:
     varphibar: dict               # n -> bar_n(M) -> X_n(M)
     omegabar: dict                # n -> bar_{n-1}(M) -> bar_n(M)
 
-    def cells(self, n):
-        return [(alpha, n - alpha) for alpha in range(n + 1)]
-
-    def block_scalar(self, l, alpha, beta):
-        return pepito_scalar(l, alpha, beta, self.u, self.t)
-
-    def varphibar_component(self, n, alpha, beta):
-        bj = self.cells(n).index((alpha, beta))
-        g = self.M.ngens
-        m = self.varphibar[n]
-        data = {}
-        for (r, c), val in m.data.items():
-            if bj * g <= r < (bj + 1) * g:
-                data[(r - bj * g, c)] = val
-        return IntegerMatrix(g, m.cols, data)
-
 
 def _kron_with_identity(tuple_map, src_tuples, tgt_tuples, g):
     """Kronecker of a tuple-level map (dict src -> {tgt: coeff}) with id_g."""
@@ -1013,7 +939,7 @@ def _kron_with_identity(tuple_map, src_tuples, tgt_tuples, g):
     return IntegerMatrix(len(tgt_tuples) * g, len(src_tuples) * g, data)
 
 
-def coefficient_complex(params, M, n_max, action="trivial"):
+def coefficient_complex(params, M, n_max):
     """The resolution tensored with a trivial module M, plus the induced
     comparison maps and homotopy on the normalized complexes.
 
@@ -1021,8 +947,6 @@ def coefficient_complex(params, M, n_max, action="trivial"):
     table and by collapsing the group-ring matrices along the
     augmentation; both must agree.
     """
-    if action != "trivial":
-        raise NotImplementedError("only trivial coefficient actions are supported")
     ctx = get_context(params)
     u, t, v = ctx.u, ctx.t, ctx.v
     g = M.ngens
@@ -1081,7 +1005,7 @@ def coefficient_complex(params, M, n_max, action="trivial"):
     varphibar = {}
     omegabar = {}
     for n in range(n_max + 1):
-        tuples = ctx.tuple_basis(n)
+        tuples = exp_tuples(n, v)
         labels = tuple((tup, lab) for tup in tuples for lab in (M.labels or range(g)))
         if M.relations.rows:
             relations = block_matrix(
@@ -1093,10 +1017,10 @@ def coefficient_complex(params, M, n_max, action="trivial"):
             relations = IntegerMatrix.zero(0, len(tuples) * g)
         bar_modules[n] = PresentedModule(len(tuples) * g, relations, labels)
     for n in range(1, n_max + 1):
-        tb = ctx.breve_b(n)
+        tb = tuple_bar_differential(n, v)
         tuple_map = {}
-        src_tuples = ctx.tuple_basis(n)
-        tgt_tuples = ctx.tuple_basis(n - 1)
+        src_tuples = exp_tuples(n, v)
+        tgt_tuples = exp_tuples(n - 1, v)
         for (r, c), val in tb.data.items():
             tuple_map.setdefault(src_tuples[c], {})[tgt_tuples[r]] = val
         bar_diff[n] = _kron_with_identity(tuple_map, src_tuples, tgt_tuples, g)
@@ -1104,7 +1028,7 @@ def coefficient_complex(params, M, n_max, action="trivial"):
         omegabar[n] = _kron_with_identity(om, tgt_tuples, src_tuples, g)
     for n in range(n_max + 1):
         cells = [(alpha, n - alpha) for alpha in range(n + 1)]
-        tuples = ctx.tuple_basis(n)
+        tuples = exp_tuples(n, v)
         tindex = {tup: i for i, tup in enumerate(tuples)}
         data = {}
         for bj, (alpha, beta) in enumerate(cells):

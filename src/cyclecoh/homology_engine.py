@@ -1,5 +1,11 @@
-"""Chain complexes, double complexes, special deformation retracts and
-the homological perturbation lemma.
+"""Chain complexes, double complexes and the row-wise homological
+perturbation lemma.
+
+There is one perturbation lemma, `perturb_double_complex`: it transfers
+a small perturbation of the horizontal differential through special
+deformation retracts (SDRs) of the rows of a double complex.  A chain
+complex is a one-row double complex with cells (n, 0), so the same
+function perturbs an SDR of chain complexes.
 
 Sign conventions used throughout (and enforced by the checks):
 
@@ -125,19 +131,6 @@ class DoubleComplex:
         return CheckReport(True)
 
 
-@dataclass
-class TotalComplex:
-    chain: ChainComplex
-    offsets: dict  # (r, s) -> (degree, start, size)
-
-    def inject(self, pos, vec):
-        n, start, size = self.offsets[pos]
-        out = [0] * self.chain.rank(n)
-        for i, v in enumerate(vec):
-            out[start + i] = v
-        return out
-
-
 def total_complex(dc):
     """Total complex X_n = direct sum over r+s = n, differential d_h + d_v."""
     degrees = {}
@@ -146,38 +139,22 @@ def total_complex(dc):
     for n in degrees:
         degrees[n].sort()
     modules = {}
-    offsets = {}
     for n, poss in sorted(degrees.items()):
-        start = 0
         labels = []
         for pos in poss:
             mod = dc.cells[pos]
-            offsets[pos] = (n, start, mod.ngens)
-            start += mod.ngens
             if mod.labels is not None:
                 labels.extend((pos, lab) for lab in mod.labels)
             else:
                 labels.extend((pos, i) for i in range(mod.ngens))
         # stack relations blockwise
-        rel_blocks = {}
-        sizes = [dc.cells[pos].ngens for pos in poss]
-        rrows = []
-        for bi, pos in enumerate(poss):
-            rel = dc.cells[pos].relations
-            if rel.rows:
-                rrows.append((bi, rel))
-        total_rel_rows = sum(rel.rows for _, rel in rrows)
-        data = {}
-        roff = 0
-        col_off = [0]
-        for s_ in sizes:
-            col_off.append(col_off[-1] + s_)
-        for bi, rel in rrows:
-            for (rr, cc), val in rel.data.items():
-                data[(roff + rr, col_off[bi] + cc)] = val
-            roff += rel.rows
-        relations = IntegerMatrix(total_rel_rows, start, data)
-        modules[n] = PresentedModule(start, relations, tuple(labels))
+        rels = [dc.cells[pos].relations for pos in poss]
+        relations = block_matrix(
+            {(bi, bi): rel for bi, rel in enumerate(rels) if rel.rows},
+            [rel.rows for rel in rels],
+            [rel.cols for rel in rels],
+        )
+        modules[n] = PresentedModule(relations.cols, relations, tuple(labels))
     diff = {}
     for n in sorted(degrees):
         if n - 1 not in degrees:
@@ -202,197 +179,7 @@ def total_complex(dc):
             [dc.cells[pos].ngens for pos in tgts],
             [dc.cells[pos].ngens for pos in srcs],
         )
-    return TotalComplex(ChainComplex(modules, diff), offsets)
-
-
-# ---------------------------------------------------------------------------
-# special deformation retracts
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SDR:
-    """i: X -> C, p: C -> X with p o i = id and homotopy h[n]: C_n -> C_{n+1}."""
-
-    X: ChainComplex
-    C: ChainComplex
-    i: dict
-    p: dict
-    h: dict
-
-
-def _eye(n):
-    return IntegerMatrix.identity(n)
-
-
-def verify_sdr(sdr):
-    """All seven SDR identities, degreewise; first failure wins."""
-    for n, i_n in sorted(sdr.i.items()):
-        p_n = sdr.p.get(n)
-        if p_n is not None and p_n @ i_n != _eye(sdr.X.rank(n)):
-            return CheckReport(False, "p o i = id", n)
-    for n in sorted(sdr.X.diff):
-        i_n, i_prev = sdr.i.get(n), sdr.i.get(n - 1)
-        if i_n is not None and i_prev is not None and n in sdr.C.diff:
-            if sdr.C.diff[n] @ i_n != i_prev @ sdr.X.diff[n]:
-                return CheckReport(False, "i chain map", n)
-    for n in sorted(sdr.C.diff):
-        p_n, p_prev = sdr.p.get(n), sdr.p.get(n - 1)
-        if p_n is not None and p_prev is not None and n in sdr.X.diff:
-            if sdr.X.diff[n] @ p_n != p_prev @ sdr.C.diff[n]:
-                return CheckReport(False, "p chain map", n)
-    for n in sorted(sdr.C.modules):
-        i_n, p_n = sdr.i.get(n), sdr.p.get(n)
-        h_n = sdr.h.get(n)
-        h_prev = sdr.h.get(n - 1)
-        d_up = sdr.C.diff.get(n + 1)
-        d_n = sdr.C.diff.get(n)
-        if i_n is None or p_n is None or h_n is None or d_up is None:
-            continue
-        lhs = d_up @ h_n
-        if h_prev is not None and d_n is not None:
-            lhs = lhs + h_prev @ d_n
-        rhs = i_n @ p_n - _eye(sdr.C.rank(n))
-        if lhs != rhs:
-            return CheckReport(False, "i o p - id = d h + h d", n)
-    for n, h_n in sorted(sdr.h.items()):
-        i_n = sdr.i.get(n)
-        if i_n is not None and not (h_n @ i_n).is_zero():
-            return CheckReport(False, "h o i = 0", n)
-        p_up = sdr.p.get(n + 1)
-        if p_up is not None and not (p_up @ h_n).is_zero():
-            return CheckReport(False, "p o h = 0", n)
-        h_up = sdr.h.get(n + 1)
-        if h_up is not None and not (h_up @ h_n).is_zero():
-            return CheckReport(False, "h o h = 0", n)
-    return CheckReport(True)
-
-
-@dataclass
-class Perturbation:
-    """delta[n]: C_n -> C_{n-1} with (d + delta)^2 = 0, certified small by
-    the nilpotency witness: (delta o h)^{n0} = 0 in every degree."""
-
-    delta: dict
-    n0: int
-
-    def validate_square_zero(self, C):
-        for n in sorted(C.modules):
-            d1 = C.diff.get(n)
-            delta1 = self.delta.get(n)
-            total_n = _padd(d1, delta1)
-            d0 = C.diff.get(n - 1)
-            delta0 = self.delta.get(n - 1)
-            total_prev = _padd(d0, delta0)
-            if total_n is not None and total_prev is not None:
-                if not (total_prev @ total_n).is_zero():
-                    return CheckReport(False, "(d + delta)^2 = 0", n)
-        return CheckReport(True)
-
-
-def _padd(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a + b
-
-
-def _delta_h(sdr, pert, n):
-    """(delta o h) in degree n: C_n -> C_n, or None if it vanishes."""
-    h_n = sdr.h.get(n)
-    d_n1 = pert.delta.get(n + 1)
-    if h_n is None or d_n1 is None:
-        return None
-    return d_n1 @ h_n
-
-
-def check_smallness(sdr, pert):
-    for n in sorted(sdr.C.modules):
-        dh = _delta_h(sdr, pert, n)
-        if dh is None:
-            continue
-        if not dh.power(pert.n0).is_zero():
-            return CheckReport(False, f"(delta o h)^{pert.n0} = 0", n)
-    return CheckReport(True)
-
-
-def _transfer_A(sdr, pert, n):
-    """A = (id - delta o h)^{-1} o delta: C_n -> C_{n-1} via the finite series."""
-    d_n = pert.delta.get(n)
-    if d_n is None:
-        return None
-    dh = _delta_h(sdr, pert, n - 1)
-    if dh is None:
-        return d_n
-    acc = d_n
-    term = d_n
-    for _ in range(pert.n0 - 1):
-        term = dh @ term
-        if term.is_zero():
-            break
-        acc = acc + term
-    return acc
-
-
-def perturb_sdr(sdr, pert, verify=True):
-    """Transfer a small perturbation through an SDR.
-
-    Returns the perturbed SDR: the side X carries d + p A i, the side C
-    carries d + delta, and i, p, h gain the A-corrections.  The output
-    passes verify_sdr on the degrees where all maps are defined.
-    """
-    square = pert.validate_square_zero(sdr.C)
-    if not square:
-        raise ValueError(f"not a perturbation: {square}")
-    small = check_smallness(sdr, pert)
-    if not small:
-        raise ValueError(f"perturbation not small: {small}")
-
-    newXd = dict(sdr.X.diff)
-    new_i = dict(sdr.i)
-    new_p = {}
-    new_h = {}
-    A = {n: _transfer_A(sdr, pert, n) for n in sorted(pert.delta)}
-
-    for n in sorted(sdr.X.diff):
-        An = A.get(n)
-        if An is not None and (n - 1) in sdr.p and n in sdr.i:
-            newXd[n] = sdr.X.diff[n] + sdr.p[n - 1] @ An @ sdr.i[n]
-    for n in sorted(sdr.i):
-        An = A.get(n)
-        if An is not None and (n - 1) in sdr.h:
-            new_i[n] = sdr.i[n] + sdr.h[n - 1] @ An @ sdr.i[n]
-    # a missing delta[n] means the perturbation vanishes there, so the
-    # A-corrections drop out and p, h pass through unchanged
-    for n in sorted(sdr.p):
-        term = None
-        An1 = A.get(n + 1)
-        if An1 is not None and n in sdr.h:
-            term = sdr.p[n] @ An1 @ sdr.h[n]
-        new_p[n] = sdr.p[n] if term is None else sdr.p[n] + term
-    for n in sorted(sdr.h):
-        An1 = A.get(n + 1)
-        term = None
-        if An1 is not None:
-            term = sdr.h[n] @ An1 @ sdr.h[n]
-        new_h[n] = sdr.h[n] if term is None else sdr.h[n] + term
-
-    newCd = {}
-    for n in set(sdr.C.diff) | set(pert.delta):
-        newCd[n] = _padd(sdr.C.diff.get(n), pert.delta.get(n))
-    out = SDR(
-        ChainComplex(sdr.X.modules, newXd),
-        ChainComplex(sdr.C.modules, newCd),
-        new_i,
-        new_p,
-        new_h,
-    )
-    if verify:
-        report = verify_sdr(out)
-        if not report:
-            raise AssertionError(f"perturbed SDR failed verification: {report}")
-    return out
+    return ChainComplex(modules, diff)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +209,7 @@ class PerturbedRows:
     report: CheckReport
 
 
-def perturb_double_complex(system, delta, n0, verify=True, vanishes_beyond=None):
+def perturb_double_complex(system, delta, n0, verify=True, vanishes_beyond=True):
     """Row-wise perturbation-lemma transfer across a double complex.
 
     delta maps (r, s) -> matrix C_{r,s} -> C_{r-1,s}; n0 is the
@@ -436,8 +223,6 @@ def perturb_double_complex(system, delta, n0, verify=True, vanishes_beyond=None)
     corrections of each row's top cell depend on data above the cap, so
     those maps are dropped rather than emitted half-corrected.
     """
-    if vanishes_beyond is None:
-        vanishes_beyond = True
 
     def dh_at(pos):
         h = system.h.get(pos)
@@ -518,7 +303,7 @@ def _verify_perturbed_rows(Xp, Cp, i1, p1, h1):
     # item (1): morphisms of double complexes with p1 o i1 = id
     for pos in Xp.cells:
         if pos in i1 and pos in p1:
-            if p1[pos] @ i1[pos] != _eye(Xp.rank(pos)):
+            if p1[pos] @ i1[pos] != IntegerMatrix.identity(Xp.rank(pos)):
                 return CheckReport(False, "p1 o i1 = id", pos)
     for (r, s) in Xp.cells:
         tgt = (r - 1, s)
@@ -546,7 +331,7 @@ def _verify_perturbed_rows(Xp, Cp, i1, p1, h1):
         prev = (r - 1, s)
         if prev in h1 and (r, s) in Cp.dh:
             lhs = lhs + h1[prev] @ Cp.dh[(r, s)]
-        rhs = i1[(r, s)] @ p1[(r, s)] - _eye(Cp.rank((r, s)))
+        rhs = i1[(r, s)] @ p1[(r, s)] - IntegerMatrix.identity(Cp.rank((r, s)))
         if lhs != rhs:
             return CheckReport(False, "row homotopy identity", (r, s))
     return CheckReport(True)

@@ -29,6 +29,7 @@ G/2G + G_2 + G_2 (u = 2, v = 4).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from math import comb
@@ -42,13 +43,19 @@ from .abelian import (
 )
 from . import modular
 from .cycleset import CyclicFamilyParams, LinearCycleSet, Verdict, make_cyclic_lcs
-from .cyclic_resolution import coefficient_complex, pepito_scalar
-from .homology_engine import DoubleComplex, RowSDRSystem, perturb_double_complex, total_complex
-
-
-def exp_tuples(s, v):
-    """Generator labels of Dbar^{x s}: exponent tuples with entries 1..v-1."""
-    return list(itertools.product(range(1, v), repeat=s))
+from .cyclic_resolution import (
+    coefficient_complex,
+    exp_tuples,
+    pepito_scalar,
+    tuple_bar_differential,
+)
+from .homology_engine import (
+    ChainComplex,
+    DoubleComplex,
+    RowSDRSystem,
+    perturb_double_complex,
+    total_complex,
+)
 
 
 def _shuffle_arrangements(l, s):
@@ -95,11 +102,7 @@ def shuffle_quotient(s, v):
                 key = tuple(tup[placement[q]] for q in range(s))
                 row[index[key]] = row.get(index[key], 0) + sign
             rows.append(row)
-    data = {}
-    for i, row in enumerate(rows):
-        for j, val in row.items():
-            if val:
-                data[(i, j)] = val
+    data = {(i, j): val for i, row in enumerate(rows) for j, val in row.items()}
     relations = IntegerMatrix(len(rows), len(labels), data)
     return PresentedModule(len(labels), relations, tuple(labels))
 
@@ -112,28 +115,6 @@ def _tensor_labels(r, s, v):
     ]
 
 
-def _mbar_inner_b(s, v):
-    """The bar-type map Mbar(s) -> Mbar(s-1) before the position sign."""
-    src = exp_tuples(s, v)
-    tgt_index = {t: i for i, t in enumerate(exp_tuples(s - 1, v))}
-    data = {}
-    for col, tup in enumerate(src):
-        def add(key, c):
-            if c and all(x % v for x in key):
-                k = (tgt_index[key], col)
-                val = data.get(k, 0) + c
-                if val:
-                    data[k] = val
-                elif k in data:
-                    del data[k]
-
-        add(tup[1:], 1)
-        for i in range(s - 1):
-            add(tup[:i] + ((tup[i] + tup[i + 1]) % v,) + tup[i + 2 :], (-1) ** (i + 1))
-        add(tup[:-1], (-1) ** s)
-    return IntegerMatrix(len(tgt_index), len(src), data)
-
-
 @dataclass
 class FullComplexSlice:
     """The full double complex of a linear cycle set through total degree cap."""
@@ -141,17 +122,13 @@ class FullComplexSlice:
     lcs: LinearCycleSet
     cap: int
     dc: DoubleComplex
-    total: object  # TotalComplex
-
-    def positions(self, n):
-        return [(n - s, s) for s in range(1, n + 1)]
+    total: ChainComplex
 
 
 def full_double_complex(lcs, cap=3):
     """Cells, horizontal and vertical differentials, and the verified total
     complex of the cycle-set double complex through total degree cap."""
     v = lcs.v
-    dot = lcs.dot
     cells = {}
     relcache = {s: shuffle_quotient(s, v).relations for s in range(1, cap + 1)}
     for n in range(1, cap + 1):
@@ -162,7 +139,6 @@ def full_double_complex(lcs, cap=3):
             if base_rel.rows:
                 gts = exp_tuples(r, v)
                 mts = exp_tuples(s, v)
-                m_index = {t: i for i, t in enumerate(mts)}
                 data = {}
                 nrow = 0
                 for gi in range(len(gts)):
@@ -198,11 +174,7 @@ def _full_dh(lcs, r, s, cells):
             gt2, mt2 = key
             if all(x % v for x in gt2) and all(x % v for x in mt2):
                 k = (tgt_index[(gt2, mt2)], col)
-                val = data.get(k, 0) + c
-                if val:
-                    data[k] = val
-                elif k in data:
-                    del data[k]
+                data[k] = data.get(k, 0) + c
 
         g1 = gt[0]
         add(
@@ -222,17 +194,16 @@ def _full_dh(lcs, r, s, cells):
 def _full_dv(v, r, s, cells):
     src = cells[(r, s)].labels
     tgt_index = {lab: i for i, lab in enumerate(cells[(r, s - 1)].labels)}
-    inner = _mbar_inner_b(s, v)
-    mts = exp_tuples(s, v)
+    inner_cols = tuple_bar_differential(s, v).columns()
+    m_index = {t: i for i, t in enumerate(exp_tuples(s, v))}
     tgt_mts = exp_tuples(s - 1, v)
     sign = (-1) ** (r + 1)
     data = {}
-    m_index = {t: i for i, t in enumerate(mts)}
     for col, (gt, mt) in enumerate(src):
-        for row, val in inner.column(m_index[mt]).items():
+        for row, val in inner_cols[m_index[mt]].items():
             k = (tgt_index[(gt, tgt_mts[row])], col)
             data[k] = data.get(k, 0) + sign * val
-    return IntegerMatrix(len(tgt_index), len(src), {k: x for k, x in data.items() if x})
+    return IntegerMatrix(len(tgt_index), len(src), data)
 
 
 def perturbation_delta(lcs, cells, positions=((1, 1), (2, 1), (1, 2))):
@@ -243,7 +214,6 @@ def perturbation_delta(lcs, cells, positions=((1, 1), (2, 1), (1, 2))):
     honest square-zero perturbation (the truncated version fails
     (d + delta)^2 = 0 above total degree 3, without affecting the
     transferred arrows)."""
-    v = lcs.v
     dot = lcs.dot
     delta = {}
     if positions is None:
@@ -263,11 +233,7 @@ def perturbation_delta(lcs, cells, positions=((1, 1), (2, 1), (1, 2))):
             plain = (gt[1:], mt)
             for key, c in ((twisted, 1), (plain, -1)):
                 k = (tgt_index[key], col)
-                val = data.get(k, 0) + c
-                if val:
-                    data[k] = val
-                elif k in data:
-                    del data[k]
+                data[k] = data.get(k, 0) + c
         delta[(r, s)] = IntegerMatrix(len(tgt_index), len(src), data)
     return delta
 
@@ -288,11 +254,7 @@ def _one_slot_map(v, images):
         for b, c in images(a):
             if b % v and c:
                 k = (b % v - 1, col)
-                val = data.get(k, 0) + c
-                if val:
-                    data[k] = val
-                elif k in data:
-                    del data[k]
+                data[k] = data.get(k, 0) + c
     return IntegerMatrix(v - 1, v - 1, data)
 
 
@@ -350,14 +312,10 @@ def _arrow_matrices(params):
         for key, c in ((((1 - u) * a % v, (1 - u) * b % v), 1), ((a, b), -1)):
             if key[0] and key[1]:
                 k = (idx2[key], col)
-                val = data.get(k, 0) + c
-                if val:
-                    data[k] = val
-                elif k in data:
-                    del data[k]
+                data[k] = data.get(k, 0) + c
     arrows["dh1_012"] = IntegerMatrix(len(m2), len(m2), data)
-    inner2 = _mbar_inner_b(2, v)
-    inner3 = _mbar_inner_b(3, v)
+    inner2 = tuple_bar_differential(2, v)
+    inner3 = tuple_bar_differential(3, v)
     arrows["dv_002"] = inner2.scale(-1)   # position sign (-1)^(0+1)
     arrows["dv_003"] = inner3.scale(-1)
     arrows["dv_012"] = inner2             # position sign (-1)^(1+1)
@@ -397,15 +355,10 @@ def _assemble(blocks, tgt_blocks, src_blocks, params):
     return block_matrix(placed, tgt_sizes, src_sizes)
 
 
-_reduced_cache = {}
-
-
-def reduced_complex(params, check_transfer=True):
+@functools.cache
+def reduced_complex(params):
     """The reduced partial total complex, built from the closed-form arrows
     and cross-checked against the perturbation-lemma transfer."""
-    key = params
-    if key in _reduced_cache:
-        return _reduced_cache[key]
     arrows = _arrow_matrices(params)
     mods = _reduced_modules(params)
     d2 = _assemble(
@@ -464,9 +417,7 @@ def reduced_complex(params, check_transfer=True):
     if phi01 != closed01 or phi10 != closed10:
         raise AssertionError("transferred degree-2 projection disagrees with closed form")
 
-    out = ReducedComplexT(params, mods, d2, d3, arrows, phi01, phi10)
-    _reduced_cache[key] = out
-    return out
+    return ReducedComplexT(params, mods, d2, d3, arrows, phi01, phi10)
 
 
 def _extract_block(m, pos, tgt_cell, src_cell, params):
@@ -495,7 +446,7 @@ def _transfer_reduced(params):
     xcells, xdh, xdv = {}, {}, {}
     ccells, cdh, cdv = {}, {}, {}
     i_maps, p_maps, h_maps = {}, {}, {}
-    inner = {s: _mbar_inner_b(s, v) for s in (2, 3)}
+    inner = {s: tuple_bar_differential(s, v) for s in (2, 3)}
     for s in (1, 2, 3):
         cc = ccs[s]
         g = quotients[s].ngens
@@ -577,24 +528,6 @@ def _phi_hat_from_transfer(transfer, params):
     )
 
 
-def phi_hat(params):
-    """The degree-2 comparison data: the (0,1) and (1,0) components on
-    Dbar (x) Mbar(1), plus the identity blocks on Mbar(1) and Mbar(2).
-
-    Built through reduced_complex, so the closed forms, the binomial
-    forms and the perturbation transfer have all been checked to agree.
-    """
-    rc = reduced_complex(params)
-    v = params.v
-    return {
-        "phi_01": IntegerMatrix.identity(v - 1),
-        "phi_02": IntegerMatrix.identity((v - 1) ** 2),
-        "phi_11_01": rc.phi01,
-        "phi_11_10": rc.phi10,
-        "phi2": rc.phi2_matrix(),
-    }
-
-
 def phi_hat_closed(params):
     """Closed forms of the degree-2 projection components on Dbar (x) Mbar(1):
       into (0,1):  g^{t i + j} (x) g^{i1} -> sum_{l<j} g^{(1-u l) i1}
@@ -621,11 +554,7 @@ def phi_hat_closed(params):
             for b, c in acc.items():
                 if b % v and c:
                     k = (b % v - 1, col)
-                    val = bottom.get(k, 0) + c
-                    if val:
-                        bottom[k] = val
-                    elif k in bottom:
-                        del bottom[k]
+                    bottom[k] = bottom.get(k, 0) + c
     top_m = IntegerMatrix(n1, n1 * n1, top)
     bottom_m = IntegerMatrix(n1, n1 * n1, bottom)
     bin_top, bin_bottom = _phi_hat_binomial(params)
@@ -683,8 +612,6 @@ def _phi_hat_binomial(params):
             for e, c in acc.items():
                 if e % v and c:
                     bottom[(e - 1, col)] = bottom.get((e - 1, col), 0) + c
-    top = {k: c for k, c in top.items() if c}
-    bottom = {k: c for k, c in bottom.items() if c}
     return IntegerMatrix(n1, n1 * n1, top), IntegerMatrix(n1, n1 * n1, bottom)
 
 
@@ -692,13 +619,9 @@ def _phi_hat_binomial(params):
 # cohomology by three routes
 # ---------------------------------------------------------------------------
 
-_full_cache = {}
-
-
+@functools.cache
 def _full_slice(params):
-    if params not in _full_cache:
-        _full_cache[params] = full_double_complex(make_cyclic_lcs(params), 3)
-    return _full_cache[params]
+    return full_double_complex(make_cyclic_lcs(params), 3)
 
 
 @dataclass
@@ -747,7 +670,7 @@ def _closed_form(params, gamma, n):
 
 def _full_route(params, gamma, n):
     fc = _full_slice(params)
-    chain = fc.total.chain
+    chain = fc.total
     d_in = chain.diff[n + 1]
     if n >= 2:
         d_out = chain.diff[n]
@@ -783,7 +706,6 @@ def _full_vector_to_pair(params, gamma, chain, cochain):
 
 def _reduced_route(params, gamma, n):
     rc = reduced_complex(params)
-    v = params.v
     if n == 1:
         d_in = rc.d2
         d_out = IntegerMatrix.zero(0, rc.modules[1].ngens)
@@ -988,7 +910,6 @@ def cocycle_family(params, gamma, g, g1, g1p=None):
     needs 4*g1 = 2*g and 2*g1p = 0 (third parameter required).
     """
     v, u, t, u2 = params.v, params.u, params.t, params.u2
-    z = gamma.zero()
     if params.t == 1:
         if g1p is not None:
             raise ValueError("third parameter only applies when u = 2, v = 4")
@@ -1132,7 +1053,7 @@ def all_cocycle_pairs(params, gamma, cap=2**20):
     if raw > cap:
         raise ValueError(f"cochain space of size {raw} exceeds the cap {cap}")
     fc = _full_slice(params)
-    chain = fc.total.chain
+    chain = fc.total
     A = chain.modules[2].relations.vstack(chain.diff[3].transpose())
     pp, nfree = gamma.prime_power_coordinates()
     assert nfree == 0

@@ -22,17 +22,6 @@ def _check_modulus(m):
         raise ValueError(f"modulus {m} too large for the int64 fast path")
 
 
-def _valuation(x, p, k):
-    """p-adic valuation of x mod p^k, with val(0) = k."""
-    if x == 0:
-        return k
-    e = 0
-    while x % p == 0:
-        x //= p
-        e += 1
-    return e
-
-
 def local_smith(A, p, k, track_u=True):
     """Diagonalise A over Z/p^k: U @ A @ V = diag(p^exps) mod p^k.
 
@@ -156,7 +145,6 @@ def kernel_coordinates(kd, vec):
     m = p**k
     y = (kd.Vinv @ (np.array(vec, dtype=np.int64) % m)) % m
     coeffs = []
-    pos = 0
     for i, e in enumerate(kd.col_exps):
         step = p ** (k - e)
         if int(y[i]) % step != 0:
@@ -164,7 +152,6 @@ def kernel_coordinates(kd, vec):
         if e == 0:
             continue
         coeffs.append((int(y[i]) // step) % (p**e))
-        pos += 1
     return coeffs
 
 

@@ -317,11 +317,6 @@ def test_coefficient_complex_matches_bar_homology():
         assert integral_homology(bar_chain, 2).is_trivial
 
 
-def test_coefficient_complex_rejects_nontrivial_action():
-    with pytest.raises(NotImplementedError):
-        coefficient_complex(P212, trivial_module(), 2, action="conjugation")
-
-
 def test_induced_maps_form_an_sdr():
     # t >= 2: a genuine SDR; at t = 1 the retraction identity degenerates
     # (see the t = 1 branch below) but everything else survives

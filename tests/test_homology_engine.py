@@ -6,14 +6,10 @@ from cyclecoh.abelian import IntegerMatrix, PresentedModule
 from cyclecoh.homology_engine import (
     ChainComplex,
     DoubleComplex,
-    Perturbation,
     RowSDRSystem,
-    SDR,
     integral_homology,
     perturb_double_complex,
-    perturb_sdr,
     total_complex,
-    verify_sdr,
 )
 
 M = IntegerMatrix.from_rows
@@ -37,8 +33,8 @@ def test_chain_complex_validation_and_homology():
 def test_total_complex_degenerate_grids():
     dc = DoubleComplex({(0, 1): free(3)})
     tot = total_complex(dc)
-    assert tot.chain.rank(1) == 3
-    assert not tot.chain.diff
+    assert tot.rank(1) == 3
+    assert not tot.diff
 
     dc = DoubleComplex(
         {(r, s) for r in (0, 1) for s in (1, 2)} and
@@ -47,7 +43,7 @@ def test_total_complex_degenerate_grids():
         {(0, 2): IntegerMatrix.zero(2, 2), (1, 2): IntegerMatrix.zero(2, 2)},
     )
     tot = total_complex(dc)
-    for n, d in tot.chain.diff.items():
+    for n, d in tot.diff.items():
         assert d.is_zero()
 
 
@@ -60,8 +56,8 @@ def test_total_complex_anticommuting_grid():
     )
     assert dc.validate()
     tot = total_complex(dc)
-    assert tot.chain.validate()
-    assert not tot.chain.diff[1].is_zero()
+    assert tot.validate()
+    assert not tot.diff[1].is_zero()
 
     bad = DoubleComplex(
         dc.cells,
@@ -71,18 +67,14 @@ def test_total_complex_anticommuting_grid():
     assert not bad.validate()
 
 
-def identity_sdr(chain):
-    eye = {n: IntegerMatrix.identity(chain.rank(n)) for n in chain.modules}
-    h = {n: IntegerMatrix.zero(chain.rank(n + 1), chain.rank(n)) for n in chain.modules if (n + 1) in chain.modules}
-    return SDR(chain, chain, dict(eye), dict(eye), h)
+def row(maps):
+    """Re-key degree-indexed maps onto the cells (n, 0) of a one-row grid."""
+    return {(n, 0): m for n, m in maps.items()}
 
 
-def test_identity_sdr_passes():
-    chain = ChainComplex(
-        {0: free(2), 1: free(2), 2: free(2)},
-        {1: M([[0, 0], [0, 0]]), 2: M([[0, 0], [0, 0]])},
-    )
-    assert verify_sdr(identity_sdr(chain))
+def one_row(chain):
+    """A chain complex as a one-row double complex with cells (n, 0)."""
+    return DoubleComplex(row(chain.modules), row(chain.diff))
 
 
 def cyclic_bar_complex(v, nmax):
@@ -124,7 +116,7 @@ def cyclic_bar_complex(v, nmax):
 
 def bar_sdr(v, nmax):
     """SDR of the augmented bar resolution onto Z, homotopy -xi with
-    xi(x) = (-1)^(n+1) x tensor 1."""
+    xi(x) = (-1)^(n+1) x tensor 1, as a one-row system."""
     C, bases, index = cyclic_bar_complex(v, nmax)
     X = ChainComplex(
         {n: free(1 if n == 0 else 0) for n in range(nmax + 1)},
@@ -144,59 +136,51 @@ def bar_sdr(v, nmax):
                 tgt = t[:-1] + (b, 0)
                 data[(index[n + 1][tgt], col)] = -((-1) ** (n + 1))
         h[n] = IntegerMatrix(len(bases[n + 1]), len(bases[n]), data)
-    return SDR(X, C, i, p, h)
+    return RowSDRSystem(one_row(X), one_row(C), row(i), row(p), row(h))
 
 
 def test_bar_resolution_sdr():
     for v in (2, 3):
-        sdr = bar_sdr(v, 3)
-        assert sdr.C.validate()
-        report = verify_sdr(sdr)
-        assert report, str(report)
+        system = bar_sdr(v, 3)
+        assert system.C.validate()
+        out = perturb_double_complex(system, {}, 1)
+        assert out.report, str(out.report)
 
 
 def test_sdr_failure_reports_identity():
-    chain = ChainComplex({0: free(1), 1: free(1)}, {1: M([[0]])})
-    sdr = identity_sdr(chain)
-    sdr.h[0] = M([[1]])  # now h o h would vanish but homotopy identity fails
-    report = verify_sdr(sdr)
-    assert not report
-    # inject an h with h o h != 0 on a taller complex
-    chain = ChainComplex(
-        {0: free(1), 1: free(1), 2: free(1)},
-        {1: M([[0]]), 2: M([[0]])},
-    )
-    sdr = identity_sdr(chain)
-    sdr.h[0] = M([[1]])
-    sdr.h[1] = M([[1]])
-    report = verify_sdr(sdr)
-    assert not report
+    # i = p = id on Z --1--> Z, so the homotopy must vanish; h = 1 breaks
+    # d o h + h o d = i o p - id in degree 0
+    chain = one_row(ChainComplex({0: free(1), 1: free(1)}, {1: M([[1]])}))
+    ident = row({0: M([[1]]), 1: M([[1]])})
+    system = RowSDRSystem(chain, chain, ident, dict(ident), {(0, 0): M([[1]])})
+    with pytest.raises(AssertionError, match=r"fail \[row homotopy identity\] at \(0, 0\)"):
+        perturb_double_complex(system, {}, 1)
 
 
-def disc_sdr():
-    """C = two discs (Z --id--> Z) in degrees (1, 0); X = 0."""
-    C = ChainComplex({0: free(2), 1: free(2)}, {1: IntegerMatrix.identity(2)})
+def disc_sdr(k=2):
+    """C = k discs (Z --id--> Z) in degrees (1, 0); X = 0."""
+    C = ChainComplex({0: free(k), 1: free(k)}, {1: IntegerMatrix.identity(k)})
     X = ChainComplex({0: free(0), 1: free(0)}, {1: IntegerMatrix.zero(0, 0)})
-    i = {0: IntegerMatrix.zero(2, 0), 1: IntegerMatrix.zero(2, 0)}
-    p = {0: IntegerMatrix.zero(0, 2), 1: IntegerMatrix.zero(0, 2)}
-    h = {0: IntegerMatrix.identity(2).scale(-1)}
-    return SDR(X, C, i, p, h)
+    i = {0: IntegerMatrix.zero(k, 0), 1: IntegerMatrix.zero(k, 0)}
+    p = {0: IntegerMatrix.zero(0, k), 1: IntegerMatrix.zero(0, k)}
+    h = {0: IntegerMatrix.identity(k).scale(-1)}
+    return RowSDRSystem(one_row(X), one_row(C), row(i), row(p), row(h))
 
 
 def test_perturb_sdr_zero_delta_is_identity():
-    sdr = disc_sdr()
-    assert verify_sdr(sdr)
-    out = perturb_sdr(sdr, Perturbation({}, 1))
-    assert out.C.diff == sdr.C.diff
-    assert out.h == sdr.h
+    system = disc_sdr()
+    out = perturb_double_complex(system, {}, 1)
+    assert out.report
+    assert out.C.dh == system.C.dh
+    assert out.h1 == system.h
 
 
 def test_perturb_sdr_nilpotent_delta():
-    sdr = disc_sdr()
-    delta = {1: M([[0, 2], [0, 0]])}
-    out = perturb_sdr(sdr, Perturbation(delta, 2))
-    assert verify_sdr(out)
-    assert out.C.diff[1] == M([[1, 2], [0, 1]])
+    system = disc_sdr()
+    delta = {(1, 0): M([[0, 2], [0, 0]])}
+    out = perturb_double_complex(system, delta, 2)
+    assert out.report
+    assert out.C.dh[(1, 0)] == M([[1, 2], [0, 1]])
 
 
 def test_perturb_sdr_randomized_nilpotent():
@@ -205,43 +189,23 @@ def test_perturb_sdr_randomized_nilpotent():
     rng = random.Random(21)
     for _ in range(25):
         k = rng.randint(1, 4)
-        C = ChainComplex({0: free(k), 1: free(k)}, {1: IntegerMatrix.identity(k)})
-        X = ChainComplex({0: free(0), 1: free(0)}, {1: IntegerMatrix.zero(0, 0)})
-        sdr = SDR(
-            X,
-            C,
-            {0: IntegerMatrix.zero(k, 0), 1: IntegerMatrix.zero(k, 0)},
-            {0: IntegerMatrix.zero(0, k), 1: IntegerMatrix.zero(0, k)},
-            {0: IntegerMatrix.identity(k).scale(-1)},
-        )
-        assert verify_sdr(sdr)
+        system = disc_sdr(k)
         # strictly upper triangular = engineered nilpotent delta o h
         data = {
             (i, j): rng.randint(-3, 3)
             for i in range(k)
             for j in range(i + 1, k)
         }
-        delta = {1: IntegerMatrix(k, k, data)}
-        out = perturb_sdr(sdr, Perturbation(delta, k))
-        assert verify_sdr(out)
+        delta = {(1, 0): IntegerMatrix(k, k, data)}
+        out = perturb_double_complex(system, delta, k)
+        assert out.report
 
 
 def test_perturb_sdr_rejects_non_small():
-    sdr = disc_sdr()
-    delta = {1: IntegerMatrix.identity(2)}
+    system = disc_sdr()
+    delta = {(1, 0): IntegerMatrix.identity(2)}
     with pytest.raises(ValueError, match="not small"):
-        perturb_sdr(sdr, Perturbation(delta, 3))
-
-
-def test_perturb_sdr_rejects_bad_square():
-    chain = ChainComplex(
-        {0: free(1), 1: free(1), 2: free(1)},
-        {1: M([[0]]), 2: M([[1]])},
-    )
-    sdr = identity_sdr(chain)
-    delta = {1: M([[1]])}
-    with pytest.raises(ValueError, match="not a perturbation"):
-        perturb_sdr(sdr, Perturbation(delta, 1))
+        perturb_double_complex(system, delta, 3)
 
 
 def test_perturb_double_complex_zero_delta():

@@ -66,7 +66,7 @@ def test_shuffle_quotient_rejects_out_of_scope():
 def test_full_double_complex_validates():
     for params in (P211, P212, P312):
         fc = full_double_complex(make_cyclic_lcs(params), 3)
-        assert fc.total.chain.validate()
+        assert fc.total.validate()
 
 
 def test_full_complex_trivial_cycle_set_loses_the_twist():
@@ -152,7 +152,7 @@ def test_phi2_is_a_chain_map_into_degree_1():
         rc = reduced_complex(params)
         fc = full_double_complex(make_cyclic_lcs(params), 3)
         phi2 = rc.phi2_matrix()
-        full_d2 = fc.total.chain.diff[2]
+        full_d2 = fc.total.diff[2]
         # degree-1 comparison is the identity on Mbar(1)
         assert rc.d2 @ phi2 == full_d2
 
@@ -182,7 +182,7 @@ def test_full_route_accepts_arbitrary_cycle_sets():
     # for the trivial operation on Z/6 the degree-1 group is Hom(Z/6, -)
     lcs = LinearCycleSet.trivial(6)
     fc = full_double_complex(lcs, 3)
-    chain = fc.total.chain
+    chain = fc.total
     gamma = FinAbGroup((6,))
     res = hom_cohomology_at(
         chain.diff[2],
@@ -205,6 +205,39 @@ def test_route_agreement_other_prime_carriers():
                     for m in ("full", "reduced", "closed")
                 }
                 assert groups["full"] == groups["reduced"] == groups["closed"]
+
+
+def test_module_caches_build_each_complex_once(monkeypatch):
+    from cyclecoh import homology_engine, lcs_cohomology
+    from cyclecoh.cyclic_resolution import get_context
+
+    for cached in (lcs_cohomology._full_slice, reduced_complex, get_context):
+        cached.cache_clear()
+    builds = {"full": 0, "perturb": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            builds[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(lcs_cohomology, "full_double_complex", counted("full", full_double_complex))
+    monkeypatch.setattr(
+        lcs_cohomology,
+        "perturb_double_complex",
+        counted("perturb", homology_engine.perturb_double_complex),
+    )
+    gamma = FinAbGroup((2,))
+    first = cohomology(P212, gamma, 2, "full").group
+    assert cohomology(P212, gamma, 2, "full").group == first
+    assert builds["full"] == 1
+    rc = reduced_complex(P212)
+    assert reduced_complex(P212) is rc
+    assert builds["perturb"] == 1
+    info = reduced_complex.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert get_context(P212) is get_context(P212)
 
 
 def test_cohomology_h1_closed_form_values():

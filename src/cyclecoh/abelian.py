@@ -792,16 +792,29 @@ def hom_cohomology_at(d_in, d_out, domain_relations, gamma, out_relations=None):
     orders = []
     summands = []
 
+    # one elimination per prime, at its largest power: the Z/p^k kernels
+    # for smaller k are truncations of it
+    top = {}
+    for p, k, _, _ in pp_coords:
+        top[p] = max(top.get(p, 0), k)
+    kernels = {}
+    for p, k in top.items():
+        m = p**k
+        kd = modular.kernel_mod_pk(A.to_numpy_mod(m), p, k)
+        okd = None
+        if n_out and not d_out.is_zero():
+            okd = modular.kernel_mod_pk(out_relations.to_numpy_mod(m), p, k)
+        kernels[p] = kd, okd
+
     for p, k, fidx, embed in pp_coords:
         m = p**k
-        Amod = A.to_numpy_mod(m)
-        kd = modular.kernel_mod_pk(Amod, p, k)
+        kd, okd = kernels[p]
+        kd = kd.truncate(k)
         b_rows = []
-        if n_out and not d_out.is_zero():
-            Omod = out_relations.to_numpy_mod(m)
-            okd = modular.kernel_mod_pk(Omod, p, k)
-            if len(okd.gens):
-                b_rows = list((okd.gens @ d_out.to_numpy_mod(m)) % m)
+        if okd is not None:
+            ogens = okd.truncate(k).gens
+            if len(ogens):
+                b_rows = list((ogens @ d_out.to_numpy_mod(m)) % m)
         facs, reps = modular.quotient_mod_pk(kd, b_rows, p, k)
         for order, vec in zip(facs, reps):
             orders.append(order)

@@ -7,7 +7,8 @@ family members up to a carrier bound).  One job per process; output is
 a single report in json, tsv or pretty form, byte-identical for a fixed
 job and seed (timing is only included on request).
 
-Exit codes: 0 success, 2 parameter/usage error, 3 route disagreement.
+Exit codes: 0 success, 2 parameter/usage error or resource limit, 3 route
+disagreement.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .cycleset import (
 from .cyclic_resolution import dl_agreement_suite
 from .extensions import enumerate_extension_classes
 from .lcs_cohomology import cohomology, full_double_complex, reduced_complex
+from .modular import ResourceLimitError
 
 COHOMOLOGY_METHODS = ("full", "reduced", "closed", "all")
 EXTENSION_METHODS = ("theorem", "brute", "all")
@@ -521,6 +523,9 @@ def main(argv=None):
         return 2
     try:
         report = run(spec)
+    except ResourceLimitError as exc:
+        _emit_error("resource-limit", str(exc))
+        return 2
     except ValueError as exc:
         _emit_error("parameter-domain", str(exc))
         return 2

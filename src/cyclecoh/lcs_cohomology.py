@@ -1051,7 +1051,7 @@ def all_cocycle_pairs(params, gamma, cap=2**20):
     n_sym = (v - 1) * v // 2
     raw = gamma.order() ** ((v - 1) ** 2 + n_sym)
     if raw > cap:
-        raise ValueError(f"cochain space of size {raw} exceeds the cap {cap}")
+        raise modular.ResourceLimitError(f"cochain space of size {raw} exceeds the cap {cap}")
     fc = _full_slice(params)
     chain = fc.total
     A = chain.modules[2].relations.vstack(chain.diff[3].transpose())

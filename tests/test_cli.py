@@ -89,6 +89,34 @@ def test_parameter_domain_error_exit_2(capsys):
     assert code == 2
 
 
+def test_brute_force_cap_is_a_resource_limit(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "extensions", "--p", "2", "--nu", "1", "--eta", "2", "--coeff", "4",
+        "--method", "all",
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "resource-limit",
+        "message": "cochain space of size 1073741824 exceeds the cap 1048576",
+    }
+
+
+def test_int64_modulus_cap_is_a_resource_limit(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "cohomology", "--p", "2", "--nu", "1", "--eta", "2", "--coeff", "32768",
+        "--degree", "2", "--method", "full",
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "resource-limit",
+        "message": "modulus 32768 too large for the int64 fast path",
+    }
+
+
 def test_extensions_brute_example(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -2,11 +2,14 @@
 
 Everything downstream reduces to integer matrices: presentations of
 finitely generated abelian groups, Smith normal form, and cohomology of
-Hom(-, G) complexes.  Matrices are stored sparsely (dict keyed by
-(row, col)) because the chain-level differentials are very sparse, but
-all arithmetic is exact Python-int arithmetic.  Heavy kernel/quotient
-computations with finite cyclic coefficients are delegated to the
-vectorised mod-p^k engine in `modular`.
+Hom(-, G) complexes.  The chain-level differentials are very sparse, so
+`IntegerMatrix` keeps canonical numpy COO arrays (row-major, no repeated
+position, no zero) and does its arithmetic vectorised.  All arithmetic
+is exact: entries are int64 only while an exact bound keeps every result
+and partial sum below 2^62, and Python ints (numpy dtype object)
+otherwise.  Smith normal form over Z works on Python ints.  Heavy
+kernel/quotient computations with finite cyclic coefficients are
+delegated to the vectorised mod-p^k engine in `modular`.
 
 Conventions:
   * a matrix M with shape (rows, cols) represents a map sending the
@@ -45,23 +48,72 @@ def xgcd(a, b):
     return g, x, y
 
 
-class IntegerMatrix:
-    """Immutable-by-convention sparse matrix over the integers."""
+# int64 arrays of an IntegerMatrix hold entries of absolute value below
+# this; any larger entry makes the whole matrix hold Python ints
+_INT64_BOUND = 2**62
 
-    __slots__ = ("rows", "cols", "data")
+
+def _abs_max(values):
+    return int(np.abs(values).max()) if len(values) else 0
+
+
+def _normalized(values):
+    """`values` as int64 when every entry is below 2^62 in absolute value,
+    else as Python ints (dtype object)."""
+    big = len(values) and (values.max() >= _INT64_BOUND or values.min() <= -_INT64_BOUND)
+    return values.astype(object if big else np.int64, copy=False)
+
+
+class IntegerMatrix:
+    """Immutable sparse matrix over the integers.
+
+    Stored in canonical COO form: `row_idx`, `col_idx` and `values` are
+    read-only numpy arrays in row-major order, with no position twice and
+    no zero value, so equal matrices have equal arrays.  `values` is int64
+    when every entry is below 2^62 in absolute value and dtype object
+    (Python ints) otherwise.  Arithmetic is vectorised and exact: a
+    product runs in int64 only after an exact bound on its entries and
+    partial sums is below 2^62, and otherwise the same code runs on
+    Python ints; the sum of two int64 entries is below 2^63 and so never
+    wraps.
+    """
+
+    __slots__ = ("rows", "cols", "row_idx", "col_idx", "values")
 
     def __init__(self, rows, cols, data=None):
+        """`data` maps (row, col) to an integer; zero values are dropped."""
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
+        data = data or {}
+        n = len(data)
+        pos = np.fromiter(itertools.chain.from_iterable(data), dtype=np.int64, count=2 * n)
+        r, c = pos[0::2], pos[1::2]
+        try:
+            values = np.fromiter(data.values(), dtype=np.int64, count=n)
+        except OverflowError:
+            values = np.fromiter((int(v) for v in data.values()), dtype=object, count=n)
+        bad = (r < 0) | (r >= rows) | (c < 0) | (c >= cols)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"entry ({r[i]},{c[i]}) outside {rows}x{cols}")
+        self._set(rows, cols, *_canonical_coo(rows, cols, r, c, values))
+
+    def _set(self, rows, cols, r, c, values):
         self.rows = rows
         self.cols = cols
-        self.data = {}
-        if data:
-            for (r, c), v in data.items():
-                if v:
-                    if not (0 <= r < rows and 0 <= c < cols):
-                        raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
-                    self.data[(r, c)] = v
+        self.row_idx, self.col_idx, self.values = r, c, _normalized(values)
+        for arr in (self.row_idx, self.col_idx, self.values):
+            arr.flags.writeable = False
+
+    @classmethod
+    def _from_coo(cls, rows, cols, r, c, values, canonical=False):
+        """A matrix from COO arrays; unless `canonical`, in any order and with
+        repeated positions summed."""
+        out = cls.__new__(cls)
+        if not canonical:
+            r, c, values = _canonical_coo(rows, cols, r, c, values)
+        out._set(rows, cols, r, c, values)
+        return out
 
     @classmethod
     def zero(cls, rows, cols):
@@ -69,7 +121,8 @@ class IntegerMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+        diag = np.arange(n)
+        return cls._from_coo(n, n, diag, diag, np.ones(n, dtype=np.int64), canonical=True)
 
     @classmethod
     def from_rows(cls, rows_list, cols=None):
@@ -100,62 +153,76 @@ class IntegerMatrix:
         return cls(rows, cols, data)
 
     def entry(self, r, c):
-        return self.data.get((r, c), 0)
+        lo, hi = np.searchsorted(self.row_idx, (r, r + 1))
+        j = lo + np.searchsorted(self.col_idx[lo:hi], c)
+        return int(self.values[j]) if j < hi and self.col_idx[j] == c else 0
 
     def dense(self):
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.data.items():
-            out[r][c] = v
-        return out
+        out = np.zeros((self.rows, self.cols), dtype=self.values.dtype)
+        out[self.row_idx, self.col_idx] = self.values
+        return out.tolist()
+
+    def _entries(self):
+        return zip(self.row_idx.tolist(), self.col_idx.tolist(), self.values.tolist())
 
     def column(self, c):
-        return {r: v for (r, cc), v in self.data.items() if cc == c}
+        hit = self.col_idx == c
+        return dict(zip(self.row_idx[hit].tolist(), self.values[hit].tolist()))
 
     def columns(self):
         """Entries grouped by column: list of dicts row -> value."""
         cols = [dict() for _ in range(self.cols)]
-        for (r, c), v in self.data.items():
+        for r, c, v in self._entries():
             cols[c][r] = v
         return cols
 
+    def submatrix(self, r0, r1, c0, c1):
+        """The block of rows r0..r1-1 and columns c0..c1-1."""
+        r, c = self.row_idx, self.col_idx
+        hit = (r >= r0) & (r < r1) & (c >= c0) & (c < c1)
+        return IntegerMatrix._from_coo(
+            r1 - r0, c1 - c0, r[hit] - r0, c[hit] - c0, self.values[hit], canonical=True
+        )
+
     @property
     def nnz(self):
-        return len(self.data)
+        return len(self.values)
 
     def is_zero(self):
-        return not self.data
+        return not len(self.values)
 
     def transpose(self):
-        return IntegerMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.data.items()}
-        )
+        return IntegerMatrix._from_coo(self.cols, self.rows, self.col_idx, self.row_idx, self.values)
 
     def __eq__(self, other):
         return (
             isinstance(other, IntegerMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and np.array_equal(self.row_idx, other.row_idx)
+            and np.array_equal(self.col_idx, other.col_idx)
+            and np.array_equal(self.values, other.values)
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.data.items())))
+        return hash(
+            (self.rows, self.cols, self.row_idx.tobytes(), self.col_idx.tobytes(), tuple(self.values.tolist()))
+        )
 
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix addition")
-        data = dict(self.data)
-        for k, v in other.data.items():
-            w = data.get(k, 0) + v
-            if w:
-                data[k] = w
-            elif k in data:
-                del data[k]
-        return IntegerMatrix(self.rows, self.cols, data)
+        return IntegerMatrix._from_coo(
+            self.rows,
+            self.cols,
+            np.concatenate((self.row_idx, other.row_idx)),
+            np.concatenate((self.col_idx, other.col_idx)),
+            np.concatenate((self.values, other.values)),
+        )
 
     def __neg__(self):
-        return IntegerMatrix(
-            self.rows, self.cols, {k: -v for k, v in self.data.items()}
+        return IntegerMatrix._from_coo(
+            self.rows, self.cols, self.row_idx, self.col_idx, -self.values, canonical=True
         )
 
     def __sub__(self, other):
@@ -164,9 +231,26 @@ class IntegerMatrix:
     def scale(self, k):
         if k == 0:
             return IntegerMatrix.zero(self.rows, self.cols)
-        return IntegerMatrix(
-            self.rows, self.cols, {key: k * v for key, v in self.data.items()}
+        dtype = np.int64 if abs(k) * _abs_max(self.values) < _INT64_BOUND else object
+        return IntegerMatrix._from_coo(
+            self.rows, self.cols, self.row_idx, self.col_idx,
+            self.values.astype(dtype, copy=False) * k, canonical=True,
         )
+
+    def _product_fits_int64(self, other):
+        """max_i sum_k |self_ik| * max |other| < 2^62, evaluated exactly.
+
+        The bound holds every entry of the product, and every partial sum
+        of the terms of an entry, below 2^62."""
+        if self.values.dtype == object or other.values.dtype == object:
+            return False
+        if not len(self.values):
+            return True
+        absv = np.abs(self.values)
+        if int(absv.max()) * len(absv) >= 2**63:
+            absv = absv.astype(object)  # the int64 row sums could wrap
+        firsts = np.flatnonzero(np.diff(self.row_idx, prepend=-1))
+        return int(np.add.reduceat(absv, firsts).max()) * _abs_max(other.values) < _INT64_BOUND
 
     def __matmul__(self, other):
         if isinstance(other, IntegerMatrix):
@@ -174,19 +258,19 @@ class IntegerMatrix:
                 raise ValueError(
                     f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
                 )
-            by_col = {}
-            for (r, c), v in self.data.items():
-                by_col.setdefault(c, []).append((r, v))
-            data = {}
-            for (r, c), v in other.data.items():
-                for i, w in by_col.get(r, ()):
-                    k = (i, c)
-                    s = data.get(k, 0) + w * v
-                    if s:
-                        data[k] = s
-                    elif k in data:
-                        del data[k]
-            return IntegerMatrix(self.rows, other.cols, data)
+            # one term per pair (self entry (i, k), other entry in row k);
+            # other's row k holds its entries ptr[k]:ptr[k + 1]
+            ptr = np.searchsorted(other.row_idx, np.arange(other.rows + 1))
+            k = self.col_idx
+            counts = ptr[k + 1] - ptr[k]
+            first_term = np.cumsum(counts) - counts
+            idx = np.arange(int(counts.sum())) + np.repeat(ptr[k] - first_term, counts)
+            dtype = np.int64 if self._product_fits_int64(other) else object
+            terms = np.repeat(self.values.astype(dtype, copy=False), counts)
+            terms *= other.values.astype(dtype, copy=False)[idx]
+            return IntegerMatrix._from_coo(
+                self.rows, other.cols, np.repeat(self.row_idx, counts), other.col_idx[idx], terms
+            )
         return NotImplemented
 
     def apply(self, vec):
@@ -194,7 +278,7 @@ class IntegerMatrix:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         out = [0] * self.rows
-        for (r, c), v in self.data.items():
+        for r, c, v in self._entries():
             x = vec[c]
             if x:
                 out[r] += v * x
@@ -203,16 +287,19 @@ class IntegerMatrix:
     def vstack(self, other):
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
-        data = dict(self.data)
-        for (r, c), v in other.data.items():
-            data[(r + self.rows, c)] = v
-        return IntegerMatrix(self.rows + other.rows, self.cols, data)
+        return IntegerMatrix._from_coo(
+            self.rows + other.rows,
+            self.cols,
+            np.concatenate((self.row_idx, other.row_idx + self.rows)),
+            np.concatenate((self.col_idx, other.col_idx)),
+            np.concatenate((self.values, other.values)),
+            canonical=True,
+        )
 
     def to_numpy_mod(self, m):
         """Dense int64 array of the entries reduced into [0, m)."""
         out = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for (r, c), v in self.data.items():
-            out[r, c] = v % m
+        out[self.row_idx, self.col_idx] = self.values % m
         return out
 
     def power(self, n):
@@ -227,24 +314,35 @@ class IntegerMatrix:
         return f"IntegerMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
+def _canonical_coo(rows, cols, r, c, values):
+    """Row-major order, repeated positions summed, zeros dropped."""
+    if not len(values):
+        return r, c, values
+    key = r * cols + c
+    if not (key[1:] > key[:-1]).all():
+        order = np.argsort(key, kind="stable")
+        key, values = key[order], values[order]
+        firsts = np.flatnonzero(np.diff(key, prepend=-1))
+        if len(firsts) < len(key):
+            key, values = key[firsts], np.add.reduceat(values, firsts)
+    nonzero = values != 0
+    r, c = np.divmod(key[nonzero], cols)
+    return r, c, values[nonzero]
+
+
 def block_matrix(blocks, row_sizes, col_sizes):
     """Assemble a matrix from a dict (block_row, block_col) -> IntegerMatrix."""
-    row_off = [0]
-    for s in row_sizes:
-        row_off.append(row_off[-1] + s)
-    col_off = [0]
-    for s in col_sizes:
-        col_off.append(col_off[-1] + s)
-    data = {}
+    row_off = np.concatenate(([0], np.cumsum(row_sizes, dtype=np.int64)))
+    col_off = np.concatenate(([0], np.cumsum(col_sizes, dtype=np.int64)))
+    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64))]
     for (bi, bj), M in blocks.items():
         if M is None:
             continue
         if M.rows != row_sizes[bi] or M.cols != col_sizes[bj]:
             raise ValueError(f"block ({bi},{bj}) has wrong shape")
-        ro, co = row_off[bi], col_off[bj]
-        for (r, c), v in M.data.items():
-            data[(ro + r, co + c)] = v
-    return IntegerMatrix(row_off[-1], col_off[-1], data)
+        parts.append((M.row_idx + row_off[bi], M.col_idx + col_off[bj], M.values))
+    r, c, values = (np.concatenate(arrs) for arrs in zip(*parts))
+    return IntegerMatrix._from_coo(int(row_off[-1]), int(col_off[-1]), r, c, values)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +361,11 @@ class SmithDecomposition:
     det_v: int
 
     def diagonal(self):
-        n = min(self.S.rows, self.S.cols)
-        return [self.S.entry(i, i) for i in range(n)]
+        out = [0] * min(self.S.rows, self.S.cols)
+        on = self.S.row_idx == self.S.col_idx
+        for i, d in zip(self.S.row_idx[on].tolist(), self.S.values[on].tolist()):
+            out[i] = d
+        return out
 
 
 def smith_normal_form(M, check=True):
@@ -426,11 +527,12 @@ def kernel_basis(M):
     dec = smith_normal_form(M, check=False)
     diag = dec.diagonal()
     rank = sum(1 for d in diag if d)
+    v_columns = dec.V.transpose().dense()
     basis = []
     for j in range(M.cols):
         if j >= len(diag) or diag[j] == 0:
             if j >= rank:
-                basis.append([dec.V.entry(i, j) for i in range(M.cols)])
+                basis.append(v_columns[j])
     return basis
 
 
@@ -701,13 +803,13 @@ def _cokernel_with_generators(relations):
     """
     dec = smith_normal_form(relations, check=False)
     diag = dec.diagonal()
+    v_columns = dec.V.transpose().dense()
     out = []
     for j in range(relations.cols):
         d = diag[j] if j < len(diag) else 0
         if d == 1:
             continue
-        col = [dec.V.entry(i, j) for i in range(relations.cols)]
-        out.append((d, col))
+        out.append((d, v_columns[j]))
     return out
 
 
@@ -720,25 +822,32 @@ class HomCohomologyResult:
 
 
 def _dedupe_rows(M):
-    """Drop duplicate (up to sign) and empty rows of a condition matrix."""
-    by_row = {}
-    for (r, c), v in M.data.items():
-        by_row.setdefault(r, []).append((c, v))
-    seen = set()
-    kept = []
-    for r, entries in by_row.items():
-        entries.sort()
-        key = tuple(entries)
-        neg = tuple((c, -v) for c, v in entries)
-        if key in seen or neg in seen:
-            continue
-        seen.add(key)
-        kept.append(entries)
-    data = {}
-    for i, entries in enumerate(kept):
-        for c, v in entries:
-            data[(i, c)] = v
-    return IntegerMatrix(len(kept), M.cols, data)
+    """Drop empty rows, and rows equal up to sign to an earlier row, of a
+    condition matrix."""
+    if M.is_zero():
+        return IntegerMatrix.zero(0, M.cols)
+    firsts = np.flatnonzero(np.diff(M.row_idx, prepend=-1))
+    lengths = np.diff(np.append(firsts, M.nnz))
+    # each row scaled by the sign of its first entry, so that a row and its
+    # negative agree; values replaced by their rank among all values
+    signs = np.repeat(np.where(M.values[firsts] < 0, -1, 1), lengths)
+    _, codes = np.unique(M.values * signs, return_inverse=True)
+    # one line per nonempty row: its columns, then its value codes, padded by -1
+    width = int(lengths.max())
+    lines = np.full((len(firsts), 2 * width), -1, dtype=np.int64)
+    line = np.repeat(np.arange(len(firsts)), lengths)
+    slot = np.arange(M.nnz) - np.repeat(firsts, lengths)
+    lines[line, slot] = M.col_idx
+    lines[line, width + slot] = codes
+    _, first_of_each = np.unique(lines, axis=0, return_index=True)
+    kept = M.row_idx[firsts[np.sort(first_of_each)]]
+    renumber = np.full(M.rows, -1)
+    renumber[kept] = np.arange(len(kept))
+    new_row = renumber[M.row_idx]
+    hit = new_row >= 0
+    return IntegerMatrix._from_coo(
+        len(kept), M.cols, new_row[hit], M.col_idx[hit], M.values[hit], canonical=True
+    )
 
 
 def _check_composite_zero(d_in, d_out, out_relations):

@@ -111,6 +111,7 @@ class ResolutionContext:
         self._phi = {}
         self._varphi = {}
         self._omega = {}
+        self._breve_varphi = {}
 
     # -- structure maps of the array ------------------------------------
 
@@ -552,6 +553,7 @@ class ResolutionContext:
             vals[tup] = self._apply_cols(
                 sb_cols, self._apply_cols(prev_cols, bp_cols[col])
             )
+        perms = [G.right_perm(e) for e in G.elems]
         for col, tup in enumerate(src):
             e = tup[-1]
             base = vals[tup[:-1] + (ident,)]
@@ -559,7 +561,7 @@ class ResolutionContext:
                 for row, c in base.items():
                     data[(row, col)] = c
             else:
-                perm = G.right_perm(G.elems[e])
+                perm = perms[e]
                 for row, c in base.items():
                     cell, inner = divmod(row, self.v)
                     k = (cell * self.v + perm[inner], col)
@@ -641,9 +643,7 @@ class ResolutionContext:
         col = bj * self.v + self.G.index[self.G.identity]
         out = {}
         basis = self.bar_basis(n)
-        for (row, c_), val in phi_n.data.items():
-            if c_ != col:
-                continue
+        for row, val in phi_n.column(col).items():
             tup = basis[row]
             key = self._to_exp_tuple(tup[:-1])
             out[key] = out.get(key, 0) + val
@@ -653,21 +653,25 @@ class ResolutionContext:
         """Integer-valued function on exponent tuples inducing the
         (alpha, beta)-component of varphi on trivial coefficients."""
         n = alpha + beta
-        varphi_n = self.varphi(n)
-        cols = varphi_n.columns()
-        bj = self.cells(n).index((alpha, beta))
-        lo, hi = bj * self.v, (bj + 1) * self.v
-        ident = self.G.index[self.G.identity]
-        out = {}
-        index = self._bar_index_for(n)
-        for tupE in itertools.product(
-            [k for k in range(self.v) if k != ident], repeat=n
-        ):
-            col = index[tupE + (ident,)]
-            s = sum(v for r, v in cols[col].items() if lo <= r < hi)
-            if s:
-                out[self._to_exp_tuple(tupE)] = s
-        return out
+        if n not in self._breve_varphi:
+            # every cell of degree n at once: varphi_n's rows are the cells'
+            # E bases, v rows per cell
+            cols = self.varphi(n).columns()
+            ident = self.G.index[self.G.identity]
+            index = self._bar_index_for(n)
+            per_cell = [{} for _ in range(n + 1)]
+            for tupE in itertools.product(
+                [k for k in range(self.v) if k != ident], repeat=n
+            ):
+                sums = [0] * (n + 1)
+                for r, val in cols[index[tupE + (ident,)]].items():
+                    sums[r // self.v] += val
+                key = self._to_exp_tuple(tupE)
+                for out, s in zip(per_cell, sums):
+                    if s:
+                        out[key] = s
+            self._breve_varphi[n] = per_cell
+        return self._breve_varphi[n][self.cells(n).index((alpha, beta))]
 
     def breve_omega(self, n):
         """Tuple-level homotopy: exponent tuples of length n-1 to length n."""
@@ -1018,11 +1022,13 @@ def coefficient_complex(params, M, n_max):
         bar_modules[n] = PresentedModule(len(tuples) * g, relations, labels)
     for n in range(1, n_max + 1):
         tb = tuple_bar_differential(n, v)
-        tuple_map = {}
         src_tuples = exp_tuples(n, v)
         tgt_tuples = exp_tuples(n - 1, v)
-        for (r, c), val in tb.data.items():
-            tuple_map.setdefault(src_tuples[c], {})[tgt_tuples[r]] = val
+        tuple_map = {
+            src_tuples[c]: {tgt_tuples[r]: val for r, val in col.items()}
+            for c, col in enumerate(tb.columns())
+            if col
+        }
         bar_diff[n] = _kron_with_identity(tuple_map, src_tuples, tgt_tuples, g)
         om = ctx.breve_omega(n)
         omegabar[n] = _kron_with_identity(om, tgt_tuples, src_tuples, g)

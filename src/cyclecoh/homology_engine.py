@@ -266,13 +266,15 @@ def perturb_double_complex(system, delta, n0, verify=True, vanishes_beyond=True)
                 corr = system.p[(r - 1, s)] @ An @ system.i[(r, s)]
                 base = system.X.dh.get((r, s))
                 new_dhX[(r, s)] = corr if base is None else base + corr
+            # products taken right to left: h @ An would be a square matrix
+            # on C_{r,s}, and h @ An1 below one on the larger C_{r+1,s}
             if (r - 1, s) in system.h and (r, s) in system.i:
-                i1[(r, s)] = system.i[(r, s)] + system.h[(r - 1, s)] @ An @ system.i[(r, s)]
+                i1[(r, s)] = system.i[(r, s)] + system.h[(r - 1, s)] @ (An @ system.i[(r, s)])
         An1 = A.get((r + 1, s))
         if An1 is not None and (r, s) in system.h:
             if (r, s) in system.p:
                 p1[(r, s)] = system.p[(r, s)] + system.p[(r, s)] @ An1 @ system.h[(r, s)]
-            h1[(r, s)] = system.h[(r, s)] + system.h[(r, s)] @ An1 @ system.h[(r, s)]
+            h1[(r, s)] = system.h[(r, s)] + system.h[(r, s)] @ (An1 @ system.h[(r, s)])
 
     if not vanishes_beyond:
         tops = {}

@@ -137,15 +137,12 @@ def full_double_complex(lcs, cap=3):
             labels = tuple(_tensor_labels(r, s, v))
             base_rel = relcache[s]
             if base_rel.rows:
-                gts = exp_tuples(r, v)
-                mts = exp_tuples(s, v)
-                data = {}
-                nrow = 0
-                for gi in range(len(gts)):
-                    for (rr, cc), val in base_rel.data.items():
-                        data[(nrow + rr, gi * len(mts) + cc)] = val
-                    nrow += base_rel.rows
-                relations = IntegerMatrix(base_rel.rows * len(gts), len(labels), data)
+                ngts = len(exp_tuples(r, v))
+                relations = block_matrix(
+                    {(gi, gi): base_rel for gi in range(ngts)},
+                    [base_rel.rows] * ngts,
+                    [base_rel.cols] * ngts,
+                )
             else:
                 relations = IntegerMatrix.zero(0, len(labels))
             cells[(r, s)] = PresentedModule(len(labels), relations, labels)
@@ -428,11 +425,7 @@ def _extract_block(m, pos, tgt_cell, src_cell, params):
     tgt_cells = [(alpha, pos[0] - 1 - alpha) for alpha in range(pos[0])]
     bi = tgt_cells.index(tgt_cell)
     bj = src_cells.index(src_cell)
-    data = {}
-    for (r, c), val in m.data.items():
-        if bi * gsize <= r < (bi + 1) * gsize and bj * gsize <= c < (bj + 1) * gsize:
-            data[(r - bi * gsize, c - bj * gsize)] = val
-    return IntegerMatrix(gsize, gsize, data)
+    return m.submatrix(bi * gsize, (bi + 1) * gsize, bj * gsize, (bj + 1) * gsize)
 
 
 def _transfer_reduced(params):
@@ -515,17 +508,7 @@ def _phi_hat_from_transfer(transfer, params):
     n1 = v - 1
     p1 = transfer.p1[(1, 1)]
     # blocks of X_{1,1} = Mbar(1)_{01} + Mbar(1)_{10}
-    top = {}
-    bottom = {}
-    for (r, c), val in p1.data.items():
-        if r < n1:
-            top[(r, c)] = val
-        else:
-            bottom[(r - n1, c)] = val
-    return (
-        IntegerMatrix(n1, n1 * n1, top),
-        IntegerMatrix(n1, n1 * n1, bottom),
-    )
+    return p1.submatrix(0, n1, 0, p1.cols), p1.submatrix(n1, 2 * n1, 0, p1.cols)
 
 
 def phi_hat_closed(params):

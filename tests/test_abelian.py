@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 from cyclecoh.abelian import (
@@ -18,6 +19,8 @@ from cyclecoh.abelian import (
     InconsistentComplexError,
     IntegerMatrix,
     PresentedModule,
+    _dedupe_rows,
+    block_matrix,
     cokernel_invariants,
     hom_cohomology_at,
     kernel_basis,
@@ -172,12 +175,133 @@ def test_matrix_algebra_basics():
     assert IntegerMatrix.identity(2) @ A == A
 
 
+# plain Python-int dict-of-keys reference for IntegerMatrix
+
+
+def _entries(M):
+    return {
+        (r, c): v
+        for r, c, v in zip(M.row_idx.tolist(), M.col_idx.tolist(), M.values.tolist())
+    }
+
+
+def _nonzero(data):
+    return {key: v for key, v in data.items() if v}
+
+
+def _ref_add(a, b, sign=1):
+    return _nonzero({key: a.get(key, 0) + sign * b.get(key, 0) for key in a.keys() | b.keys()})
+
+
+def _ref_matmul(a, b):
+    out = {}
+    for (i, k), x in a.items():
+        for (k2, j), y in b.items():
+            if k == k2:
+                out[(i, j)] = out.get((i, j), 0) + x * y
+    return _nonzero(out)
+
+
+def _random_entries(rng, rows, cols, bound):
+    return {
+        (r, c): rng.randint(-bound, bound)
+        for r in range(rows)
+        for c in range(cols)
+        if rng.random() < 0.4
+    }
+
+
+@pytest.mark.parametrize("bound", [3, 2**40])
+def test_integer_matrix_against_python_int_reference(bound):
+    rng = random.Random(bound)
+    dtypes = set()
+    for _ in range(60):
+        n, k, m = (rng.randint(0, 6) for _ in range(3))
+        da, dc = _random_entries(rng, n, k, bound), _random_entries(rng, n, k, bound)
+        db, dd = _random_entries(rng, k, m, bound), _random_entries(rng, 2, k, bound)
+        A, B, C, D = (
+            IntegerMatrix(n, k, da), IntegerMatrix(k, m, db),
+            IntegerMatrix(n, k, dc), IntegerMatrix(2, k, dd),
+        )
+        a, b, c, d = (_nonzero(x) for x in (da, db, dc, dd))
+        assert _entries(A) == a
+        product = A @ B
+        dtypes.add(product.values.dtype)
+        assert _entries(product) == _ref_matmul(a, b)
+        assert _entries(A + C) == _ref_add(a, c)
+        assert _entries(A - C) == _ref_add(a, c, -1)
+        assert _entries(-A) == {key: -v for key, v in a.items()}
+        for s in (0, -3, 2**30, -(2**45)):
+            assert _entries(A.scale(s)) == _nonzero({key: s * v for key, v in a.items()})
+        assert _entries(A.transpose()) == {(j, i): v for (i, j), v in a.items()}
+        r0, c0 = rng.randint(0, n), rng.randint(0, k)
+        assert _entries(A.submatrix(r0, n, c0, k)) == {
+            (i - r0, j - c0): v for (i, j), v in a.items() if i >= r0 and j >= c0
+        }
+        assert [[A.entry(i, j) for j in range(k)] for i in range(n)] == A.dense() == [
+            [a.get((i, j), 0) for j in range(k)] for i in range(n)
+        ]
+        assert _entries(A.vstack(D)) == {**a, **{(i + n, j): v for (i, j), v in d.items()}}
+        de = _random_entries(rng, k, k, bound)
+        blocks = block_matrix({(0, 0): A, (1, 1): B, (1, 0): IntegerMatrix(k, k, de)}, [n, k], [k, m])
+        assert _entries(blocks) == {
+            **a,
+            **{(i + n, j + k): v for (i, j), v in b.items()},
+            **{(i + n, j): v for (i, j), v in _nonzero(de).items()},
+        }
+        # equality and hashing do not depend on how a matrix was built
+        same = IntegerMatrix(n, k, dict(reversed(list(da.items()))))
+        assert same == A and hash(same) == hash(A)
+        assert A + C == C + A and hash(A + C) == hash(C + A)
+        assert (A == A.scale(2)) == (not a)
+        assert A != IntegerMatrix(n + 1, k, da)
+        assert A.columns() == [{i: v for (i, j), v in sorted(a.items()) if j == col} for col in range(k)]
+        for mod in (2, 9, 2**61 - 1):
+            expected = [[a.get((i, j), 0) % mod for j in range(k)] for i in range(n)]
+            assert A.to_numpy_mod(mod).tolist() == expected
+    # small entries stay on the int64 path; products of entries near 2^40
+    # cross 2^62 and run on Python ints
+    assert np.dtype(object) in dtypes if bound > 2**31 else dtypes <= {np.dtype(np.int64)}
+
+
+def test_integer_matrix_never_wraps():
+    # every term 2^62 fits in int64, but their sum 2^63 would wrap to -2^63
+    A = IntegerMatrix.from_rows([[2**31, 2**31]])
+    B = IntegerMatrix.from_rows([[2**31], [2**31]])
+    assert (A @ B).dense() == [[2**63]]
+    assert (A @ B - IntegerMatrix.from_rows([[1]])).dense() == [[2**63 - 1]]
+    # constructor input at or beyond 2^62 is held as Python ints, and a
+    # result that falls back below the bound returns to int64
+    big = IntegerMatrix.from_rows([[2**62, -(2**70)], [1, 0]])
+    assert big.values.dtype == object and big.dense() == [[2**62, -(2**70)], [1, 0]]
+    small = big - IntegerMatrix.from_rows([[2**62, -(2**70)], [0, 0]])
+    assert small.values.dtype == np.int64 and small == IntegerMatrix.from_rows([[0, 0], [1, 0]])
+    assert IntegerMatrix.from_rows([[3]]).scale(2**61).dense() == [[3 * 2**61]]
+
+
+def test_dedupe_rows_against_python_reference():
+    rng = random.Random(7)
+    for bound in (2, 2**70):
+        for _ in range(100):
+            n, k = rng.randint(0, 12), rng.randint(1, 4)
+            rows = [[rng.choice((0, 0, 1, -1, bound)) for _ in range(k)] for _ in range(n)]
+            rows += [[-x for x in row] for row in rng.sample(rows, n // 3)]
+            rows += rng.sample(rows, len(rows) // 3)
+            # reference: the first row of each class {row, -row}, empty rows dropped
+            kept, seen = [], set()
+            for row in rows:
+                if any(row) and tuple(row) not in seen:
+                    kept.append(row)
+                    seen.update((tuple(row), tuple(-x for x in row)))
+            got = _dedupe_rows(IntegerMatrix.from_rows(rows, k))
+            assert got == IntegerMatrix.from_rows(kept, k)
+
+
 def assert_valid_snf(M, dec):
     assert dec.U @ M @ dec.V == dec.S
     assert dec.det_u in (1, -1) and dec.det_v in (1, -1)
     diag = dec.diagonal()
-    for (r, c), v in dec.S.data.items():
-        assert r == c, "S must be diagonal"
+    assert (dec.S.row_idx == dec.S.col_idx).all(), "S must be diagonal"
     for a, b in zip(diag, diag[1:]):
         if a:
             assert b % a == 0

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,3 +201,31 @@ def test_timing_flag_is_opt_in(capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert "timing_seconds" in json.loads(out)
+
+
+# runs one CLI job, then prints the scipy modules the process imported
+_IMPORTED_SCIPY = """
+import sys
+from cyclecoh.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--version"], ["cohomology", "--p", "2", "--nu", "1", "--eta", "2", "--coeff", "2"]],
+)
+def test_scipy_is_never_imported(argv):
+    # scipy costs every job start-up time and memory; numpy is the only
+    # declared dependency
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORTED_SCIPY, *argv],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -536,24 +536,37 @@ def kernel_basis(M):
     return basis
 
 
+def solver(M):
+    """A function b -> one integer solution x of M @ x = b, or None.
+
+    M is factorised once; every right-hand side b (a dense list of
+    length M.rows) is solved against that one Smith decomposition.
+    """
+    dec = smith_normal_form(M, check=False)
+    diag = dec.diagonal()
+
+    def solve_one(b):
+        c = dec.U.apply(b)
+        y = [0] * M.cols
+        for i in range(M.rows):
+            ci = c[i]
+            if i < len(diag) and diag[i]:
+                if ci % diag[i]:
+                    return None
+                y[i] = ci // diag[i]
+            elif ci:
+                return None
+        return dec.V.apply(y)
+
+    return solve_one
+
+
 def solve(M, b):
     """One integer solution x of M @ x = b, or None.
 
     b is a dense list of length M.rows.
     """
-    dec = smith_normal_form(M, check=False)
-    c = dec.U.apply(b)
-    diag = dec.diagonal()
-    y = [0] * M.cols
-    for i in range(M.rows):
-        ci = c[i]
-        if i < len(diag) and diag[i]:
-            if ci % diag[i]:
-                return None
-            y[i] = ci // diag[i]
-        elif ci:
-            return None
-    return dec.V.apply(y)
+    return solver(M)(b)
 
 
 # ---------------------------------------------------------------------------
@@ -855,12 +868,12 @@ def _check_composite_zero(d_in, d_out, out_relations):
     if comp.is_zero():
         return
     if out_relations is not None and out_relations.rows:
-        relT = out_relations.transpose()
+        solve_relT = solver(out_relations.transpose())
         for col in comp.columns():
             vec = [0] * comp.rows
             for r, v in col.items():
                 vec[r] = v
-            if solve(relT, vec) is None:
+            if solve_relT(vec) is None:
                 raise InconsistentComplexError(
                     "d_out o d_in does not vanish modulo relations"
                 )
@@ -964,9 +977,10 @@ def _hom_cohomology_over_Z(A, d_out, out_relations):
             [1 if i == j else 0 for i in range(d_out.rows)] for j in range(d_out.rows)
         ]
         dT = d_out.transpose()
+        solve_Z = solver(Zmat)
         for g in gk:
             b = dT.apply(g)
-            c = solve(Zmat, b)
+            c = solve_Z(b)
             if c is None:
                 raise InconsistentComplexError("coboundary not a cocycle over Z")
             b_rows.append(c)

@@ -8,7 +8,9 @@ a single report in json, tsv or pretty form, byte-identical for a fixed
 job and seed (timing is only included on request).
 
 Exit codes: 0 success, 2 parameter/usage error or resource limit, 3 route
-disagreement.
+disagreement or a failed self-check (an identity the computation
+verifies about its own output, such as the axioms of a constructed
+extension); both signal a bug.
 """
 
 from __future__ import annotations
@@ -532,6 +534,9 @@ def main(argv=None):
     except RouteDisagreement as exc:
         sys.stdout.write(str(exc))
         _emit_error("route-disagreement", "independent routes disagree; this is a bug signal")
+        return 3
+    except AssertionError as exc:
+        _emit_error("self-check", str(exc) or "an internal self-check failed")
         return 3
     sys.stdout.write(render(report, spec))
     return 0

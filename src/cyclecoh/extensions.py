@@ -15,14 +15,19 @@ choice eta(1) because the additive comparison determines the rest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .abelian import FinAbGroup
 from .cycleset import (
     CyclicFamilyParams,
     Verdict,
     check_cycle_set_table,
+    check_left_translations,
     check_linearity_table,
+    first_failure,
     make_cyclic_lcs,
 )
 from .lcs_cohomology import CocyclePair, all_cocycle_pairs, cocycle_family, verify_cocycle
@@ -30,15 +35,19 @@ from .lcs_cohomology import CocyclePair, all_cocycle_pairs, cocycle_family, veri
 VERIFY_SIZE_CAP = 64
 
 
-@dataclass
+@dataclass(eq=False)
 class CentralExtension:
+    """The twisted product; `add` and `dot` are n x n int64 index tables
+    over `elems`, where (c, i) sits at mixed_radix(c) * v + i.  Compare
+    extensions with `extensions_equivalent`; `==` is identity."""
+
     gamma: FinAbGroup
     params: CyclicFamilyParams
     pair: CocyclePair
     elems: list
     index: dict
-    add: list
-    dot: list
+    add: np.ndarray
+    dot: np.ndarray
     family: tuple = None  # (case, parameter tuple) when built from a family
 
     @property
@@ -52,11 +61,26 @@ class CentralExtension:
         return self.elems[k][1]
 
 
+def _element_positions(gamma, coords):
+    """Positions in gamma.elements() of coordinate arrays (last axis),
+    taken modulo the invariant factors: their mixed-radix values."""
+    fs = gamma.factors
+    factors = np.array(fs, dtype=np.int64)
+    weights = np.array([math.prod(fs[j + 1 :]) for j in range(len(fs))], dtype=np.int64)
+    return ((coords % factors) @ weights).astype(np.int64)
+
+
+def _coordinates(gamma_elems, r):
+    return np.array([c.coords for c in gamma_elems], dtype=np.int64).reshape(len(gamma_elems), r)
+
+
 def build_extension(gamma, params, pair, family=None, verify=None):
     """The twisted product; refuses pairs that fail the cocycle check.
 
-    The full axiom suite runs whenever the carrier has at most 64
-    elements (every instance the classification sweeps produce).
+    The tables are computed from the coordinate arrays of the pair at
+    once over all (c1, i1, c2, i2).  The full axiom suite runs whenever
+    the carrier has at most 64 elements (every instance the
+    classification sweeps produce).
     """
     lcs = make_cyclic_lcs(params)
     verdict = verify_cocycle(pair, lcs)
@@ -66,20 +90,18 @@ def build_extension(gamma, params, pair, family=None, verify=None):
     gamma_elems = list(gamma.elements())
     elems = [(c.coords, i) for c in gamma_elems for i in range(v)]
     index = {e: k for k, e in enumerate(elems)}
-    add = []
-    dot = []
-    for (c1, i1) in elems:
-        arow = []
-        drow = []
-        e1 = gamma.element(c1)
-        for (c2, i2) in elems:
-            e2 = gamma.element(c2)
-            s = e1 + e2 + pair.xi1_at(i1, i2)
-            arow.append(index[(s.coords, (i1 + i2) % v)])
-            d = e2 + pair.xi2_at(i1, i2)
-            drow.append(index[(d.coords, lcs.dot[i1][i2])])
-        add.append(arow)
-        dot.append(drow)
+    n = len(elems)
+    x1, x2 = pair.coordinate_arrays
+    # axes (c1, i1, c2, i2) of the n x n tables, coordinates last
+    C = _coordinates(gamma_elems, len(gamma.factors))
+    c1 = C[:, None, None, None]
+    c2 = C[None, None, :, None]
+    i1 = np.arange(v)[:, None, None]
+    i2 = np.arange(v)
+    add = _element_positions(gamma, c1 + c2 + x1[:, None]) * v + (i1 + i2) % v
+    dot = _element_positions(gamma, c2 + x2[:, None]) * v + np.array(lcs.dot)[i1, i2]
+    shape = (len(gamma_elems), v, len(gamma_elems), v)
+    add, dot = (np.broadcast_to(t, shape).reshape(n, n).copy() for t in (add, dot))
     ext = CentralExtension(gamma, params, pair, elems, index, add, dot, family)
     if verify is None:
         verify = ext.size <= VERIFY_SIZE_CAP
@@ -94,30 +116,39 @@ def verify_central_extension(ext, exhaustive=None):
     """Linear cycle set axioms, morphism properties of the two ends,
     exactness, and invariance/triviality of the coefficient fiber.
 
-    The triple-loop axiom checks run exhaustively up to 64 elements by
-    default; beyond that exhaustive=False keeps the quadratic checks
-    only (the cubic axioms are implied by the verified cocycle
+    The tables may be arrays or nested lists.  The cubic axioms
+    (associativity, the cycle-set axiom, both distributivities) run
+    exhaustively up to 64 elements by default, as one n x n block over
+    (b, c) per a; beyond that exhaustive=False keeps the quadratic
+    checks only (the cubic axioms are implied by the verified cocycle
     conditions and are exercised exhaustively at the smaller sizes).
+    Every failure names the first witness in loop order.
     """
     n = ext.size
     if exhaustive is None:
         exhaustive = n <= VERIFY_SIZE_CAP
-    add, dot = ext.add, ext.dot
+    add, dot = np.asarray(ext.add), np.asarray(ext.dot)
     zero = ext.index[(ext.gamma.zero().coords, 0)]
     # abelian group under the twisted addition
+    rng = np.arange(n)
+    no_identity = add[:, zero] != rng
+    no_inverse = ~(add == zero).any(axis=1)
+    not_commuting = add != add.T
     for a in range(n):
-        if add[a][zero] != a:
+        if no_identity[a]:
             return Verdict(False, "additive identity", (a,))
-        if not any(add[a][b] == zero for b in range(n)):
+        if no_inverse[a]:
             return Verdict(False, "additive inverse", (a,))
-        for b in range(n):
-            if add[a][b] != add[b][a]:
+        block = not_commuting[a][:, None]
+        if exhaustive:
+            # column 0: a + b != b + a; column 1 + c: (a + b) + c != a + (b + c)
+            block = np.column_stack([block, add[add[a]] != add[a, add]])
+        hit = first_failure(block)
+        if hit:
+            b, col = hit
+            if col == 0:
                 return Verdict(False, "additive commutativity", (a, b))
-            if not exhaustive:
-                continue
-            for c in range(n):
-                if add[add[a][b]][c] != add[a][add[b][c]]:
-                    return Verdict(False, "additive associativity", (a, b, c))
+            return Verdict(False, "additive associativity", (a, b, col - 1))
     if exhaustive:
         verdict = check_cycle_set_table(n, add, dot)
         if not verdict:
@@ -126,35 +157,40 @@ def verify_central_extension(ext, exhaustive=None):
         if not verdict:
             return verdict
     else:
-        for a in range(n):
-            if sorted(dot[a]) != list(range(n)):
-                return Verdict(False, "left-translation-bijective", (a,))
+        verdict = check_left_translations(n, dot)
+        if not verdict:
+            return verdict
     gamma, v = ext.gamma, ext.params.v
-    lcs_dot = make_cyclic_lcs(ext.params).dot
+    gamma_elems = list(gamma.elements())
+    iota = np.array([ext.iota(c) for c in gamma_elems], dtype=np.int64)
     # iota and pi are morphisms
-    for c1 in gamma.elements():
-        for c2 in gamma.elements():
-            if add[ext.iota(c1)][ext.iota(c2)] != ext.iota(c1 + c2):
-                return Verdict(False, "iota additive", (c1.coords, c2.coords))
-    for a in range(n):
-        for b in range(n):
-            if ext.pi(add[a][b]) != (ext.pi(a) + ext.pi(b)) % v:
-                return Verdict(False, "pi additive", (a, b))
-            if ext.pi(dot[a][b]) != lcs_dot[ext.pi(a)][ext.pi(b)]:
-                return Verdict(False, "pi multiplicative", (a, b))
+    C = _coordinates(gamma_elems, len(gamma.factors))
+    sums = iota[_element_positions(gamma, C[:, None, :] + C[None, :, :])]
+    hit = first_failure(add[iota[:, None], iota] != sums)
+    if hit:
+        c1, c2 = hit
+        return Verdict(False, "iota additive", (gamma_elems[c1].coords, gamma_elems[c2].coords))
+    pi = np.array([i for _, i in ext.elems], dtype=np.int64)
+    lcs_dot = np.array(make_cyclic_lcs(ext.params).dot)
+    pi_add = pi[add] != (pi[:, None] + pi) % v
+    pi_dot = pi[dot] != lcs_dot[pi[:, None], pi]
+    hit = first_failure(np.stack([pi_add, pi_dot], axis=-1))
+    if hit:
+        a, b, which = hit
+        return Verdict(False, "pi multiplicative" if which else "pi additive", (a, b))
     # exactness: the fiber over 0 is exactly the image of iota
     fiber = {k for k, (c, i) in enumerate(ext.elems) if i == 0}
-    image = {ext.iota(c) for c in gamma.elements()}
+    image = set(iota.tolist())
     if fiber != image or len(image) != gamma.order():
         return Verdict(False, "exactness", None)
     # kernel triviality: iota(c) . e = e and e . iota(c) = iota(c)
-    for c in gamma.elements():
-        k = ext.iota(c)
-        for e in range(n):
-            if dot[k][e] != e:
-                return Verdict(False, "kernel invariance", (c.coords, e))
-            if dot[e][k] != k:
-                return Verdict(False, "kernel acts trivially", (c.coords, e))
+    invariant = dot[iota] != rng
+    trivial = dot[:, iota].T != iota[:, None]
+    hit = first_failure(np.stack([invariant, trivial], axis=-1))
+    if hit:
+        c, e, which = hit
+        axiom = "kernel acts trivially" if which else "kernel invariance"
+        return Verdict(False, axiom, (gamma_elems[c].coords, e))
     return Verdict(True)
 
 

@@ -33,7 +33,7 @@ from .abelian import (
     block_matrix,
     cokernel_invariants,
     kernel_basis,
-    solve,
+    solver,
 )
 
 
@@ -85,11 +85,12 @@ def integral_homology(chain, n):
         return FinAbGroup.trivial()
     K = IntegerMatrix.from_columns(ker, rows=rank_n)
     rows = []
+    solve_K = solver(K)
     for col in d_n1.columns():
         vec = [0] * rank_n
         for r, val in col.items():
             vec[r] = val
-        c = solve(K, vec)
+        c = solve_K(vec)
         if c is None:
             raise ValueError("image does not lie in the kernel")
         rows.append(c)

@@ -34,7 +34,10 @@ import itertools
 from dataclasses import dataclass, field
 from math import comb
 
+import numpy as np
+
 from .abelian import (
+    _INT64_BOUND,
     FinAbGroup,
     IntegerMatrix,
     PresentedModule,
@@ -42,7 +45,13 @@ from .abelian import (
     hom_cohomology_at,
 )
 from . import modular
-from .cycleset import CyclicFamilyParams, LinearCycleSet, Verdict, make_cyclic_lcs
+from .cycleset import (
+    CyclicFamilyParams,
+    LinearCycleSet,
+    Verdict,
+    first_failure,
+    make_cyclic_lcs,
+)
 from .cyclic_resolution import (
     coefficient_complex,
     exp_tuples,
@@ -804,6 +813,27 @@ class CocyclePair:
                 if self.xi1[i][j] != self.xi1[j][i]:
                     raise ValueError("xi1 must be symmetric")
 
+    @functools.cached_property
+    def coordinate_arrays(self):
+        """(xi1, xi2) as (v, v, r) coordinate arrays, r the number of
+        invariant factors of gamma, built once per pair.
+
+        int64 only while 5 * max(|coordinate|, factor) < 2^62: a cocycle
+        condition sums at most five entries, so the sum and its remainder
+        modulo a factor stay exact; otherwise Python ints (dtype object),
+        the rule of IntegerMatrix.
+        """
+        shape = (self.v, self.v, len(self.gamma.factors))
+        arrays = [
+            np.array([[e.coords for e in row] for row in xi], dtype=object).reshape(shape)
+            for xi in (self.xi1, self.xi2)
+        ]
+        top = max(
+            [int(np.abs(a).max()) for a in arrays if a.size] + list(self.gamma.factors), default=0
+        )
+        dtype = np.int64 if 5 * top < _INT64_BOUND else object
+        return tuple(a.astype(dtype) for a in arrays)
+
     def xi1_at(self, i, j):
         return self.xi1[i % self.v][j % self.v]
 
@@ -934,37 +964,35 @@ def cocycle_family(params, gamma, g, g1, g1p=None):
 
 
 def verify_cocycle(pair, lcs):
-    """The three degree-2 cocycle conditions of the total complex."""
+    """The three degree-2 cocycle conditions of the total complex.
+
+    Each condition is one array expression over the (v-1)^3 grid of
+    (i1, i2, i3); the verdict names the first failing triple in loop
+    order (i1 outermost) and, at that triple, the first failing
+    condition.
+    """
     v = lcs.v
-    dot = lcs.dot
-    for i1 in range(1, v):
-        for i2 in range(1, v):
-            for i3 in range(1, v):
-                s = (
-                    -1 * pair.xi1_at(i2, i3)
-                    + pair.xi1_at(i1 + i2, i3)
-                    - pair.xi1_at(i1, i2 + i3)
-                    + pair.xi1_at(i1, i2)
-                )
-                if not s.is_zero:
-                    return Verdict(False, "vertical (0,3)", (i1, i2, i3))
-                s = (
-                    pair.xi1_at(dot[i1][i2], dot[i1][i3])
-                    - pair.xi1_at(i2, i3)
-                    + pair.xi2_at(i1, i3)
-                    - pair.xi2_at(i1, i2 + i3)
-                    + pair.xi2_at(i1, i2)
-                )
-                if not s.is_zero:
-                    return Verdict(False, "mixed (1,2)", (i1, i2, i3))
-                s = (
-                    pair.xi2_at(dot[i1][i2], dot[i1][i3])
-                    - pair.xi2_at(i1 + i2, i3)
-                    + pair.xi2_at(i1, i3)
-                )
-                if not s.is_zero:
-                    return Verdict(False, "horizontal (2,1)", (i1, i2, i3))
-    return Verdict(True)
+    x1, x2 = pair.coordinate_arrays
+    dot = np.array(lcs.dot, dtype=np.int64)
+    i1, i2, i3 = (g.ravel() for g in np.meshgrid(*[np.arange(1, v)] * 3, indexing="ij"))
+    d12, d13 = dot[i1, i2], dot[i1, i3]
+    s12, s23 = (i1 + i2) % v, (i2 + i3) % v
+    conditions = {
+        "vertical (0,3)": -x1[i2, i3] + x1[s12, i3] - x1[i1, s23] + x1[i1, i2],
+        "mixed (1,2)": x1[d12, d13] - x1[i2, i3] + x2[i1, i3] - x2[i1, s23] + x2[i1, i2],
+        "horizontal (2,1)": x2[d12, d13] - x2[s12, i3] + x2[i1, i3],
+    }
+    factors = np.array(pair.gamma.factors, dtype=x1.dtype)
+    finite = factors > 0
+    nonzero = [
+        (np.where(finite, s % np.where(finite, factors, 1), s) != 0).any(axis=-1)
+        for s in conditions.values()
+    ]
+    hit = first_failure(np.stack(nonzero, axis=-1))
+    if hit is None:
+        return Verdict(True)
+    t, which = hit
+    return Verdict(False, list(conditions)[which], (int(i1[t]), int(i2[t]), int(i3[t])))
 
 
 def cohomologous(pair1, pair2, lcs):
@@ -1001,8 +1029,6 @@ def cohomologous(pair1, pair2, lcs):
             rows.append(row)
             rhs.append(diff.xi2_at(i, j))
     sol_coords = []
-    import numpy as np
-
     A = np.array(rows, dtype=np.int64)
     for fidx, m in enumerate(gamma.factors):
         b = [el.coords[fidx] for el in rhs]

@@ -121,6 +121,37 @@ def test_int64_modulus_cap_is_a_resource_limit(capsys):
     }
 
 
+def test_failed_self_check_is_a_structured_error(capsys, monkeypatch):
+    import cyclecoh.extensions
+    from cyclecoh.cycleset import Verdict
+
+    # every constructed extension now fails its axiom check
+    monkeypatch.setattr(
+        cyclecoh.extensions,
+        "verify_central_extension",
+        lambda ext: Verdict(False, "kernel invariance", ((1,), 0)),
+    )
+    argv = ["extensions", "--p", "2", "--nu", "1", "--eta", "1", "--coeff", "2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "self-check",
+        "message": "constructed extension fails: fail [kernel invariance] at ((1,), 0)",
+    }
+
+    def bare_assertion(*args, **kwargs):
+        raise AssertionError
+
+    monkeypatch.setattr(cyclecoh.cli, "enumerate_extension_classes", bare_assertion)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert json.loads(err)["error"] == {
+        "type": "self-check",
+        "message": "an internal self-check failed",
+    }
+
+
 def test_extensions_brute_example(capsys):
     code, out, _ = run_cli(
         capsys,

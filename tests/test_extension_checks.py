@@ -1,0 +1,346 @@
+"""The array axiom checks against plain-loop references.
+
+The references below are the straightforward loops over group elements
+and table triples; the array code in `lcs_cohomology.verify_cocycle`,
+`extensions.build_extension`, `extensions.verify_central_extension` and
+`cycleset.check_*_table` must return the same Verdict (axiom and
+witness) on intact and on corrupted input.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from cyclecoh.abelian import FinAbGroup
+from cyclecoh.cycleset import (
+    CyclicFamilyParams,
+    Verdict,
+    check_cycle_set_table,
+    check_linearity_table,
+    make_cyclic_lcs,
+)
+from cyclecoh.extensions import (
+    build_extension,
+    family_case,
+    family_parameter_grid,
+    verify_central_extension,
+)
+from cyclecoh.lcs_cohomology import CocyclePair, cocycle_family, verify_cocycle
+
+PARAMS = [
+    CyclicFamilyParams(2, 1, 1),
+    CyclicFamilyParams(2, 1, 2),
+    CyclicFamilyParams(3, 1, 2),
+    CyclicFamilyParams(2, 2, 3),
+]
+GAMMAS = [(2,), (4,), (9,), (2, 4)]
+
+
+# ---------------------------------------------------------------------------
+# plain-loop references
+# ---------------------------------------------------------------------------
+
+
+def ref_verify_cocycle(pair, lcs):
+    v = lcs.v
+    dot = lcs.dot
+    for i1 in range(1, v):
+        for i2 in range(1, v):
+            for i3 in range(1, v):
+                s = (
+                    -1 * pair.xi1_at(i2, i3)
+                    + pair.xi1_at(i1 + i2, i3)
+                    - pair.xi1_at(i1, i2 + i3)
+                    + pair.xi1_at(i1, i2)
+                )
+                if not s.is_zero:
+                    return Verdict(False, "vertical (0,3)", (i1, i2, i3))
+                s = (
+                    pair.xi1_at(dot[i1][i2], dot[i1][i3])
+                    - pair.xi1_at(i2, i3)
+                    + pair.xi2_at(i1, i3)
+                    - pair.xi2_at(i1, i2 + i3)
+                    + pair.xi2_at(i1, i2)
+                )
+                if not s.is_zero:
+                    return Verdict(False, "mixed (1,2)", (i1, i2, i3))
+                s = (
+                    pair.xi2_at(dot[i1][i2], dot[i1][i3])
+                    - pair.xi2_at(i1 + i2, i3)
+                    + pair.xi2_at(i1, i3)
+                )
+                if not s.is_zero:
+                    return Verdict(False, "horizontal (2,1)", (i1, i2, i3))
+    return Verdict(True)
+
+
+def ref_tables(gamma, params, pair):
+    v = params.v
+    lcs = make_cyclic_lcs(params)
+    elems = [(c.coords, i) for c in gamma.elements() for i in range(v)]
+    index = {e: k for k, e in enumerate(elems)}
+    add, dot = [], []
+    for c1, i1 in elems:
+        e1 = gamma.element(c1)
+        arow, drow = [], []
+        for c2, i2 in elems:
+            e2 = gamma.element(c2)
+            s = e1 + e2 + pair.xi1_at(i1, i2)
+            arow.append(index[(s.coords, (i1 + i2) % v)])
+            d = e2 + pair.xi2_at(i1, i2)
+            drow.append(index[(d.coords, lcs.dot[i1][i2])])
+        add.append(arow)
+        dot.append(drow)
+    return elems, add, dot
+
+
+def ref_cycle_set(n, add, dot):
+    rng = range(n)
+    for a in rng:
+        if sorted(dot[a]) != list(rng):
+            return Verdict(False, "left-translation-bijective", (a,))
+    for a in rng:
+        for b in rng:
+            ab, ba = dot[a][b], dot[b][a]
+            for c in rng:
+                if dot[ab][dot[a][c]] != dot[ba][dot[b][c]]:
+                    return Verdict(False, "cycle-set", (a, b, c))
+    return Verdict(True)
+
+
+def ref_linearity(n, add, dot):
+    rng = range(n)
+    for a in rng:
+        for b in rng:
+            for c in rng:
+                if dot[a][add[b][c]] != add[dot[a][b]][dot[a][c]]:
+                    return Verdict(False, "left-distributive", (a, b, c))
+                if dot[add[a][b]][c] != dot[dot[a][b]][dot[a][c]]:
+                    return Verdict(False, "twisted-right-distributive", (a, b, c))
+    return Verdict(True)
+
+
+def ref_verify_central_extension(ext, add, dot, exhaustive=None):
+    n = ext.size
+    if exhaustive is None:
+        exhaustive = n <= 64
+    zero = ext.index[(ext.gamma.zero().coords, 0)]
+    for a in range(n):
+        if add[a][zero] != a:
+            return Verdict(False, "additive identity", (a,))
+        if not any(add[a][b] == zero for b in range(n)):
+            return Verdict(False, "additive inverse", (a,))
+        for b in range(n):
+            if add[a][b] != add[b][a]:
+                return Verdict(False, "additive commutativity", (a, b))
+            if not exhaustive:
+                continue
+            for c in range(n):
+                if add[add[a][b]][c] != add[a][add[b][c]]:
+                    return Verdict(False, "additive associativity", (a, b, c))
+    if exhaustive:
+        for check in (ref_cycle_set, ref_linearity):
+            verdict = check(n, add, dot)
+            if not verdict:
+                return verdict
+    else:
+        for a in range(n):
+            if sorted(dot[a]) != list(range(n)):
+                return Verdict(False, "left-translation-bijective", (a,))
+    gamma, v = ext.gamma, ext.params.v
+    lcs_dot = make_cyclic_lcs(ext.params).dot
+    for c1 in gamma.elements():
+        for c2 in gamma.elements():
+            if add[ext.iota(c1)][ext.iota(c2)] != ext.iota(c1 + c2):
+                return Verdict(False, "iota additive", (c1.coords, c2.coords))
+    for a in range(n):
+        for b in range(n):
+            if ext.pi(add[a][b]) != (ext.pi(a) + ext.pi(b)) % v:
+                return Verdict(False, "pi additive", (a, b))
+            if ext.pi(dot[a][b]) != lcs_dot[ext.pi(a)][ext.pi(b)]:
+                return Verdict(False, "pi multiplicative", (a, b))
+    fiber = {k for k, (c, i) in enumerate(ext.elems) if i == 0}
+    image = {ext.iota(c) for c in gamma.elements()}
+    if fiber != image or len(image) != gamma.order():
+        return Verdict(False, "exactness", None)
+    for c in gamma.elements():
+        k = ext.iota(c)
+        for e in range(n):
+            if dot[k][e] != e:
+                return Verdict(False, "kernel invariance", (c.coords, e))
+            if dot[e][k] != k:
+                return Verdict(False, "kernel acts trivially", (c.coords, e))
+    return Verdict(True)
+
+
+# ---------------------------------------------------------------------------
+# helpers
+# ---------------------------------------------------------------------------
+
+
+def same(verdict, expected):
+    """Equal verdicts, and equal printed forms (witnesses of Python ints)."""
+    assert (verdict.ok, verdict.axiom, verdict.witness) == (
+        expected.ok,
+        expected.axiom,
+        expected.witness,
+    )
+    assert str(verdict) == str(expected)
+
+
+def family_pairs(params, gamma, count, rng):
+    case = family_case(params)
+    grid = family_parameter_grid(gamma, params)
+    out = []
+    for tup in rng.sample(grid, min(count, len(grid))):
+        if case == "C":
+            out.append(cocycle_family(params, gamma, tup[0], tup[1], tup[2]))
+        else:
+            out.append(cocycle_family(params, gamma, tup[0], tup[1]))
+    return out
+
+
+def corrupt_pair(pair, rng):
+    """Change one entry of xi1 (both (i, j) and (j, i)) or of xi2."""
+    gamma, v = pair.gamma, pair.v
+    xi1 = [list(row) for row in pair.xi1]
+    xi2 = [list(row) for row in pair.xi2]
+    i, j = rng.randrange(1, v), rng.randrange(1, v)
+    delta = rng.choice([e for e in gamma.elements() if not e.is_zero])
+    if rng.random() < 0.5:
+        xi1[i][j] = xi1[i][j] + delta
+        if i != j:
+            xi1[j][i] = xi1[j][i] + delta
+    else:
+        xi2[i][j] = xi2[i][j] + delta
+    return CocyclePair(gamma, v, tuple(map(tuple, xi1)), tuple(map(tuple, xi2)))
+
+
+def corrupt_tables(ext, rng):
+    """Copies of the tables with one to three changes: an entry set, two
+    entries of a row swapped, or a symmetric pair of entries set."""
+    n = ext.size
+    add = [list(map(int, row)) for row in ext.add]
+    dot = [list(map(int, row)) for row in ext.dot]
+    for _ in range(rng.randint(1, 3)):
+        table = add if rng.random() < 0.5 else dot
+        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        kind = rng.randrange(3)
+        if kind == 0:
+            table[a][b] = c
+        elif kind == 1:
+            table[a][b], table[a][c] = table[a][c], table[a][b]
+        else:  # keeps a commutative addition commutative
+            table[a][b] = table[b][a] = c
+    return add, dot
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=lambda P: f"{P.p}{P.nu}{P.eta}")
+def test_cocycle_checks_match_reference(params):
+    rng = random.Random(params.v)
+    lcs = make_cyclic_lcs(params)
+    failing = 0
+    for fac in GAMMAS:
+        gamma = FinAbGroup(fac)
+        for pair in family_pairs(params, gamma, 3, rng):
+            same(verify_cocycle(pair, lcs), Verdict(True))
+            same(ref_verify_cocycle(pair, lcs), Verdict(True))
+            for _ in range(25):
+                bad = corrupt_pair(pair, rng)
+                expected = ref_verify_cocycle(bad, lcs)
+                same(verify_cocycle(bad, lcs), expected)
+                failing += not expected
+    assert failing > 0
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=lambda P: f"{P.p}{P.nu}{P.eta}")
+def test_extension_checks_match_reference(params):
+    rng = random.Random(100 + params.v)
+    failing = 0
+    for fac in GAMMAS:
+        gamma = FinAbGroup(fac)
+        for pair in family_pairs(params, gamma, 2, rng):
+            ext = build_extension(gamma, params, pair, verify=False)
+            elems, add, dot = ref_tables(gamma, params, pair)
+            assert ext.elems == elems
+            assert ext.add.tolist() == add and ext.dot.tolist() == dot
+            n = ext.size
+            # the exhaustive reference costs about n^3 steps per run
+            trials = 12 if n <= 16 else 4 if n <= 36 else 1
+            for exhaustive in (None, False):
+                same(verify_central_extension(ext, exhaustive), Verdict(True))
+                for _ in range(trials):
+                    bad_add, bad_dot = corrupt_tables(ext, rng)
+                    expected = ref_verify_central_extension(ext, bad_add, bad_dot, exhaustive)
+                    ext.add, ext.dot = bad_add, bad_dot  # list-of-lists input
+                    same(verify_central_extension(ext, exhaustive), expected)
+                    ext.add, ext.dot = np.array(bad_add), np.array(bad_dot)
+                    same(verify_central_extension(ext, exhaustive), expected)
+                    ext.add, ext.dot = np.array(add), np.array(dot)
+                    failing += not expected
+    assert failing > 0
+
+
+def test_cycle_set_and_linearity_tables_match_reference():
+    """Seeded random tables on small carriers, most of them failing."""
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        add = [[(a + b) % n for b in range(n)] for a in range(n)]
+        dot = [rng.sample(range(n), n) if rng.random() < 0.8 else
+               [rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            add[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        same(check_cycle_set_table(n, add, dot), ref_cycle_set(n, add, dot))
+        same(check_linearity_table(n, add, dot), ref_linearity(n, add, dot))
+
+
+def _integer_pair(v, lcs, lam):
+    """The coboundary of the degree-1 cochain i -> lam(i) over Z."""
+    gamma = FinAbGroup((0,))
+    el = lambda x: gamma.element((x,))
+    return CocyclePair.from_functions(
+        gamma,
+        v,
+        lambda i, j: el(lam((i + j) % v) - lam(i) - lam(j)),
+        lambda i, j: el(lam(lcs.dot[i][j]) - lam(j)),
+    )
+
+
+@pytest.mark.parametrize("params", [PARAMS[1], PARAMS[3]], ids=["212", "223"])
+def test_cocycle_arrays_fall_back_to_python_ints(params):
+    v = params.v
+    lcs = make_cyclic_lcs(params)
+    pair = _integer_pair(v, lcs, lambda i: 2**70 * i)
+    assert all(a.dtype == object for a in pair.coordinate_arrays)
+    same(verify_cocycle(pair, lcs), Verdict(True))
+    # one entry off by one: a difference far below 2^70 must still show
+    xi2 = [list(row) for row in pair.xi2]
+    xi2[2][1] = xi2[2][1] + pair.gamma.element((1,))
+    bad = CocyclePair(pair.gamma, v, pair.xi1, tuple(map(tuple, xi2)))
+    expected = ref_verify_cocycle(bad, lcs)
+    assert not expected
+    same(verify_cocycle(bad, lcs), expected)
+
+
+def test_cocycle_array_dtype_bound():
+    """int64 exactly while 5 * max|coordinate| < 2^62."""
+    params = PARAMS[1]
+    lcs = make_cyclic_lcs(params)
+    top = (2**62 - 1) // 5
+    for scale, dtype in ((top, np.int64), (top + 1, object)):
+        gamma = FinAbGroup((0,))
+        pair = CocyclePair.from_functions(
+            gamma,
+            params.v,
+            lambda i, j: gamma.element((-scale if (i, j) == (1, 1) else 0,)),
+            lambda i, j: gamma.element((scale * (i == j),)),
+        )
+        assert all(a.dtype == dtype for a in pair.coordinate_arrays)
+        same(verify_cocycle(pair, lcs), ref_verify_cocycle(pair, lcs))

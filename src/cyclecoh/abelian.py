@@ -830,7 +830,8 @@ def _cokernel_with_generators(relations):
 class HomCohomologyResult:
     group: FinAbGroup
     # one (order, cochain) per cyclic summand, order 0 meaning a free summand;
-    # cochain is a list of GroupElement, one per generator of the domain
+    # cochain is an (ngen, r) array of Python ints (dtype object): one row of
+    # coordinates in gamma's r invariant factors per generator of the domain
     summands: list = field(default_factory=list)
 
 
@@ -940,11 +941,8 @@ def hom_cohomology_at(d_in, d_out, domain_relations, gamma, out_relations=None):
         facs, reps = modular.quotient_mod_pk(kd, b_rows, p, k)
         for order, vec in zip(facs, reps):
             orders.append(order)
-            cochain = []
-            for g in range(ngen):
-                coords = [0] * len(gamma.factors)
-                coords[fidx] = (int(vec[g]) * embed) % gamma.factors[fidx]
-                cochain.append(gamma.element(coords))
+            cochain = np.zeros((ngen, len(gamma.factors)), dtype=object)
+            cochain[:, fidx] = np.asarray(vec, dtype=object) * embed % gamma.factors[fidx]
             summands.append((order, cochain))
 
     if nfree:
@@ -954,11 +952,8 @@ def hom_cohomology_at(d_in, d_out, domain_relations, gamma, out_relations=None):
         for fidx in free_idxs:
             for order, vec in zfacs:
                 orders.append(order)
-                cochain = []
-                for g in range(ngen):
-                    coords = [0] * len(gamma.factors)
-                    coords[fidx] = vec[g]
-                    cochain.append(gamma.element(coords))
+                cochain = np.zeros((ngen, len(gamma.factors)), dtype=object)
+                cochain[:, fidx] = vec
                 summands.append((order, cochain))
 
     group = FinAbGroup.from_cyclic_orders(orders)

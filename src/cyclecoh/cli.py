@@ -438,8 +438,17 @@ def render_pretty(report, spec):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParameterDomainError (a JSON error and exit 2 in
+    `main`) instead of printing usage and exiting; subcommand parsers
+    inherit the class."""
+
+    def error(self, message):
+        raise ParameterDomainError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cyclecoh",
         description="Exact cohomology and central extensions of cyclic linear cycle sets",
     )
@@ -516,10 +525,8 @@ def run(spec):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        spec = spec_from_args(args)
+        spec = spec_from_args(build_parser().parse_args(argv))
     except ParameterDomainError as exc:
         _emit_error("parameter-domain", str(exc))
         return 2

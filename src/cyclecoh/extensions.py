@@ -9,8 +9,8 @@ G x Z/vZ into a linear cycle set:
 with the coefficient group sitting centrally: its elements are
 invariant and act trivially.  Two extensions are equivalent when some
 fiber translation (c, i) -> (c + eta(i), i) with eta(0) = 0 is an
-isomorphism over both ends; the search for eta reduces to one free
-choice eta(1) because the additive comparison determines the rest.
+isomorphism over both ends, that is when their pairs differ by the
+coboundary of eta.
 """
 
 from __future__ import annotations
@@ -30,7 +30,13 @@ from .cycleset import (
     first_failure,
     make_cyclic_lcs,
 )
-from .lcs_cohomology import CocyclePair, all_cocycle_pairs, cocycle_family, verify_cocycle
+from .lcs_cohomology import (
+    CocyclePair,
+    all_cocycle_pairs,
+    cocycle_family,
+    cohomologous,
+    verify_cocycle,
+)
 
 VERIFY_SIZE_CAP = 64
 
@@ -82,6 +88,11 @@ def build_extension(gamma, params, pair, family=None, verify=None):
     the carrier has at most 64 elements (every instance the
     classification sweeps produce).
     """
+    if pair.gamma != gamma or pair.v != params.v:
+        raise ValueError(
+            f"a cocycle pair over {pair.gamma} on Z/{pair.v} cannot twist "
+            f"{gamma} x Z/{params.v}"
+        )
     lcs = make_cyclic_lcs(params)
     verdict = verify_cocycle(pair, lcs)
     if not verdict:
@@ -91,7 +102,7 @@ def build_extension(gamma, params, pair, family=None, verify=None):
     elems = [(c.coords, i) for c in gamma_elems for i in range(v)]
     index = {e: k for k, e in enumerate(elems)}
     n = len(elems)
-    x1, x2 = pair.coordinate_arrays
+    x1, x2 = pair.xi1, pair.xi2
     # axes (c1, i1, c2, i2) of the n x n tables, coordinates last
     C = _coordinates(gamma_elems, len(gamma.factors))
     c1 = C[:, None, None, None]
@@ -195,59 +206,20 @@ def verify_central_extension(ext, exhaustive=None):
 
 
 def extensions_equivalent(ext1, ext2):
-    """Witness search for an equivalence (c, i) -> (c + eta(i), i).
+    """Whether the pairs of the two extensions are cohomologous (see
+    `cohomologous`; the witness is the fiber translation eta(1..v-1)).
 
-    The additive comparison pins eta once eta(1) is chosen, so the
-    search space is the coefficient group; for family-built extensions
-    the closed-form criterion of the matching case is evaluated too and
-    must agree with the search.
+    For family-built extensions of one case the closed-form criterion is
+    evaluated too and must agree with the coboundary solve.
     """
     if ext1.gamma != ext2.gamma or ext1.params != ext2.params:
         raise ValueError("extensions over different data are never compared")
-    gamma = ext1.gamma
-    v = ext1.params.v
-    lcs = make_cyclic_lcs(ext1.params)
-    d1 = {
-        (i, j): ext2.pair.xi1_at(i, j) - ext1.pair.xi1_at(i, j)
-        for i in range(v)
-        for j in range(v)
-    }
-    d2 = {
-        (i, j): ext2.pair.xi2_at(i, j) - ext1.pair.xi2_at(i, j)
-        for i in range(v)
-        for j in range(v)
-    }
-    witness = None
-    for eta1 in gamma.elements():
-        eta = [gamma.zero(), eta1] + [None] * (v - 2)
-        for i in range(1, v - 1):
-            eta[i + 1] = d1[(i, 1)] + eta[i] + eta1
-        if not (d1[(v - 1, 1)] + eta[v - 1] + eta1).is_zero:
-            continue
-        ok = True
-        for i in range(v):
-            for j in range(v):
-                if d1[(i, j)] != eta[(i + j) % v] - eta[i] - eta[j]:
-                    ok = False
-                    break
-                if d2[(i, j)] != eta[lcs.dot[i][j]] - eta[j]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            witness = tuple(eta)
-            break
-    verdict = (
-        Verdict(True, None, witness)
-        if witness is not None
-        else Verdict(False, "no fiber translation works", None)
-    )
+    verdict = cohomologous(ext1.pair, ext2.pair, make_cyclic_lcs(ext1.params))
     if ext1.family and ext2.family and ext1.family[0] == ext2.family[0]:
         closed = _closed_criterion(ext1, ext2)
         if closed != verdict.ok:
             raise AssertionError(
-                "closed-form equivalence criterion disagrees with the witness search"
+                "closed-form equivalence criterion disagrees with the coboundary solve"
             )
     return verdict
 
@@ -335,8 +307,8 @@ def enumerate_extension_classes(gamma, params, method="theorem", cap=2**20):
 
     method "theorem": sweep the family parameter ranges of the matching
     case and quotient by its closed-form criterion.  method "brute":
-    enumerate every normalized cocycle pair and classify by the witness
-    search.  Both orders are deterministic.
+    enumerate every normalized cocycle pair and classify by the coboundary
+    solve.  Both orders are deterministic.
     """
     if not gamma.is_finite:
         raise ValueError("enumeration requires finite coefficients")

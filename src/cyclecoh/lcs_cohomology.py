@@ -43,6 +43,7 @@ from .abelian import (
     PresentedModule,
     block_matrix,
     hom_cohomology_at,
+    solve,
 )
 from . import modular
 from .cycleset import (
@@ -683,17 +684,19 @@ def _full_route(params, gamma, n):
 
 
 def _full_vector_to_pair(params, gamma, chain, cochain):
+    """Scatter a full degree-2 cochain, (ngen, r) coordinates, onto a pair:
+    the (0,2) generator (a, b) carries xi1(a, b) and the (1,1) generator
+    (g, m) carries xi2(g, m)."""
     v = params.v
-    labels = chain.modules[2].labels
-    xi1 = [[gamma.zero()] * v for _ in range(v)]
-    xi2 = [[gamma.zero()] * v for _ in range(v)]
-    for val, (pos, lab) in zip(cochain, labels):
-        gt, mt = lab
-        if pos == (0, 2):
-            xi1[mt[0]][mt[1]] = val
-        else:
-            xi2[gt[0]][mt[0]] = val
-    return CocyclePair(gamma, v, tuple(map(tuple, xi1)), tuple(map(tuple, xi2)))
+    which, i, j = np.array(
+        [
+            (0, *mt) if pos == (0, 2) else (1, gt[0], mt[0])
+            for pos, (gt, mt) in chain.modules[2].labels
+        ]
+    ).T
+    xi = np.zeros((2, v, v, len(gamma.factors)), dtype=object)
+    xi[which, i, j] = cochain
+    return CocyclePair(gamma, v, xi[0], xi[1])
 
 
 def _reduced_route(params, gamma, n):
@@ -713,31 +716,22 @@ def _reduced_route(params, gamma, n):
 
 
 def reduced_vector_to_pair(params, gamma, cochain):
-    """Push a reduced degree-2 cochain through the degree-2 comparison to a
-    cocycle pair on the full complex."""
+    """Push a reduced degree-2 cochain, (ngen, r) coordinates, through the
+    degree-2 comparison to a cocycle pair on the full complex.
+
+    The Mbar(2)_00 block is xi1 on the exponent tuples (a, b).  xi2 at
+    (a, i1) pairs column (a-1)(v-1) + i1-1 of phi01 with the Mbar(1)_01
+    block and that of phi10 with the Mbar(1)_10 block.
+    """
     rc = reduced_complex(params)
-    v = params.v
+    v, r = params.v, len(gamma.factors)
     n1 = v - 1
-    n2 = n1 * n1
-    c2 = cochain[:n2]
-    c01 = cochain[n2 : n2 + n1]
-    c10 = cochain[n2 + n1 :]
-    xi1 = [[gamma.zero()] * v for _ in range(v)]
-    for idx, tup in enumerate(exp_tuples(2, v)):
-        xi1[tup[0]][tup[1]] = c2[idx]
-    xi2 = [[gamma.zero()] * v for _ in range(v)]
-    cols01 = rc.phi01.columns()
-    cols10 = rc.phi10.columns()
-    for a in range(1, v):
-        for i1 in range(1, v):
-            col = (a - 1) * n1 + (i1 - 1)
-            val = gamma.zero()
-            for rowi, c in cols01[col].items():
-                val = val + c * c01[rowi]
-            for rowi, c in cols10[col].items():
-                val = val + c * c10[rowi]
-            xi2[a][i1] = val
-    return CocyclePair(gamma, v, tuple(map(tuple, xi1)), tuple(map(tuple, xi2)))
+    cochain = np.asarray(cochain, dtype=object)
+    phi = np.array(rc.phi01.vstack(rc.phi10).dense(), dtype=object)
+    xi = np.zeros((2, v, v, r), dtype=object)
+    xi[0, 1:, 1:] = cochain[: n1 * n1].reshape(n1, n1, r)
+    xi[1, 1:, 1:] = (phi.T @ cochain[n1 * n1 :]).reshape(n1, n1, r)
+    return CocyclePair(gamma, v, xi[0], xi[1])
 
 
 # ---------------------------------------------------------------------------
@@ -760,149 +754,80 @@ def lambda_table(b, v):
     return lam
 
 
-def kernel_basis_f(b, gamma_value, v):
-    """The cochain f_b with coefficient table lambda_table(b, v) * gamma_value,
-    verified to kill the degree-3 vertical differential."""
-    lam = lambda_table(b, v)
-
-    def entry(i, j):
-        return lam[i % v][j % v]
-
-    for i1 in range(1, v):
-        for i2 in range(1, v):
-            for i3 in range(1, v):
-                s = (
-                    -entry(i2, i3)
-                    + entry(i1 + i2, i3)
-                    - entry(i1, i2 + i3)
-                    + entry(i1, i2)
-                )
-                if s:
-                    raise AssertionError(f"f_{b} is not a vertical cocycle at {(i1, i2, i3)}")
-    for i in range(v):
-        for j in range(v):
-            if lam[i][j] != lam[j][i]:
-                raise AssertionError("kernel element is not symmetric")
-    table = [[lam[i][j] * gamma_value for j in range(v)] for i in range(v)]
-    return table
-
-
 # ---------------------------------------------------------------------------
 # cocycle pairs and the explicit families
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CocyclePair:
-    """A degree-2 cochain: xi1 on Mbar(2) (symmetric, zero on index 0) and
-    xi2 on Dbar (x) Mbar(1) (zero when either index is 0)."""
+    """A degree-2 cochain as two (v, v, r) coordinate arrays, r the number
+    of invariant factors of gamma: xi1 on Mbar(2) (symmetric, zero when an
+    index is 0) and xi2 on Dbar (x) Mbar(1) (zero when either index is 0).
+
+    The constructor reduces the coordinates modulo the finite invariant
+    factors and stores read-only arrays, int64 only while
+    5 * max(|coordinate|, factor) < 2^62: a cocycle condition sums at most
+    five entries, so the sum and its remainder modulo a factor stay exact;
+    otherwise Python ints (dtype object), the rule of IntegerMatrix.
+    Compare pairs with `cohomologous` or `flat_key`; `==` is identity.
+    """
 
     gamma: FinAbGroup
     v: int
-    xi1: tuple
-    xi2: tuple
+    xi1: np.ndarray
+    xi2: np.ndarray
 
     def __post_init__(self):
-        v = self.v
-        for i in range(v):
-            if not (self.xi1[0][i].is_zero and self.xi1[i][0].is_zero):
-                raise ValueError("xi1 must vanish when an index is 0")
-            if not (self.xi2[0][i].is_zero and self.xi2[i][0].is_zero):
-                raise ValueError("xi2 must vanish when an index is 0")
-            for j in range(v):
-                if self.xi1[i][j] != self.xi1[j][i]:
-                    raise ValueError("xi1 must be symmetric")
-
-    @functools.cached_property
-    def coordinate_arrays(self):
-        """(xi1, xi2) as (v, v, r) coordinate arrays, r the number of
-        invariant factors of gamma, built once per pair.
-
-        int64 only while 5 * max(|coordinate|, factor) < 2^62: a cocycle
-        condition sums at most five entries, so the sum and its remainder
-        modulo a factor stay exact; otherwise Python ints (dtype object),
-        the rule of IntegerMatrix.
-        """
         shape = (self.v, self.v, len(self.gamma.factors))
-        arrays = [
-            np.array([[e.coords for e in row] for row in xi], dtype=object).reshape(shape)
-            for xi in (self.xi1, self.xi2)
-        ]
+        factors = np.array(self.gamma.factors, dtype=object)
+        finite = factors > 0
+        arrays = []
+        for name in ("xi1", "xi2"):
+            a = np.array(getattr(self, name), dtype=object)
+            if a.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, not {a.shape}")
+            arrays.append(np.where(finite, a % np.where(finite, factors, 1), a))
         top = max(
             [int(np.abs(a).max()) for a in arrays if a.size] + list(self.gamma.factors), default=0
         )
         dtype = np.int64 if 5 * top < _INT64_BOUND else object
-        return tuple(a.astype(dtype) for a in arrays)
-
-    def xi1_at(self, i, j):
-        return self.xi1[i % self.v][j % self.v]
-
-    def xi2_at(self, i, j):
-        return self.xi2[i % self.v][j % self.v]
-
-    def __sub__(self, other):
-        v = self.v
-        xi1 = tuple(
-            tuple(self.xi1[i][j] - other.xi1[i][j] for j in range(v)) for i in range(v)
-        )
-        xi2 = tuple(
-            tuple(self.xi2[i][j] - other.xi2[i][j] for j in range(v)) for i in range(v)
-        )
-        return CocyclePair(self.gamma, v, xi1, xi2)
+        for name, a in zip(("xi1", "xi2"), arrays):
+            a = a.astype(dtype)
+            if a[0].any() or a[:, 0].any():
+                raise ValueError(f"{name} must vanish when an index is 0")
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        if (self.xi1 != self.xi1.transpose(1, 0, 2)).any():
+            raise ValueError("xi1 must be symmetric")
 
     def flat_key(self):
-        out = []
-        for i in range(self.v):
-            for j in range(self.v):
-                out.extend(self.xi1[i][j].coords)
-        for i in range(self.v):
-            for j in range(self.v):
-                out.extend(self.xi2[i][j].coords)
-        return tuple(out)
-
-    @classmethod
-    def from_functions(cls, gamma, v, f1, f2):
-        z = gamma.zero()
-        xi1 = tuple(
-            tuple(z if i == 0 or j == 0 else f1(i, j) for j in range(v))
-            for i in range(v)
-        )
-        xi2 = tuple(
-            tuple(z if i == 0 or j == 0 else f2(i, j) for j in range(v))
-            for i in range(v)
-        )
-        return cls(gamma, v, xi1, xi2)
+        """The coordinates of xi1, then of xi2, in (i, j, coordinate) order."""
+        return tuple(np.concatenate([self.xi1.ravel(), self.xi2.ravel()]).tolist())
 
     @classmethod
     def zero(cls, gamma, v):
-        z = gamma.zero()
-        return cls.from_functions(gamma, v, lambda i, j: z, lambda i, j: z)
+        z = np.zeros((v, v, len(gamma.factors)), dtype=np.int64)
+        return cls(gamma, v, z, z)
 
 
-def xi1_standard(gamma, v, g):
-    """The common first component: +g at (1,1), -g when both indices are
-    >= 2 and their sum is <= v+1, else 0."""
-    z = gamma.zero()
-
-    def f(i, j):
-        if i == 1 and j == 1:
-            return g
-        if i >= 2 and j >= 2 and i + j <= v + 1:
-            return -1 * g
-        return z
-
-    return f
+def xi1_standard(v):
+    """Coefficient table of g in the common first component: +1 at (1,1),
+    -1 when both indices are >= 2 and their sum is <= v+1, else 0."""
+    i, j = np.indices((v, v))
+    table = np.where((i >= 2) & (j >= 2) & (i + j <= v + 1), -1, 0)
+    table[1, 1] = 1
+    return table
 
 
-def base_coefficient(r, params, gamma1, gamma_el):
-    """The degree-1 coefficient chain gamma_r = r*gamma1 - c*gamma with the
-    canonical piecewise c = c(k, l), r = k*t + l reduced mod v."""
+def base_coefficient(r, params):
+    """The degree-1 coefficient chain gamma_r = a*g1 - c*g as the pair
+    (a, c): r reduced mod v, a = r and the canonical piecewise c = c(k, l),
+    r = k*t + l (gamma_0 = 0, gamma_1 = g1)."""
     v, t, u2 = params.v, params.t, params.u2
     r %= v
-    if r == 0:
-        return gamma1.group.zero()
-    if r == 1:
-        return gamma1
+    if r <= 1:
+        return r, 0
     k, l = divmod(r, t)
     if k == 0:
         c = 1
@@ -913,36 +838,55 @@ def base_coefficient(r, params, gamma1, gamma_el):
     else:
         h = k // u2
         c = k if l <= h else k + 1
-    return r * gamma1 - c * gamma_el
+    return r, c
+
+
+def _family_xi2_tables(params):
+    """Coefficient tables of g, g1 and g1' in the second component of the
+    family of the case of params, a (3, v, v) integer array: with
+    (i, j) = divmod(a, t), xi2(a, i1) is
+    (a i1) g1 (u = v);
+    i1 (i - u2 C(j, 2)) (t g1 - g) + sum_{l<j} gamma_{(1-ul) i1} (2 < u < v);
+    -i i1 g1' + sum_{l<j} gamma_{(1-2l) i1} (u = 2, v = 4)."""
+    v, u, t, u2 = params.v, params.u, params.t, params.u2
+    tables = np.zeros((3, v, v), dtype=np.int64)
+    for a in range(1, v):
+        i, j = divmod(a, t)
+        for i1 in range(1, v):
+            if t == 1:
+                tables[1, a, i1] = a * i1
+            elif u > 2:
+                n = i1 * (i - u2 * comb(j, 2))
+                tables[0, a, i1] = -n
+                tables[1, a, i1] = t * n
+            else:
+                tables[2, a, i1] = -i * i1
+            for l in range(j):
+                r, c = base_coefficient((1 - u * l) * i1, params)
+                tables[0, a, i1] -= c
+                tables[1, a, i1] += r
+    return tables
 
 
 def cocycle_family(params, gamma, g, g1, g1p=None):
     """The explicit degree-2 cocycle pair for the case of the parameters.
 
     u = v: needs v*g1 = 0; 2 < u < v: needs v*g1 = u*g; u = 2, v = 4:
-    needs 4*g1 = 2*g and 2*g1p = 0 (third parameter required).
+    needs 4*g1 = 2*g and 2*g1p = 0 (third parameter required).  The pair
+    is the integer coefficient tables of the case times the coordinates
+    of the parameters.
     """
-    v, u, t, u2 = params.v, params.u, params.t, params.u2
+    v, u = params.v, params.u
     if params.t == 1:
         if g1p is not None:
             raise ValueError("third parameter only applies when u = 2, v = 4")
         if not (v * g1).is_zero:
             raise ValueError("parameter constraint v*g1 = 0 violated")
-        f2 = lambda i, j: (i * j) * g1
     elif u > 2:
         if g1p is not None:
             raise ValueError("third parameter only applies when u = 2, v = 4")
         if (v * g1) != (u * g):
             raise ValueError("parameter constraint v*g1 = u*g violated")
-        core = t * g1 - g
-
-        def f2(a, i1):
-            i, j = divmod(a, t)
-            val = (i1 * (i - u2 * comb(j, 2))) * core
-            for l in range(j):
-                val = val + base_coefficient((1 - u * l) * i1, params, g1, g)
-            return val
-
     else:
         if v != 4 or u != 2:
             raise ValueError("unreachable parameter case")
@@ -952,15 +896,12 @@ def cocycle_family(params, gamma, g, g1, g1p=None):
             raise ValueError("parameter constraint 4*g1 = 2*g violated")
         if not (2 * g1p).is_zero:
             raise ValueError("parameter constraint 2*g1p = 0 violated")
-
-        def f2(a, i1):
-            i, j = divmod(a, 2)
-            val = (-i * i1) * g1p
-            for l in range(j):
-                val = val + base_coefficient((1 - 2 * l) * i1, params, g1, g)
-            return val
-
-    return CocyclePair.from_functions(gamma, v, xi1_standard(gamma, v, g), f2)
+    g1p = gamma.zero() if g1p is None else g1p
+    coords = np.array([g.coords, g1.coords, g1p.coords], dtype=object)
+    xi1 = xi1_standard(v).astype(object)[:, :, None] * coords[0]
+    tables = _family_xi2_tables(params).astype(object)
+    xi2 = (tables[..., None] * coords[:, None, None]).sum(axis=0)
+    return CocyclePair(gamma, v, xi1, xi2)
 
 
 def verify_cocycle(pair, lcs):
@@ -972,7 +913,7 @@ def verify_cocycle(pair, lcs):
     condition.
     """
     v = lcs.v
-    x1, x2 = pair.coordinate_arrays
+    x1, x2 = pair.xi1, pair.xi2
     dot = np.array(lcs.dot, dtype=np.int64)
     i1, i2, i3 = (g.ravel() for g in np.meshgrid(*[np.arange(1, v)] * 3, indexing="ij"))
     d12, d13 = dot[i1, i2], dot[i1, i3]
@@ -996,59 +937,44 @@ def verify_cocycle(pair, lcs):
 
 
 def cohomologous(pair1, pair2, lcs):
-    """Search for a degree-1 cochain lam with pair2 - pair1 = d(lam).
+    """Solve pair2 - pair1 = d(lam) for a degree-1 cochain lam, lam(0) = 0.
 
-    Returns a Verdict whose witness is the cochain (lam_1..lam_{v-1}) on
-    success; the linear system is solved exactly per coefficient
-    coordinate.
+    The coboundary matrix has two rows per (i, j), 1 <= i, j < v, in that
+    order: lam(i+j) - lam(i) - lam(j) (against xi1) and lam(i.j) - lam(j)
+    (against xi2), and one column per lam(1), ..., lam(v-1).  The system
+    is solved exactly per coefficient coordinate; on success the witness
+    is the (v-1, r) coordinate array of lam.
     """
     if pair1.gamma != pair2.gamma or pair1.v != pair2.v:
         raise ValueError("pairs live on different data")
-    gamma = pair1.gamma
-    v = lcs.v
-    dot = lcs.dot
-    diff = pair2 - pair1
-    nvar = v - 1
-    rows = []
-    rhs = []
-    for i in range(1, v):
-        for j in range(1, v):
-            row = [0] * nvar
-            k = (i + j) % v
-            if k:
-                row[k - 1] += 1
-            row[i - 1] -= 1
-            row[j - 1] -= 1
-            rows.append(row)
-            rhs.append(diff.xi1_at(i, j))
-            row = [0] * nvar
-            k = dot[i][j]
-            if k:
-                row[k - 1] += 1
-            row[j - 1] -= 1
-            rows.append(row)
-            rhs.append(diff.xi2_at(i, j))
-    sol_coords = []
-    A = np.array(rows, dtype=np.int64)
+    if lcs.v != pair1.v:
+        raise ValueError(f"pairs on Z/{pair1.v} compared over a cycle set on Z/{lcs.v}")
+    gamma, v = pair1.gamma, lcs.v
+    n, r = v - 1, len(gamma.factors)
+    i, j = (g.ravel() for g in np.meshgrid(np.arange(1, v), np.arange(1, v), indexing="ij"))
+    rows = np.arange(len(i))
+    A = np.zeros((len(i), 2, v), dtype=np.int64)
+    for part, cols, sign in (
+        (0, (i + j) % v, 1),
+        (0, i, -1),
+        (0, j, -1),
+        (1, np.array(lcs.dot)[i, j], 1),
+        (1, j, -1),
+    ):
+        np.add.at(A, (rows, part, cols), sign)
+    A = A[:, :, 1:].reshape(-1, n)
+    rhs = np.stack([pair2.xi1 - pair1.xi1, pair2.xi2 - pair1.xi2], axis=2)[i, j].reshape(len(A), r)
+    witness = []
     for fidx, m in enumerate(gamma.factors):
-        b = [el.coords[fidx] for el in rhs]
+        b = [int(x) for x in rhs[:, fidx]]
         if m == 0:
-            from .abelian import solve
-
-            x = solve(
-                IntegerMatrix.from_rows(rows, nvar),
-                b,
-            )
+            x = solve(IntegerMatrix.from_rows(A.tolist(), n), b)
         else:
             x = modular.solve_mod_m(A, b, m)
         if x is None:
             return Verdict(False, "no degree-1 witness", None)
-        sol_coords.append([int(c) for c in x])
-    witness = tuple(
-        gamma.element(tuple(sol_coords[f][i] for f in range(len(gamma.factors))))
-        for i in range(nvar)
-    )
-    return Verdict(True, None, witness)
+        witness.append([int(c) for c in x])
+    return Verdict(True, None, np.array(witness, dtype=object).reshape(r, n).T)
 
 
 def all_cocycle_pairs(params, gamma, cap=2**20):
@@ -1066,27 +992,16 @@ def all_cocycle_pairs(params, gamma, cap=2**20):
     A = chain.modules[2].relations.vstack(chain.diff[3].transpose())
     pp, nfree = gamma.prime_power_coordinates()
     assert nfree == 0
-    per_coord = []
+    # every cocycle as (ngen, r) coordinates: the sums over the prime-power
+    # coordinates of their kernel combinations, the first varying slowest
+    ngen, r = chain.rank(2), len(gamma.factors)
+    cochains = np.zeros((1, ngen, r), dtype=np.int64)
     for p, k, fidx, embed in pp:
         kd = modular.kernel_mod_pk(A.to_numpy_mod(p**k), p, k)
-        elems = []
-        ranges = [range(p**e) for e in kd.orders]
-        for combo in itertools.product(*ranges):
-            vec = None
-            m = p**k
-            acc = [0] * chain.rank(2)
-            for c, gen in zip(combo, kd.gens):
-                if c:
-                    acc = [(x + c * int(y)) % m for x, y in zip(acc, gen)]
-            elems.append(tuple(acc))
-        per_coord.append((fidx, embed, elems))
-    pairs = []
-    for combo in itertools.product(*[elems for _, _, elems in per_coord]):
-        cochain = []
-        for gidx in range(chain.rank(2)):
-            coords = [0] * len(gamma.factors)
-            for (fidx, embed, _), vec in zip(per_coord, combo):
-                coords[fidx] = (coords[fidx] + vec[gidx] * embed) % gamma.factors[fidx]
-            cochain.append(gamma.element(tuple(coords)))
-        pairs.append(_full_vector_to_pair(params, gamma, chain, cochain))
-    return pairs
+        s = len(kd.orders)
+        combos = itertools.product(*[range(p**e) for e in kd.orders])
+        combos = np.array(list(combos), dtype=np.int64)
+        part = np.zeros((len(combos), ngen, r), dtype=np.int64)
+        part[:, :, fidx] = (combos @ np.reshape(kd.gens, (s, ngen))) % p**k * embed
+        cochains = (cochains[:, None] + part[None]).reshape(len(cochains) * len(part), ngen, r)
+    return [_full_vector_to_pair(params, gamma, chain, c) for c in cochains]

@@ -128,7 +128,7 @@ def test_criterion_5_extension_classification():
         brute = enumerate_extension_classes(gamma, params, "brute")
         if not (len(theorem) == len(brute) == h2):
             ok = False
-        # closed-form equivalence criterion versus witness search, all pairs
+        # closed-form equivalence criterion versus coboundary solve, all pairs
         case = family_case(params)
         exts = []
         for tup in family_parameter_grid(gamma, params):
@@ -139,9 +139,9 @@ def test_criterion_5_extension_classification():
             exts.append(build_extension(gamma, params, pair, family=(case, tup), verify=False))
         for a in exts:
             for b in exts:
-                # extensions_equivalent raises if criterion and search split
+                # extensions_equivalent raises if criterion and solve split
                 extensions_equivalent(a, b)
-    announce(5, ok, f"brute = theorem = |H^2| and criteria match search, {time.monotonic()-start:.1f}s")
+    announce(5, ok, f"brute = theorem = |H^2| and criteria match the solve, {time.monotonic()-start:.1f}s")
 
 
 def test_criterion_6_machinery_identities():

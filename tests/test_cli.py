@@ -4,8 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
+from cyclecoh import __version__
 from cyclecoh.cli import main, parse_coeff
 from cyclecoh.cycleset import ParameterDomainError
 
@@ -165,6 +167,34 @@ def test_extensions_brute_example(capsys):
     assert report["agreement"]["all"] is True
 
 
+# the cocycle_key lists of `extensions --method brute`, one string of
+# coordinates (xi1, then xi2, row by row) per representative
+BRUTE_KEYS = {
+    ("1", "1"): ["00000000", "00000001", "00010000", "00010001"],
+    ("1", "2"): [
+        "00000000000000000000000000000000",
+        "00000000000000000000000001010101",
+        "00000000000000000000010100000101",
+        "00000000000000000000010101010000",
+        "00000001001101110000001000000010",
+        "00000001001101110000001001010111",
+        "00000001001101110000011100000111",
+        "00000001001101110000011101010010",
+    ],
+}
+
+
+@pytest.mark.parametrize("nu, eta", sorted(BRUTE_KEYS))
+def test_brute_representatives_are_pinned(capsys, nu, eta):
+    code, out, _ = run_cli(
+        capsys,
+        "extensions", "--p", "2", "--nu", nu, "--eta", eta, "--coeff", "2", "--method", "brute",
+    )
+    assert code == 0
+    reps = json.loads(out)["results"][0]["representatives"]
+    assert reps == [{"cocycle_key": [int(c) for c in key]} for key in BRUTE_KEYS[nu, eta]]
+
+
 def test_extensions_all_methods_agree(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -232,6 +262,67 @@ def test_timing_flag_is_opt_in(capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert "timing_seconds" in json.loads(out)
+
+
+PARAMS = ["--p", "2", "--nu", "1", "--eta", "1", "--coeff", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cohomology", *PARAMS, "--degree", "two"], "argument --degree: invalid int value: 'two'"),
+        (["cohomology", *PARAMS, "--method", "fancy"], "argument --method: invalid choice: 'fancy'"),
+        (["verify", *PARAMS[2:]], "the following arguments are required: --p"),
+        (["frobnicate", *PARAMS], "argument command: invalid choice: 'frobnicate'"),
+    ],
+    ids=["bad-int", "bad-choice", "missing-required", "unknown-subcommand"],
+)
+def test_usage_errors_are_parameter_domain_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "parameter-domain"
+    assert message in error["message"]
+
+
+def test_version_and_help_exit_0(capsys):
+    for argv, start in ((["--version"], __version__ + "\n"), (["extensions", "--help"], "usage: ")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(start) and err == ""
+    assert out.startswith("usage: cyclecoh extensions")
+
+
+def test_errors_match_the_schema(capsys, monkeypatch):
+    import cyclecoh.extensions
+    from cyclecoh.cycleset import Verdict
+
+    schema = json.loads((Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text())
+    error_schema = {"$ref": "#/$defs/error", "$defs": schema["$defs"]}
+    jobs = [
+        ("parameter-domain", 2, ["cohomology", "--p", "4", "--nu", "1", "--eta", "1", "--coeff", "2"]),
+        ("parameter-domain", 2, ["cohomology", *PARAMS, "--degree", "two"]),
+        ("resource-limit", 2, ["extensions", *PARAMS[:4], "--eta", "2", "--coeff", "4", "--method", "brute"]),
+    ]
+    for kind, expected_code, argv in jobs:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == expected_code and out == ""
+        payload = json.loads(err)
+        jsonschema.validate(payload, error_schema)
+        assert payload["error"]["type"] == kind
+    monkeypatch.setattr(
+        cyclecoh.extensions, "verify_central_extension", lambda ext: Verdict(False, "exactness", None)
+    )
+    code, out, err = run_cli(capsys, "extensions", *PARAMS)
+    assert code == 3
+    payload = json.loads(err)
+    jsonschema.validate(payload, error_schema)
+    assert payload["error"]["type"] == "self-check"
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate({"error": {"type": "crash", "message": ""}}, error_schema)
 
 
 # runs one CLI job, then prints the scipy modules the process imported

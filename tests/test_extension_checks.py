@@ -1,13 +1,18 @@
-"""The array axiom checks against plain-loop references.
+"""The array code against plain-loop references.
 
 The references below are the straightforward loops over group elements
 and table triples; the array code in `lcs_cohomology.verify_cocycle`,
 `extensions.build_extension`, `extensions.verify_central_extension` and
 `cycleset.check_*_table` must return the same Verdict (axiom and
-witness) on intact and on corrupted input.
+witness) on intact and on corrupted input.  The family formulas of
+`lcs_cohomology.cocycle_family` and the equivalence test of
+`extensions.extensions_equivalent` (a coboundary solve) are checked the
+same way against the formulas evaluated in the group and against the
+search for a fiber translation.
 """
 
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -22,11 +27,17 @@ from cyclecoh.cycleset import (
 )
 from cyclecoh.extensions import (
     build_extension,
+    extensions_equivalent,
     family_case,
     family_parameter_grid,
     verify_central_extension,
 )
-from cyclecoh.lcs_cohomology import CocyclePair, cocycle_family, verify_cocycle
+from cyclecoh.lcs_cohomology import (
+    CocyclePair,
+    all_cocycle_pairs,
+    cocycle_family,
+    verify_cocycle,
+)
 
 PARAMS = [
     CyclicFamilyParams(2, 1, 1),
@@ -42,33 +53,39 @@ GAMMAS = [(2,), (4,), (9,), (2, 4)]
 # ---------------------------------------------------------------------------
 
 
+def entries(pair, xi):
+    """(i, j) -> the group element at xi[i mod v, j mod v]."""
+    return lambda i, j: pair.gamma.element(xi[i % pair.v, j % pair.v].tolist())
+
+
 def ref_verify_cocycle(pair, lcs):
     v = lcs.v
     dot = lcs.dot
+    xi1_at, xi2_at = entries(pair, pair.xi1), entries(pair, pair.xi2)
     for i1 in range(1, v):
         for i2 in range(1, v):
             for i3 in range(1, v):
                 s = (
-                    -1 * pair.xi1_at(i2, i3)
-                    + pair.xi1_at(i1 + i2, i3)
-                    - pair.xi1_at(i1, i2 + i3)
-                    + pair.xi1_at(i1, i2)
+                    -1 * xi1_at(i2, i3)
+                    + xi1_at(i1 + i2, i3)
+                    - xi1_at(i1, i2 + i3)
+                    + xi1_at(i1, i2)
                 )
                 if not s.is_zero:
                     return Verdict(False, "vertical (0,3)", (i1, i2, i3))
                 s = (
-                    pair.xi1_at(dot[i1][i2], dot[i1][i3])
-                    - pair.xi1_at(i2, i3)
-                    + pair.xi2_at(i1, i3)
-                    - pair.xi2_at(i1, i2 + i3)
-                    + pair.xi2_at(i1, i2)
+                    xi1_at(dot[i1][i2], dot[i1][i3])
+                    - xi1_at(i2, i3)
+                    + xi2_at(i1, i3)
+                    - xi2_at(i1, i2 + i3)
+                    + xi2_at(i1, i2)
                 )
                 if not s.is_zero:
                     return Verdict(False, "mixed (1,2)", (i1, i2, i3))
                 s = (
-                    pair.xi2_at(dot[i1][i2], dot[i1][i3])
-                    - pair.xi2_at(i1 + i2, i3)
-                    + pair.xi2_at(i1, i3)
+                    xi2_at(dot[i1][i2], dot[i1][i3])
+                    - xi2_at(i1 + i2, i3)
+                    + xi2_at(i1, i3)
                 )
                 if not s.is_zero:
                     return Verdict(False, "horizontal (2,1)", (i1, i2, i3))
@@ -80,15 +97,16 @@ def ref_tables(gamma, params, pair):
     lcs = make_cyclic_lcs(params)
     elems = [(c.coords, i) for c in gamma.elements() for i in range(v)]
     index = {e: k for k, e in enumerate(elems)}
+    xi1_at, xi2_at = entries(pair, pair.xi1), entries(pair, pair.xi2)
     add, dot = [], []
     for c1, i1 in elems:
         e1 = gamma.element(c1)
         arow, drow = [], []
         for c2, i2 in elems:
             e2 = gamma.element(c2)
-            s = e1 + e2 + pair.xi1_at(i1, i2)
+            s = e1 + e2 + xi1_at(i1, i2)
             arow.append(index[(s.coords, (i1 + i2) % v)])
-            d = e2 + pair.xi2_at(i1, i2)
+            d = e2 + xi2_at(i1, i2)
             drow.append(index[(d.coords, lcs.dot[i1][i2])])
         add.append(arow)
         dot.append(drow)
@@ -174,6 +192,77 @@ def ref_verify_central_extension(ext, add, dot, exhaustive=None):
     return Verdict(True)
 
 
+def ref_cocycle_family(params, gamma, g, g1, g1p=None):
+    """xi1 and xi2 of the family as v x v tables of group elements."""
+    v, u, t, u2 = params.v, params.u, params.t, params.u2
+
+    def base(r):
+        r %= v
+        if r == 0:
+            return gamma.zero()
+        if r == 1:
+            return g1
+        k, l = divmod(r, t)
+        if k == 0:
+            c = 1
+        elif k <= u2:
+            c = k if l == 0 else k + 1
+        elif k < 2 * u2:
+            c = k if l <= 1 else k + 1
+        else:
+            c = k if l <= k // u2 else k + 1
+        return r * g1 - c * g
+
+    def f1(i, j):
+        if i == 1 and j == 1:
+            return g
+        if i >= 2 and j >= 2 and i + j <= v + 1:
+            return -1 * g
+        return gamma.zero()
+
+    def f2(a, i1):
+        if t == 1:
+            return (a * i1) * g1
+        i, j = divmod(a, t)
+        if u > 2:
+            val = (i1 * (i - u2 * comb(j, 2))) * (t * g1 - g)
+        else:
+            val = (-i * i1) * g1p
+        for l in range(j):
+            val = val + base((1 - u * l) * i1)
+        return val
+
+    return tuple(
+        [[gamma.zero() if i == 0 or j == 0 else f(i, j) for j in range(v)] for i in range(v)]
+        for f in (f1, f2)
+    )
+
+
+def ref_extensions_equivalent(ext1, ext2):
+    """Search for a fiber translation (c, i) -> (c + eta(i), i): the
+    additive comparison pins eta once eta(1) is chosen."""
+    gamma = ext1.gamma
+    v = ext1.params.v
+    lcs = make_cyclic_lcs(ext1.params)
+    p1, p2 = ext1.pair, ext2.pair
+    d1 = {(i, j): entries(p2, p2.xi1)(i, j) - entries(p1, p1.xi1)(i, j) for i in range(v) for j in range(v)}
+    d2 = {(i, j): entries(p2, p2.xi2)(i, j) - entries(p1, p1.xi2)(i, j) for i in range(v) for j in range(v)}
+    for eta1 in gamma.elements():
+        eta = [gamma.zero(), eta1] + [None] * (v - 2)
+        for i in range(1, v - 1):
+            eta[i + 1] = d1[(i, 1)] + eta[i] + eta1
+        if not (d1[(v - 1, 1)] + eta[v - 1] + eta1).is_zero:
+            continue
+        if all(
+            d1[(i, j)] == eta[(i + j) % v] - eta[i] - eta[j]
+            and d2[(i, j)] == eta[lcs.dot[i][j]] - eta[j]
+            for i in range(v)
+            for j in range(v)
+        ):
+            return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
@@ -204,17 +293,16 @@ def family_pairs(params, gamma, count, rng):
 def corrupt_pair(pair, rng):
     """Change one entry of xi1 (both (i, j) and (j, i)) or of xi2."""
     gamma, v = pair.gamma, pair.v
-    xi1 = [list(row) for row in pair.xi1]
-    xi2 = [list(row) for row in pair.xi2]
+    xi1, xi2 = pair.xi1.copy(), pair.xi2.copy()
     i, j = rng.randrange(1, v), rng.randrange(1, v)
-    delta = rng.choice([e for e in gamma.elements() if not e.is_zero])
+    delta = rng.choice([e for e in gamma.elements() if not e.is_zero]).coords
     if rng.random() < 0.5:
-        xi1[i][j] = xi1[i][j] + delta
+        xi1[i, j] += delta
         if i != j:
-            xi1[j][i] = xi1[j][i] + delta
+            xi1[j, i] += delta
     else:
-        xi2[i][j] = xi2[i][j] + delta
-    return CocyclePair(gamma, v, tuple(map(tuple, xi1)), tuple(map(tuple, xi2)))
+        xi2[i, j] += delta
+    return CocyclePair(gamma, v, xi1, xi2)
 
 
 def corrupt_tables(ext, rng):
@@ -303,14 +391,12 @@ def test_cycle_set_and_linearity_tables_match_reference():
 
 def _integer_pair(v, lcs, lam):
     """The coboundary of the degree-1 cochain i -> lam(i) over Z."""
-    gamma = FinAbGroup((0,))
-    el = lambda x: gamma.element((x,))
-    return CocyclePair.from_functions(
-        gamma,
-        v,
-        lambda i, j: el(lam((i + j) % v) - lam(i) - lam(j)),
-        lambda i, j: el(lam(lcs.dot[i][j]) - lam(j)),
-    )
+    xi = np.zeros((2, v, v, 1), dtype=object)
+    for i in range(1, v):
+        for j in range(1, v):
+            xi[0, i, j] = lam((i + j) % v) - lam(i) - lam(j)
+            xi[1, i, j] = lam(lcs.dot[i][j]) - lam(j)
+    return CocyclePair(FinAbGroup((0,)), v, xi[0], xi[1])
 
 
 @pytest.mark.parametrize("params", [PARAMS[1], PARAMS[3]], ids=["212", "223"])
@@ -318,12 +404,12 @@ def test_cocycle_arrays_fall_back_to_python_ints(params):
     v = params.v
     lcs = make_cyclic_lcs(params)
     pair = _integer_pair(v, lcs, lambda i: 2**70 * i)
-    assert all(a.dtype == object for a in pair.coordinate_arrays)
+    assert all(a.dtype == object for a in (pair.xi1, pair.xi2))
     same(verify_cocycle(pair, lcs), Verdict(True))
     # one entry off by one: a difference far below 2^70 must still show
-    xi2 = [list(row) for row in pair.xi2]
-    xi2[2][1] = xi2[2][1] + pair.gamma.element((1,))
-    bad = CocyclePair(pair.gamma, v, pair.xi1, tuple(map(tuple, xi2)))
+    xi2 = pair.xi2.copy()
+    xi2[2, 1] += 1
+    bad = CocyclePair(pair.gamma, v, pair.xi1, xi2)
     expected = ref_verify_cocycle(bad, lcs)
     assert not expected
     same(verify_cocycle(bad, lcs), expected)
@@ -334,13 +420,46 @@ def test_cocycle_array_dtype_bound():
     params = PARAMS[1]
     lcs = make_cyclic_lcs(params)
     top = (2**62 - 1) // 5
+    v = params.v
     for scale, dtype in ((top, np.int64), (top + 1, object)):
-        gamma = FinAbGroup((0,))
-        pair = CocyclePair.from_functions(
-            gamma,
-            params.v,
-            lambda i, j: gamma.element((-scale if (i, j) == (1, 1) else 0,)),
-            lambda i, j: gamma.element((scale * (i == j),)),
-        )
-        assert all(a.dtype == dtype for a in pair.coordinate_arrays)
+        xi1 = np.zeros((v, v, 1), dtype=object)
+        xi1[1, 1] = -scale
+        xi2 = np.zeros((v, v, 1), dtype=object)
+        xi2[range(1, v), range(1, v)] = scale
+        pair = CocyclePair(FinAbGroup((0,)), v, xi1, xi2)
+        assert all(a.dtype == dtype for a in (pair.xi1, pair.xi2))
         same(verify_cocycle(pair, lcs), ref_verify_cocycle(pair, lcs))
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=lambda P: f"{P.p}{P.nu}{P.eta}")
+def test_cocycle_family_matches_reference(params):
+    """Entry by entry on the whole parameter grid."""
+    for fac in GAMMAS:
+        gamma = FinAbGroup(fac)
+        for tup in family_parameter_grid(gamma, params):
+            pair = cocycle_family(params, gamma, *tup)
+            for ref, xi in zip(ref_cocycle_family(params, gamma, *tup), (pair.xi1, pair.xi2)):
+                assert [[list(e.coords) for e in row] for row in ref] == xi.tolist(), (fac, tup)
+
+
+@pytest.mark.parametrize(
+    "triple, fac",
+    [((2, 1, 1), (2,)), ((2, 1, 1), (4,)), ((2, 1, 2), (2,)), ((3, 1, 1), (3,))],
+    ids=["211-Z2", "211-Z4", "212-Z2", "311-Z3"],
+)
+def test_equivalence_matches_reference(triple, fac):
+    """Every ordered pair of cocycle pairs: the coboundary solve and the
+    fiber-translation search give the same verdict."""
+    params = CyclicFamilyParams(*triple)
+    gamma = FinAbGroup(fac)
+    exts = [
+        build_extension(gamma, params, pair, verify=False)
+        for pair in all_cocycle_pairs(params, gamma)
+    ]
+    verdicts = set()
+    for a in exts:
+        for b in exts:
+            verdict = bool(extensions_equivalent(a, b))
+            assert verdict == ref_extensions_equivalent(a, b)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cyclecoh.abelian import FinAbGroup
@@ -9,7 +10,7 @@ from cyclecoh.extensions import (
     family_parameter_grid,
     verify_central_extension,
 )
-from cyclecoh.lcs_cohomology import CocyclePair, cocycle_family, cohomology
+from cyclecoh.lcs_cohomology import CocyclePair, cocycle_family, cohomologous, cohomology
 
 P211 = CyclicFamilyParams(2, 1, 1)
 P212 = CyclicFamilyParams(2, 1, 2)
@@ -50,14 +51,26 @@ def test_family_extension_order_8():
 
 def test_build_refuses_non_cocycles():
     gamma = FinAbGroup((2,))
-    one = gamma.element((1,))
-    z = gamma.zero()
     # xi2 breaking the horizontal condition: nonzero only at (1,1) over v=4
-    bad = CocyclePair.from_functions(
-        gamma, 4, lambda i, j: z, lambda i, j: one if (i, j) == (1, 1) else z
-    )
+    xi2 = np.zeros((4, 4, 1), dtype=np.int64)
+    xi2[1, 1] = 1
+    bad = CocyclePair(gamma, 4, np.zeros_like(xi2), xi2)
     with pytest.raises(ValueError, match="fails"):
         build_extension(gamma, P212, bad)
+
+
+def test_mismatched_data_is_refused():
+    z2, z4 = FinAbGroup((2,)), FinAbGroup((4,))
+    one = z2.element((1,))
+    pair = cocycle_family(P211, z2, one, one)
+    with pytest.raises(ValueError, match="cannot twist"):
+        build_extension(z4, P211, pair)
+    with pytest.raises(ValueError, match="cannot twist"):
+        build_extension(z2, P212, pair)
+    with pytest.raises(ValueError, match="cannot twist"):
+        build_extension(z2, P211, CocyclePair.zero(z2, 4))
+    with pytest.raises(ValueError, match="compared over a cycle set on Z/4"):
+        cohomologous(pair, pair, make_cyclic_lcs(P212))
 
 
 def test_corrupt_kernel_detected():
@@ -83,7 +96,8 @@ def test_equivalence_reflexive_and_witness_zero():
     ext = build_extension(gamma, P211, pair, family=("A", (g, g1)))
     verdict = extensions_equivalent(ext, ext)
     assert verdict
-    assert all(w.is_zero for w in verdict.witness)
+    assert verdict.witness.shape == (1, 1)
+    assert not verdict.witness.any()
 
 
 def test_equivalence_example_A():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from cyclecoh.abelian import FinAbGroup, hom_cohomology_at
@@ -13,7 +14,6 @@ from cyclecoh.lcs_cohomology import (
     cohomology,
     exp_tuples,
     full_double_complex,
-    kernel_basis_f,
     lambda_table,
     perturbation_delta,
     phi_hat_closed,
@@ -301,9 +301,20 @@ def test_lambda_table_row_one():
 
 
 def test_kernel_basis_f_is_cocycle():
-    for v in (2, 3, 4, 8, 9):
+    # f_b is the pair (lambda_table(b, v), 0) over Z.  On the member with
+    # u = v the dot is i.j = j, so the mixed and horizontal conditions read
+    # 0 = 0 and verify_cocycle checks the vertical condition alone; the
+    # constructor checks the symmetry.
+    Z = FinAbGroup((0,))
+    for triple in ((2, 1, 1), (3, 1, 1), (2, 2, 2), (2, 3, 3), (3, 2, 2)):
+        params = CyclicFamilyParams(*triple)
+        v = params.v
+        assert params.u == v
+        zero = np.zeros((v, v, 1), dtype=np.int64)
         for b in range(1, v):
-            kernel_basis_f(b, 1, v)
+            lam = np.array(lambda_table(b, v))[:, :, None]
+            verdict = verify_cocycle(CocyclePair(Z, v, lam, zero), make_cyclic_lcs(params))
+            assert verdict, (v, b, verdict)
 
 
 def test_kernel_decomposition_and_coboundaries():
@@ -469,11 +480,39 @@ def test_horizontal_image_vanishes_when_u_equals_v():
 # ---------------------------------------------------------------------------
 
 
+def test_cocycle_pair_validation():
+    gamma = FinAbGroup((2, 4))
+    z = np.zeros((3, 3, 2), dtype=np.int64)
+    with pytest.raises(ValueError, match="shape"):
+        CocyclePair(gamma, 3, z[:, :, :1], z)
+    with pytest.raises(ValueError, match="shape"):
+        CocyclePair(gamma, 4, z, z)
+    for k in (0, 1):
+        bad = z.copy()
+        bad[0, 1, 1] = 1
+        xi = [z, z]
+        xi[k] = bad
+        with pytest.raises(ValueError, match=f"xi{k + 1} must vanish when an index is 0"):
+            CocyclePair(gamma, 3, *xi)
+    bad = z.copy()
+    bad[1, 2] = (1, 0)
+    with pytest.raises(ValueError, match="xi1 must be symmetric"):
+        CocyclePair(gamma, 3, bad, z)
+    # coordinates are reduced modulo the invariant factors, and frozen
+    xi2 = z.copy()
+    xi2[1, 2] = (3, -1)
+    pair = CocyclePair(gamma, 3, z, xi2)
+    assert pair.xi2[1, 2].tolist() == [1, 3]
+    assert pair.flat_key() == (0,) * 18 + (0,) * 10 + (1, 3) + (0,) * 6
+    with pytest.raises(ValueError):
+        pair.xi2[1, 2] = 0
+
+
 def test_xi1_values():
     gamma = FinAbGroup((8,))
     g = gamma.element((1,))
-    v = 4
-    f1 = xi1_standard(gamma, v, g)
+    table = xi1_standard(4)
+    f1 = lambda i, j: int(table[i, j]) * g
     assert f1(1, 1) == g
     assert f1(2, 3) == -1 * g
     assert f1(3, 3) == gamma.zero()
@@ -486,7 +525,7 @@ def test_family_case_t1():
     g = gamma.element((1,))
     g1 = gamma.element((1,))
     pair = cocycle_family(params, gamma, g, g1)
-    assert pair.xi2_at(1, 1) == g1
+    assert gamma.element(pair.xi2[1, 1].tolist()) == g1
     assert verify_cocycle(pair, make_cyclic_lcs(params))
     with pytest.raises(ValueError):
         cocycle_family(P211, FinAbGroup((4,)), gamma.zero(), FinAbGroup((4,)).element((1,)))
@@ -537,16 +576,17 @@ def test_family_case_C_table():
                 pair = cocycle_family(params, gamma, g, g1, g1p)
                 assert verify_cocycle(pair, lcs)
                 count += 1
+                xi2_at = lambda i, j: gamma.element(pair.xi2[i, j].tolist())
                 # the 6-case table
-                assert pair.xi2_at(2, 2).is_zero  # i=1, j=0, i1=2
-                assert pair.xi2_at(2, 1) == -1 * g1p
-                assert pair.xi2_at(2, 3) == -1 * g1p
-                assert pair.xi2_at(1, 1) == g1
-                assert pair.xi2_at(3, 1) == g1 - g1p
-                assert pair.xi2_at(1, 2) == 2 * g1 - g
-                assert pair.xi2_at(3, 2) == 2 * g1 - g
-                assert pair.xi2_at(1, 3) == -1 * g1
-                assert pair.xi2_at(3, 3) == -1 * g1 - g1p
+                assert xi2_at(2, 2).is_zero  # i=1, j=0, i1=2
+                assert xi2_at(2, 1) == -1 * g1p
+                assert xi2_at(2, 3) == -1 * g1p
+                assert xi2_at(1, 1) == g1
+                assert xi2_at(3, 1) == g1 - g1p
+                assert xi2_at(1, 2) == 2 * g1 - g
+                assert xi2_at(3, 2) == 2 * g1 - g
+                assert xi2_at(1, 3) == -1 * g1
+                assert xi2_at(3, 3) == -1 * g1 - g1p
     assert count > 0
     with pytest.raises(ValueError):
         cocycle_family(params, gamma, gamma.zero(), gamma.zero())  # missing g1p
@@ -599,7 +639,8 @@ def test_raw_coefficient_tables_match_canonical_rule():
                                     entries.append((k2, l))
                     for k, l in entries:
                         raw = (k * t + l) * g1 - (k + 1) * g
-                        canon = base_coefficient(k * t + l, params, g1, g)
+                        a, c = base_coefficient(k * t + l, params)
+                        canon = a * g1 - c * g
                         assert raw == canon, (params, fac, g, g1, k, l)
 
 
@@ -614,7 +655,8 @@ def test_cohomologous_reflexive_and_criterion_t1():
                 pairs[(g.coords, g1.coords)] = cocycle_family(params, gamma, g, g1)
     for key, pair in pairs.items():
         verdict = cohomologous(pair, pair, lcs)
-        assert verdict and all(w.is_zero for w in verdict.witness)
+        assert verdict and verdict.witness.shape == (1, 1)
+        assert not verdict.witness.any()
     vG = {(2 * g).coords for g in gamma.elements()}
     for (gc, g1c), pa in pairs.items():
         for (hc, h1c), pb in pairs.items():

@@ -759,6 +759,12 @@ def lambda_table(b, v):
 # ---------------------------------------------------------------------------
 
 
+def _mod_factors(a, factors):
+    """a reduced modulo the finite entries of `factors` along its last axis."""
+    finite = factors > 0
+    return np.where(finite, a % np.where(finite, factors, 1), a)
+
+
 @dataclass(frozen=True, eq=False)
 class CocyclePair:
     """A degree-2 cochain as two (v, v, r) coordinate arrays, r the number
@@ -781,13 +787,12 @@ class CocyclePair:
     def __post_init__(self):
         shape = (self.v, self.v, len(self.gamma.factors))
         factors = np.array(self.gamma.factors, dtype=object)
-        finite = factors > 0
         arrays = []
         for name in ("xi1", "xi2"):
             a = np.array(getattr(self, name), dtype=object)
             if a.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, not {a.shape}")
-            arrays.append(np.where(finite, a % np.where(finite, factors, 1), a))
+            arrays.append(_mod_factors(a, factors))
         top = max(
             [int(np.abs(a).max()) for a in arrays if a.size] + list(self.gamma.factors), default=0
         )
@@ -924,11 +929,7 @@ def verify_cocycle(pair, lcs):
         "horizontal (2,1)": x2[d12, d13] - x2[s12, i3] + x2[i1, i3],
     }
     factors = np.array(pair.gamma.factors, dtype=x1.dtype)
-    finite = factors > 0
-    nonzero = [
-        (np.where(finite, s % np.where(finite, factors, 1), s) != 0).any(axis=-1)
-        for s in conditions.values()
-    ]
+    nonzero = [(_mod_factors(s, factors) != 0).any(axis=-1) for s in conditions.values()]
     hit = first_failure(np.stack(nonzero, axis=-1))
     if hit is None:
         return Verdict(True)

@@ -273,6 +273,41 @@ class IntegerMatrix:
             )
         return NotImplemented
 
+    def kron(self, other):
+        """The Kronecker product: entry (i * other.rows + k, j * other.cols + l)
+        is self[i, j] * other[k, l]; int64 only when max|self| x max|other|
+        < 2^62."""
+        big = self.values.dtype == object or other.values.dtype == object
+        dtype = object if big or _abs_max(self.values) * _abs_max(other.values) >= _INT64_BOUND else np.int64
+        # the product of entry i of self (row a) and entry j of other (row b)
+        # goes to its row-major place, no sort needed: after the entries of
+        # self's rows before a times all of other, then row a of self times
+        # other's rows before b, then the earlier pairs of (row a, row b)
+        a_ptr = np.searchsorted(self.row_idx, np.arange(self.rows + 1))
+        b_ptr = np.searchsorted(other.row_idx, np.arange(other.rows + 1))
+        a_start, b_start = a_ptr[self.row_idx], b_ptr[other.row_idx]
+        a_len = a_ptr[self.row_idx + 1] - a_start
+        b_len = b_ptr[other.row_idx + 1] - b_start
+        i, j = np.arange(len(self.values)), np.arange(len(other.values))
+        place = (
+            (a_start * len(j))[:, None]
+            + a_len[:, None] * b_start
+            + (i - a_start)[:, None] * b_len
+            + (j - b_start)
+        ).ravel()
+        out = []
+        for term in (
+            self.row_idx[:, None] * other.rows + other.row_idx,
+            self.col_idx[:, None] * other.cols + other.col_idx,
+            self.values.astype(dtype)[:, None] * other.values.astype(dtype),
+        ):
+            arr = np.empty(place.size, dtype=term.dtype)
+            arr[place] = term.ravel()
+            out.append(arr)
+        return IntegerMatrix._from_coo(
+            self.rows * other.rows, self.cols * other.cols, *out, canonical=True
+        )
+
     def apply(self, vec):
         """Matrix times a dense integer vector (length = cols)."""
         if len(vec) != self.cols:

@@ -16,12 +16,19 @@ by the cycle-set cohomology routines, together with induced comparison
 maps and homotopy on the normalized complexes (D-bar tensors).
 
 All maps are integer matrices on fixed bases:
-  * X_{alpha,beta} = E with basis the v group elements (i, j);
+  * X_{alpha,beta} = E with basis the v group elements (i, j), x^i w_{y^j}
+    at index t*i + j, its exponent, so that right multiplication adds
+    indices modulo v;
   * Y_beta = Z[C_t] with basis y^0..y^{t-1};
-  * bar_n = Ebar^{x n} (x) E with basis tuples (e_1..e_n, e), e_i != 1.
+  * bar_n = Ebar^{x n} (x) E with basis tuples (e_1..e_n, e), e_i != 1, at
+    index code * v + e, where code is the mixed-radix code of (e_1..e_n)
+    in base v-1 (tuple_codes; exp_tuples lists the tuples in code order).
 Right-E-linear maps are determined by their value on the basis element
 w_1 = (0, 0) and extended by the right regular action, which permutes
-bases.
+bases.  The comparison maps are held by these values only, their
+normalised columns, one per cell or exponent tuple; right_translate
+gives the full matrix when one is needed, so the reduced route never
+builds a matrix with a column per element of bar_3.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .abelian import IntegerMatrix, PresentedModule, block_matrix
 from .homology_engine import ChainComplex, CheckReport
@@ -57,10 +66,6 @@ class CrossedProduct:
         """The isomorphism onto Z/v: x^i w_{y^j} -> t*i + j."""
         return self.t * e[0] + e[1]
 
-    def right_perm(self, e):
-        """Permutation of element indices given by right multiplication."""
-        return [self.index[self.mul(m, e)] for m in self.elems]
-
 
 def _vec(n):
     return [0] * n
@@ -71,24 +76,60 @@ def exp_tuples(n, v):
     return list(itertools.product(range(1, v), repeat=n))
 
 
+def tuple_letters(n, v):
+    """exp_tuples(n, v) as a ((v-1)^n, n) int64 array, in the same order."""
+    if n == 0:
+        return np.zeros((1, 0), dtype=np.int64)
+    return np.indices((v - 1,) * n, dtype=np.int64).reshape(n, -1).T + 1
+
+
+def tuple_codes(letters, v):
+    """The positions in exp_tuples order of the rows of `letters` (entries
+    1..v-1): their mixed-radix codes in base v-1, first letter highest."""
+    n = letters.shape[-1]
+    return (letters - 1) @ ((v - 1) ** np.arange(n - 1, -1, -1, dtype=np.int64))
+
+
+def _bar_faces(n, v):
+    """The faces of the normalized bar differential on the exponent tuples
+    of length n >= 1, as arrays (col, tgt, last, sign): tuple number col
+    has the (n-1)-tuple number tgt as a face with the given sign.  The last
+    face moves the dropped letter, `last`, into the E slot (trivial
+    coefficients forget it); the other faces leave 0 there."""
+    x = tuple_letters(n, v)
+    cols = np.arange(len(x))
+    # (col, tgt, last, sign) of the first face, the merges, the last face
+    parts = [(cols, cols % (v - 1) ** (n - 1), 0 * cols, 1)]
+    for i in range(n - 1):
+        merged = (x[:, i] + x[:, i + 1]) % v
+        keep = merged != 0
+        y = np.concatenate((x[keep, :i], merged[keep, None], x[keep, i + 2 :]), axis=1)
+        parts.append((cols[keep], tuple_codes(y, v), 0 * cols[keep], (-1) ** (i + 1)))
+    parts.append((cols, cols // (v - 1), x[:, -1], (-1) ** n))
+    col, tgt, last = (np.concatenate(a) for a in zip(*[p[:3] for p in parts]))
+    sign = np.concatenate([np.full(len(p[0]), p[3], dtype=np.int64) for p in parts])
+    return col, tgt, last, sign
+
+
 def tuple_bar_differential(n, v):
     """Tuple-level normalized bar differential Dbar^{x n} -> Dbar^{x (n-1)}
     with trivial coefficients (the map Mbar(n) -> Mbar(n-1) before any
     position sign)."""
-    src = exp_tuples(n, v)
-    tgt_index = {t: i for i, t in enumerate(exp_tuples(n - 1, v))}
-    data = {}
-    for col, tup in enumerate(src):
-        def add(key, c):
-            if all(x % v for x in key):
-                k = (tgt_index[key], col)
-                data[k] = data.get(k, 0) + c
+    col, tgt, _, sign = _bar_faces(n, v)
+    return IntegerMatrix._from_coo((v - 1) ** (n - 1), (v - 1) ** n, tgt, col, sign)
 
-        add(tup[1:], 1)
-        for i in range(n - 1):
-            add(tup[:i] + ((tup[i] + tup[i + 1]) % v,) + tup[i + 2 :], (-1) ** (i + 1))
-        add(tup[:-1], (-1) ** n)
-    return IntegerMatrix(len(tgt_index), len(src), data)
+
+def _memoized(method):
+    """Keep a ResolutionContext method's results, per context and arguments."""
+
+    @functools.wraps(method)
+    def cached(self, *args):
+        key = (method.__name__, args)
+        if key not in self._memo:
+            self._memo[key] = method(self, *args)
+        return self._memo[key]
+
+    return cached
 
 
 class ResolutionContext:
@@ -101,17 +142,7 @@ class ResolutionContext:
     def __init__(self, u, t):
         self.G = CrossedProduct(u, t)
         self.u, self.t, self.v = u, t, u * t
-        self._dl = {}
-        self._sigma_l_X = {}
-        self._sigma_l_Y = {}
-        self._resolution = {}
-        self._bar_bases = {}
-        self._bar_index = {}
-        self._bprime = {}
-        self._phi = {}
-        self._varphi = {}
-        self._omega = {}
-        self._breve_varphi = {}
+        self._memo = {}
 
     # -- structure maps of the array ------------------------------------
 
@@ -196,21 +227,9 @@ class ResolutionContext:
     # -- right E-linear extension ---------------------------------------
 
     def extend_right(self, val):
-        """Full matrix of the right E-linear map with the given value on w_1.
-
-        val is a dense vector over the basis of a single E cell; the
-        column for basis element e is val pushed through right
-        multiplication by e.
-        """
-        G = self.G
-        v = self.v
-        data = {}
-        for col, e in enumerate(G.elems):
-            perm = G.right_perm(e)
-            for src, x in enumerate(val):
-                if x:
-                    data[(perm[src], col)] = data.get((perm[src], col), 0) + x
-        return IntegerMatrix(v, v, data)
+        """Full matrix of the right E-linear map with the given value on w_1,
+        a dense vector over the basis of a single E cell."""
+        return right_translate(IntegerMatrix.from_columns([val], rows=self.v), self.v)
 
     def _w1(self):
         vec = _vec(self.v)
@@ -219,13 +238,11 @@ class ResolutionContext:
 
     # -- the higher differentials d^l -------------------------------------
 
+    @_memoized
     def dl(self, l, alpha, beta):
         """d^l_{alpha,beta}: X_{alpha,beta} -> X_{alpha+l-1,beta-l}, recursive."""
         if not (1 <= l <= beta and alpha >= 0):
             raise ValueError(f"d^{l} undefined at ({alpha},{beta})")
-        key = (l, alpha, beta)
-        if key in self._dl:
-            return self._dl[key]
         w1 = self._w1()
         if l == 1 and alpha == 0:
             val = self.sigma0(0) @ self.partial_col(beta) @ self.upsilon()
@@ -254,9 +271,7 @@ class ResolutionContext:
                 for idx, x in enumerate(m.apply(w1)):
                     acc[idx] += x
             vec = [-x for x in acc]
-        out = self.extend_right(vec)
-        self._dl[key] = out
-        return out
+        return self.extend_right(vec)
 
     def dl_closed(self, l, alpha, beta):
         """Closed form: d^1 alternates w_1 - w_y / the y-norm, d^2 is -w_1
@@ -281,13 +296,11 @@ class ResolutionContext:
 
     # -- the Z-linear homotopies sigma^l ----------------------------------
 
+    @_memoized
     def sigma_l_X(self, l, alpha, beta):
         """sigma^l: X_{alpha,beta} -> X_{alpha+l+1,beta-l} (alpha >= 0)."""
         if l == 0:
             return self.sigma0(alpha + 1)
-        key = (l, alpha, beta)
-        if key in self._sigma_l_X:
-            return self._sigma_l_X[key]
         acc = IntegerMatrix.zero(self.v, self.v)
         for i in range(l):
             term = (
@@ -296,17 +309,13 @@ class ResolutionContext:
                 @ self.sigma_l_X(i, alpha, beta)
             )
             acc = acc + term
-        out = -acc
-        self._sigma_l_X[key] = out
-        return out
+        return -acc
 
+    @_memoized
     def sigma_l_Y(self, l, beta):
         """sigma^l: Y_beta -> X_{l,beta-l} (the alpha = -1 case)."""
         if l == 0:
             return self.sigma0(0)
-        key = (l, beta)
-        if key in self._sigma_l_Y:
-            return self._sigma_l_Y[key]
         acc = IntegerMatrix.zero(self.v, self.t)
         for i in range(l):
             term = (
@@ -315,9 +324,7 @@ class ResolutionContext:
                 @ self.sigma_l_Y(i, beta)
             )
             acc = acc + term
-        out = -acc
-        self._sigma_l_Y[key] = out
-        return out
+        return -acc
 
     # -- totalization -----------------------------------------------------
 
@@ -375,9 +382,8 @@ class ResolutionContext:
                     blocks[(tgt_index[pos], bj)] = self.sigma_l_X(l, alpha, beta)
         return block_matrix(blocks, [self.v] * len(tgts), [self.v] * len(srcs))
 
+    @_memoized
     def resolution(self, nmax):
-        if nmax in self._resolution:
-            return self._resolution[nmax]
         modules = {}
         for n in range(nmax + 1):
             labels = tuple(
@@ -387,7 +393,6 @@ class ResolutionContext:
         diff = {n: self.total_d(n) for n in range(1, nmax + 1)}
         chain = ChainComplex(modules, diff)
         sigma = {n: self.sigma_bar(n) for n in range(0, nmax + 1)}
-        self._resolution[nmax] = (chain, sigma)
         return chain, sigma
 
     def verify_resolution(self, nmax):
@@ -410,289 +415,126 @@ class ResolutionContext:
         return CheckReport(True)
 
     # -- normalized bar resolution over E ---------------------------------
-
-    def bar_basis(self, n):
-        if n not in self._bar_bases:
-            nontriv = [k for k, e in enumerate(self.G.elems) if e != self.G.identity]
-            basis = [
-                t + (b,)
-                for t in itertools.product(nontriv, repeat=n)
-                for b in range(self.v)
-            ]
-            self._bar_bases[n] = basis
-            self._bar_index[n] = {t: i for i, t in enumerate(basis)}
-        return self._bar_bases[n]
+    #
+    # bar_n has the basis (e_1..e_n, b), e_k != 1, at index
+    # tuple_codes(e_1..e_n) * v + b: an element's index is its exponent.
+    # A right E-linear map out of bar_n (or X_n) is held by its normalised
+    # columns, those of the basis elements whose E slot is the identity,
+    # index 0 (one per exponent tuple, or per cell); right_translate gives
+    # the others.
 
     def bar_rank(self, n):
-        return len(self.bar_basis(n))
+        return (self.v - 1) ** n * self.v
 
+    @_memoized
     def bprime(self, n):
-        """bar_n -> bar_{n-1}; first face drops e_1 (trivial coefficients)."""
-        if n in self._bprime:
-            return self._bprime[n]
-        G = self.G
-        ident = G.index[G.identity]
-        src = self.bar_basis(n)
-        tgt_index = self._bar_index_for(n - 1)
-        data = {}
-        for col, tup in enumerate(src):
-            def add(key, c):
-                k = (tgt_index[key], col)
-                data[k] = data.get(k, 0) + c
-
-            add(tup[1:], 1)
-            for i in range(n - 1):
-                merged = G.index[G.mul(G.elems[tup[i]], G.elems[tup[i + 1]])]
-                if merged != ident:
-                    add(tup[:i] + (merged,) + tup[i + 2 :], (-1) ** (i + 1))
-            last = G.index[G.mul(G.elems[tup[n - 1]], G.elems[tup[n]])]
-            add(tup[: n - 1] + (last,), (-1) ** n)
-        out = IntegerMatrix(self.bar_rank(n - 1), self.bar_rank(n), data)
-        self._bprime[n] = out
-        return out
-
-    def _bar_index_for(self, n):
-        self.bar_basis(n)
-        return self._bar_index[n]
+        """bar_n -> bar_{n-1}, normalised columns; the first face drops e_1
+        (trivial coefficients)."""
+        col, tgt, last, sign = _bar_faces(n, self.v)
+        return IntegerMatrix._from_coo(
+            self.bar_rank(n - 1), (self.v - 1) ** n, tgt * self.v + last, col, sign
+        )
 
     def bar_xi(self, n):
         """Contracting homotopy bar_{n-1} -> bar_n, x -> (-1)^n (x tensor 1)."""
-        G = self.G
-        ident = G.index[G.identity]
-        src = self.bar_basis(n - 1)
-        tgt_index = self._bar_index_for(n)
-        data = {}
-        for col, tup in enumerate(src):
-            b = tup[-1]
-            if b != ident:
-                data[(tgt_index[tup[:-1] + (b, ident)], col)] = (-1) ** n
-        return IntegerMatrix(self.bar_rank(n), self.bar_rank(n - 1), data)
+        v = self.v
+        c = np.arange(self.bar_rank(n - 1))
+        c = c[c % v != 0]
+        return IntegerMatrix._from_coo(
+            self.bar_rank(n),
+            self.bar_rank(n - 1),
+            ((c // v) * (v - 1) + c % v - 1) * v,
+            c,
+            np.full(len(c), (-1) ** n, dtype=np.int64),
+            canonical=True,
+        )
 
-    # -- comparison maps ---------------------------------------------------
+    # -- comparison maps, on normalised columns -----------------------------
 
-    @staticmethod
-    def _apply_cols(cols, svec):
-        """Matrix times sparse vector, with the matrix given per column."""
-        out = {}
-        for j, c in svec.items():
-            for i, v in cols[j].items():
-                w = out.get(i, 0) + v * c
-                if w:
-                    out[i] = w
-                elif i in out:
-                    del out[i]
-        return out
-
+    @_memoized
     def phi(self, n):
-        """phi_n: X_n -> bar_n (right E-linear chain map, phi_0 = id)."""
-        if n in self._phi:
-            return self._phi[n]
-        G = self.G
-        ident = G.index[G.identity]
+        """phi_n: X_n -> bar_n (right E-linear chain map, phi_0 = id), one
+        normalised column per cell of X_n."""
+        v = self.v
         if n == 0:
-            out = IntegerMatrix.identity(self.v)
-            # bar_0 basis is (b,): identify with E basis order
-            self._phi[0] = out
-            return out
-        prev_cols = self.phi(n - 1).columns()
-        chain, _ = self.resolution(n)
-        d_cols = chain.diff[n].columns()
-        xi_cols = self.bar_xi(n).columns()
-        cells = self.cells(n)
-        cols = []
-        for bj, pos in enumerate(cells):
-            w1col = bj * self.v + ident
-            val = self._apply_cols(
-                xi_cols, self._apply_cols(prev_cols, d_cols[w1col])
-            )
-            cols.append(val)
-        # extend right-E-linearly cellwise
-        data = {}
-        tgt_index = self._bar_index_for(n)
-        basis_n = self.bar_basis(n)
-        for bj, pos in enumerate(cells):
-            support = list(cols[bj].items())
-            for eidx, e in enumerate(G.elems):
-                col = bj * self.v + eidx
-                if e == G.identity:
-                    for row, c in support:
-                        data[(row, col)] = c
-                else:
-                    for row, c in support:
-                        rt = basis_n[row]
-                        moved = rt[:-1] + (G.index[G.mul(G.elems[rt[-1]], e)],)
-                        k = (tgt_index[moved], col)
-                        data[k] = data.get(k, 0) + c
-        out = IntegerMatrix(self.bar_rank(n), (n + 1) * self.v, data)
-        self._phi[n] = out
-        return out
+            return self.unit()
+        d = self.resolution(n)[0].diff[n]
+        w1_cols = d.col_idx % v == 0
+        d_w1 = IntegerMatrix._from_coo(
+            d.rows, n + 1, d.row_idx[w1_cols], d.col_idx[w1_cols] // v, d.values[w1_cols],
+            canonical=True,
+        )
+        return self.bar_xi(n) @ (right_translate(self.phi(n - 1), v) @ d_w1)
 
+    @_memoized
     def varphi(self, n):
-        """varphi_n: bar_n -> X_n with varphi o phi = id (varphi_0 = id)."""
-        if n in self._varphi:
-            return self._varphi[n]
-        G = self.G
-        ident = G.index[G.identity]
+        """varphi_n: bar_n -> X_n with varphi o phi = id (varphi_0 = id),
+        normalised columns."""
         if n == 0:
-            out = IntegerMatrix.identity(self.v)
-            self._varphi[0] = out
-            return out
-        prev_cols = self.varphi(n - 1).columns()
-        chain, sigma = self.resolution(n)
-        sb_cols = sigma[n].columns()
-        bp_cols = self.bprime(n).columns()
-        src = self.bar_basis(n)
-        src_index = self._bar_index[n]
-        data = {}
-        xrank = (n + 1) * self.v
-        vals = {}
-        for tup in src:
-            if tup[-1] != ident:
-                continue
-            col = src_index[tup]
-            vals[tup] = self._apply_cols(
-                sb_cols, self._apply_cols(prev_cols, bp_cols[col])
-            )
-        perms = [G.right_perm(e) for e in G.elems]
-        for col, tup in enumerate(src):
-            e = tup[-1]
-            base = vals[tup[:-1] + (ident,)]
-            if e == ident:
-                for row, c in base.items():
-                    data[(row, col)] = c
-            else:
-                perm = perms[e]
-                for row, c in base.items():
-                    cell, inner = divmod(row, self.v)
-                    k = (cell * self.v + perm[inner], col)
-                    data[k] = data.get(k, 0) + c
-        out = IntegerMatrix(xrank, self.bar_rank(n), data)
-        self._varphi[n] = out
-        return out
+            return self.unit()
+        sigma = self.resolution(n)[1]
+        return sigma[n] @ (right_translate(self.varphi(n - 1), self.v) @ self.bprime(n))
 
+    @_memoized
     def omega(self, n):
-        """omega_n: bar_{n-1} -> bar_n, the homotopy from phi o varphi to id."""
-        if n in self._omega:
-            return self._omega[n]
+        """omega_n: bar_{n-1} -> bar_n, the homotopy from phi o varphi to id,
+        normalised columns."""
         if n == 1:
-            out = IntegerMatrix.zero(self.bar_rank(1), self.bar_rank(0))
-            self._omega[1] = out
-            return out
-        G = self.G
-        ident = G.index[G.identity]
-        m = n - 1
-        phi_cols = self.phi(m).columns()
-        varphi_cols = self.varphi(m).columns()
-        omega_cols = self.omega(m).columns()
-        bp_cols = self.bprime(m).columns()
-        xi_cols = self.bar_xi(n).columns()
-        src = self.bar_basis(m)
-        src_index = self._bar_index[m]
-        vals = {}
-        for tup in src:
-            if tup[-1] != ident:
-                continue
-            col = src_index[tup]
-            t1 = self._apply_cols(phi_cols, varphi_cols[col])
-            t1[col] = t1.get(col, 0) - 1
-            down = self._apply_cols(omega_cols, bp_cols[col])
-            combined = dict(t1)
-            for row, c in down.items():
-                w = combined.get(row, 0) - c
-                if w:
-                    combined[row] = w
-                elif row in combined:
-                    del combined[row]
-            vals[tup] = self._apply_cols(xi_cols, combined)
-        out = self.bar_extend_right_from(m, n, vals)
-        self._omega[n] = out
-        return out
-
-    def bar_extend_right_from(self, m, n, vals):
-        """Extend values on w_1 columns of bar_m to a full matrix bar_m -> bar_n."""
-        G = self.G
-        ident = G.index[G.identity]
-        src = self.bar_basis(m)
-        tgt_basis = self.bar_basis(n)
-        tgt_index = self._bar_index_for(n)
-        data = {}
-        for col, tup in enumerate(src):
-            e = tup[-1]
-            base = vals[tup[:-1] + (ident,)]
-            if e == ident:
-                for row, c in base.items():
-                    data[(row, col)] = c
-            else:
-                for row, c in base.items():
-                    rt = tgt_basis[row]
-                    moved = rt[:-1] + (G.index[G.mul(G.elems[rt[-1]], G.elems[e])],)
-                    k = (tgt_index[moved], col)
-                    data[k] = data.get(k, 0) + c
-        return IntegerMatrix(self.bar_rank(n), self.bar_rank(m), data)
+            return IntegerMatrix.zero(self.bar_rank(1), 1)
+        v, m = self.v, n - 1
+        codes = np.arange((v - 1) ** m)
+        identity = IntegerMatrix._from_coo(
+            self.bar_rank(m), len(codes), codes * v, codes, np.ones(len(codes), dtype=np.int64),
+            canonical=True,
+        )
+        t1 = right_translate(self.phi(m), v) @ self.varphi(m) - identity
+        down = right_translate(self.omega(m), v) @ self.bprime(m)
+        return self.bar_xi(n) @ (t1 - down)
 
     # -- induced maps on trivial coefficients ------------------------------
 
-    def _to_exp_tuple(self, elem_tuple):
-        return tuple(self.G.f_exp(self.G.elems[k]) for k in elem_tuple)
+    @_memoized
+    def breve_phi(self, n):
+        """phi_n on trivial coefficients: exponent tuples of length n by
+        cells of X_n."""
+        return _augment(self.phi(n), self.v)
 
-    def breve_phi(self, alpha, beta):
-        """The vector x in Dbar^{x n} with induced phi(m) = x tensor m."""
-        n = alpha + beta
-        phi_n = self.phi(n)
-        bj = self.cells(n).index((alpha, beta))
-        col = bj * self.v + self.G.index[self.G.identity]
-        out = {}
-        basis = self.bar_basis(n)
-        for row, val in phi_n.column(col).items():
-            tup = basis[row]
-            key = self._to_exp_tuple(tup[:-1])
-            out[key] = out.get(key, 0) + val
-        return {k: v for k, v in out.items() if v}
+    @_memoized
+    def breve_varphi(self, n):
+        """varphi_n on trivial coefficients: cells of X_n by exponent tuples
+        of length n."""
+        return _augment(self.varphi(n), self.v)
 
-    def breve_varphi(self, alpha, beta):
-        """Integer-valued function on exponent tuples inducing the
-        (alpha, beta)-component of varphi on trivial coefficients."""
-        n = alpha + beta
-        if n not in self._breve_varphi:
-            # every cell of degree n at once: varphi_n's rows are the cells'
-            # E bases, v rows per cell
-            cols = self.varphi(n).columns()
-            ident = self.G.index[self.G.identity]
-            index = self._bar_index_for(n)
-            per_cell = [{} for _ in range(n + 1)]
-            for tupE in itertools.product(
-                [k for k in range(self.v) if k != ident], repeat=n
-            ):
-                sums = [0] * (n + 1)
-                for r, val in cols[index[tupE + (ident,)]].items():
-                    sums[r // self.v] += val
-                key = self._to_exp_tuple(tupE)
-                for out, s in zip(per_cell, sums):
-                    if s:
-                        out[key] = s
-            self._breve_varphi[n] = per_cell
-        return self._breve_varphi[n][self.cells(n).index((alpha, beta))]
-
+    @_memoized
     def breve_omega(self, n):
-        """Tuple-level homotopy: exponent tuples of length n-1 to length n."""
-        omega_n = self.omega(n)
-        cols = omega_n.columns()
-        ident = self.G.index[self.G.identity]
-        tgt_basis = self.bar_basis(n)
-        out = {}
-        index = self._bar_index_for(n - 1)
-        for tupE in itertools.product(
-            [k for k in range(self.v) if k != ident], repeat=n - 1
-        ):
-            col = index[tupE + (ident,)]
-            terms = {}
-            for row, val in cols[col].items():
-                key = self._to_exp_tuple(tgt_basis[row][:-1])
-                terms[key] = terms.get(key, 0) + val
-            terms = {k: v for k, v in terms.items() if v}
-            if terms:
-                out[self._to_exp_tuple(tupE)] = terms
-        return out
+        """Tuple-level homotopy: exponent tuples of length n by those of
+        length n-1."""
+        return _augment(self.omega(n), self.v)
+
+
+def right_translate(N, v):
+    """The full matrix of the right E-linear map with normalised columns N.
+
+    Row q * v + a of N is the element of index a in the q-th E summand of
+    the target (a cell of X, or the E slot of a bar tuple).  Column
+    j * v + b of the result is column j of N translated by the element b:
+    each row q * v + a moves to q * v + (a + b) mod v.
+    """
+    b = np.arange(v)
+    q, a = np.divmod(N.row_idx, v)
+    return IntegerMatrix._from_coo(
+        N.rows,
+        N.cols * v,
+        (q[:, None] * v + (a[:, None] + b) % v).ravel(),
+        (N.col_idx[:, None] * v + b).ravel(),
+        np.repeat(N.values, v),
+    )
+
+
+def _augment(N, v):
+    """Normalised columns tensored down to trivial coefficients: rows
+    q * v + a summed over a into row q."""
+    return IntegerMatrix._from_coo(N.rows // v, N.cols, N.row_idx // v, N.col_idx, N.values)
 
 
 def pepito_scalar(l, alpha, beta, u, t):
@@ -710,7 +552,8 @@ def pepito_scalar(l, alpha, beta, u, t):
 
 @dataclass
 class ComparisonData:
-    """phi: X -> bar, varphi: bar -> X, omega: degree +1 on bar."""
+    """phi: X -> bar, varphi: bar -> X, omega: degree +1 on bar, as full
+    matrices (right_translate of the context's normalised columns)."""
 
     context: ResolutionContext
     nmax: int
@@ -730,6 +573,7 @@ class ComparisonData:
         """
         ctx = self.context
         chain, sigma = ctx.resolution(self.nmax)
+        bprime = {n: right_translate(ctx.bprime(n), ctx.v) for n in range(1, self.nmax + 1)}
         if ctx.t >= 2:
             for n in range(self.nmax + 1):
                 if self.varphi[n] @ self.phi[n] != IntegerMatrix.identity(chain.rank(n)):
@@ -749,14 +593,14 @@ class ComparisonData:
                     return CheckReport(False, "varphi o phi ~ id", n)
                 H_prev = H_n
         for n in range(1, self.nmax + 1):
-            if ctx.bprime(n) @ self.phi[n] != self.phi[n - 1] @ chain.diff[n]:
+            if bprime[n] @ self.phi[n] != self.phi[n - 1] @ chain.diff[n]:
                 return CheckReport(False, "phi chain map", n)
-            if chain.diff[n] @ self.varphi[n] != self.varphi[n - 1] @ ctx.bprime(n):
+            if chain.diff[n] @ self.varphi[n] != self.varphi[n - 1] @ bprime[n]:
                 return CheckReport(False, "varphi chain map", n)
         for n in range(self.nmax):
-            lhs = ctx.bprime(n + 1) @ self.omega[n + 1]
+            lhs = bprime[n + 1] @ self.omega[n + 1]
             if n >= 1:
-                lhs = lhs + self.omega[n] @ ctx.bprime(n)
+                lhs = lhs + self.omega[n] @ bprime[n]
             rhs = self.phi[n] @ self.varphi[n] - IntegerMatrix.identity(ctx.bar_rank(n))
             if lhs != rhs:
                 return CheckReport(False, "omega homotopy identity", n)
@@ -901,9 +745,9 @@ def comparison_maps(params, n_max):
     data = ComparisonData(
         ctx,
         n_max,
-        {n: ctx.phi(n) for n in range(n_max + 1)},
-        {n: ctx.varphi(n) for n in range(n_max + 1)},
-        {n: ctx.omega(n) for n in range(1, n_max + 1)},
+        {n: right_translate(ctx.phi(n), ctx.v) for n in range(n_max + 1)},
+        {n: right_translate(ctx.varphi(n), ctx.v) for n in range(n_max + 1)},
+        {n: right_translate(ctx.omega(n), ctx.v) for n in range(1, n_max + 1)},
     )
     report = data.verify()
     if not report:
@@ -922,25 +766,12 @@ class CoefficientComplex:
     M: PresentedModule
     nmax: int
     chain: ChainComplex           # degree n module: one copy of M per cell
-    bar_modules: dict             # n -> PresentedModule on (exp tuple, gen) basis
+    bar_modules: dict             # n -> PresentedModule on the unlabelled basis
+                                  # (exp tuple, generator of M), tuples outer
     bar_diff: dict                # n -> bar_n -> bar_{n-1}
     phibar: dict                  # n -> X_n(M) -> bar_n(M)
     varphibar: dict               # n -> bar_n(M) -> X_n(M)
     omegabar: dict                # n -> bar_{n-1}(M) -> bar_n(M)
-
-
-def _kron_with_identity(tuple_map, src_tuples, tgt_tuples, g):
-    """Kronecker of a tuple-level map (dict src -> {tgt: coeff}) with id_g."""
-    tgt_index = {t: i for i, t in enumerate(tgt_tuples)}
-    src_index = {t: i for i, t in enumerate(src_tuples)}
-    data = {}
-    for src, terms in tuple_map.items():
-        sj = src_index[src]
-        for tgt, c in terms.items():
-            ti = tgt_index[tgt]
-            for k in range(g):
-                data[(ti * g + k, sj * g + k)] = c
-    return IntegerMatrix(len(tgt_tuples) * g, len(src_tuples) * g, data)
 
 
 def coefficient_complex(params, M, n_max):
@@ -949,27 +780,25 @@ def coefficient_complex(params, M, n_max):
 
     Block differentials are produced twice: from the closed-form scalar
     table and by collapsing the group-ring matrices along the
-    augmentation; both must agree.
+    augmentation; both must agree.  The comparison maps are the
+    context's tuple-level maps tensored with the identity of M.
     """
     ctx = get_context(params)
     u, t, v = ctx.u, ctx.t, ctx.v
     g = M.ngens
+    ident = ctx.G.index[ctx.G.identity]
+    id_g = IntegerMatrix.identity(g)
 
     modules = {}
     diff = {}
     for n in range(n_max + 1):
-        cells = [(alpha, n - alpha) for alpha in range(n + 1)]
+        cells = ctx.cells(n)
         labels = tuple((pos, lab) for pos in cells for lab in (M.labels or range(g)))
-        rel_blocks = {(bi, bi): M.relations for bi in range(len(cells))}
-        relations = block_matrix(
-            {k: v_ for k, v_ in rel_blocks.items() if v_.rows},
-            [M.relations.rows] * len(cells),
-            [g] * len(cells),
-        ) if M.relations.rows else IntegerMatrix.zero(0, len(cells) * g)
+        relations = IntegerMatrix.identity(len(cells)).kron(M.relations)
         modules[n] = PresentedModule(len(cells) * g, relations, labels)
     for n in range(1, n_max + 1):
-        srcs = [(alpha, n - alpha) for alpha in range(n + 1)]
-        tgts = [(alpha, n - 1 - alpha) for alpha in range(n)]
+        srcs = ctx.cells(n)
+        tgts = ctx.cells(n - 1)
         tgt_index = {pos: k for k, pos in enumerate(tgts)}
         blocks = {}
         for bj, (alpha, beta) in enumerate(srcs):
@@ -983,9 +812,7 @@ def coefficient_complex(params, M, n_max):
                 # in the known t = 1 degeneracy, where the second-order maps
                 # vanish (their closed form -1 presumes t >= 2)
                 mat = ctx.d0(alpha, beta) if l == 0 else ctx.dl(l, alpha, beta)
-                w1 = _vec(v)
-                w1[ctx.G.index[(0, 0)]] = 1
-                eps = sum(mat.apply(w1))
+                eps = sum(mat.column(ident).values())
                 table = pepito_scalar(l, alpha, beta, u, t)
                 if eps != table and not (
                     t == 1 and l == 2 and alpha % 2 == 0 and eps == 0 and table == -1
@@ -995,7 +822,7 @@ def coefficient_complex(params, M, n_max):
                     )
                 if eps:
                     bi = tgt_index[pos]
-                    blk = IntegerMatrix.identity(g).scale(eps)
+                    blk = id_g.scale(eps)
                     if (bi, bj) in blocks:
                         blocks[(bi, bj)] = blocks[(bi, bj)] + blk
                     else:
@@ -1004,52 +831,13 @@ def coefficient_complex(params, M, n_max):
     chain = ChainComplex(modules, diff)
 
     bar_modules = {}
-    bar_diff = {}
-    phibar = {}
-    varphibar = {}
-    omegabar = {}
     for n in range(n_max + 1):
-        tuples = exp_tuples(n, v)
-        labels = tuple((tup, lab) for tup in tuples for lab in (M.labels or range(g)))
-        if M.relations.rows:
-            relations = block_matrix(
-                {(i, i): M.relations for i in range(len(tuples))},
-                [M.relations.rows] * len(tuples),
-                [g] * len(tuples),
-            )
-        else:
-            relations = IntegerMatrix.zero(0, len(tuples) * g)
-        bar_modules[n] = PresentedModule(len(tuples) * g, relations, labels)
-    for n in range(1, n_max + 1):
-        tb = tuple_bar_differential(n, v)
-        src_tuples = exp_tuples(n, v)
-        tgt_tuples = exp_tuples(n - 1, v)
-        tuple_map = {
-            src_tuples[c]: {tgt_tuples[r]: val for r, val in col.items()}
-            for c, col in enumerate(tb.columns())
-            if col
-        }
-        bar_diff[n] = _kron_with_identity(tuple_map, src_tuples, tgt_tuples, g)
-        om = ctx.breve_omega(n)
-        omegabar[n] = _kron_with_identity(om, tgt_tuples, src_tuples, g)
-    for n in range(n_max + 1):
-        cells = [(alpha, n - alpha) for alpha in range(n + 1)]
-        tuples = exp_tuples(n, v)
-        tindex = {tup: i for i, tup in enumerate(tuples)}
-        data = {}
-        for bj, (alpha, beta) in enumerate(cells):
-            for tup, c in ctx.breve_phi(alpha, beta).items():
-                ti = tindex[tup]
-                for k in range(g):
-                    data[(ti * g + k, bj * g + k)] = c
-        phibar[n] = IntegerMatrix(len(tuples) * g, len(cells) * g, data)
-        data = {}
-        for bj, (alpha, beta) in enumerate(cells):
-            for tup, c in ctx.breve_varphi(alpha, beta).items():
-                ti = tindex[tup]
-                for k in range(g):
-                    data[(bj * g + k, ti * g + k)] = c
-        varphibar[n] = IntegerMatrix(len(cells) * g, len(tuples) * g, data)
+        relations = IntegerMatrix.identity((v - 1) ** n).kron(M.relations)
+        bar_modules[n] = PresentedModule(relations.cols, relations)
+    bar_diff = {n: tuple_bar_differential(n, v).kron(id_g) for n in range(1, n_max + 1)}
+    phibar = {n: ctx.breve_phi(n).kron(id_g) for n in range(n_max + 1)}
+    varphibar = {n: ctx.breve_varphi(n).kron(id_g) for n in range(n_max + 1)}
+    omegabar = {n: ctx.breve_omega(n).kron(id_g) for n in range(1, n_max + 1)}
 
     return CoefficientComplex(
         v, u, t, M, n_max, chain, bar_modules, bar_diff, phibar, varphibar, omegabar

@@ -58,6 +58,8 @@ from .cyclic_resolution import (
     exp_tuples,
     pepito_scalar,
     tuple_bar_differential,
+    tuple_codes,
+    tuple_letters,
 )
 from .homology_engine import (
     ChainComplex,
@@ -101,20 +103,19 @@ def shuffle_quotient(s, v):
         raise ValueError("shuffle quotients supported for 1 <= s <= 3 only")
     if v < 2:
         raise ValueError("carrier must have at least 2 elements")
-    labels = exp_tuples(s, v)
-    index = {t: i for i, t in enumerate(labels)}
-    rows = []
+    # relation (l - 1) * T + k belongs to the k-th tuple and the
+    # (l, s-l) shuffles; an arrangement permutes the columns of letters
+    letters = tuple_letters(s, v)
+    T = len(letters)
+    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64))]
     for l in range(1, s):
-        arrangements = _shuffle_arrangements(l, s)
-        for tup in labels:
-            row = {}
-            for sign, placement in arrangements:
-                key = tuple(tup[placement[q]] for q in range(s))
-                row[index[key]] = row.get(index[key], 0) + sign
-            rows.append(row)
-    data = {(i, j): val for i, row in enumerate(rows) for j, val in row.items()}
-    relations = IntegerMatrix(len(rows), len(labels), data)
-    return PresentedModule(len(labels), relations, tuple(labels))
+        for sign, placement in _shuffle_arrangements(l, s):
+            parts.append(
+                ((l - 1) * T + np.arange(T), tuple_codes(letters[:, placement], v), np.full(T, sign))
+            )
+    r, c, values = (np.concatenate(a) for a in zip(*parts))
+    relations = IntegerMatrix._from_coo((s - 1) * T, T, r, c, values)
+    return PresentedModule(T, relations, tuple(exp_tuples(s, v)))
 
 
 def _tensor_labels(r, s, v):
@@ -145,16 +146,7 @@ def full_double_complex(lcs, cap=3):
         for s in range(1, n + 1):
             r = n - s
             labels = tuple(_tensor_labels(r, s, v))
-            base_rel = relcache[s]
-            if base_rel.rows:
-                ngts = len(exp_tuples(r, v))
-                relations = block_matrix(
-                    {(gi, gi): base_rel for gi in range(ngts)},
-                    [base_rel.rows] * ngts,
-                    [base_rel.cols] * ngts,
-                )
-            else:
-                relations = IntegerMatrix.zero(0, len(labels))
+            relations = IntegerMatrix.identity((v - 1) ** r).kron(relcache[s])
             cells[(r, s)] = PresentedModule(len(labels), relations, labels)
     dh = {}
     dv = {}
@@ -220,28 +212,35 @@ def perturbation_delta(lcs, cells, positions=((1, 1), (2, 1), (1, 2))):
     positions=None takes the twist everywhere on the grid, which is the
     honest square-zero perturbation (the truncated version fails
     (d + delta)^2 = 0 above total degree 3, without affecting the
-    transferred arrows)."""
-    dot = lcs.dot
+    transferred arrows).
+
+    Cell (r, s) must have the basis Dbar^{x r} (x) Dbar^{x s} in
+    exp_tuples order of the joined tuples (gt, mt), as both the full
+    complex and the shuffle-quotient bar cells do; so the generator with
+    code c, tuple (x_1..x_n), has the plain face x_2..x_n at c mod
+    (v-1)^(n-1) and the twisted face x_1.x_2..x_1.x_n."""
+    v = lcs.v
+    dot = np.array(lcs.dot, dtype=np.int64)
     delta = {}
     if positions is None:
         positions = [(r, s) for (r, s) in cells if r >= 1]
     for (r, s) in positions:
         if (r, s) not in cells or (r - 1, s) not in cells:
             continue
-        src = cells[(r, s)].labels
-        tgt_index = {lab: i for i, lab in enumerate(cells[(r - 1, s)].labels)}
-        data = {}
-        for col, (gt, mt) in enumerate(src):
-            g1 = gt[0]
-            twisted = (
-                tuple(dot[g1][x] for x in gt[1:]),
-                tuple(dot[g1][x] for x in mt),
-            )
-            plain = (gt[1:], mt)
-            for key, c in ((twisted, 1), (plain, -1)):
-                k = (tgt_index[key], col)
-                data[k] = data.get(k, 0) + c
-        delta[(r, s)] = IntegerMatrix(len(tgt_index), len(src), data)
+        n = r + s
+        if (cells[(r, s)].ngens, cells[(r - 1, s)].ngens) != ((v - 1) ** n, (v - 1) ** (n - 1)):
+            raise ValueError(f"cells at {(r, s)} are not on the exponent-tuple basis")
+        x = tuple_letters(n, v)
+        cols = np.arange(len(x))
+        twisted = tuple_codes(dot[x[:, :1], x[:, 1:]], v)
+        plain = cols % (v - 1) ** (n - 1)
+        delta[(r, s)] = IntegerMatrix._from_coo(
+            (v - 1) ** (n - 1),
+            len(x),
+            np.concatenate((twisted, plain)),
+            np.concatenate((cols, cols)),
+            np.repeat(np.array([1, -1], dtype=np.int64), len(x)),
+        )
     return delta
 
 
@@ -330,10 +329,8 @@ def _arrow_matrices(params):
     return arrows
 
 
-def _reduced_modules(params):
-    v = params.v
+def _reduced_modules(quotients):
     mods = {}
-    quotients = {s: shuffle_quotient(s, v) for s in (1, 2, 3)}
     for degree, blocks in ((1, DEG1), (2, DEG2), (3, DEG3)):
         labels = []
         rel_blocks = {}
@@ -367,7 +364,8 @@ def reduced_complex(params):
     """The reduced partial total complex, built from the closed-form arrows
     and cross-checked against the perturbation-lemma transfer."""
     arrows = _arrow_matrices(params)
-    mods = _reduced_modules(params)
+    quotients = {s: shuffle_quotient(s, params.v) for s in (1, 2, 3)}
+    mods = _reduced_modules(quotients)
     d2 = _assemble(
         {
             ((1, (0, 0)), (2, (0, 0))): arrows["dv_002"],
@@ -395,7 +393,7 @@ def reduced_complex(params):
     if not (d2 @ d3).is_zero():
         raise AssertionError("reduced complex fails d o d = 0")
 
-    transfer = _transfer_reduced(params)
+    transfer = _transfer_reduced(params, quotients)
     for name, (pos, tgt_cell, src_cell) in {
         "dh1_011": ((1, 1), (0, 0), (0, 1)),
         "dh1_111": ((2, 1), (1, 0), (1, 1)),
@@ -438,12 +436,12 @@ def _extract_block(m, pos, tgt_cell, src_cell, params):
     return m.submatrix(bi * gsize, (bi + 1) * gsize, bj * gsize, (bj + 1) * gsize)
 
 
-def _transfer_reduced(params):
-    """Row-wise perturbation transfer on the grid {(r, s)} used in degrees <= 3."""
+def _transfer_reduced(params, quotients):
+    """Row-wise perturbation transfer on the grid {(r, s)} used in degrees
+    <= 3, over the shuffle quotients Mbar(s), s = 1, 2, 3."""
     v, t = params.v, params.t
     lcs = make_cyclic_lcs(params)
     rmax = {1: 3, 2: 2, 3: 1}
-    quotients = {s: shuffle_quotient(s, v) for s in (1, 2, 3)}
     ccs = {s: coefficient_complex(params, quotients[s], rmax[s]) for s in (1, 2, 3)}
 
     xcells, xdh, xdv = {}, {}, {}
@@ -464,24 +462,12 @@ def _transfer_reduced(params):
                 cdh[(r, s)] = cc.bar_diff[r]
                 xdh[(r, s)] = _pepito_row_d(params, r, s, g)
     for s in (2, 3):
-        g_src = quotients[s].ngens
-        g_tgt = quotients[s - 1].ngens
         for r in range(min(rmax[s], rmax[s - 1]) + 1):
-            sign = (-1) ** (r + 1)
-            # X side: block diagonal over the cells of degree r
-            cells_r = [(alpha, r - alpha) for alpha in range(r + 1)]
-            xdv[(r, s)] = block_matrix(
-                {(bi, bi): inner[s].scale(sign) for bi in range(len(cells_r))},
-                [g_tgt] * len(cells_r),
-                [g_src] * len(cells_r),
-            )
-            # bar side: id on the group slots tensor the inner map
-            ngt = (v - 1) ** r
-            cdv[(r, s)] = block_matrix(
-                {(k, k): inner[s].scale(sign) for k in range(ngt)},
-                [g_tgt] * ngt,
-                [g_src] * ngt,
-            )
+            signed = inner[s].scale((-1) ** (r + 1))
+            # X side: block diagonal over the r + 1 cells of degree r; bar
+            # side: id on the group slots tensor the inner map
+            xdv[(r, s)] = IntegerMatrix.identity(r + 1).kron(signed)
+            cdv[(r, s)] = IntegerMatrix.identity((v - 1) ** r).kron(signed)
     delta = perturbation_delta(lcs, ccells, positions=None)
     system = RowSDRSystem(
         DoubleComplex(xcells, xdh, xdv), DoubleComplex(ccells, cdh, cdv), i_maps, p_maps, h_maps
@@ -983,6 +969,8 @@ def all_cocycle_pairs(params, gamma, cap=2**20):
 
     Enumerates the kernel of the cocycle conditions; the raw cochain
     space must stay under the cap."""
+    if not gamma.is_finite:
+        raise ValueError("enumeration requires finite coefficients")
     v = params.v
     n_sym = (v - 1) * v // 2
     raw = gamma.order() ** ((v - 1) ** 2 + n_sym)

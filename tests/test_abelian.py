@@ -242,6 +242,9 @@ def test_integer_matrix_against_python_int_reference(bound):
             [a.get((i, j), 0) for j in range(k)] for i in range(n)
         ]
         assert _entries(A.vstack(D)) == {**a, **{(i + n, j): v for (i, j), v in d.items()}}
+        kron = {(i * k + r, j * m + c): x * y for (i, j), x in a.items() for (r, c), y in b.items()}
+        assert _entries(A.kron(B)) == kron
+        assert A.kron(B) == IntegerMatrix(n * k, k * m, kron)  # canonical arrays
         de = _random_entries(rng, k, k, bound)
         blocks = block_matrix({(0, 0): A, (1, 1): B, (1, 0): IntegerMatrix(k, k, de)}, [n, k], [k, m])
         assert _entries(blocks) == {
@@ -270,6 +273,7 @@ def test_integer_matrix_never_wraps():
     B = IntegerMatrix.from_rows([[2**31], [2**31]])
     assert (A @ B).dense() == [[2**63]]
     assert (A @ B - IntegerMatrix.from_rows([[1]])).dense() == [[2**63 - 1]]
+    assert IntegerMatrix.from_rows([[2**31]]).kron(IntegerMatrix.from_rows([[-(2**32)]])).dense() == [[-(2**63)]]
     # constructor input at or beyond 2^62 is held as Python ints, and a
     # result that falls back below the bound returns to int64
     big = IntegerMatrix.from_rows([[2**62, -(2**70)], [1, 0]])

@@ -8,6 +8,7 @@ from cyclecoh.cyclic_resolution import (
     crossed_product,
     contracting_homotopies,
     dl_maps,
+    exp_tuples,
     get_context,
     pepito_scalar,
     resolution,
@@ -19,6 +20,23 @@ P212 = CyclicFamilyParams(2, 1, 2)   # v=4, u=2, t=2
 P312 = CyclicFamilyParams(3, 1, 2)   # v=9, u=3, t=3
 P211 = CyclicFamilyParams(2, 1, 1)   # v=2, u=2, t=1
 P223 = CyclicFamilyParams(2, 2, 3)   # v=8, u=4, t=2
+
+
+def code(v, *letters):
+    """Position of an exponent tuple in exp_tuples: the normalised column
+    of a bar map at that tuple."""
+    return exp_tuples(len(letters), v).index(letters)
+
+
+def bar_index(v, *tup):
+    """Index of the bar basis element (e_1, ..., e_n, b)."""
+    return code(v, *tup[:-1]) * v + tup[-1]
+
+
+def by_tuple(col, n, v):
+    """A column over the exponent tuples of length n, keyed by the tuples."""
+    tuples = exp_tuples(n, v)
+    return {tuples[r]: c for r, c in col.items()}
 
 
 def test_crossed_product_structure():
@@ -196,25 +214,24 @@ def test_phi_closed_forms():
         ident = G.index[G.identity]
         w_y = G.index[(0, 1 % t)]
         xw = G.index[(1, 0)]
+        # one normalised column (the value on w_1) per cell
         phi1 = ctx.phi(1)
-        idx1 = ctx._bar_index_for(1)
         # on X_{0,1}: w_y tensor w_1; on X_{1,0}: -x w_1 tensor w_1
-        assert phi1.column(0 * v + ident) == {idx1[(w_y, ident)]: 1}
-        assert phi1.column(1 * v + ident) == {idx1[(xw, ident)]: -1}
+        assert phi1.column(0) == {bar_index(v, w_y, ident): 1}
+        assert phi1.column(1) == {bar_index(v, xw, ident): -1}
         phi2 = ctx.phi(2)
-        idx2 = ctx._bar_index_for(2)
-        col = phi2.column(0 * v + ident)  # X_{0,2}
+        col = phi2.column(0)  # X_{0,2}
         expected = {}
         for h in range(1, t):
-            expected[idx2[(w_y, G.index[(0, h)], ident)]] = -1
+            expected[bar_index(v, w_y, G.index[(0, h)], ident)] = -1
         assert col == expected
-        col = phi2.column(1 * v + ident)  # X_{1,1}
+        col = phi2.column(1)  # X_{1,1}
         assert col == {
-            idx2[(w_y, xw, ident)]: 1,
-            idx2[(xw, w_y, ident)]: -1,
+            bar_index(v, w_y, xw, ident): 1,
+            bar_index(v, xw, w_y, ident): -1,
         }
-        col = phi2.column(2 * v + ident)  # X_{2,0}
-        expected = {idx2[(xw, G.index[(h, 0)], ident)]: -1 for h in range(1, u)}
+        col = phi2.column(2)  # X_{2,0}
+        expected = {bar_index(v, xw, G.index[(h, 0)], ident): -1 for h in range(1, u)}
         assert col == expected
 
 
@@ -222,13 +239,11 @@ def test_varphi_closed_forms():
     for params in (P212, P312):
         ctx = get_context(params)
         G, v = ctx.G, ctx.v
-        ident = G.index[G.identity]
-        varphi1 = ctx.varphi(1)
-        idx1 = ctx._bar_index_for(1)
+        varphi1 = ctx.varphi(1)  # normalised columns, one per exponent tuple
         for (i, j) in G.elems:
             if (i, j) == G.identity:
                 continue
-            col = varphi1.column(idx1[(G.index[(i, j)], ident)])
+            col = varphi1.column(code(v, G.index[(i, j)]))
             expected = {}
             for h in range(j):  # component in X_{0,1}: sum_{h<j} w_{y^h}
                 expected[0 * v + G.index[(0, h)]] = 1
@@ -244,21 +259,19 @@ def test_omega2_closed_form():
         ident = G.index[G.identity]
         w_y = G.index[(0, 1 % t)]
         xw = G.index[(1, 0)]
-        omega2 = ctx.omega(2)
-        idx1 = ctx._bar_index_for(1)
-        idx2 = ctx._bar_index_for(2)
+        omega2 = ctx.omega(2)  # normalised columns, one per exponent tuple
         for (i, j) in G.elems:
             if (i, j) == G.identity:
                 continue
-            col = omega2.column(idx1[(G.index[(i, j)], ident)])
+            col = omega2.column(code(v, G.index[(i, j)]))
             expected = {}
             for h in range(i):
                 if (h, j) == G.identity:
                     continue  # the normalized basis drops identity slots
-                key = idx2[(xw, G.index[(h, j)], ident)]
+                key = bar_index(v, xw, G.index[(h, j)], ident)
                 expected[key] = expected.get(key, 0) + 1
             for h in range(1, j):
-                key = idx2[(w_y, G.index[(0, h)], ident)]
+                key = bar_index(v, w_y, G.index[(0, h)], ident)
                 expected[key] = expected.get(key, 0) + 1
             assert col == {k: c for k, c in expected.items() if c}, (params, i, j)
 
@@ -349,19 +362,21 @@ def test_induced_closed_forms():
     # varphi-bar on degree 1: g^{t i + j} -> j on the (0,1) block, -i on (1,0)
     for params in (P212, P312):
         ctx = get_context(params)
-        t = params.t
-        bv01 = ctx.breve_varphi(0, 1)
-        bv10 = ctx.breve_varphi(1, 0)
-        for a in range(1, params.v):
+        t, v = params.t, params.v
+        # rows: the cells (0,1), (1,0); columns: the exponent tuples
+        bv = ctx.breve_varphi(1)
+        for a in range(1, v):
             i, j = divmod(a, t)
-            assert bv01.get((a,), 0) == j
-            assert bv10.get((a,), 0) == -i
-        # phi-bar vectors: g on (0,1); -g^t on (1,0); and degree 2 forms
-        assert ctx.breve_phi(0, 1) == {(1 % params.v,): 1}
-        assert ctx.breve_phi(1, 0) == {(t % params.v,): -1}
-        assert ctx.breve_phi(0, 2) == {(1, l): -1 for l in range(1, t)}
-        assert ctx.breve_phi(1, 1) == {(1, t): 1, (t, 1): -1}
-        assert ctx.breve_phi(2, 0) == {(t, (t * l) % params.v): -1 for l in range(1, params.u)}
+            assert bv.entry(0, code(v, a)) == j
+            assert bv.entry(1, code(v, a)) == -i
+        # phi-bar vectors: g on (0,1); -g^t on (1,0); and degree 2 forms on
+        # the cells (0,2), (1,1), (2,0)
+        bp1, bp2 = ctx.breve_phi(1), ctx.breve_phi(2)
+        assert by_tuple(bp1.column(0), 1, v) == {(1 % v,): 1}
+        assert by_tuple(bp1.column(1), 1, v) == {(t % v,): -1}
+        assert by_tuple(bp2.column(0), 2, v) == {(1, l): -1 for l in range(1, t)}
+        assert by_tuple(bp2.column(1), 2, v) == {(1, t): 1, (t, 1): -1}
+        assert by_tuple(bp2.column(2), 2, v) == {(t, (t * l) % v): -1 for l in range(1, params.u)}
 
 
 def test_induced_omega2_closed_form():
@@ -380,4 +395,4 @@ def test_induced_omega2_closed_form():
             for l in range(1, j):
                 expected[(1, l)] = expected.get((1, l), 0) + 1
             expected = {k: c for k, c in expected.items() if c}
-            assert om.get((a,), {}) == expected, (params, a)
+            assert by_tuple(om.column(code(v, a)), 2, v) == expected, (params, a)

@@ -682,6 +682,16 @@ def test_enumerated_cocycles_match_h2_order():
         assert len(pairs) == h2 * nb
 
 
+def test_all_cocycle_pairs_refuses_infinite_coefficients():
+    # a free factor is refused before the cochain space is counted, with
+    # the error the CLI's enumeration gives
+    for orders in ((0,), (0, 2)):
+        gamma = FinAbGroup.from_cyclic_orders(orders)
+        assert not gamma.is_finite
+        with pytest.raises(ValueError, match="^enumeration requires finite coefficients$"):
+            all_cocycle_pairs(P211, gamma)
+
+
 def test_theta_parameterization_is_bijective():
     # case 2 < u < v: (g1, g) with v g1 = u g maps bijectively onto
     # Gamma x Gamma_u via (g1, t g1 - g)

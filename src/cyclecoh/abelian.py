@@ -237,21 +237,6 @@ class IntegerMatrix:
             self.values.astype(dtype, copy=False) * k, canonical=True,
         )
 
-    def _product_fits_int64(self, other):
-        """max_i sum_k |self_ik| * max |other| < 2^62, evaluated exactly.
-
-        The bound holds every entry of the product, and every partial sum
-        of the terms of an entry, below 2^62."""
-        if self.values.dtype == object or other.values.dtype == object:
-            return False
-        if not len(self.values):
-            return True
-        absv = np.abs(self.values)
-        if int(absv.max()) * len(absv) >= 2**63:
-            absv = absv.astype(object)  # the int64 row sums could wrap
-        firsts = np.flatnonzero(np.diff(self.row_idx, prepend=-1))
-        return int(np.add.reduceat(absv, firsts).max()) * _abs_max(other.values) < _INT64_BOUND
-
     def __matmul__(self, other):
         if isinstance(other, IntegerMatrix):
             if self.cols != other.rows:
@@ -259,17 +244,19 @@ class IntegerMatrix:
                     f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
                 )
             # one term per pair (self entry (i, k), other entry in row k);
-            # other's row k holds its entries ptr[k]:ptr[k + 1]
+            # other's row k holds its entries ptr[k]:ptr[k + 1], and the
+            # entries of self that meet an empty row are dropped first
             ptr = np.searchsorted(other.row_idx, np.arange(other.rows + 1))
-            k = self.col_idx
-            counts = ptr[k + 1] - ptr[k]
+            counts = ptr[self.col_idx + 1] - ptr[self.col_idx]
+            meet = counts > 0
+            i, k, a, counts = self.row_idx[meet], self.col_idx[meet], self.values[meet], counts[meet]
             first_term = np.cumsum(counts) - counts
             idx = np.arange(int(counts.sum())) + np.repeat(ptr[k] - first_term, counts)
-            dtype = np.int64 if self._product_fits_int64(other) else object
-            terms = np.repeat(self.values.astype(dtype, copy=False), counts)
+            dtype = np.int64 if _product_fits_int64(i, a, other.values) else object
+            terms = np.repeat(a.astype(dtype, copy=False), counts)
             terms *= other.values.astype(dtype, copy=False)[idx]
             return IntegerMatrix._from_coo(
-                self.rows, other.cols, np.repeat(self.row_idx, counts), other.col_idx[idx], terms
+                self.rows, other.cols, np.repeat(i, counts), other.col_idx[idx], terms
             )
         return NotImplemented
 
@@ -347,6 +334,24 @@ class IntegerMatrix:
 
     def __repr__(self):
         return f"IntegerMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
+
+
+def _product_fits_int64(rows, values, other_values):
+    """max_i sum_k |A_ik| * max |B| < 2^62 for the left entries (rows,
+    values) in row-major order and the right entries other_values,
+    evaluated exactly.
+
+    The bound holds every entry of the product, and every partial sum of
+    the terms of an entry, below 2^62."""
+    if values.dtype == object or other_values.dtype == object:
+        return False
+    if not len(values):
+        return True
+    absv = np.abs(values)
+    if int(absv.max()) * len(absv) >= 2**63:
+        absv = absv.astype(object)  # the int64 row sums could wrap
+    firsts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return int(np.add.reduceat(absv, firsts).max()) * _abs_max(other_values) < _INT64_BOUND
 
 
 def _canonical_coo(rows, cols, r, c, values):

@@ -482,12 +482,9 @@ class ResolutionContext:
         if n == 1:
             return IntegerMatrix.zero(self.bar_rank(1), 1)
         v, m = self.v, n - 1
-        codes = np.arange((v - 1) ** m)
-        identity = IntegerMatrix._from_coo(
-            self.bar_rank(m), len(codes), codes * v, codes, np.ones(len(codes), dtype=np.int64),
-            canonical=True,
-        )
-        t1 = right_translate(self.phi(m), v) @ self.varphi(m) - identity
+        # xi_n (phi varphi - id - omega_m b'); the identity's normalised
+        # columns have the identity in the E slot, which xi_n kills
+        t1 = right_translate(self.phi(m), v) @ self.varphi(m)
         down = right_translate(self.omega(m), v) @ self.bprime(m)
         return self.bar_xi(n) @ (t1 - down)
 

@@ -233,49 +233,46 @@ def perturb_double_complex(system, delta, n0, verify=True, vanishes_beyond=True)
         return d @ h
 
     # smallness per row
-    for pos in system.C.cells:
-        dh = dh_at(pos)
-        if dh is not None and not dh.power(n0).is_zero():
+    dh = {pos: dh_at(pos) for pos in system.C.cells}
+    for pos, m in dh.items():
+        if m is not None and not m.power(n0).is_zero():
             raise ValueError(f"perturbation not small at {pos}")
 
-    def A_at(pos):
-        d = delta.get(pos)
+    def A_times(pos, X):
+        """A @ X for A = sum_{j < n0} (delta h)^j delta at pos, applied to X
+        right to left: A itself, on the large C_{r,s}, is never formed."""
+        d = delta.get(pos) if pos in system.C.cells else None
         if d is None:
             return None
-        dh = dh_at((pos[0] - 1, pos[1]))
-        if dh is None:
-            return d
-        acc = d
-        term = d
+        term = acc = d @ X
+        delta_h = dh.get((pos[0] - 1, pos[1]))
+        if delta_h is None:
+            return acc
         for _ in range(n0 - 1):
-            term = dh @ term
+            term = delta_h @ term
             if term.is_zero():
                 break
             acc = acc + term
         return acc
-
-    A = {pos: A_at(pos) for pos in system.C.cells}
 
     new_dhX = dict(system.X.dh)
     i1 = dict(system.i)
     p1 = dict(system.p)
     h1 = dict(system.h)
     for (r, s) in system.C.cells:
-        An = A.get((r, s))
-        if An is not None:
-            if (r - 1, s) in system.p and (r, s) in system.i:
-                corr = system.p[(r - 1, s)] @ An @ system.i[(r, s)]
+        Ai = A_times((r, s), system.i[(r, s)]) if (r, s) in system.i else None
+        if Ai is not None:
+            if (r - 1, s) in system.p:
+                corr = system.p[(r - 1, s)] @ Ai
                 base = system.X.dh.get((r, s))
                 new_dhX[(r, s)] = corr if base is None else base + corr
-            # products taken right to left: h @ An would be a square matrix
-            # on C_{r,s}, and h @ An1 below one on the larger C_{r+1,s}
-            if (r - 1, s) in system.h and (r, s) in system.i:
-                i1[(r, s)] = system.i[(r, s)] + system.h[(r - 1, s)] @ (An @ system.i[(r, s)])
-        An1 = A.get((r + 1, s))
-        if An1 is not None and (r, s) in system.h:
+            if (r - 1, s) in system.h:
+                i1[(r, s)] = system.i[(r, s)] + system.h[(r - 1, s)] @ Ai
+        Ah = A_times((r + 1, s), system.h[(r, s)]) if (r, s) in system.h else None
+        if Ah is not None:
             if (r, s) in system.p:
-                p1[(r, s)] = system.p[(r, s)] + system.p[(r, s)] @ An1 @ system.h[(r, s)]
-            h1[(r, s)] = system.h[(r, s)] + system.h[(r, s)] @ (An1 @ system.h[(r, s)])
+                p1[(r, s)] = system.p[(r, s)] + system.p[(r, s)] @ Ah
+            h1[(r, s)] = system.h[(r, s)] + system.h[(r, s)] @ Ah
 
     if not vanishes_beyond:
         tops = {}

@@ -240,6 +240,14 @@ class RefBar:
                 out[self._exp(tupE)] = s
         return out
 
+    def breve_varphi_map(self, n):
+        """breve_varphi of every cell of degree n, as tuple -> {cell: coeff}."""
+        out = {}
+        for cell in self.ctx.cells(n):
+            for tup, c in self.breve_varphi(*cell).items():
+                out.setdefault(tup, {})[cell] = c
+        return out
+
     def breve_omega(self, n):
         cols = self.omega(n).columns()
         index = self.index(n - 1)
@@ -380,16 +388,9 @@ def test_tuple_maps_match_reference(member):
     for n in range(4):
         tuples = exp_tuples(n, v)
         cells = ctx.cells(n)
-        phi = {}
-        for cell in cells:
-            for tup, c in ref.breve_phi(*cell).items():
-                phi.setdefault(cell, {})[tup] = c
+        phi = {cell: ref.breve_phi(*cell) for cell in cells}
         assert ctx.breve_phi(n) == as_matrix(phi, cells, tuples), n
-        varphi = {}
-        for cell in cells:
-            for tup, c in ref.breve_varphi(*cell).items():
-                varphi.setdefault(tup, {})[cell] = c
-        assert ctx.breve_varphi(n) == as_matrix(varphi, tuples, cells), n
+        assert ctx.breve_varphi(n) == as_matrix(ref.breve_varphi_map(n), tuples, cells), n
         if n >= 1:
             om = ref.breve_omega(n)
             assert ctx.breve_omega(n) == as_matrix(om, exp_tuples(n - 1, v), tuples), n
@@ -410,10 +411,7 @@ def test_coefficient_complexes_match_reference(member):
             assert cc.chain.modules[n].relations == ref_block_diagonal(M.relations, len(cells))
             phi = {cell: ref.breve_phi(*cell) for cell in cells}
             assert cc.phibar[n] == ref_kron_with_identity(phi, cells, tuples, g), (s, n)
-            varphi = {}
-            for cell in cells:
-                for tup, c in ref.breve_varphi(*cell).items():
-                    varphi.setdefault(tup, {})[cell] = c
+            varphi = ref.breve_varphi_map(n)
             assert cc.varphibar[n] == ref_kron_with_identity(varphi, tuples, cells, g), (s, n)
             if n >= 1:
                 prev = exp_tuples(n - 1, v)

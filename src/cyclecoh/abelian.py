@@ -185,6 +185,10 @@ class IntegerMatrix:
         )
 
     @property
+    def shape(self):
+        return (self.rows, self.cols)
+
+    @property
     def nnz(self):
         return len(self.values)
 
@@ -962,11 +966,10 @@ def hom_cohomology_at(d_in, d_out, domain_relations, gamma, out_relations=None):
         top[p] = max(top.get(p, 0), k)
     kernels = {}
     for p, k in top.items():
-        m = p**k
-        kd = modular.kernel_mod_pk(A.to_numpy_mod(m), p, k)
+        kd = modular.kernel_mod_pk(A, p, k)
         okd = None
         if n_out and not d_out.is_zero():
-            okd = modular.kernel_mod_pk(out_relations.to_numpy_mod(m), p, k)
+            okd = modular.kernel_mod_pk(out_relations, p, k)
         kernels[p] = kd, okd
 
     for p, k, fidx, embed in pp_coords:

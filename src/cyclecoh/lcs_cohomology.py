@@ -150,11 +150,15 @@ def full_double_complex(lcs, cap=3):
             cells[(r, s)] = PresentedModule(len(labels), relations, labels)
     dh = {}
     dv = {}
-    for (r, s), mod in cells.items():
+    for (r, s) in cells:
         if r >= 1 and (r - 1, s) in cells:
-            dh[(r, s)] = _full_dh(lcs, r, s, cells)
+            dh[(r, s)] = _full_dh(lcs, r, s)
         if s >= 2 and (r, s - 1) in cells:
-            dv[(r, s)] = _full_dv(v, r, s, cells)
+            dv[(r, s)] = (
+                IntegerMatrix.identity((v - 1) ** r)
+                .kron(tuple_bar_differential(s, v))
+                .scale((-1) ** (r + 1))
+            )
     dc = DoubleComplex(cells, dh, dv)
     report = dc.validate()
     if not report:
@@ -162,47 +166,27 @@ def full_double_complex(lcs, cap=3):
     return FullComplexSlice(lcs, cap, dc, total_complex(dc))
 
 
-def _full_dh(lcs, r, s, cells):
+def _full_dh(lcs, r, s):
+    """The horizontal differential C_{r,s} -> C_{r-1,s} on exponent-tuple
+    codes: the generator (gt, mt), joined into one tuple x_1..x_n, has
+    the twisted face x_1.x_2..x_1.x_n, the merges of adjacent letters of
+    gt with signs (-1)^j (dropped where the sum is 0 mod v) and the
+    last face, gt without its last letter, with sign (-1)^r."""
     v = lcs.v
-    dot = lcs.dot
-    src = cells[(r, s)].labels
-    tgt_index = {lab: i for i, lab in enumerate(cells[(r - 1, s)].labels)}
-    data = {}
-    for col, (gt, mt) in enumerate(src):
-        def add(key, c):
-            gt2, mt2 = key
-            if all(x % v for x in gt2) and all(x % v for x in mt2):
-                k = (tgt_index[(gt2, mt2)], col)
-                data[k] = data.get(k, 0) + c
-
-        g1 = gt[0]
-        add(
-            (
-                tuple(dot[g1][x] for x in gt[1:]),
-                tuple(dot[g1][x] for x in mt),
-            ),
-            1,
-        )
-        for j in range(1, r):
-            merged = gt[: j - 1] + ((gt[j - 1] + gt[j]) % v,) + gt[j + 1 :]
-            add((merged, mt), (-1) ** j)
-        add((gt[:-1], mt), (-1) ** r)
-    return IntegerMatrix(len(tgt_index), len(src), data)
-
-
-def _full_dv(v, r, s, cells):
-    src = cells[(r, s)].labels
-    tgt_index = {lab: i for i, lab in enumerate(cells[(r, s - 1)].labels)}
-    inner_cols = tuple_bar_differential(s, v).columns()
-    m_index = {t: i for i, t in enumerate(exp_tuples(s, v))}
-    tgt_mts = exp_tuples(s - 1, v)
-    sign = (-1) ** (r + 1)
-    data = {}
-    for col, (gt, mt) in enumerate(src):
-        for row, val in inner_cols[m_index[mt]].items():
-            k = (tgt_index[(gt, tgt_mts[row])], col)
-            data[k] = data.get(k, 0) + sign * val
-    return IntegerMatrix(len(tgt_index), len(src), data)
+    dot = np.array(lcs.dot, dtype=np.int64)
+    x = tuple_letters(r + s, v)
+    faces = [(dot[x[:, :1], x[:, 1:]], 1)]
+    for j in range(1, r):
+        merged = (x[:, j - 1 : j] + x[:, j : j + 1]) % v
+        faces.append((np.concatenate((x[:, : j - 1], merged, x[:, j + 1 :]), axis=1), (-1) ** j))
+    faces.append((np.delete(x, r - 1, axis=1), (-1) ** r))
+    cols = np.arange(len(x))
+    parts = []
+    for y, sign in faces:
+        keep = (y != 0).all(axis=1)
+        parts.append((tuple_codes(y[keep], v), cols[keep], np.full(int(keep.sum()), sign)))
+    tgt, col, values = (np.concatenate(a) for a in zip(*parts))
+    return IntegerMatrix._from_coo((v - 1) ** (r + s - 1), len(x), tgt, col, values)
 
 
 def perturbation_delta(lcs, cells, positions=((1, 1), (2, 1), (1, 2))):
@@ -986,7 +970,7 @@ def all_cocycle_pairs(params, gamma, cap=2**20):
     ngen, r = chain.rank(2), len(gamma.factors)
     cochains = np.zeros((1, ngen, r), dtype=np.int64)
     for p, k, fidx, embed in pp:
-        kd = modular.kernel_mod_pk(A.to_numpy_mod(p**k), p, k)
+        kd = modular.kernel_mod_pk(A, p, k)
         s = len(kd.orders)
         combos = itertools.product(*[range(p**e) for e in kd.orders])
         combos = np.array(list(combos), dtype=np.int64)

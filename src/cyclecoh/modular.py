@@ -10,26 +10,40 @@ and only its column side is ever needed: the exponents, V and V^{-1}
 give the kernel of A and the change of basis into it.  `local_smith`
 reaches it in two phases.
 
-1. Sparse unit pivots.  The nonzero entries are read into Python-int
-   row dicts.  While an active column holds a unit (an entry prime to
-   p), take the sparsest such column and, in it, the sparsest unit row
-   (ties by index).  Clear the column with row operations on the dicts;
-   clear the pivot row with column operations, which after the column
-   clear only V and V^{-1} see.  A unit has valuation 0, the minimum,
-   so these pivots head the Smith order.  The condition matrices of the
-   cochain complexes are very sparse and nearly all of their pivots are
-   units.
-2. Dense residual.  Every entry left is divisible by p.  The remaining
-   rows and columns are densified into int64 and eliminated by pivoting
-   on an entry of minimal valuation; the block's V is composed into the
-   outer one.
+1. Sparse unit pivots, in rounds.  The nonzero entries are kept as
+   numpy arrays: row-major keys row * cols + col and values in
+   [1, p^k).  A round counts the entries of every row and column
+   (`np.bincount`).  Every active column that holds a unit (an entry
+   prime to p) offers its unit row with the fewest entries; the offers
+   are visited by column count and accepted while the block D of the
+   accepted pivots stays diagonal (ties go to the lower index
+   throughout).  With P the pivot columns, N the other active columns,
+   A12 the pivot rows on N and G = D^{-1} A12, the column operations
+   V[:, N] -= V[:, P] G and V^{-1}[P] += G V^{-1}[N] clear the pivot
+   rows, and row operations, which V does not see, turn the other rows
+   into the Schur complement A22 - A21 G: one expand, sum and reduce
+   mod p^k per round, as in `IntegerMatrix.__matmul__`.  A unit has
+   valuation 0, the minimum, so these pivots head the Smith order.  The
+   rounds stop when no active column holds a unit.  The condition
+   matrices of the cochain complexes are very sparse and nearly all of
+   their pivots are units: at v = 16 the 434 unit pivots of the largest
+   take 8 rounds.
+2. Dense residual.  Every entry left is divisible by p.  Only the rows
+   and columns of this residual are densified into int64 and eliminated
+   by pivoting on an entry of minimal valuation; the block's V is
+   composed into the outer one.
 
 Smith exponents truncate: reduced mod p^k (k <= K), the form over
 Z/p^K is the form over Z/p^k with exponents min(e, k) and the same V.
 So one elimination at the largest power of a prime serves every Z/p^k
-(`KernelData.truncate`).  The dense int64 arithmetic is exact because
-the modulus stays below 2^15: products stay below 2^30 and sums of up
-to 2^33 of them fit.
+(`KernelData.truncate`).  The int64 arithmetic is exact because the
+modulus stays below 2^15 (`_MAX_MODULUS`): every value is below 2^15,
+every product of two below 2^30, and each sum has at most cols + 1
+terms (an entry of a Schur complement sums one term per pivot of the
+round and one more; an entry of V or V^{-1}, or of the dense residual,
+at most one per column), so it stays below 2^62 while cols < 2^32.
+V and V^{-1} hold only values below 2^15, so the rounds keep them in
+int32 and widen each product to int64.
 """
 
 from __future__ import annotations
@@ -38,7 +52,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_MAX_MODULUS = 1 << 15  # keeps int64 products exact
+# values below 2^15 have products below 2^30, and a sum of at most
+# cols + 1 <= 2^32 of them (pivots per round + 1, or one per column)
+# stays below 2^62 in int64
+_MAX_MODULUS = 1 << 15
 
 
 class ResourceLimitError(ValueError):
@@ -53,88 +70,156 @@ def _check_modulus(m):
 def local_smith(A, p, k):
     """Column side of the Smith form of A over Z/p^k: (exps, V, Vinv).
 
-    A is a 2-D integer array; it is read, never written or copied whole,
-    and need not be reduced mod p^k.  exps has min(rows, cols) entries,
-    ascending: exps[i] is the valuation of the i-th diagonal entry, k
-    for a zero one.  V is invertible mod p^k with inverse Vinv; column i
-    of A @ V is divisible by p^exps[i] and the columns past
-    min(rows, cols) are 0 mod p^k.  Unit pivots are taken sparsely, the
-    rest densely (see the module docstring).
+    A is an `IntegerMatrix` or a 2-D integer array; it is read, never
+    written, and need not be reduced mod p^k.  Only its nonzero entries
+    are read: the canonical COO arrays of an `IntegerMatrix`, or those
+    one `np.nonzero` finds in an array.  exps has min(rows, cols)
+    entries, ascending: exps[i] is the valuation of the i-th diagonal
+    entry, k for a zero one.  V is invertible mod p^k with inverse Vinv;
+    column i of A @ V is divisible by p^exps[i] and the columns past
+    min(rows, cols) are 0 mod p^k.  Unit pivots are taken in sparse
+    rounds, the rest densely (see the module docstring).
     """
     m = p**k
     _check_modulus(m)
     nrows, ncols = A.shape
-    V = np.eye(ncols, dtype=np.int64)
-    Vinv = np.eye(ncols, dtype=np.int64)
-
-    rows = {}                                # row -> {col: entry in [1, m)}
-    col_rows = [set() for _ in range(ncols)]   # rows with an entry
-    col_units = [set() for _ in range(ncols)]  # rows with a unit entry
-    r_idx, c_idx = np.nonzero(A)
-    for r, c, a in zip(r_idx.tolist(), c_idx.tolist(), (A[r_idx, c_idx] % m).tolist()):
-        if a:
-            rows.setdefault(r, {})[c] = a
-            col_rows[c].add(r)
-            if a % p:
-                col_units[c].add(r)
-
-    active = set(range(ncols))
+    if isinstance(A, np.ndarray):
+        r, c = np.nonzero(A)
+        a = A[r, c]
+    else:
+        r, c, a = A.row_idx, A.col_idx, A.values
+    # the entries are kept as row-major keys r * ncols + c and values in [1, m)
+    a = (a % m).astype(np.int64)
+    live = a != 0
+    key, a = r[live] * ncols + c[live], a[live]
+    del r, c, live
+    # W is V transposed, so that V's column operations are row operations;
+    # W and Vinv hold values below m < 2^15 in int32, widened for each update
+    W = np.eye(ncols, dtype=np.int32)
+    Vinv = np.eye(ncols, dtype=np.int32)
+    active = np.ones(ncols, dtype=bool)
     order = []  # pivot columns in Smith order
     while True:
-        best = min(((len(col_rows[j]), j) for j in active if col_units[j]), default=None)
-        if best is None:
+        pr, pc = _unit_pivots(key, a, p, nrows, ncols)
+        if not len(pc):
             break
-        c = best[1]
-        r = min(col_units[c], key=lambda s: (len(rows[s]), s))
-        prow = rows.pop(r)
-        for j in prow:
-            col_rows[j].discard(r)
-            col_units[j].discard(r)
-        uinv = pow(prow.pop(c), -1, m)
-        # clear column c with row operations
-        for s in col_rows[c]:
-            row = rows[s]
-            f = row.pop(c) * uinv % m
-            for j, a in prow.items():
-                x = (row.get(j, 0) - f * a) % m
-                if x:
-                    row[j] = x
-                    col_rows[j].add(s)
-                    if x % p:
-                        col_units[j].add(s)
-                    else:
-                        col_units[j].discard(s)
-                elif j in row:
-                    del row[j]
-                    col_rows[j].discard(s)
-                    col_units[j].discard(s)
-        col_rows[c] = col_units[c] = None  # inactive
-        active.discard(c)
-        order.append(c)
-        # clear row r with column operations: column c now holds only
-        # (r, c), so of the matrix only row r changes
-        if prow:
-            others = list(prow)
-            g = np.array([a * uinv % m for a in prow.values()], dtype=np.int64)
-            V[:, others] = (V[:, others] - np.outer(V[:, c], g)) % m
-            Vinv[c] = (Vinv[c] + g @ Vinv[others]) % m
+        key, a, (gt, gj, gv) = _pivot_round(key, a, pr, pc, m, nrows, ncols)
+        _add_rows(W, gj, pc[gt], m - gv, m)  # V[:, N] -= V[:, P] G
+        _add_rows(Vinv, pc[gt], gj, gv, m)   # Vinv[P] += G Vinv[N]
+        active[pc] = False
+        order += pc.tolist()
 
     exps = [0] * len(order)
-    res_cols = sorted(active)
-    res_rows = [row for _, row in sorted(rows.items()) if row]
-    if res_rows and res_cols:
-        pos = {j: i for i, j in enumerate(res_cols)}
+    res_cols = np.flatnonzero(active)
+    if len(a):
+        r, c = np.divmod(key, ncols)
+        res_rows, row_pos = np.unique(r, return_inverse=True)
         D = np.zeros((len(res_rows), len(res_cols)), dtype=np.int64)
-        for i, row in enumerate(res_rows):
-            for j, a in row.items():
-                D[i, pos[j]] = a
+        D[row_pos, np.searchsorted(res_cols, c)] = a
         res_exps, Vr, Vr_inv = _dense_smith(D, p, k)
-        V[:, res_cols] = (V[:, res_cols] @ Vr) % m
+        W[res_cols] = (Vr.T @ W[res_cols]) % m
         Vinv[res_cols] = (Vr_inv @ Vinv[res_cols]) % m
         exps += res_exps
-    order += res_cols
+    order += res_cols.tolist()
     exps += [k] * (min(nrows, ncols) - len(exps))
-    return exps, V[:, order], Vinv[order]
+    # one permuted copy at a time
+    W = W[order].astype(np.int64)
+    Vinv = Vinv[order].astype(np.int64)
+    return exps, W.T, Vinv
+
+
+def _unit_pivots(key, a, p, nrows, ncols):
+    """One round's pivots (pr, pc): unit entries whose block A[pr][:, pc]
+    is diagonal.
+
+    Every column holding a unit offers its unit row with the fewest
+    entries (ties by index); the offers are visited by column count
+    (ties by index), and one is accepted when its row meets no accepted
+    column (so it is not an accepted row either) and its column meets no
+    accepted row."""
+    r, c = np.divmod(key, ncols)
+    unit = a % p != 0
+    ur = r[unit]
+    row_n = np.bincount(r, minlength=nrows)
+    col_n = np.bincount(c, minlength=ncols)
+    # per column the least (row count, row) of a unit, as one number
+    best = np.full(ncols, (ncols + 1) * nrows, dtype=np.int64)
+    np.minimum.at(best, c[unit], row_n[ur] * nrows + ur)
+    uc = np.flatnonzero(best < (ncols + 1) * nrows)
+    ur = best[uc] % nrows
+    row_ptr = np.searchsorted(r, np.arange(nrows + 1))  # r is row-major
+    pivot = np.zeros(ncols, dtype=bool)  # accepted columns
+    met = np.zeros(ncols, dtype=bool)    # columns meeting an accepted row
+    visit = np.lexsort((uc, col_n[uc]))
+    pr, pc = [], []
+    for s, j in zip(ur[visit].tolist(), uc[visit].tolist()):
+        row = c[row_ptr[s] : row_ptr[s + 1]]
+        if met[j] or pivot[row].any():
+            continue
+        pr.append(s)
+        pc.append(j)
+        pivot[j] = True
+        met[row] = True
+    return np.array(pr, dtype=np.int64), np.array(pc, dtype=np.int64)
+
+
+def _pivot_round(key, a, pr, pc, m, nrows, ncols):
+    """Eliminate the pivots (pr[t], pc[t]), whose block D is diagonal.
+
+    With A12 the pivot rows off the pivot columns, A21 the pivot columns
+    off the pivot rows and A22 the rest, returns the Schur complement
+    A22 - A21 G as sorted keys and values reduced mod m, and G = D^-1 A12
+    as entries (pivot t, column j, value g) sorted by t."""
+    q = len(pr)
+    t_row = np.full(nrows, -1)
+    t_row[pr] = np.arange(q)
+    t_col = np.full(ncols, -1)
+    t_col[pc] = np.arange(q)
+    r, c = np.divmod(key, ncols)
+    in_row, in_col = t_row[r] >= 0, t_col[c] >= 0
+    diag = in_row & in_col
+    uinv = np.empty(q, dtype=np.int64)
+    uinv[t_row[r[diag]]] = [pow(u, -1, m) for u in a[diag].tolist()]
+    in12 = in_row & ~in_col
+    gt = t_row[r[in12]]
+    by_t = np.argsort(gt, kind="stable")
+    gt, gj = gt[by_t], c[in12][by_t]
+    gv = a[in12][by_t] * uinv[gt] % m
+    in21 = in_col & ~in_row
+    s, t, x = r[in21], t_col[c[in21]], a[in21]
+    rest = ~(in_row | in_col)
+    # each temporary goes before the next is built: the round's peak is
+    # a few arrays the length of its entries
+    del r, c, in_row, in_col
+    # one term per pair (A21 entry (s, t), G entry in row t), as in
+    # `IntegerMatrix.__matmul__`
+    g_ptr = np.searchsorted(gt, np.arange(q + 1))
+    counts = g_ptr[t + 1] - g_ptr[t]
+    idx = np.arange(int(counts.sum())) + np.repeat(g_ptr[t] - (np.cumsum(counts) - counts), counts)
+    key = np.concatenate((key[rest], np.repeat(s * ncols, counts) + gj[idx]))
+    a = np.concatenate((a[rest], -np.repeat(x, counts) * gv[idx]))
+    del rest, idx
+    by_key = np.argsort(key, kind="stable")
+    key = key[by_key]
+    a = a[by_key]
+    del by_key
+    firsts = np.flatnonzero(np.diff(key, prepend=-1))
+    if len(a):
+        a = np.add.reduceat(a, firsts) % m
+    live = a != 0
+    return key[firsts][live], a[live], (gt, gj, gv)
+
+
+def _add_rows(M, targets, sources, coeffs, m):
+    """M[t] = (M[t] + g M[s]) mod m for every (t, s, g), the terms of a
+    target summed; no target is a source."""
+    if not len(targets):
+        return
+    by_t = np.argsort(targets, kind="stable")
+    t = targets[by_t]
+    firsts = np.flatnonzero(np.diff(t, prepend=-1))
+    sums = np.add.reduceat(M[sources[by_t]] * coeffs[by_t, None], firsts, axis=0)
+    M[t[firsts]] = (M[t[firsts]] + sums) % m
 
 
 def _dense_smith(D, p, k):
@@ -203,7 +288,9 @@ class KernelData:
 
     gens[i] has additive order p^orders[i]; together they generate the
     kernel.  col_exps / V / Vinv retain the change of basis needed to
-    rewrite kernel vectors in terms of the generators.
+    rewrite kernel vectors in terms of the generators.  A truncation
+    shares V and Vinv with the kernel it came from: reduced mod p^K they
+    are inverse mod every p^k with k <= K.
     """
 
     gens: np.ndarray       # shape (s, ncols)
@@ -218,8 +305,7 @@ class KernelData:
         """The kernel of the same matrix over Z/p^k, for k <= self.k."""
         if k == self.k:
             return self
-        m = self.p**k
-        return _kernel_data([min(e, k) for e in self.col_exps], self.V % m, self.Vinv % m, self.p, k)
+        return _kernel_data([min(e, k) for e in self.col_exps], self.V, self.Vinv, self.p, k)
 
 
 def _kernel_data(col_exps, V, Vinv, p, k):
@@ -232,8 +318,8 @@ def _kernel_data(col_exps, V, Vinv, p, k):
 
 
 def kernel_mod_pk(A, p, k):
-    """Kernel of the integer matrix A over Z/p^k (A need not be reduced)."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
+    """Kernel over Z/p^k of A, an `IntegerMatrix` or a 2-D integer array
+    (need not be reduced)."""
     cols = A.shape[1]
     exps, V, Vinv = local_smith(A, p, k)
     return _kernel_data(exps + [k] * (cols - len(exps)), V, Vinv, p, k)

@@ -1,13 +1,116 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cyclecoh import lcs_cohomology, modular
-from cyclecoh.abelian import FinAbGroup, IntegerMatrix, _dedupe_rows, smith_normal_form
+from cyclecoh.abelian import (
+    FinAbGroup,
+    IntegerMatrix,
+    _dedupe_rows,
+    hom_cohomology_at,
+    smith_normal_form,
+)
 from cyclecoh.cycleset import CyclicFamilyParams
-from cyclecoh.lcs_cohomology import cohomology
+from cyclecoh.lcs_cohomology import cohomology, reduced_complex
+
+
+def ref_local_smith(A, p, k):
+    """The sequential elimination: one sparse unit pivot at a time on
+    Python-int row dicts (sparsest column with a unit, then its sparsest
+    unit row), then the dense residual.  A is a 2-D integer array."""
+    m = p**k
+    nrows, ncols = A.shape
+    V = np.eye(ncols, dtype=np.int64)
+    Vinv = np.eye(ncols, dtype=np.int64)
+
+    rows = {}                                  # row -> {col: entry in [1, m)}
+    col_rows = [set() for _ in range(ncols)]   # rows with an entry
+    col_units = [set() for _ in range(ncols)]  # rows with a unit entry
+    r_idx, c_idx = np.nonzero(A)
+    for r, c, a in zip(r_idx.tolist(), c_idx.tolist(), (A[r_idx, c_idx] % m).tolist()):
+        if a:
+            rows.setdefault(r, {})[c] = a
+            col_rows[c].add(r)
+            if a % p:
+                col_units[c].add(r)
+
+    active = set(range(ncols))
+    order = []
+    while True:
+        best = min(((len(col_rows[j]), j) for j in active if col_units[j]), default=None)
+        if best is None:
+            break
+        c = best[1]
+        r = min(col_units[c], key=lambda s: (len(rows[s]), s))
+        prow = rows.pop(r)
+        for j in prow:
+            col_rows[j].discard(r)
+            col_units[j].discard(r)
+        uinv = pow(prow.pop(c), -1, m)
+        for s in col_rows[c]:
+            row = rows[s]
+            f = row.pop(c) * uinv % m
+            for j, a in prow.items():
+                x = (row.get(j, 0) - f * a) % m
+                if x:
+                    row[j] = x
+                    col_rows[j].add(s)
+                    if x % p:
+                        col_units[j].add(s)
+                    else:
+                        col_units[j].discard(s)
+                elif j in row:
+                    del row[j]
+                    col_rows[j].discard(s)
+                    col_units[j].discard(s)
+        col_rows[c] = col_units[c] = None
+        active.discard(c)
+        order.append(c)
+        if prow:
+            others = list(prow)
+            g = np.array([a * uinv % m for a in prow.values()], dtype=np.int64)
+            V[:, others] = (V[:, others] - np.outer(V[:, c], g)) % m
+            Vinv[c] = (Vinv[c] + g @ Vinv[others]) % m
+
+    exps = [0] * len(order)
+    res_cols = sorted(active)
+    res_rows = [row for _, row in sorted(rows.items()) if row]
+    if res_rows and res_cols:
+        pos = {j: i for i, j in enumerate(res_cols)}
+        D = np.zeros((len(res_rows), len(res_cols)), dtype=np.int64)
+        for i, row in enumerate(res_rows):
+            for j, a in row.items():
+                D[i, pos[j]] = a
+        res_exps, Vr, Vr_inv = modular._dense_smith(D, p, k)
+        V[:, res_cols] = (V[:, res_cols] @ Vr) % m
+        Vinv[res_cols] = (Vr_inv @ Vinv[res_cols]) % m
+        exps += res_exps
+    order += res_cols
+    exps += [k] * (min(nrows, ncols) - len(exps))
+    return exps, V[:, order], Vinv[order]
+
+
+def _product_mod(X, Y, m):
+    """X @ Y mod m for arrays with entries in [0, m), exactly: every sum
+    stays below 2^53, so float64 holds it."""
+    assert X.shape[1] * m * m < 2**53
+    return np.rint(X.astype(np.float64) @ Y.astype(np.float64)).astype(np.int64) % m
+
+
+def _assert_smith(Amod, result, p, k):
+    """The contract of `local_smith` for A, given reduced mod p^k."""
+    exps, V, Vinv = result
+    m = p**k
+    rows, cols = Amod.shape
+    assert exps == sorted(exps) and len(exps) == min(rows, cols)
+    assert (_product_mod(V, Vinv, m) == np.eye(cols, dtype=np.int64)).all()
+    AV = _product_mod(Amod, V, m)
+    for i in range(cols):
+        e = exps[i] if i < len(exps) else k
+        assert not (AV[:, i] % p**e).any(), i
 
 
 def _valuation(n, p):
@@ -122,6 +225,118 @@ def test_smith_identities_on_full_condition_matrix(params, p, k):
     for i in range(A.cols):
         e = exps[i] if i < len(exps) else k
         assert not (AV[:, i] % p**e).any(), i
+
+
+# the prime powers of the coefficient groups the routes are run with
+ROUTE_PRIME_POWERS = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))
+
+
+def _condition_matrices(triple, route):
+    """The matrices a route eliminates for H^1 and H^2: the cocycle
+    conditions of each degree and the relations of degree 1."""
+    params = CyclicFamilyParams(*triple)
+    if route == "full":
+        chain = lcs_cohomology._full_slice(params).total
+        rel, d = chain.modules, chain.diff
+        mats = [(rel[n].relations, d[n + 1]) for n in (1, 2)]
+        out = rel[1].relations
+    else:
+        rc = reduced_complex(params)
+        mats = [(rc.modules[1].relations, rc.d2), (rc.modules[2].relations, rc.d3)]
+        out = rc.modules[1].relations
+    return [_dedupe_rows(r.vstack(d.transpose())) for r, d in mats] + [out]
+
+
+@pytest.mark.parametrize("route", ["full", "reduced"])
+@pytest.mark.parametrize("triple", [(2, 1, 2), (3, 1, 2), (2, 2, 3), (2, 2, 4)], ids=lambda m: "%d-%d-%d" % m)
+def test_rounds_match_sequential_elimination_on_condition_matrices(triple, route):
+    for A in _condition_matrices(triple, route):
+        for p, k in ROUTE_PRIME_POWERS:
+            Amod = A.to_numpy_mod(p**k)
+            result = modular.local_smith(A, p, k)
+            assert result[0] == ref_local_smith(Amod, p, k)[0], (A, p, k)
+            _assert_smith(Amod, result, p, k)
+
+
+def _sparse_cases():
+    """Seeded sparse matrices over Z/p^k: entries negative and at or above
+    p^k, some rows unit multiples of others, some divisible by p, and a
+    short first row with units in up to three columns, often the row
+    that several columns offer in the same round."""
+    rng = random.Random(20260218)
+    for p, k in ((2, 1), (2, 3), (3, 2), (5, 1)):
+        m = p**k
+        units = [u for u in range(1, m) if u % p]
+        for _ in range(40):
+            rows, cols = rng.randint(1, 24), rng.randint(1, 16)
+            density = rng.uniform(0.05, 0.4)
+            A = np.zeros((rows, cols), dtype=np.int64)
+            for i, j in itertools.product(range(rows), range(cols)):
+                if rng.random() < density:
+                    A[i, j] = rng.randrange(-3 * m, 3 * m)
+            for _ in range(rng.randint(0, 3)):
+                i, j = rng.randrange(rows), rng.randrange(rows)
+                A[j] = A[i] * rng.choice(units) + m * rng.randrange(-2, 3)
+            for i in rng.sample(range(rows), rng.randint(0, rows // 3)):
+                A[i] *= p
+            if rows > 1 and cols > 1:
+                A[0] = 0
+                for j in rng.sample(range(cols), min(cols, 3)):
+                    A[0, j] = rng.choice(units) - m
+            yield p, k, A
+
+
+def test_rounds_match_sequential_elimination_on_sparse_inputs():
+    seen = {"cases": 0, "residual": 0}
+    for p, k, A in _sparse_cases():
+        m = p**k
+        result = modular.local_smith(A, p, k)
+        assert result[0] == ref_local_smith(A, p, k)[0]
+        _assert_smith(A % m, result, p, k)
+        seen["cases"] += 1
+        seen["residual"] += any(0 < e < k for e in result[0])
+    for shape in ((0, 0), (3, 0), (0, 3), (4, 3)):
+        A = np.zeros(shape, dtype=np.int64)
+        assert modular.local_smith(A, 2, 3)[0] == ref_local_smith(A, 2, 3)[0] == [3] * min(shape)
+        _assert_smith(A, modular.local_smith(A, 2, 3), 2, 3)
+    assert seen["cases"] == 160 and seen["residual"] > 20
+
+
+def test_a_round_rejects_colliding_candidates():
+    # column 0 offers row 1 and column 1 row 0; the sparser column 1 goes
+    # first, and its row 0 meets column 0, which waits for the next round
+    key = np.array([0, 1, 2])  # entries (0, 0), (0, 1), (1, 0)
+    pr, pc = modular._unit_pivots(key, np.array([1, 1, 1]), 2, 2, 2)
+    assert pr.tolist() == [0] and pc.tolist() == [1]
+    # two columns whose only unit is in the same row: one pivot
+    pr, pc = modular._unit_pivots(key, np.array([1, 1, 2]), 2, 2, 2)
+    assert len(pr) == 1
+
+
+def test_integer_matrix_and_array_give_the_same_elimination():
+    for p, k, A in itertools.islice(_sparse_cases(), 0, None, 7):
+        M = IntegerMatrix.from_rows(A.tolist(), A.shape[1])
+        sparse, dense = modular.local_smith(M, p, k), modular.local_smith(A, p, k)
+        assert sparse[0] == dense[0]
+        assert (sparse[1] == dense[1]).all() and (sparse[2] == dense[2]).all()
+    A = _condition_matrices((2, 2, 3), "full")[1]
+    sparse, dense = modular.local_smith(A, 2, 3), modular.local_smith(A.to_numpy_mod(8), 2, 3)
+    assert sparse[0] == dense[0]
+    assert (sparse[1] == dense[1]).all() and (sparse[2] == dense[2]).all()
+
+
+def test_full_route_builds_no_dense_condition_matrix():
+    params = CyclicFamilyParams(2, 2, 4)
+    chain = lcs_cohomology._full_slice(params).total
+    rel, d = chain.modules, chain.diff
+    A = _dedupe_rows(rel[2].relations.vstack(d[3].transpose()))
+    tracemalloc.start()
+    try:
+        hom_cohomology_at(d[3], d[2], rel[2].relations, FinAbGroup((2, 8)), rel[1].relations)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * A.rows * A.cols / 4, (peak, A)
 
 
 def test_one_kernel_elimination_per_prime(monkeypatch):

@@ -1,12 +1,14 @@
-"""The reduced route's array builders against plain-loop references.
+"""The array builders of the reduced and full routes against plain-loop
+references.
 
 The references below are the per-entry loops over bar basis tuples and
-group elements that the reduced route used before its builders became
-index arithmetic on mixed-radix tuple codes: the comparison maps phi,
-varphi, omega and the bar differential on the full bar basis, their
-tuple-level collapses, the Kronecker products with id_g, the dot-twist
-and the shuffle relations.  The array code must give equal
-`IntegerMatrix` objects, matrix for matrix.
+group elements that the routes used before their builders became index
+arithmetic on mixed-radix tuple codes: the comparison maps phi, varphi,
+omega and the bar differential on the full bar basis, their tuple-level
+collapses, the Kronecker products with id_g, the dot-twist, the shuffle
+relations and the horizontal and vertical differentials of the full
+double complex.  The array code must give equal `IntegerMatrix` objects,
+matrix for matrix.
 """
 
 import itertools
@@ -450,6 +452,61 @@ def test_perturbation_delta_matches_reference(member):
         assert perturbation_delta(lcs, full, positions) == ref_perturbation_delta(
             lcs, full, positions
         )
+
+
+def ref_full_dh(lcs, r, s, cells):
+    v = lcs.v
+    dot = lcs.dot
+    src = cells[(r, s)].labels
+    tgt_index = {lab: i for i, lab in enumerate(cells[(r - 1, s)].labels)}
+    data = {}
+    for col, (gt, mt) in enumerate(src):
+        def add(key, c):
+            gt2, mt2 = key
+            if all(x % v for x in gt2) and all(x % v for x in mt2):
+                k = (tgt_index[(gt2, mt2)], col)
+                data[k] = data.get(k, 0) + c
+
+        g1 = gt[0]
+        add(
+            (
+                tuple(dot[g1][x] for x in gt[1:]),
+                tuple(dot[g1][x] for x in mt),
+            ),
+            1,
+        )
+        for j in range(1, r):
+            merged = gt[: j - 1] + ((gt[j - 1] + gt[j]) % v,) + gt[j + 1 :]
+            add((merged, mt), (-1) ** j)
+        add((gt[:-1], mt), (-1) ** r)
+    return IntegerMatrix(len(tgt_index), len(src), data)
+
+
+def ref_full_dv(v, r, s, cells):
+    src = cells[(r, s)].labels
+    tgt_index = {lab: i for i, lab in enumerate(cells[(r, s - 1)].labels)}
+    inner_cols = tuple_bar_differential(s, v).columns()
+    m_index = {t: i for i, t in enumerate(exp_tuples(s, v))}
+    tgt_mts = exp_tuples(s - 1, v)
+    sign = (-1) ** (r + 1)
+    data = {}
+    for col, (gt, mt) in enumerate(src):
+        for row, val in inner_cols[m_index[mt]].items():
+            k = (tgt_index[(gt, tgt_mts[row])], col)
+            data[k] = data.get(k, 0) + sign * val
+    return IntegerMatrix(len(tgt_index), len(src), data)
+
+
+@pytest.mark.parametrize("triple", MEMBERS, ids=lambda m: "%d-%d-%d" % m)
+def test_full_differentials_match_reference(triple):
+    lcs = make_cyclic_lcs(CyclicFamilyParams(*triple))
+    dc = full_double_complex(lcs, 3).dc
+    assert set(dc.dh) == {(1, 1), (2, 1), (1, 2)}
+    assert set(dc.dv) == {(0, 2), (1, 2), (0, 3)}
+    for (r, s), m in dc.dh.items():
+        assert m == ref_full_dh(lcs, r, s, dc.cells), (r, s)
+    for (r, s), m in dc.dv.items():
+        assert m == ref_full_dv(lcs.v, r, s, dc.cells), (r, s)
 
 
 @pytest.mark.parametrize("v", [2, 3, 4, 5, 8, 9, 16])

@@ -755,7 +755,12 @@ def comparison_maps(params, n_max):
 @dataclass
 class CoefficientComplex:
     """The complex of copies of a trivial module M indexed by (alpha, beta),
-    with its comparison maps to the normalized complex Dbar^{x n} (x) M."""
+    with its comparison maps to the normalized complex Dbar^{x n} (x) M.
+
+    The normalized complex is held by its differential; `bar_rank` gives
+    the size of its degree-n module and `bar_module` builds that module's
+    presentation on request, as the perturbation transfer reads only
+    ranks."""
 
     v: int
     u: int
@@ -763,12 +768,20 @@ class CoefficientComplex:
     M: PresentedModule
     nmax: int
     chain: ChainComplex           # degree n module: one copy of M per cell
-    bar_modules: dict             # n -> PresentedModule on the unlabelled basis
-                                  # (exp tuple, generator of M), tuples outer
-    bar_diff: dict                # n -> bar_n -> bar_{n-1}
+    bar_diff: dict                # n -> bar_n(M) -> bar_{n-1}(M)
     phibar: dict                  # n -> X_n(M) -> bar_n(M)
     varphibar: dict               # n -> bar_n(M) -> X_n(M)
     omegabar: dict                # n -> bar_{n-1}(M) -> bar_n(M)
+
+    def bar_rank(self, n):
+        """Generators of bar_n(M) = Dbar^{x n} (x) M: (v-1)^n copies of M's."""
+        return (self.v - 1) ** n * self.M.ngens
+
+    def bar_module(self, n):
+        """bar_n(M) presented on the unlabelled basis (exp tuple, generator
+        of M), tuples outer: (v-1)^n copies of M's relations."""
+        relations = IntegerMatrix.identity((self.v - 1) ** n).kron(self.M.relations)
+        return PresentedModule(self.bar_rank(n), relations)
 
 
 def coefficient_complex(params, M, n_max):
@@ -827,15 +840,9 @@ def coefficient_complex(params, M, n_max):
         diff[n] = block_matrix(blocks, [g] * len(tgts), [g] * len(srcs))
     chain = ChainComplex(modules, diff)
 
-    bar_modules = {}
-    for n in range(n_max + 1):
-        relations = IntegerMatrix.identity((v - 1) ** n).kron(M.relations)
-        bar_modules[n] = PresentedModule(relations.cols, relations)
     bar_diff = {n: tuple_bar_differential(n, v).kron(id_g) for n in range(1, n_max + 1)}
     phibar = {n: ctx.breve_phi(n).kron(id_g) for n in range(n_max + 1)}
     varphibar = {n: ctx.breve_varphi(n).kron(id_g) for n in range(n_max + 1)}
     omegabar = {n: ctx.breve_omega(n).kron(id_g) for n in range(1, n_max + 1)}
 
-    return CoefficientComplex(
-        v, u, t, M, n_max, chain, bar_modules, bar_diff, phibar, varphibar, omegabar
-    )
+    return CoefficientComplex(v, u, t, M, n_max, chain, bar_diff, phibar, varphibar, omegabar)

@@ -24,6 +24,8 @@ involved exist.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 
 from .abelian import (
@@ -98,9 +100,23 @@ def integral_homology(chain, n):
     return cokernel_invariants(rel)
 
 
+@dataclass(frozen=True)
+class CellRank:
+    """A cell known only by its number of generators.  The perturbation
+    lemma reads no more of the large complex C, so its cells need not
+    carry their relations; a `PresentedModule` holds the presentation
+    where one is needed."""
+
+    ngens: int
+
+
 @dataclass
 class DoubleComplex:
-    """Bigraded cells with d_h[(r, s)]: (r,s) -> (r-1,s) and d_v: -> (r,s-1)."""
+    """Bigraded cells with d_h[(r, s)]: (r,s) -> (r-1,s) and d_v: -> (r,s-1).
+
+    The cells are `PresentedModule`s; `rank` and the perturbation lemma
+    read only their `ngens`, so a `CellRank` serves where the
+    presentation is never read."""
 
     cells: dict
     dh: dict = field(default_factory=dict)
@@ -202,12 +218,29 @@ class RowSDRSystem:
 
 @dataclass
 class PerturbedRows:
+    """The transfer's output: X with its perturbed horizontal differential,
+    the corrected i1, p1, h1 and the verification report.
+
+    The perturbed differential d_C + delta of the large complex is held
+    as its two summands, `unperturbed.dh` and `delta`; the property `C`
+    forms it on each read."""
+
     X: DoubleComplex
-    C: DoubleComplex  # horizontal differential includes the perturbation
+    unperturbed: DoubleComplex
+    delta: dict
     i1: dict
     p1: dict
     h1: dict
     report: CheckReport
+
+    @property
+    def C(self):
+        """C with the horizontal differential d_C + delta."""
+        dh = dict(self.unperturbed.dh)
+        for pos, d in self.delta.items():
+            if d is not None:
+                dh[pos] = d if pos not in dh else dh[pos] + d
+        return DoubleComplex(self.unperturbed.cells, dh, self.unperturbed.dv)
 
 
 def perturb_double_complex(system, delta, n0, verify=True, vanishes_beyond=True):
@@ -218,6 +251,11 @@ def perturb_double_complex(system, delta, n0, verify=True, vanishes_beyond=True)
     horizontal differential on X together with the corrected i, p, h,
     verifying that i1/p1 are morphisms of double complexes with
     p1 o i1 = id and that each row homotopy identity holds.
+
+    The perturbed differential d_C + delta of C is never formed: the
+    verification applies it as d_C @ M + delta @ M and M @ d_C + M @ delta,
+    so C's differential is held once, beside delta; `PerturbedRows.C`
+    forms the sum only when read.  Of C's cells only the ranks are read.
 
     vanishes_beyond (default: the perturbation is understood to be zero
     outside the grid) controls the cap boundary: when False, the p/h
@@ -282,24 +320,28 @@ def perturb_double_complex(system, delta, n0, verify=True, vanishes_beyond=True)
             p1.pop((rtop, s), None)
             h1.pop((rtop, s), None)
 
-    new_dhC = dict(system.C.dh)
-    for pos, d in delta.items():
-        if d is None:
-            continue
-        base = new_dhC.get(pos)
-        new_dhC[pos] = d if base is None else base + d
-
     Xp = DoubleComplex(system.X.cells, new_dhX, system.X.dv)
-    Cp = DoubleComplex(system.C.cells, new_dhC, system.C.dv)
     report = CheckReport(True)
     if verify:
-        report = _verify_perturbed_rows(Xp, Cp, i1, p1, h1)
+        report = _verify_perturbed_rows(Xp, system.C, delta, i1, p1, h1)
         if not report:
             raise AssertionError(f"perturbed double complex failed: {report}")
-    return PerturbedRows(Xp, Cp, i1, p1, h1, report)
+    return PerturbedRows(Xp, system.C, delta, i1, p1, h1, report)
 
 
-def _verify_perturbed_rows(Xp, Cp, i1, p1, h1):
+def _perturbed_summands(C, delta, pos):
+    """The summands at pos of C's perturbed differential d_C + delta,
+    which is applied term by term and never formed; [] where it is 0."""
+    return [m for m in (C.dh.get(pos), delta.get(pos)) if m is not None]
+
+
+def _sum(terms):
+    return functools.reduce(operator.add, terms)
+
+
+def _verify_perturbed_rows(Xp, C, delta, i1, p1, h1):
+    """The identities of the perturbed SDR, with C's differential
+    d_C + delta read from C.dh and delta."""
     # item (1): morphisms of double complexes with p1 o i1 = id
     for pos in Xp.cells:
         if pos in i1 and pos in p1:
@@ -307,31 +349,32 @@ def _verify_perturbed_rows(Xp, Cp, i1, p1, h1):
                 return CheckReport(False, "p1 o i1 = id", pos)
     for (r, s) in Xp.cells:
         tgt = (r - 1, s)
-        if (r, s) in i1 and tgt in i1 and (r, s) in Xp.dh and (r, s) in Cp.dh:
-            if Cp.dh[(r, s)] @ i1[(r, s)] != i1[tgt] @ Xp.dh[(r, s)]:
+        dC = _perturbed_summands(C, delta, (r, s))
+        if (r, s) in i1 and tgt in i1 and (r, s) in Xp.dh and dC:
+            if _sum(d @ i1[(r, s)] for d in dC) != i1[tgt] @ Xp.dh[(r, s)]:
                 return CheckReport(False, "i1 horizontal chain map", (r, s))
-        if (r, s) in p1 and tgt in p1 and (r, s) in Xp.dh and (r, s) in Cp.dh:
-            if Xp.dh[(r, s)] @ p1[(r, s)] != p1[tgt] @ Cp.dh[(r, s)]:
+        if (r, s) in p1 and tgt in p1 and (r, s) in Xp.dh and dC:
+            if Xp.dh[(r, s)] @ p1[(r, s)] != _sum(p1[tgt] @ d for d in dC):
                 return CheckReport(False, "p1 horizontal chain map", (r, s))
         vt = (r, s - 1)
-        if (r, s) in i1 and vt in i1 and (r, s) in Xp.dv and (r, s) in Cp.dv:
-            if Cp.dv[(r, s)] @ i1[(r, s)] != i1[vt] @ Xp.dv[(r, s)]:
+        if (r, s) in i1 and vt in i1 and (r, s) in Xp.dv and (r, s) in C.dv:
+            if C.dv[(r, s)] @ i1[(r, s)] != i1[vt] @ Xp.dv[(r, s)]:
                 return CheckReport(False, "i1 vertical chain map", (r, s))
-        if (r, s) in p1 and vt in p1 and (r, s) in Xp.dv and (r, s) in Cp.dv:
-            if Xp.dv[(r, s)] @ p1[(r, s)] != p1[vt] @ Cp.dv[(r, s)]:
+        if (r, s) in p1 and vt in p1 and (r, s) in Xp.dv and (r, s) in C.dv:
+            if Xp.dv[(r, s)] @ p1[(r, s)] != p1[vt] @ C.dv[(r, s)]:
                 return CheckReport(False, "p1 vertical chain map", (r, s))
     # item (2): row homotopy identity
-    for (r, s) in Cp.cells:
+    for (r, s) in C.cells:
         if (r, s) not in h1 or (r, s) not in i1 or (r, s) not in p1:
             continue
-        up = (r + 1, s)
-        if up not in Cp.dh:
+        up = _perturbed_summands(C, delta, (r + 1, s))
+        if not up:
             continue
-        lhs = Cp.dh[up] @ h1[(r, s)]
+        lhs = [d @ h1[(r, s)] for d in up]
         prev = (r - 1, s)
-        if prev in h1 and (r, s) in Cp.dh:
-            lhs = lhs + h1[prev] @ Cp.dh[(r, s)]
-        rhs = i1[(r, s)] @ p1[(r, s)] - IntegerMatrix.identity(Cp.rank((r, s)))
-        if lhs != rhs:
+        if prev in h1:
+            lhs += [h1[prev] @ d for d in _perturbed_summands(C, delta, (r, s))]
+        rhs = i1[(r, s)] @ p1[(r, s)] - IntegerMatrix.identity(C.rank((r, s)))
+        if _sum(lhs) != rhs:
             return CheckReport(False, "row homotopy identity", (r, s))
     return CheckReport(True)

@@ -62,6 +62,7 @@ from .cyclic_resolution import (
     tuple_letters,
 )
 from .homology_engine import (
+    CellRank,
     ChainComplex,
     DoubleComplex,
     RowSDRSystem,
@@ -422,22 +423,24 @@ def _extract_block(m, pos, tgt_cell, src_cell, params):
 
 def _transfer_reduced(params, quotients):
     """Row-wise perturbation transfer on the grid {(r, s)} used in degrees
-    <= 3, over the shuffle quotients Mbar(s), s = 1, 2, 3."""
+    <= 3, over the shuffle quotients Mbar(s), s = 1, 2, 3.
+
+    The bar cells Dbar^{x r} (x) Mbar(s) enter by their ranks alone, and
+    each coefficient complex is dropped once its maps are in the system."""
     v, t = params.v, params.t
     lcs = make_cyclic_lcs(params)
     rmax = {1: 3, 2: 2, 3: 1}
-    ccs = {s: coefficient_complex(params, quotients[s], rmax[s]) for s in (1, 2, 3)}
 
     xcells, xdh, xdv = {}, {}, {}
     ccells, cdh, cdv = {}, {}, {}
     i_maps, p_maps, h_maps = {}, {}, {}
     inner = {s: tuple_bar_differential(s, v) for s in (2, 3)}
     for s in (1, 2, 3):
-        cc = ccs[s]
+        cc = coefficient_complex(params, quotients[s], rmax[s])
         g = quotients[s].ngens
         for r in range(rmax[s] + 1):
             xcells[(r, s)] = cc.chain.modules[r]
-            ccells[(r, s)] = cc.bar_modules[r]
+            ccells[(r, s)] = CellRank(cc.bar_rank(r))
             i_maps[(r, s)] = cc.phibar[r]
             p_maps[(r, s)] = cc.varphibar[r]
             if r + 1 <= rmax[s]:
@@ -445,6 +448,7 @@ def _transfer_reduced(params, quotients):
             if r >= 1:
                 cdh[(r, s)] = cc.bar_diff[r]
                 xdh[(r, s)] = _pepito_row_d(params, r, s, g)
+    del cc
     for s in (2, 3):
         for r in range(min(rmax[s], rmax[s - 1]) + 1):
             signed = inner[s].scale((-1) ** (r + 1))

@@ -325,20 +325,23 @@ def kernel_mod_pk(A, p, k):
     return _kernel_data(exps + [k] * (cols - len(exps)), V, Vinv, p, k)
 
 
-def kernel_coordinates(kd, vec):
-    """Write a kernel vector as sum c_i * gens[i]; c_i taken mod p^orders[i]."""
+def kernel_coordinates(kd, vecs):
+    """Write kernel vectors, the rows of `vecs`, as sums c_i * gens[i] with
+    c_i taken mod p^orders[i]; row j of the result holds those of row j.
+
+    One product Vinv @ vecs^T gives every row's coordinates in the basis
+    V; coordinate i is divisible by p^(k - col_exps[i]) exactly for
+    kernel vectors, and the quotient is c_i."""
     p, k = kd.p, kd.k
     m = p**k
-    y = (kd.Vinv @ (np.array(vec, dtype=np.int64) % m)) % m
-    coeffs = []
-    for i, e in enumerate(kd.col_exps):
-        step = p ** (k - e)
-        if int(y[i]) % step != 0:
-            raise ValueError("vector is not in the kernel")
-        if e == 0:
-            continue
-        coeffs.append((int(y[i]) // step) % (p**e))
-    return coeffs
+    vecs = np.asarray(vecs, dtype=np.int64).reshape(len(vecs), len(kd.col_exps)) % m
+    y = (kd.Vinv @ vecs.T) % m
+    exps = np.array(kd.col_exps, dtype=np.int64).reshape(-1, 1)
+    step = p ** (k - exps)
+    if (y % step).any():
+        raise ValueError("vector is not in the kernel")
+    live = exps[:, 0] > 0
+    return ((y[live] // step[live]) % p ** exps[live]).T
 
 
 def quotient_mod_pk(kd, b_rows, p, k):
@@ -352,15 +355,9 @@ def quotient_mod_pk(kd, b_rows, p, k):
     s = len(kd.orders)
     if s == 0:
         return [], []
-    rel = []
-    for i, e in enumerate(kd.orders):
-        if e < k:
-            row = [0] * s
-            row[i] = p**e
-            rel.append(row)
-    for b in b_rows:
-        rel.append(kernel_coordinates(kd, b))
-    rel = np.array(rel, dtype=np.int64) % m if rel else np.zeros((0, s), dtype=np.int64)
+    # p^e gens[i] = 0 for the generators of order p^e < p^k, then the b_rows
+    e = np.array(kd.orders, dtype=np.int64)
+    rel = np.vstack((np.diag(p**e)[e < k], kernel_coordinates(kd, b_rows)))
     exps, V, Vinv = local_smith(rel, p, k)
     orders = []
     reps = []

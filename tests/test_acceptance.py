@@ -192,7 +192,7 @@ def test_criterion_6_machinery_identities():
             lcs = make_cyclic_lcs(params)
             m1 = shuffle_quotient(1, params.v)
             cc = coefficient_complex(params, m1, 2)
-            cells = {(r, 1): cc.bar_modules[r] for r in range(3)}
+            cells = {(r, 1): cc.bar_module(r) for r in range(3)}
             delta = perturbation_delta(lcs, cells, positions=((1, 1), (2, 1)))
             if params.t == 1:
                 if not (delta[(2, 1)] @ cc.omegabar[2]).is_zero():

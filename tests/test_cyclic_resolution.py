@@ -317,7 +317,7 @@ def test_coefficient_complex_matches_bar_homology():
         cc = coefficient_complex(params, trivial_module(), 3)
         assert cc.chain.validate()
         bar_chain = ChainComplex(
-            {n: cc.bar_modules[n] for n in range(4)},
+            {n: cc.bar_module(n) for n in range(4)},
             {n: cc.bar_diff[n] for n in range(1, 4)},
         )
         assert bar_chain.validate()
@@ -347,7 +347,7 @@ def test_induced_maps_form_an_sdr():
             if n >= 1:
                 lhs = lhs + cc.omegabar[n] @ cc.bar_diff[n]
             rhs = cc.phibar[n] @ cc.varphibar[n] - IntegerMatrix.identity(
-                cc.bar_modules[n].ngens
+                cc.bar_module(n).ngens
             )
             assert lhs == rhs, (params, n)
         assert cc.omegabar[1].is_zero()

@@ -7,6 +7,7 @@ from cyclecoh.homology_engine import (
     ChainComplex,
     DoubleComplex,
     RowSDRSystem,
+    _verify_perturbed_rows,
     integral_homology,
     perturb_double_complex,
     total_complex,
@@ -181,6 +182,19 @@ def test_perturb_sdr_nilpotent_delta():
     out = perturb_double_complex(system, delta, 2)
     assert out.report
     assert out.C.dh[(1, 0)] == M([[1, 2], [0, 1]])
+
+
+def test_verification_applies_delta_beside_d():
+    # C's perturbed differential is read as d_C and delta, never summed:
+    # a flipped delta entry breaks the row homotopy identity in degree 0
+    system = disc_sdr()
+    delta = {(1, 0): M([[0, 2], [0, 0]])}
+    out = perturb_double_complex(system, delta, 2)
+    assert out.unperturbed.dh == system.C.dh and out.delta == delta
+    maps = (out.i1, out.p1, out.h1)
+    assert _verify_perturbed_rows(out.X, system.C, delta, *maps)
+    report = _verify_perturbed_rows(out.X, system.C, {(1, 0): M([[0, -2], [0, 0]])}, *maps)
+    assert str(report) == "fail [row homotopy identity] at (0, 0)"
 
 
 def test_perturb_sdr_randomized_nilpotent():

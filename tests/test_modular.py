@@ -208,6 +208,53 @@ def test_truncated_kernel_matches_direct_elimination():
                 assert ((cut.V @ cut.Vinv) % m == np.eye(cols, dtype=np.int64)).all()
 
 
+def ref_kernel_coordinates(kd, vec):
+    """The per-row coordinate rule: one Vinv @ vec for a single vector."""
+    p, k = kd.p, kd.k
+    m = p**k
+    y = (kd.Vinv @ (np.array(vec, dtype=np.int64) % m)) % m
+    coeffs = []
+    for i, e in enumerate(kd.col_exps):
+        step = p ** (k - e)
+        if int(y[i]) % step != 0:
+            raise ValueError("vector is not in the kernel")
+        if e == 0:
+            continue
+        coeffs.append((int(y[i]) // step) % (p**e))
+    return coeffs
+
+
+def test_batched_kernel_coordinates_match_per_row_reference():
+    rng = random.Random(11)
+    seen = {"rows": 0, "rejected": 0}
+    for p, k in ((2, 3), (3, 2), (2, 1)):
+        m = p**k
+        for _ in range(40):
+            rows, cols = rng.randint(0, 6), rng.randint(1, 5)
+            A = _random_matrix(rng, p, k, rows, cols, rng.random() < 0.3)
+            kd = modular.kernel_mod_pk(A, p, k)
+            nvecs = rng.randint(0, 4)
+            coeffs = np.array(
+                [rng.randrange(m) for _ in range(nvecs * len(kd.orders))], dtype=np.int64
+            ).reshape(nvecs, len(kd.orders))
+            vecs = (coeffs @ kd.gens) % m
+            got = modular.kernel_coordinates(kd, vecs)
+            assert got.shape == (len(vecs), len(kd.orders))
+            assert got.tolist() == [ref_kernel_coordinates(kd, vec) for vec in vecs]
+            assert ((got @ kd.gens - vecs) % m == 0).all()
+            seen["rows"] += len(vecs)
+            # a vector outside the kernel is rejected, also among kernel rows
+            outside = np.array(rng.choices(range(m), k=cols * 8), dtype=np.int64).reshape(8, cols)
+            outside = outside[((outside @ A.T) % m).any(axis=1)] if rows else outside[:0]
+            if len(outside):
+                with pytest.raises(ValueError, match="not in the kernel"):
+                    ref_kernel_coordinates(kd, outside[0])
+                with pytest.raises(ValueError, match="not in the kernel"):
+                    modular.kernel_coordinates(kd, np.vstack((vecs, outside[:1])))
+                seen["rejected"] += 1
+    assert seen["rows"] > 100 and seen["rejected"] > 30
+
+
 @pytest.mark.parametrize("params, p, k", [
     (CyclicFamilyParams(2, 1, 2), 2, 3),
     (CyclicFamilyParams(3, 1, 2), 3, 2),

@@ -12,6 +12,7 @@ matrix for matrix.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from cyclecoh.cyclic_resolution import (
     right_translate,
     tuple_bar_differential,
 )
+from cyclecoh.homology_engine import _verify_perturbed_rows
 from cyclecoh.lcs_cohomology import (
     _shuffle_arrangements,
     full_double_complex,
@@ -409,7 +411,7 @@ def test_coefficient_complexes_match_reference(member):
         for n in range(n_max + 1):
             tuples = exp_tuples(n, v)
             cells = ctx.cells(n)
-            assert cc.bar_modules[n].relations == ref_block_diagonal(M.relations, len(tuples))
+            assert cc.bar_module(n).relations == ref_block_diagonal(M.relations, len(tuples))
             assert cc.chain.modules[n].relations == ref_block_diagonal(M.relations, len(cells))
             phi = {cell: ref.breve_phi(*cell) for cell in cells}
             assert cc.phibar[n] == ref_kron_with_identity(phi, cells, tuples, g), (s, n)
@@ -439,7 +441,7 @@ def test_perturbation_delta_matches_reference(member):
         M = shuffle_quotient(s, v)
         cc = coefficient_complex(params, M, n_max)
         for r in range(n_max + 1):
-            mod = cc.bar_modules[r]
+            mod = cc.bar_module(r)
             cells[(r, s)] = mod
             labels = tuple((gt, mt) for gt in exp_tuples(r, v) for mt in M.labels)
             labelled[(r, s)] = PresentedModule(mod.ngens, mod.relations, labels)
@@ -538,3 +540,76 @@ def test_reduced_build_holds_no_bar3_matrix(triple, monkeypatch):
     assert bar3 not in widths
     held = [m for m in ctx._memo.values() if isinstance(m, IntegerMatrix)]
     assert held and all(m.cols != bar3 for m in held)
+
+
+@pytest.mark.parametrize("triple", [(3, 1, 2), (2, 2, 4)], ids=lambda m: "%d-%d-%d" % m)
+def test_reduced_build_forms_no_bar_cell_relations(triple, monkeypatch):
+    """A reduced build on a fresh context forms none of the relation
+    matrices of the bar cells Dbar^{x r} (x) Mbar(s), r >= 1 ((v-1)^r
+    copies of the shuffle relations): the transfer reads only the cells'
+    ranks."""
+    params = CyclicFamilyParams(*triple)
+    v = params.v
+    forbidden = {}
+    for s, rmax in ((1, 3), (2, 2), (3, 1)):
+        rel = shuffle_quotient(s, v).relations
+        for r in range(1, rmax + 1):
+            m = IntegerMatrix.identity((v - 1) ** r).kron(rel)
+            forbidden.setdefault(m.shape, []).append((r, s, m))
+    ctx = ResolutionContext(params.u, params.t)
+    monkeypatch.setattr(cyclic_resolution, "get_context", lambda p: ctx)
+    built = []
+    original = IntegerMatrix._set
+
+    def recording_set(self, rows, cols, *arrays):
+        original(self, rows, cols, *arrays)
+        built.extend((r, s) for r, s, m in forbidden.get((rows, cols), ()) if self == m)
+
+    monkeypatch.setattr(IntegerMatrix, "_set", recording_set)
+    lcs_cohomology.reduced_complex.__wrapped__(params)
+    assert ctx._memo, "the fresh context was not used"
+    assert not built, f"bar-cell relations built at (r, s) = {built}"
+
+
+# traced peak of the transfer at (2, 2, 4) on a fresh context while every
+# bar cell still carried its relations and d_C + delta was formed beside
+# its summands: 70.0 MB (Python 3.11, numpy 2.4)
+TRANSFER_PEAK_BEFORE = 70.0e6
+
+
+def test_transfer_peak_at_v16(monkeypatch):
+    params = CyclicFamilyParams(2, 2, 4)
+    ctx = ResolutionContext(params.u, params.t)
+    monkeypatch.setattr(cyclic_resolution, "get_context", lambda p: ctx)
+    quotients = {s: shuffle_quotient(s, params.v) for s in (1, 2, 3)}
+    tracemalloc.start()
+    try:
+        lcs_cohomology._transfer_reduced(params, quotients)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.8 * TRANSFER_PEAK_BEFORE, peak
+
+
+def _flip_entry(m, j):
+    """m with the sign of its j-th stored entry flipped."""
+    values = m.values.copy()
+    values[j] = -values[j]
+    return IntegerMatrix._from_coo(m.rows, m.cols, m.row_idx, m.col_idx, values, canonical=True)
+
+
+@pytest.mark.parametrize("pos", [(1, 1), (2, 1), (1, 2)])
+def test_transfer_verification_reads_delta(pos):
+    """The verification applies d_C + delta from its two summands: with
+    one entry of delta flipped, in a column that i1 reaches, it names the
+    i1 horizontal chain map at that cell."""
+    params = CyclicFamilyParams(3, 1, 2)
+    quotients = {s: shuffle_quotient(s, params.v) for s in (1, 2, 3)}
+    out = lcs_cohomology._transfer_reduced(params, quotients)
+    maps = (out.i1, out.p1, out.h1)
+    assert _verify_perturbed_rows(out.X, out.unperturbed, out.delta, *maps)
+    d = out.delta[pos]
+    j = int(np.flatnonzero(np.isin(d.col_idx, out.i1[pos].row_idx))[0])
+    flipped = {**out.delta, pos: _flip_entry(d, j)}
+    report = _verify_perturbed_rows(out.X, out.unperturbed, flipped, *maps)
+    assert (report.ok, report.identity, report.where) == (False, "i1 horizontal chain map", pos)

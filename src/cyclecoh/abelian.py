@@ -819,23 +819,19 @@ class PresentedModule:
     """Abelian group given by generators and integer relations.
 
     Each row of `relations` is one relation among the `ngens`
-    generators.  `labels`, when present, names the generators (we use
-    exponent tuples so cochains can be addressed symbolically).
+    generators.
     """
 
     ngens: int
     relations: IntegerMatrix
-    labels: tuple = None
 
     def __post_init__(self):
         if self.relations.cols != self.ngens:
             raise ValueError("relation matrix must have one column per generator")
-        if self.labels is not None and len(self.labels) != self.ngens:
-            raise ValueError("label count mismatch")
 
     @classmethod
-    def free(cls, ngens, labels=None):
-        return cls(ngens, IntegerMatrix.zero(0, ngens), labels)
+    def free(cls, ngens):
+        return cls(ngens, IntegerMatrix.zero(0, ngens))
 
     def invariants(self):
         return cokernel_invariants(self.relations)

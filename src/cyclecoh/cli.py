@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -113,14 +112,6 @@ def parse_coeff(text):
     if any(o < 0 for o in orders):
         raise ParameterDomainError("cyclic orders must be nonnegative")
     return tuple(orders)
-
-
-def thread_count():
-    raw = os.environ.get("CYCLECOH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +263,9 @@ def run_table(spec):
     method = spec.method or "closed"
     degrees = (spec.degree,) if spec.degree else (1, 2)
     gamma = spec.gamma()
-    members = family_members(max_v)
     rows = []
-
-    def one(member):
-        out = []
+    # one member at a time: the module caches hold only the current member
+    for member in family_members(max_v):
         for degree in degrees:
             if method == "all" and gamma.is_finite:
                 groups = {
@@ -289,7 +278,7 @@ def run_table(spec):
             else:
                 factors = cohomology(member, gamma, degree, "closed").group.factors
                 word = "closed-only"
-            out.append(
+            rows.append(
                 {
                     "p": member.p,
                     "nu": member.nu,
@@ -300,18 +289,6 @@ def run_table(spec):
                     "agreement": word,
                 }
             )
-        return out
-
-    nthreads = thread_count()
-    if nthreads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            for chunk in pool.map(one, members):
-                rows.extend(chunk)
-    else:
-        for member in members:
-            rows.extend(one(member))
     rows.sort(key=lambda r: (r["p"], r["nu"], r["eta"], r["degree"]))
     bad = [r for r in rows if r["agreement"] == "DISAGREE"]
     report = Report(spec.echo(), rows, {"all": not bad})
@@ -332,25 +309,6 @@ def render(report, spec):
     if spec.output == "tsv":
         return render_tsv(report, spec)
     return render_pretty(report, spec)
-
-
-def emit(report, output="json", timing=False):
-    """Render a report without a live JobSpec, using its embedded job echo."""
-    job = report.job
-    spec = JobSpec(
-        command=job["command"],
-        p=job.get("p"),
-        nu=job.get("nu"),
-        eta=job.get("eta"),
-        coeff=tuple(job.get("coeff", ())),
-        degree=job.get("degree"),
-        method=job.get("method"),
-        output=output,
-        seed=job.get("seed", 0),
-        max_v=job.get("max_v"),
-        timing=timing,
-    )
-    return render(report, spec)
 
 
 def _fmt_factors(factors):
@@ -473,7 +431,6 @@ def build_parser():
     sp = sub.add_parser("extensions", help="enumerate central extension classes")
     common(sp)
     sp.add_argument("--method", choices=EXTENSION_METHODS, default="theorem")
-    sp.add_argument("--enumerate", action="store_true", help="accepted for compatibility; enumeration always runs")
 
     sp = sub.add_parser("verify", help="run the verification suites")
     common(sp)

@@ -128,10 +128,10 @@ def check_left_translations(n, dot):
     return Verdict(False, "left-translation-bijective", hit) if hit else Verdict(True)
 
 
-def check_cycle_set_table(n, add, dot):
-    """Cycle-set axioms for a dot table over an arbitrary addition table.
+def check_cycle_set_table(n, dot):
+    """Cycle-set axioms for a dot table on range(n).
 
-    add/dot are n x n tables (nested sequences or arrays); returns a
+    dot is an n x n table (nested sequences or an array); returns a
     Verdict naming the first failed axiom with a witness, the first in
     (a, b, c) loop order.  The cubic axiom runs as one n x n block over
     (b, c) per a.  Used both for carriers Z/vZ and for extension
@@ -173,7 +173,7 @@ def _mod_add_table(v):
 
 
 def verify_cycle_set(cs):
-    return check_cycle_set_table(cs.v, _mod_add_table(cs.v), cs.dot)
+    return check_cycle_set_table(cs.v, cs.dot)
 
 
 def verify_linear(lcs):
@@ -188,7 +188,7 @@ def invariant_elements(lcs):
 
 @dataclass(frozen=True)
 class YbeMap:
-    """A map r on pairs, r(x, y) = table[x][y], with the checks cached."""
+    """A map r on pairs, r(x, y) = table[x][y]."""
 
     v: int
     table: tuple

@@ -386,10 +386,7 @@ class ResolutionContext:
     def resolution(self, nmax):
         modules = {}
         for n in range(nmax + 1):
-            labels = tuple(
-                (pos, e) for pos in self.cells(n) for e in self.G.elems
-            )
-            modules[n] = PresentedModule.free((n + 1) * self.v, labels)
+            modules[n] = PresentedModule.free((n + 1) * self.v)
         diff = {n: self.total_d(n) for n in range(1, nmax + 1)}
         chain = ChainComplex(modules, diff)
         sigma = {n: self.sigma_bar(n) for n in range(0, nmax + 1)}
@@ -616,7 +613,7 @@ class ComparisonData:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def get_context(params):
     """The resolution matrices of one family member, shared by every caller."""
     return ResolutionContext(params.u, params.t)
@@ -778,8 +775,8 @@ class CoefficientComplex:
         return (self.v - 1) ** n * self.M.ngens
 
     def bar_module(self, n):
-        """bar_n(M) presented on the unlabelled basis (exp tuple, generator
-        of M), tuples outer: (v-1)^n copies of M's relations."""
+        """bar_n(M) presented on the basis (exp tuple, generator of M),
+        tuples outer: (v-1)^n copies of M's relations."""
         relations = IntegerMatrix.identity((self.v - 1) ** n).kron(self.M.relations)
         return PresentedModule(self.bar_rank(n), relations)
 
@@ -802,10 +799,8 @@ def coefficient_complex(params, M, n_max):
     modules = {}
     diff = {}
     for n in range(n_max + 1):
-        cells = ctx.cells(n)
-        labels = tuple((pos, lab) for pos in cells for lab in (M.labels or range(g)))
-        relations = IntegerMatrix.identity(len(cells)).kron(M.relations)
-        modules[n] = PresentedModule(len(cells) * g, relations, labels)
+        relations = IntegerMatrix.identity(len(ctx.cells(n))).kron(M.relations)
+        modules[n] = PresentedModule(relations.cols, relations)
     for n in range(1, n_max + 1):
         srcs = ctx.cells(n)
         tgts = ctx.cells(n - 1)

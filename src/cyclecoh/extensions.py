@@ -161,7 +161,7 @@ def verify_central_extension(ext, exhaustive=None):
                 return Verdict(False, "additive commutativity", (a, b))
             return Verdict(False, "additive associativity", (a, b, col - 1))
     if exhaustive:
-        verdict = check_cycle_set_table(n, add, dot)
+        verdict = check_cycle_set_table(n, dot)
         if not verdict:
             return verdict
         verdict = check_linearity_table(n, add, dot)

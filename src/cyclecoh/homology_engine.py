@@ -157,13 +157,6 @@ def total_complex(dc):
         degrees[n].sort()
     modules = {}
     for n, poss in sorted(degrees.items()):
-        labels = []
-        for pos in poss:
-            mod = dc.cells[pos]
-            if mod.labels is not None:
-                labels.extend((pos, lab) for lab in mod.labels)
-            else:
-                labels.extend((pos, i) for i in range(mod.ngens))
         # stack relations blockwise
         rels = [dc.cells[pos].relations for pos in poss]
         relations = block_matrix(
@@ -171,7 +164,7 @@ def total_complex(dc):
             [rel.rows for rel in rels],
             [rel.cols for rel in rels],
         )
-        modules[n] = PresentedModule(relations.cols, relations, tuple(labels))
+        modules[n] = PresentedModule(relations.cols, relations)
     diff = {}
     for n in sorted(degrees):
         if n - 1 not in degrees:
@@ -222,8 +215,7 @@ class PerturbedRows:
     the corrected i1, p1, h1 and the verification report.
 
     The perturbed differential d_C + delta of the large complex is held
-    as its two summands, `unperturbed.dh` and `delta`; the property `C`
-    forms it on each read."""
+    as its two summands, `unperturbed.dh` and `delta`."""
 
     X: DoubleComplex
     unperturbed: DoubleComplex
@@ -232,15 +224,6 @@ class PerturbedRows:
     p1: dict
     h1: dict
     report: CheckReport
-
-    @property
-    def C(self):
-        """C with the horizontal differential d_C + delta."""
-        dh = dict(self.unperturbed.dh)
-        for pos, d in self.delta.items():
-            if d is not None:
-                dh[pos] = d if pos not in dh else dh[pos] + d
-        return DoubleComplex(self.unperturbed.cells, dh, self.unperturbed.dv)
 
 
 def perturb_double_complex(system, delta, n0, verify=True, vanishes_beyond=True):
@@ -254,8 +237,8 @@ def perturb_double_complex(system, delta, n0, verify=True, vanishes_beyond=True)
 
     The perturbed differential d_C + delta of C is never formed: the
     verification applies it as d_C @ M + delta @ M and M @ d_C + M @ delta,
-    so C's differential is held once, beside delta; `PerturbedRows.C`
-    forms the sum only when read.  Of C's cells only the ranks are read.
+    so C's differential is held once, beside delta.  Of C's cells only
+    the ranks are read.
 
     vanishes_beyond (default: the perturbation is understood to be zero
     outside the grid) controls the cap boundary: when False, the p/h

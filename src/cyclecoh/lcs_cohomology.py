@@ -116,15 +116,7 @@ def shuffle_quotient(s, v):
             )
     r, c, values = (np.concatenate(a) for a in zip(*parts))
     relations = IntegerMatrix._from_coo((s - 1) * T, T, r, c, values)
-    return PresentedModule(T, relations, tuple(exp_tuples(s, v)))
-
-
-def _tensor_labels(r, s, v):
-    return [
-        (gt, mt)
-        for gt in exp_tuples(r, v)
-        for mt in exp_tuples(s, v)
-    ]
+    return PresentedModule(T, relations)
 
 
 @dataclass
@@ -146,9 +138,8 @@ def full_double_complex(lcs, cap=3):
     for n in range(1, cap + 1):
         for s in range(1, n + 1):
             r = n - s
-            labels = tuple(_tensor_labels(r, s, v))
             relations = IntegerMatrix.identity((v - 1) ** r).kron(relcache[s])
-            cells[(r, s)] = PresentedModule(len(labels), relations, labels)
+            cells[(r, s)] = PresentedModule(relations.cols, relations)
     dh = {}
     dv = {}
     for (r, s) in cells:
@@ -254,7 +245,7 @@ class ReducedComplexT:
     """The small partial total complex with its named arrows."""
 
     params: CyclicFamilyParams
-    modules: dict          # degree -> PresentedModule (labels ((s, cell), tuple))
+    modules: dict          # degree -> PresentedModule, blocks in DEG1/DEG2/DEG3 order
     d2: IntegerMatrix
     d3: IntegerMatrix
     arrows: dict           # name -> IntegerMatrix
@@ -317,19 +308,17 @@ def _arrow_matrices(params):
 def _reduced_modules(quotients):
     mods = {}
     for degree, blocks in ((1, DEG1), (2, DEG2), (3, DEG3)):
-        labels = []
         rel_blocks = {}
         sizes = []
         rel_rows = []
-        for bi, (s, cell) in enumerate(blocks):
+        for bi, (s, _) in enumerate(blocks):
             q = quotients[s]
-            labels.extend(((s, cell), lab) for lab in q.labels)
             sizes.append(q.ngens)
             rel_rows.append(q.relations.rows)
             if q.relations.rows:
                 rel_blocks[(bi, bi)] = q.relations
         relations = block_matrix(rel_blocks, rel_rows, sizes)
-        mods[degree] = PresentedModule(sum(sizes), relations, tuple(labels))
+        mods[degree] = PresentedModule(sum(sizes), relations)
     return mods
 
 
@@ -344,7 +333,7 @@ def _assemble(blocks, tgt_blocks, src_blocks, params):
     return block_matrix(placed, tgt_sizes, src_sizes)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def reduced_complex(params):
     """The reduced partial total complex, built from the closed-form arrows
     and cross-checked against the perturbation-lemma transfer."""
@@ -586,7 +575,7 @@ def _phi_hat_binomial(params):
 # cohomology by three routes
 # ---------------------------------------------------------------------------
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _full_slice(params):
     return full_double_complex(make_cyclic_lcs(params), 3)
 
@@ -651,25 +640,25 @@ def _full_route(params, gamma, n):
     reps = []
     if n == 2:
         for order, cochain in res.summands:
-            reps.append((order, _full_vector_to_pair(params, gamma, chain, cochain)))
+            reps.append((order, _full_vector_to_pair(params, gamma, cochain)))
     else:
         reps = list(res.summands)
     return CohomologyResult(res.group, "full", reps)
 
 
-def _full_vector_to_pair(params, gamma, chain, cochain):
-    """Scatter a full degree-2 cochain, (ngen, r) coordinates, onto a pair:
-    the (0,2) generator (a, b) carries xi1(a, b) and the (1,1) generator
-    (g, m) carries xi2(g, m)."""
-    v = params.v
-    which, i, j = np.array(
-        [
-            (0, *mt) if pos == (0, 2) else (1, gt[0], mt[0])
-            for pos, (gt, mt) in chain.modules[2].labels
-        ]
-    ).T
-    xi = np.zeros((2, v, v, len(gamma.factors)), dtype=object)
-    xi[which, i, j] = cochain
+def _full_vector_to_pair(params, gamma, cochain):
+    """Scatter a full degree-2 cochain, (ngen, r) coordinates, onto a pair.
+
+    Degree 2 of the total complex is the (0,2) block, Mbar(2) on the
+    exponent tuples (a, b), then the (1,1) block, Dbar (x) Mbar(1) on the
+    pairs (g, m), each in code order: (a, b) carries xi1(a, b) and (g, m)
+    carries xi2(g, m).
+    """
+    v, r = params.v, len(gamma.factors)
+    n1 = v - 1
+    cochain = np.asarray(cochain, dtype=object)
+    xi = np.zeros((2, v, v, r), dtype=object)
+    xi[:, 1:, 1:] = cochain.reshape(2, n1, n1, r)
     return CocyclePair(gamma, v, xi[0], xi[1])
 
 
@@ -981,4 +970,4 @@ def all_cocycle_pairs(params, gamma, cap=2**20):
         part = np.zeros((len(combos), ngen, r), dtype=np.int64)
         part[:, :, fidx] = (combos @ np.reshape(kd.gens, (s, ngen))) % p**k * embed
         cochains = (cochains[:, None] + part[None]).reshape(len(cochains) * len(part), ngen, r)
-    return [_full_vector_to_pair(params, gamma, chain, c) for c in cochains]
+    return [_full_vector_to_pair(params, gamma, c) for c in cochains]

@@ -651,7 +651,7 @@ def test_hom_cohomology_infinite_coefficients():
 
 
 def test_presented_module():
-    mod = PresentedModule(2, IntegerMatrix.from_rows([[2, 0], [0, 2]]), labels=((1,), (2,)))
+    mod = PresentedModule(2, IntegerMatrix.from_rows([[2, 0], [0, 2]]))
     assert mod.invariants().factors == (2, 2)
     free = PresentedModule.free(3)
     assert free.invariants().factors == (0, 0, 0)

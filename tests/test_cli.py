@@ -158,7 +158,7 @@ def test_extensions_brute_example(capsys):
     code, out, _ = run_cli(
         capsys,
         "extensions", "--p", "2", "--nu", "1", "--eta", "1",
-        "--coeff", "2", "--enumerate", "--method", "brute",
+        "--coeff", "2", "--method", "brute",
     )
     assert code == 0
     report = json.loads(out)
@@ -239,19 +239,6 @@ def test_table_command(capsys):
     keys = {(r["p"], r["nu"], r["eta"], r["degree"]) for r in report["results"]}
     assert (2, 1, 2, 2) in keys
     assert (3, 1, 1, 1) in keys
-
-
-def test_emit_round_trip_from_report_object():
-    from cyclecoh.cli import JobSpec, emit, run
-
-    spec = JobSpec(
-        command="cohomology", p=2, nu=1, eta=1, coeff=(2,), degree=1, method="closed"
-    )
-    report = run(spec)
-    rendered = emit(report, "json")
-    data = json.loads(rendered)
-    assert data["results"][0]["invariant_factors"] == [2]
-    assert emit(report, "json") == rendered
 
 
 def test_timing_flag_is_opt_in(capsys):

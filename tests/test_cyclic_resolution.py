@@ -301,7 +301,7 @@ def test_pepito_scalars():
 
 
 def trivial_module(rank=1):
-    return PresentedModule.free(rank, tuple(range(rank)))
+    return PresentedModule.free(rank)
 
 
 def test_coefficient_complex_matches_bar_homology():

@@ -385,7 +385,7 @@ def test_cycle_set_and_linearity_tables_match_reference():
                [rng.randrange(n) for _ in range(n)] for _ in range(n)]
         if rng.random() < 0.3:
             add[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
-        same(check_cycle_set_table(n, add, dot), ref_cycle_set(n, add, dot))
+        same(check_cycle_set_table(n, dot), ref_cycle_set(n, add, dot))
         same(check_linearity_table(n, add, dot), ref_linearity(n, add, dot))
 
 

@@ -90,7 +90,7 @@ def cyclic_bar_complex(v, nmax):
 
     bases = {n: basis(n) for n in range(nmax + 1)}
     index = {n: {t: i for i, t in enumerate(bases[n])} for n in bases}
-    modules = {n: free(len(bases[n]), tuple(bases[n])) for n in bases}
+    modules = {n: free(len(bases[n])) for n in bases}
     diff = {}
     for n in range(1, nmax + 1):
         data = {}
@@ -172,7 +172,7 @@ def test_perturb_sdr_zero_delta_is_identity():
     system = disc_sdr()
     out = perturb_double_complex(system, {}, 1)
     assert out.report
-    assert out.C.dh == system.C.dh
+    assert out.unperturbed.dh == system.C.dh
     assert out.h1 == system.h
 
 
@@ -181,7 +181,7 @@ def test_perturb_sdr_nilpotent_delta():
     delta = {(1, 0): M([[0, 2], [0, 0]])}
     out = perturb_double_complex(system, delta, 2)
     assert out.report
-    assert out.C.dh[(1, 0)] == M([[1, 2], [0, 1]])
+    assert out.unperturbed.dh[(1, 0)] + out.delta[(1, 0)] == M([[1, 2], [0, 1]])
 
 
 def test_verification_applies_delta_beside_d():

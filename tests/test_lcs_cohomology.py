@@ -23,6 +23,8 @@ from cyclecoh.lcs_cohomology import (
     xi1_standard,
 )
 
+from basis import cell_basis
+
 P211 = CyclicFamilyParams(2, 1, 1)
 P212 = CyclicFamilyParams(2, 1, 2)
 P312 = CyclicFamilyParams(3, 1, 2)
@@ -43,7 +45,7 @@ def test_shuffle_quotient_s2_antisymmetrizers():
         row = {c: q.relations.entry(i, c) for c in range(4) if q.relations.entry(i, c)}
         if row:
             seen.add(tuple(sorted(row.items())))
-    labels = q.labels
+    labels = exp_tuples(2, 3)
     idx = {lab: i for i, lab in enumerate(labels)}
     expected = {
         tuple(sorted({idx[(1, 2)]: 1, idx[(2, 1)]: -1}.items())),
@@ -74,8 +76,8 @@ def test_full_complex_trivial_cycle_set_loses_the_twist():
     fc = full_double_complex(lcs, 3)
     # horizontal differential at (1,1): first face drops the group slot
     m = fc.dc.dh[(1, 1)]
-    labels = fc.dc.cells[(1, 1)].labels
-    tgt = {lab: i for i, lab in enumerate(fc.dc.cells[(0, 1)].labels)}
+    labels = cell_basis(1, 1, 3)
+    tgt = {lab: i for i, lab in enumerate(cell_basis(0, 1, 3))}
     for col, (gt, mt) in enumerate(labels):
         expected = {}
         key = tgt[((), mt)]
@@ -91,9 +93,9 @@ def test_perturbation_delta_values():
     delta = perturbation_delta(lcs, fc.dc.cells)
     assert set(delta) == {(1, 1), (2, 1), (1, 2)}
     m = delta[(1, 1)]
-    labels = fc.dc.cells[(1, 1)].labels
-    tgt = {lab: i for i, lab in enumerate(fc.dc.cells[(0, 1)].labels)}
     v, u = params.v, params.u
+    labels = cell_basis(1, 1, v)
+    tgt = {lab: i for i, lab in enumerate(cell_basis(0, 1, v))}
     for col, (gt, mt) in enumerate(labels):
         i1, i2 = gt[0], mt[0]
         b = (1 - u * i1) * i2 % v
@@ -238,6 +240,18 @@ def test_module_caches_build_each_complex_once(monkeypatch):
     info = reduced_complex.cache_info()
     assert (info.hits, info.misses) == (1, 1)
     assert get_context(P212) is get_context(P212)
+    # a second member replaces the first in every cache, and the first is
+    # built again exactly once when it comes back
+    cohomology(P312, gamma, 2, "full")
+    reduced_complex(P312)
+    assert builds == {"full": 2, "perturb": 2}
+    for cached in (lcs_cohomology._full_slice, reduced_complex, get_context):
+        assert cached.cache_info().currsize == 1
+    assert get_context(P312) is get_context(P312)
+    for _ in range(2):
+        assert cohomology(P212, gamma, 2, "full").group == first
+        assert reduced_complex(P212).params == P212
+    assert builds == {"full": 3, "perturb": 3}
 
 
 def test_cohomology_h1_closed_form_values():

@@ -75,7 +75,9 @@ class IntegerMatrix:
     product runs in int64 only after an exact bound on its entries and
     partial sums is below 2^62, and otherwise the same code runs on
     Python ints; the sum of two int64 entries is below 2^63 and so never
-    wraps.
+    wraps.  A product expands its terms in bounded blocks of rows of the
+    left factor, so its transient does not grow with the factors' sizes
+    (see `__matmul__`).
     """
 
     __slots__ = ("rows", "cols", "row_idx", "col_idx", "values")
@@ -242,26 +244,23 @@ class IntegerMatrix:
         )
 
     def __matmul__(self, other):
-        if isinstance(other, IntegerMatrix):
+        """The exact product with an `IntegerMatrix` or an `IdentityKron`.
+
+        The terms are expanded in blocks of whole rows of the left factor,
+        each of at most _TERMS_IN_FLIGHT terms (a row with more is a block
+        of its own), so a product's transient stays bounded whatever the
+        sizes; each block's result is a canonical range of rows, and the
+        blocks are concatenated without a sort."""
+        if isinstance(other, (IntegerMatrix, IdentityKron)):
             if self.cols != other.rows:
                 raise ValueError(
                     f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
                 )
-            # one term per pair (self entry (i, k), other entry in row k);
-            # other's row k holds its entries ptr[k]:ptr[k + 1], and the
-            # entries of self that meet an empty row are dropped first
-            ptr = np.searchsorted(other.row_idx, np.arange(other.rows + 1))
-            counts = ptr[self.col_idx + 1] - ptr[self.col_idx]
-            meet = counts > 0
-            i, k, a, counts = self.row_idx[meet], self.col_idx[meet], self.values[meet], counts[meet]
-            first_term = np.cumsum(counts) - counts
-            idx = np.arange(int(counts.sum())) + np.repeat(ptr[k] - first_term, counts)
-            dtype = np.int64 if _product_fits_int64(i, a, other.values) else object
-            terms = np.repeat(a.astype(dtype, copy=False), counts)
-            terms *= other.values.astype(dtype, copy=False)[idx]
-            return IntegerMatrix._from_coo(
-                self.rows, other.cols, np.repeat(i, counts), other.col_idx[idx], terms
-            )
+            if isinstance(other, IdentityKron):
+                # applied here rather than through Python's reflected @,
+                # so that each product is one call of this method
+                return other.__rmatmul__(self)
+            return _product(self, other)
         return NotImplemented
 
     def kron(self, other):
@@ -358,14 +357,154 @@ def _product_fits_int64(rows, values, other_values):
     return int(np.add.reduceat(absv, firsts).max()) * _abs_max(other_values) < _INT64_BOUND
 
 
+# the most terms a product expands at once, about 40 bytes each beyond
+# the result (so about 20 MB); a single row of the left factor with more
+# terms is expanded whole.  At v = 32 smaller caps leave the reduced
+# route's peak where it is and cost time in per-block overhead.
+_TERMS_IN_FLIGHT = 2**19
+
+
+def _product(left, right, inner=1):
+    """left @ (right (x) I_inner), exact, expanded in blocks of whole rows
+    of left of at most _TERMS_IN_FLIGHT terms.
+
+    There is one term per pair (left entry (i, k), entry of row k of
+    right (x) I_inner); that row is row k // inner of right, whose entries
+    are ptr[k // inner]:ptr[k // inner + 1], with each column j moved to
+    j * inner + k % inner."""
+    rows, cols = left.rows, right.cols * inner
+    ptr = np.searchsorted(right.row_idx, np.arange(right.rows + 1))
+    right_row = left.col_idx if inner == 1 else left.col_idx // inner
+    counts = ptr[right_row + 1] - ptr[right_row]
+    parts = []
+    for block in _row_blocks(left.row_idx, counts):
+        # the entries of left that meet an empty row of right are dropped
+        c = counts[block]
+        meet = c > 0
+        i, k, a, c = left.row_idx[block][meet], right_row[block][meet], left.values[block][meet], c[meet]
+        first_term = np.cumsum(c) - c
+        idx = np.arange(int(c.sum())) + np.repeat(ptr[k] - first_term, c)
+        dtype = np.int64 if _product_fits_int64(i, a, right.values) else object
+        terms = np.repeat(a.astype(dtype, copy=False), c)
+        terms *= right.values[idx].astype(dtype, copy=False)
+        # each term's position row * cols + col, built without a row array
+        key = right.col_idx[idx]
+        del idx
+        if inner > 1:
+            key *= inner
+            key += np.repeat(left.col_idx[block][meet] % inner, c)
+        key += np.repeat(i * cols, c)
+        parts.append(_canonical_keys(cols, key, terms))
+        del key, terms
+    if len(parts) > 1:
+        parts = [[np.concatenate(arrs) for arrs in zip(*parts)]]
+    return IntegerMatrix._from_coo(rows, cols, *parts[0], canonical=True)
+
+
+def _row_blocks(row_idx, counts):
+    """Slices of the entries (row_idx in row-major order, counts terms
+    each) in blocks of whole rows of at most _TERMS_IN_FLIGHT terms; a row
+    with more terms is a block of its own."""
+    if counts.sum() <= _TERMS_IN_FLIGHT:
+        return [slice(0, len(counts))]
+    # the entry index where each row starts, then the number of entries;
+    # and the terms of the entries before each of these
+    bounds = np.flatnonzero(np.diff(row_idx, prepend=-1, append=-1))
+    terms_before = np.concatenate(([0], np.cumsum(counts)))[bounds]
+    blocks, first = [], 0
+    while first < len(bounds) - 1:
+        fits = np.searchsorted(terms_before, terms_before[first] + _TERMS_IN_FLIGHT, side="right") - 1
+        stop = max(int(fits), first + 1)
+        blocks.append(slice(bounds[first], bounds[stop]))
+        first = stop
+    return blocks
+
+
+@dataclass(frozen=True, eq=False)
+class IdentityKron:
+    """The Kronecker product I_outer (x) factor (x) I_inner, held by its
+    factor alone.
+
+    Its products with an `IntegerMatrix` on either side relabel the COO
+    indices around one product with `factor`, and are exactly equal to
+    the products with the explicit Kronecker product, which is never
+    formed.  It has no arithmetic of its own beyond these products."""
+
+    outer: int
+    factor: IntegerMatrix
+    inner: int
+
+    @property
+    def rows(self):
+        return self.outer * self.factor.rows * self.inner
+
+    @property
+    def cols(self):
+        return self.outer * self.factor.cols * self.inner
+
+    @property
+    def nnz(self):
+        return self.outer * self.factor.nnz * self.inner
+
+    def __matmul__(self, other):
+        """self @ other: row (a, j, c) of other, a outer and c inner, is
+        entry (j, (a, c, col)) of a matrix with factor.cols rows; the factor
+        times it holds entry ((a, i, c), col) of the product at (i, (a, c,
+        col)).  Both relabellings keep the row-major order when outer is 1,
+        and otherwise cost a sort."""
+        if not isinstance(other, IntegerMatrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        B, n, m = self.factor, self.inner, other.cols
+        in_order = self.outer == 1
+        a, rest = np.divmod(other.row_idx, B.cols * n)
+        j, c = np.divmod(rest, n)
+        moved = IntegerMatrix._from_coo(
+            B.cols, self.outer * n * m, j, (a * n + c) * m + other.col_idx, other.values,
+            canonical=in_order,
+        )
+        out = B @ moved
+        q, col = np.divmod(out.col_idx, m)
+        a, c = np.divmod(q, n)
+        return IntegerMatrix._from_coo(
+            self.rows, m, (a * B.rows + out.row_idx) * n + c, col, out.values, canonical=in_order
+        )
+
+    def __rmatmul__(self, other):
+        """other @ self: column (a, rest) of other, a outer, is column rest
+        of row (row, a) of a matrix with other.rows * outer rows, which
+        times factor (x) I_inner gives row (row, a) of the product; both
+        relabellings keep the row-major order, so nothing is sorted."""
+        if not isinstance(other, IntegerMatrix):
+            return NotImplemented
+        B, o = self.factor, self.outer
+        a, rest = np.divmod(other.col_idx, B.rows * self.inner)
+        moved = IntegerMatrix._from_coo(
+            other.rows * o, B.rows * self.inner, other.row_idx * o + a, rest, other.values,
+            canonical=True,
+        )
+        out = _product(moved, B, self.inner)
+        row, a = np.divmod(out.row_idx, o)
+        return IntegerMatrix._from_coo(
+            other.rows, self.cols, row, a * out.cols + out.col_idx, out.values, canonical=True
+        )
+
+
 def _canonical_coo(rows, cols, r, c, values):
     """Row-major order, repeated positions summed, zeros dropped."""
     if not len(values):
         return r, c, values
-    key = r * cols + c
+    return _canonical_keys(cols, r * cols + c, values)
+
+
+def _canonical_keys(cols, key, values):
+    """`_canonical_coo` of the entries at the positions key = row * cols +
+    col, returned as (row_idx, col_idx, values)."""
     if not (key[1:] > key[:-1]).all():
         order = np.argsort(key, kind="stable")
         key, values = key[order], values[order]
+        del order
         firsts = np.flatnonzero(np.diff(key, prepend=-1))
         if len(firsts) < len(key):
             key, values = key[firsts], np.add.reduceat(values, firsts)

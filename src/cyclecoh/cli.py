@@ -242,15 +242,19 @@ def run_verify(spec):
     record("smith-normal-form", "pass" if snf_ok else "fail")
     if spec.coeff:
         gamma = spec.gamma()
-        agree = True
         if gamma.is_finite:
+            agree = True
             for n in (1, 2):
                 gs = {
                     m: cohomology(params, gamma, n, m).group
                     for m in ("full", "reduced", "closed")
                 }
                 agree = agree and gs["full"] == gs["reduced"] == gs["closed"]
-        record("route-agreement", "pass" if agree else "fail")
+            record("route-agreement", "pass" if agree else "fail")
+        else:
+            # the full and reduced routes take finite coefficients only, so
+            # no routes are compared
+            record("route-agreement", "skipped")
     failed = [s for s in suites if s["status"] == "fail"]
     report = Report(spec.echo(), suites, {"all": not failed})
     if failed:

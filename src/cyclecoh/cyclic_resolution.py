@@ -754,10 +754,11 @@ class CoefficientComplex:
     """The complex of copies of a trivial module M indexed by (alpha, beta),
     with its comparison maps to the normalized complex Dbar^{x n} (x) M.
 
-    The normalized complex is held by its differential; `bar_rank` gives
-    the size of its degree-n module and `bar_module` builds that module's
-    presentation on request, as the perturbation transfer reads only
-    ranks."""
+    The normalized complex is not held: its differential is
+    `tuple_bar_differential(n, v)` (x) id_M, which the perturbation
+    transfer holds factored as an `IdentityKron`; `bar_rank` gives the
+    size of its degree-n module and `bar_module` builds that module's
+    presentation on request, as the transfer reads only ranks."""
 
     v: int
     u: int
@@ -765,7 +766,6 @@ class CoefficientComplex:
     M: PresentedModule
     nmax: int
     chain: ChainComplex           # degree n module: one copy of M per cell
-    bar_diff: dict                # n -> bar_n(M) -> bar_{n-1}(M)
     phibar: dict                  # n -> X_n(M) -> bar_n(M)
     varphibar: dict               # n -> bar_n(M) -> X_n(M)
     omegabar: dict                # n -> bar_{n-1}(M) -> bar_n(M)
@@ -835,9 +835,8 @@ def coefficient_complex(params, M, n_max):
         diff[n] = block_matrix(blocks, [g] * len(tgts), [g] * len(srcs))
     chain = ChainComplex(modules, diff)
 
-    bar_diff = {n: tuple_bar_differential(n, v).kron(id_g) for n in range(1, n_max + 1)}
     phibar = {n: ctx.breve_phi(n).kron(id_g) for n in range(n_max + 1)}
     varphibar = {n: ctx.breve_varphi(n).kron(id_g) for n in range(n_max + 1)}
     omegabar = {n: ctx.breve_omega(n).kron(id_g) for n in range(1, n_max + 1)}
 
-    return CoefficientComplex(v, u, t, M, n_max, chain, bar_diff, phibar, varphibar, omegabar)
+    return CoefficientComplex(v, u, t, M, n_max, chain, phibar, varphibar, omegabar)

@@ -215,7 +215,10 @@ class PerturbedRows:
     the corrected i1, p1, h1 and the verification report.
 
     The perturbed differential d_C + delta of the large complex is held
-    as its two summands, `unperturbed.dh` and `delta`."""
+    as its two summands, `unperturbed.dh` and `delta`.  C's differentials
+    may be held factored, as `IdentityKron` records I (x) B (x) I of their
+    small factors B: they are read only through products with matrices,
+    d @ M and M @ d, which never form them."""
 
     X: DoubleComplex
     unperturbed: DoubleComplex
@@ -237,8 +240,9 @@ def perturb_double_complex(system, delta, n0, verify=True, vanishes_beyond=True)
 
     The perturbed differential d_C + delta of C is never formed: the
     verification applies it as d_C @ M + delta @ M and M @ d_C + M @ delta,
-    so C's differential is held once, beside delta.  Of C's cells only
-    the ranks are read.
+    so C's differential is held once, beside delta, and C's differentials
+    are read only through such products (an `IdentityKron` serves).  Of
+    C's cells only the ranks are read.
 
     vanishes_beyond (default: the perturbation is understood to be zero
     outside the grid) controls the cap boundary: when False, the p/h

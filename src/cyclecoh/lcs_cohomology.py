@@ -39,6 +39,7 @@ import numpy as np
 from .abelian import (
     _INT64_BOUND,
     FinAbGroup,
+    IdentityKron,
     IntegerMatrix,
     PresentedModule,
     block_matrix,
@@ -415,7 +416,10 @@ def _transfer_reduced(params, quotients):
     <= 3, over the shuffle quotients Mbar(s), s = 1, 2, 3.
 
     The bar cells Dbar^{x r} (x) Mbar(s) enter by their ranks alone, and
-    each coefficient complex is dropped once its maps are in the system."""
+    each coefficient complex is dropped once its maps are in the system.
+    The bar side's differentials are held factored: d_h is the tuple bar
+    differential (x) id of Mbar(s), d_v is id of the (v-1)^r tuples (x)
+    the inner bar differential."""
     v, t = params.v, params.t
     lcs = make_cyclic_lcs(params)
     rmax = {1: 3, 2: 2, 3: 1}
@@ -423,7 +427,7 @@ def _transfer_reduced(params, quotients):
     xcells, xdh, xdv = {}, {}, {}
     ccells, cdh, cdv = {}, {}, {}
     i_maps, p_maps, h_maps = {}, {}, {}
-    inner = {s: tuple_bar_differential(s, v) for s in (2, 3)}
+    bar = {n: tuple_bar_differential(n, v) for n in (1, 2, 3)}
     for s in (1, 2, 3):
         cc = coefficient_complex(params, quotients[s], rmax[s])
         g = quotients[s].ngens
@@ -431,20 +435,22 @@ def _transfer_reduced(params, quotients):
             xcells[(r, s)] = cc.chain.modules[r]
             ccells[(r, s)] = CellRank(cc.bar_rank(r))
             i_maps[(r, s)] = cc.phibar[r]
-            p_maps[(r, s)] = cc.varphibar[r]
             if r + 1 <= rmax[s]:
+                # p at a row's top cell is never read: the transfer drops
+                # the top cell's p1 (vanishes_beyond=False)
+                p_maps[(r, s)] = cc.varphibar[r]
                 h_maps[(r, s)] = cc.omegabar[r + 1]
             if r >= 1:
-                cdh[(r, s)] = cc.bar_diff[r]
+                cdh[(r, s)] = IdentityKron(1, bar[r], g)
                 xdh[(r, s)] = _pepito_row_d(params, r, s, g)
     del cc
     for s in (2, 3):
         for r in range(min(rmax[s], rmax[s - 1]) + 1):
-            signed = inner[s].scale((-1) ** (r + 1))
+            signed = bar[s].scale((-1) ** (r + 1))
             # X side: block diagonal over the r + 1 cells of degree r; bar
             # side: id on the group slots tensor the inner map
             xdv[(r, s)] = IntegerMatrix.identity(r + 1).kron(signed)
-            cdv[(r, s)] = IntegerMatrix.identity((v - 1) ** r).kron(signed)
+            cdv[(r, s)] = IdentityKron((v - 1) ** r, signed, 1)
     delta = perturbation_delta(lcs, ccells, positions=None)
     system = RowSDRSystem(
         DoubleComplex(xcells, xdh, xdv), DoubleComplex(ccells, cdh, cdv), i_maps, p_maps, h_maps

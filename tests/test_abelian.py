@@ -10,12 +10,17 @@ import itertools
 import random
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cyclecoh import abelian
 from cyclecoh.abelian import (
     FinAbGroup,
+    IdentityKron,
     InconsistentComplexError,
     IntegerMatrix,
     PresentedModule,
@@ -281,6 +286,83 @@ def test_integer_matrix_never_wraps():
     small = big - IntegerMatrix.from_rows([[2**62, -(2**70)], [0, 0]])
     assert small.values.dtype == np.int64 and small == IntegerMatrix.from_rows([[0, 0], [1, 0]])
     assert IntegerMatrix.from_rows([[3]]).scale(2**61).dense() == [[3 * 2**61]]
+
+
+# entries on both sides of the int64 bound 2^62, and caps on the terms in
+# flight from one term per block up to the module's own
+ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 2**40, -(2**62), 2**62, 2**70])
+CAPS = st.sampled_from([1, 2, 5, abelian._TERMS_IN_FLIGHT])
+
+
+def _matrices(draw, rows, cols):
+    return IntegerMatrix.from_rows([[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)], cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_identity_kron_products_equal_the_explicit_kron(data):
+    outer, inner = (data.draw(st.integers(1, 3)) for _ in range(2))
+    rows, cols, m = (data.draw(st.integers(0, 4)) for _ in range(3))
+    K = IdentityKron(outer, _matrices(data.draw, rows, cols), inner)
+    explicit = IntegerMatrix.identity(outer).kron(K.factor).kron(IntegerMatrix.identity(inner))
+    assert (K.rows, K.cols, K.nnz) == (explicit.rows, explicit.cols, explicit.nnz)
+    right = _matrices(data.draw, K.cols, m)
+    left = _matrices(data.draw, m, K.rows)
+    with mock.patch.object(abelian, "_TERMS_IN_FLIGHT", data.draw(CAPS)):
+        assert K @ right == explicit @ right
+        assert left @ K == left @ explicit
+    with pytest.raises(ValueError):
+        K @ IntegerMatrix.zero(K.cols + 1, 1)
+    with pytest.raises(ValueError):
+        IntegerMatrix.zero(1, K.rows + 1) @ K
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_row_blocked_product_equals_the_one_shot_product(data):
+    n, k, m = (data.draw(st.integers(0, 6)) for _ in range(3))
+    A, B = _matrices(data.draw, n, k), _matrices(data.draw, k, m)
+    one_shot = A @ B
+    assert _entries(one_shot) == _ref_matmul(_entries(A), _entries(B))
+    # terms per row of A: one per pair of entries A[i, k], B[k, j]
+    b_row_entries = [sum(1 for x in row if x) for row in B.dense()]
+    row_terms = [sum(b_row_entries[kk] for kk, x in enumerate(row) if x) for row in A.dense()]
+    cap, expanded = data.draw(CAPS), []
+    original = abelian._canonical_keys
+
+    def recording_keys(cols, key, values):
+        expanded.append(len(key))
+        return original(cols, key, values)
+
+    with mock.patch.object(abelian, "_TERMS_IN_FLIGHT", cap), mock.patch.object(
+        abelian, "_canonical_keys", recording_keys
+    ):
+        assert A @ B == one_shot
+    # each block holds at most cap terms, or is a single row with more
+    assert sum(expanded) == sum(row_terms)
+    assert all(t <= cap or t in row_terms for t in expanded)
+
+
+def test_row_blocks_mix_int64_and_python_int_terms():
+    # with one term per block, the first row's block passes the int64 bound
+    # and the second row's (2 x 2^40 x 2^30 > 2^62) runs on Python ints
+    A = IntegerMatrix.from_rows([[1, 1], [2**40, 2**40], [3, 0]])
+    B = IntegerMatrix.from_rows([[2**30, 1], [2**30, 0]])
+    assert A.values.dtype == B.values.dtype == np.int64
+    expected = [[2**31, 1], [2**71, 2**40], [3 * 2**30, 3]]
+    fits = []
+    original = abelian._product_fits_int64
+
+    def recording_fits(*args):
+        fits.append(original(*args))
+        return fits[-1]
+
+    with mock.patch.object(abelian, "_TERMS_IN_FLIGHT", 1), mock.patch.object(
+        abelian, "_product_fits_int64", recording_fits
+    ):
+        assert (A @ B).dense() == expected
+    assert fits == [True, False, True]
+    assert (A @ B).dense() == expected
 
 
 def test_dedupe_rows_against_python_reference():

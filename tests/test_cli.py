@@ -229,6 +229,18 @@ def test_verify_command(capsys):
     assert statuses["route-agreement"] == "pass"
 
 
+def test_verify_with_free_coefficients_skips_route_agreement(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "--p", "2", "--nu", "1", "--eta", "2", "--coeff", "0",
+    )
+    assert code == 0
+    report = json.loads(out)
+    statuses = {r["suite"]: r["status"] for r in report["results"]}
+    assert statuses["route-agreement"] == "skipped"
+    assert report["agreement"]["all"] is True
+
+
 def test_table_command(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from cyclecoh import cyclic_resolution, lcs_cohomology
-from cyclecoh.abelian import IntegerMatrix, block_matrix
+from cyclecoh.abelian import IdentityKron, IntegerMatrix, block_matrix
 from cyclecoh.cycleset import CyclicFamilyParams, make_cyclic_lcs
 from cyclecoh.cyclic_resolution import (
     ResolutionContext,
@@ -427,7 +427,8 @@ def test_coefficient_complexes_match_reference(member):
                     for c, col in enumerate(tb.columns())
                     if col
                 }
-                assert cc.bar_diff[n] == ref_kron_with_identity(tuple_map, tuples, prev, g)
+                d = IdentityKron(1, tuple_bar_differential(n, v), g)
+                assert d @ IntegerMatrix.identity(d.cols) == ref_kron_with_identity(tuple_map, tuples, prev, g)
                 om = ref.breve_omega(n)
                 assert cc.omegabar[n] == ref_kron_with_identity(om, prev, tuples, g), (s, n)
 
@@ -538,6 +539,39 @@ def test_reduced_build_holds_no_bar3_matrix(triple, monkeypatch):
     assert bar3 not in widths
     held = [m for m in ctx._memo.values() if isinstance(m, IntegerMatrix)]
     assert held and all(m.cols != bar3 for m in held)
+
+
+def test_transfer_holds_only_factors_and_read_maps(monkeypatch):
+    """The large complex's differentials are held as I (x) B (x) I by their
+    small factors: d_h is the tuple bar differential (x) id of Mbar(s),
+    d_v is id of the (v-1)^r tuples (x) the signed inner bar differential.
+    And p is passed only where it is read, below each row's top cell."""
+    params = CyclicFamilyParams(3, 1, 2)
+    v = params.v
+    quotients = {s: shuffle_quotient(s, v) for s in (1, 2, 3)}
+    systems = []
+    original = lcs_cohomology.perturb_double_complex
+
+    def recording_transfer(system, *args, **kwargs):
+        systems.append(system)
+        return original(system, *args, **kwargs)
+
+    monkeypatch.setattr(lcs_cohomology, "perturb_double_complex", recording_transfer)
+    out = lcs_cohomology._transfer_reduced(params, quotients)
+    (system,) = systems
+    below_top = {(0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (0, 3)}
+    assert set(system.p) == set(system.h) == set(out.p1) == below_top
+    C = out.unperturbed
+    assert C is system.C
+    assert set(C.dh) == {(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)}
+    for (r, s), d in C.dh.items():
+        assert isinstance(d, IdentityKron), (r, s)
+        assert (d.outer, d.factor, d.inner) == (1, tuple_bar_differential(r, v), quotients[s].ngens)
+    assert set(C.dv) == {(0, 2), (1, 2), (2, 2), (0, 3), (1, 3)}
+    for (r, s), d in C.dv.items():
+        assert isinstance(d, IdentityKron), (r, s)
+        signed = tuple_bar_differential(s, v).scale((-1) ** (r + 1))
+        assert (d.outer, d.factor, d.inner) == ((v - 1) ** r, signed, 1)
 
 
 @pytest.mark.parametrize("triple", [(3, 1, 2), (2, 2, 4)], ids=lambda m: "%d-%d-%d" % m)

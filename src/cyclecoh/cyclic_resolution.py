@@ -767,7 +767,7 @@ class CoefficientComplex:
     nmax: int
     chain: ChainComplex           # degree n module: one copy of M per cell
     phibar: dict                  # n -> X_n(M) -> bar_n(M)
-    varphibar: dict               # n -> bar_n(M) -> X_n(M)
+    varphibar: dict               # n < nmax -> bar_n(M) -> X_n(M)
     omegabar: dict                # n -> bar_{n-1}(M) -> bar_n(M)
 
     def bar_rank(self, n):
@@ -836,7 +836,8 @@ def coefficient_complex(params, M, n_max):
     chain = ChainComplex(modules, diff)
 
     phibar = {n: ctx.breve_phi(n).kron(id_g) for n in range(n_max + 1)}
-    varphibar = {n: ctx.breve_varphi(n).kron(id_g) for n in range(n_max + 1)}
+    # not at n_max: the transfer reads p only below each row's top cell
+    varphibar = {n: ctx.breve_varphi(n).kron(id_g) for n in range(n_max)}
     omegabar = {n: ctx.breve_omega(n).kron(id_g) for n in range(1, n_max + 1)}
 
     return CoefficientComplex(v, u, t, M, n_max, chain, phibar, varphibar, omegabar)

@@ -116,7 +116,14 @@ class DoubleComplex:
 
     The cells are `PresentedModule`s; `rank` and the perturbation lemma
     read only their `ngens`, so a `CellRank` serves where the
-    presentation is never read."""
+    presentation is never read.
+
+    A differential may be an `IdentityKron` record I (x) B (x) I held by
+    its factor B, as the perturbation transfer's large complex holds its
+    differentials.  Such a record is read only through products with an
+    `IntegerMatrix`, d @ M and M @ d, and has no product with another
+    record, so `validate`, which composes differentials with each other,
+    does not apply to a complex that holds them."""
 
     cells: dict
     dh: dict = field(default_factory=dict)
@@ -229,7 +236,7 @@ class PerturbedRows:
     report: CheckReport
 
 
-def perturb_double_complex(system, delta, n0, verify=True, vanishes_beyond=True):
+def perturb_double_complex(system, delta, n0, verify=True):
     """Row-wise perturbation-lemma transfer across a double complex.
 
     delta maps (r, s) -> matrix C_{r,s} -> C_{r-1,s}; n0 is the
@@ -243,11 +250,6 @@ def perturb_double_complex(system, delta, n0, verify=True, vanishes_beyond=True)
     so C's differential is held once, beside delta, and C's differentials
     are read only through such products (an `IdentityKron` serves).  Of
     C's cells only the ranks are read.
-
-    vanishes_beyond (default: the perturbation is understood to be zero
-    outside the grid) controls the cap boundary: when False, the p/h
-    corrections of each row's top cell depend on data above the cap, so
-    those maps are dropped rather than emitted half-corrected.
     """
 
     def dh_at(pos):
@@ -298,14 +300,6 @@ def perturb_double_complex(system, delta, n0, verify=True, vanishes_beyond=True)
             if (r, s) in system.p:
                 p1[(r, s)] = system.p[(r, s)] + system.p[(r, s)] @ Ah
             h1[(r, s)] = system.h[(r, s)] + system.h[(r, s)] @ Ah
-
-    if not vanishes_beyond:
-        tops = {}
-        for (r, s) in system.C.cells:
-            tops[s] = max(tops.get(s, -1), r)
-        for s, rtop in tops.items():
-            p1.pop((rtop, s), None)
-            h1.pop((rtop, s), None)
 
     Xp = DoubleComplex(system.X.cells, new_dhX, system.X.dv)
     report = CheckReport(True)

@@ -436,8 +436,9 @@ def _transfer_reduced(params, quotients):
             ccells[(r, s)] = CellRank(cc.bar_rank(r))
             i_maps[(r, s)] = cc.phibar[r]
             if r + 1 <= rmax[s]:
-                # p at a row's top cell is never read: the transfer drops
-                # the top cell's p1 (vanishes_beyond=False)
+                # no p or h at a row's top cell: their corrections there
+                # would need delta and h above the cap, which the transfer
+                # does not have, so it emits no p1 or h1 there
                 p_maps[(r, s)] = cc.varphibar[r]
                 h_maps[(r, s)] = cc.omegabar[r + 1]
             if r >= 1:
@@ -455,9 +456,7 @@ def _transfer_reduced(params, quotients):
     system = RowSDRSystem(
         DoubleComplex(xcells, xdh, xdv), DoubleComplex(ccells, cdh, cdv), i_maps, p_maps, h_maps
     )
-    return perturb_double_complex(
-        system, delta, t, verify=(t >= 2), vanishes_beyond=False
-    )
+    return perturb_double_complex(system, delta, t, verify=(t >= 2))
 
 
 def _pepito_row_d(params, r, s, g):

@@ -338,9 +338,10 @@ def test_coefficient_complex_matches_bar_homology():
 
 def test_induced_maps_form_an_sdr():
     # t >= 2: a genuine SDR; at t = 1 the retraction identity degenerates
-    # (see the t = 1 branch below) but everything else survives
+    # (see the t = 1 branch below) but everything else survives.  Built
+    # one degree higher, as varphibar stops below n_max.
     for params in (P212, P312, P211):
-        cc = coefficient_complex(params, trivial_module(), 3)
+        cc = coefficient_complex(params, trivial_module(), 4)
         if params.t >= 2:
             for n in range(4):
                 pi = cc.varphibar[n] @ cc.phibar[n]

@@ -417,8 +417,12 @@ def test_coefficient_complexes_match_reference(member):
             assert cc.chain.modules[n].relations == ref_block_diagonal(M.relations, len(cells))
             phi = {cell: ref.breve_phi(*cell) for cell in cells}
             assert cc.phibar[n] == ref_kron_with_identity(phi, cells, tuples, g), (s, n)
-            varphi = ref.breve_varphi_map(n)
-            assert cc.varphibar[n] == ref_kron_with_identity(varphi, tuples, cells, g), (s, n)
+            if n < n_max:
+                varphi = ref.breve_varphi_map(n)
+                assert cc.varphibar[n] == ref_kron_with_identity(varphi, tuples, cells, g), (s, n)
+            else:
+                # the transfer reads no p at a row's top cell
+                assert n not in cc.varphibar
             if n >= 1:
                 prev = exp_tuples(n - 1, v)
                 tb = ref_tuple_bar_differential(n, v)

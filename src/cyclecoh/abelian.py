@@ -186,6 +186,22 @@ class IntegerMatrix:
             r1 - r0, c1 - c0, r[hit] - r0, c[hit] - c0, self.values[hit], canonical=True
         )
 
+    # a column slice may start and end anywhere, unlike one of the
+    # `IdentityKron` and `FaceDifference` records
+    column_unit = 1
+
+    def column_slice(self, c0, c1):
+        """Columns c0..c1-1."""
+        return self.submatrix(0, self.rows, c0, c1)
+
+    def row_slice(self, r0, r1):
+        """Rows r0..r1-1, a contiguous range of the entries."""
+        lo, hi = np.searchsorted(self.row_idx, (r0, r1))
+        return IntegerMatrix._from_coo(
+            r1 - r0, self.cols, self.row_idx[lo:hi] - r0, self.col_idx[lo:hi], self.values[lo:hi],
+            canonical=True,
+        )
+
     @property
     def shape(self):
         return (self.rows, self.cols)
@@ -244,19 +260,20 @@ class IntegerMatrix:
         )
 
     def __matmul__(self, other):
-        """The exact product with an `IntegerMatrix` or an `IdentityKron`.
+        """The exact product with an `IntegerMatrix`, an `IdentityKron` or a
+        `FaceDifference`.
 
         The terms are expanded in blocks of whole rows of the left factor,
         each of at most _TERMS_IN_FLIGHT terms (a row with more is a block
         of its own), so a product's transient stays bounded whatever the
         sizes; each block's result is a canonical range of rows, and the
         blocks are concatenated without a sort."""
-        if isinstance(other, (IntegerMatrix, IdentityKron)):
+        if isinstance(other, (IntegerMatrix, IdentityKron, FaceDifference)):
             if self.cols != other.rows:
                 raise ValueError(
                     f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
                 )
-            if isinstance(other, IdentityKron):
+            if not isinstance(other, IntegerMatrix):
                 # applied here rather than through Python's reflected @,
                 # so that each product is one call of this method
                 return other.__rmatmul__(self)
@@ -360,11 +377,11 @@ def _product_fits_int64(rows, values, other_values):
 # the most terms a product expands at once, about 40 bytes each beyond
 # the result (so about 20 MB); a single row of the left factor with more
 # terms is expanded whole.  Only products of more than 2^19 terms are
-# split: four in reduced (2,3,5) at v = 32 (the largest 2.9 million
-# terms), none in the v = 16 jobs of perfbench.  At v = 32 the cap
-# lowers the peak RSS of reduced (2,3,5) from 428 to 385 MB and of the
-# v <= 32 table from 469 to 419 MB in the same time; caps from 2^16 to
-# 2^21 all peak at 385-392 MB (x86-64 Linux, numpy 2).
+# split: a few in reduced (2,3,5) at v = 32, none in the v = 16 jobs of
+# perfbench.  Without the cap the peak RSS of reduced (2,3,5), 217-222
+# MB, and of the v <= 32 table, 250-262 MB, moves by up to 15 MB either
+# way, as much as it moves with how the job is launched (x86-64 Linux,
+# numpy 2); the cap bounds a product's transient whatever the sizes.
 _TERMS_IN_FLIGHT = 2**19
 
 
@@ -450,6 +467,22 @@ class IdentityKron:
     def nnz(self):
         return self.outer * self.factor.nnz * self.inner
 
+    @property
+    def column_unit(self):
+        """Column slices start and end at multiples of this: whole copies
+        of the identity I_inner when outer is 1, else the whole matrix."""
+        return self.inner if self.outer == 1 else self.cols
+
+    def column_slice(self, c0, c1):
+        """Columns c0..c1-1, both multiples of `column_unit`: the factor's
+        columns c0 / inner..c1 / inner, (x) I_inner."""
+        if (c0, c1) == (0, self.cols):
+            return self
+        if c0 % self.column_unit or c1 % self.column_unit:
+            raise ValueError(f"columns {c0}..{c1} of I (x) B (x) I_{self.inner} split a copy")
+        B, n = self.factor, self.inner
+        return IdentityKron(1, B.submatrix(0, B.rows, c0 // n, c1 // n), n)
+
     def __matmul__(self, other):
         """self @ other: row (a, j, c) of other, a outer and c inner, is
         entry (j, (a, c, col)) of a matrix with factor.cols rows; the factor
@@ -493,6 +526,87 @@ class IdentityKron:
         return IntegerMatrix._from_coo(
             other.rows, self.cols, row, a * out.cols + out.col_idx, out.values, canonical=True
         )
+
+
+@dataclass(frozen=True, eq=False)
+class FaceDifference:
+    """The matrix with `rows` rows whose column c is e_twisted[c] -
+    e_(c mod rows), held by its twisted index map alone: the plain face c
+    mod rows is computed, not stored.  The number of columns is
+    len(twisted), a multiple of rows.
+
+    Its products with an `IntegerMatrix` on either side relabel indices,
+    around at most one product with the one-entry-per-column matrix of
+    the twisted map, and are exactly equal to the products with the
+    explicit matrix, which is never formed.  It has no arithmetic of its
+    own beyond these products."""
+
+    rows: int
+    twisted: np.ndarray
+
+    def __post_init__(self):
+        if self.rows < 1 or self.cols % self.rows:
+            raise ValueError(f"{self.cols} columns are not whole copies of {self.rows} rows")
+
+    @property
+    def cols(self):
+        return len(self.twisted)
+
+    @property
+    def nnz(self):
+        return 2 * int(np.count_nonzero(self.twisted != np.arange(self.cols) % self.rows))
+
+    @property
+    def column_unit(self):
+        """Column slices start and end at multiples of this, so that the
+        plain face of a slice's column c is still c mod rows."""
+        return self.rows
+
+    def column_slice(self, c0, c1):
+        """Columns c0..c1-1, both multiples of `rows`."""
+        if c0 % self.rows or c1 % self.rows:
+            raise ValueError(f"columns {c0}..{c1} split a copy of the plain face")
+        return FaceDifference(self.rows, self.twisted[c0:c1])
+
+    def __matmul__(self, other):
+        """self @ other: row c of other goes to row twisted[c] and, negated,
+        to row c mod rows; one sort sums them.  An entry of the result sums
+        at most 2 cols entries of other, which bounds it for int64."""
+        if not isinstance(other, IntegerMatrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        values = other.values
+        if 2 * self.cols * _abs_max(values) >= _INT64_BOUND:
+            values = values.astype(object)
+        return IntegerMatrix._from_coo(
+            self.rows,
+            other.cols,
+            np.concatenate((self.twisted[other.row_idx], other.row_idx % self.rows)),
+            np.tile(other.col_idx, 2),
+            np.concatenate((values, -values)),
+        )
+
+    def __rmatmul__(self, other):
+        """other @ self: column c is other's column twisted[c] minus its
+        column c mod rows, that is the product with the map c -> twisted[c]
+        minus other tiled cols / rows times; each position gets at most one
+        term of each, so their int64 sum cannot wrap."""
+        if not isinstance(other, IntegerMatrix):
+            return NotImplemented
+        cols = self.cols
+        picks = IntegerMatrix._from_coo(
+            self.rows, cols, self.twisted, np.arange(cols), np.ones(cols, dtype=np.int64)
+        )
+        picked = _product(other, picks)
+        tiles = np.arange(0, cols, self.rows)
+        tiled = (other.row_idx * cols + other.col_idx)[:, None] + tiles
+        r, c, values = _canonical_keys(
+            cols,
+            np.concatenate((picked.row_idx * cols + picked.col_idx, tiled.ravel())),
+            np.concatenate((picked.values, np.repeat(-other.values, len(tiles)))),
+        )
+        return IntegerMatrix._from_coo(other.rows, cols, r, c, values, canonical=True)
 
 
 def _canonical_coo(rows, cols, r, c, values):

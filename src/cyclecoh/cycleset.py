@@ -141,10 +141,12 @@ def check_cycle_set_table(n, dot):
     verdict = check_left_translations(n, dot)
     if not verdict:
         return verdict
+    # entry (i, j) of a table sits at i * n + j of the flat one
+    flat, scaled = dot.ravel(), dot * n
     for a in range(n):
         da = dot[a]
         # dot[a.b][a.c] against dot[b.a][b.c], rows b, columns c
-        hit = first_failure(dot[da[:, None], da] != dot[dot[:, a][:, None], dot])
+        hit = first_failure(flat.take(da[:, None] * n + da) != flat.take(scaled[:, a][:, None] + dot))
         if hit:
             return Verdict(False, "cycle-set", (a, *hit))
     return Verdict(True)
@@ -155,11 +157,13 @@ def check_linearity_table(n, add, dot):
     block over (b, c) per a; the first failure in (a, b, c) order, and
     at that triple left distributivity before the twisted one."""
     add, dot = np.asarray(add), np.asarray(dot)
+    # entry (i, j) of a table sits at i * n + j of the flat one
+    flat_add, flat_dot = add.ravel(), dot.ravel()
     for a in range(n):
         da = dot[a]
-        ab, ac = da[:, None], da[None, :]
-        left = dot[a, add] != add[ab, ac]
-        twisted = dot[add[a]] != dot[ab, ac]
+        at = da[:, None] * n + da  # (a.b, a.c)
+        left = da.take(add) != flat_add.take(at)
+        twisted = dot[add[a]] != flat_dot.take(at)
         hit = first_failure(np.stack([left, twisted], axis=-1))
         if hit:
             b, c, which = hit

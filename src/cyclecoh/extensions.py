@@ -153,7 +153,7 @@ def verify_central_extension(ext, exhaustive=None):
         block = not_commuting[a][:, None]
         if exhaustive:
             # column 0: a + b != b + a; column 1 + c: (a + b) + c != a + (b + c)
-            block = np.column_stack([block, add[add[a]] != add[a, add]])
+            block = np.column_stack([block, add[add[a]] != add[a].take(add)])
         hit = first_failure(block)
         if hit:
             b, col = hit

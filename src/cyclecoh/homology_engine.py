@@ -25,8 +25,11 @@ involved exist.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .abelian import (
     FinAbGroup,
@@ -224,8 +227,10 @@ class PerturbedRows:
     The perturbed differential d_C + delta of the large complex is held
     as its two summands, `unperturbed.dh` and `delta`.  C's differentials
     may be held factored, as `IdentityKron` records I (x) B (x) I of their
-    small factors B: they are read only through products with matrices,
-    d @ M and M @ d, which never form them."""
+    small factors B, and delta by its face index maps, as
+    `FaceDifference` records: they are read only through products with
+    matrices, d @ M and M @ d, and column slices of these records, which
+    never form them."""
 
     X: DoubleComplex
     unperturbed: DoubleComplex
@@ -248,8 +253,11 @@ def perturb_double_complex(system, delta, n0, verify=True):
     The perturbed differential d_C + delta of C is never formed: the
     verification applies it as d_C @ M + delta @ M and M @ d_C + M @ delta,
     so C's differential is held once, beside delta, and C's differentials
-    are read only through such products (an `IdentityKron` serves).  Of
-    C's cells only the ranks are read.
+    and delta are read only through such products (an `IdentityKron` or
+    a `FaceDifference` serves).  The verification compares each identity
+    a block of columns (or rows) at a time, so it reads column slices of
+    the right factors too, which these records give.  Of C's cells only
+    the ranks are read.
     """
 
     def dh_at(pos):
@@ -320,29 +328,89 @@ def _sum(terms):
     return functools.reduce(operator.add, terms)
 
 
+# the most columns (or rows) of an identity that the verification
+# compares at once, rounded to the alignment its factors need
+_VERIFY_BLOCK = 2**10
+
+
+def _blocks(lines, factors):
+    """[start, stop) ranges covering range(lines) in blocks of about
+    _VERIFY_BLOCK lines, each a multiple of every factor's column unit
+    wide (the last may be shorter); none when there are no lines."""
+    if not lines:
+        return []
+    unit = math.lcm(*(m.column_unit for m in factors))
+    width = max(unit, _VERIFY_BLOCK // unit * unit)
+    return [(a, min(a + width, lines)) for a in range(0, lines, width)]
+
+
+def _agree(lines, factors, lhs, rhs):
+    """lhs(a, b) == rhs(a, b) on every block [a, b) of `_blocks`: an
+    identity compared a block of columns (or rows) at a time, so that no
+    more than one block of its products is held."""
+    return all(lhs(a, b) == rhs(a, b) for a, b in _blocks(lines, factors))
+
+
+def _identity_columns(n, c0, c1):
+    """Columns c0..c1-1 of the n x n identity."""
+    return IntegerMatrix._from_coo(
+        n, c1 - c0, np.arange(c0, c1), np.arange(c1 - c0), np.ones(c1 - c0, dtype=np.int64),
+        canonical=True,
+    )
+
+
 def _verify_perturbed_rows(Xp, C, delta, i1, p1, h1):
     """The identities of the perturbed SDR, with C's differential
-    d_C + delta read from C.dh and delta."""
+    d_C + delta read from C.dh and delta.
+
+    Each identity at each cell is compared a block of columns at a time,
+    (L @ R)[:, J] = L @ R[:, J] for the right factors R, and a block of
+    rows at a time, (L @ R)[I, :] = L[I, :] @ R, where a right factor is
+    C.dv, which has no column slices.  Every column of every identity is
+    compared, and a failure names the identity and the cell."""
     # item (1): morphisms of double complexes with p1 o i1 = id
     for pos in Xp.cells:
         if pos in i1 and pos in p1:
-            if p1[pos] @ i1[pos] != IntegerMatrix.identity(Xp.rank(pos)):
+            n = Xp.rank(pos)
+            if not _agree(
+                n, (i1[pos],),
+                lambda a, b: p1[pos] @ i1[pos].column_slice(a, b),
+                lambda a, b: _identity_columns(n, a, b),
+            ):
                 return CheckReport(False, "p1 o i1 = id", pos)
     for (r, s) in Xp.cells:
         tgt = (r - 1, s)
         dC = _perturbed_summands(C, delta, (r, s))
-        if (r, s) in i1 and tgt in i1 and (r, s) in Xp.dh and dC:
-            if _sum(d @ i1[(r, s)] for d in dC) != i1[tgt] @ Xp.dh[(r, s)]:
+        i, p = i1.get((r, s)), p1.get((r, s))
+        xh, xv, cv = Xp.dh.get((r, s)), Xp.dv.get((r, s)), C.dv.get((r, s))
+        if i is not None and tgt in i1 and xh is not None and dC:
+            if not _agree(
+                xh.cols, (i, xh),
+                lambda a, b: _sum(d @ i.column_slice(a, b) for d in dC),
+                lambda a, b: i1[tgt] @ xh.column_slice(a, b),
+            ):
                 return CheckReport(False, "i1 horizontal chain map", (r, s))
-        if (r, s) in p1 and tgt in p1 and (r, s) in Xp.dh and dC:
-            if Xp.dh[(r, s)] @ p1[(r, s)] != _sum(p1[tgt] @ d for d in dC):
+        if p is not None and tgt in p1 and xh is not None and dC:
+            if not _agree(
+                p.cols, (p, *dC),
+                lambda a, b: xh @ p.column_slice(a, b),
+                lambda a, b: _sum(p1[tgt] @ d.column_slice(a, b) for d in dC),
+            ):
                 return CheckReport(False, "p1 horizontal chain map", (r, s))
         vt = (r, s - 1)
-        if (r, s) in i1 and vt in i1 and (r, s) in Xp.dv and (r, s) in C.dv:
-            if C.dv[(r, s)] @ i1[(r, s)] != i1[vt] @ Xp.dv[(r, s)]:
+        if i is not None and vt in i1 and xv is not None and cv is not None:
+            if not _agree(
+                xv.cols, (i, xv),
+                lambda a, b: cv @ i.column_slice(a, b),
+                lambda a, b: i1[vt] @ xv.column_slice(a, b),
+            ):
                 return CheckReport(False, "i1 vertical chain map", (r, s))
-        if (r, s) in p1 and vt in p1 and (r, s) in Xp.dv and (r, s) in C.dv:
-            if Xp.dv[(r, s)] @ p1[(r, s)] != p1[vt] @ C.dv[(r, s)]:
+        if p is not None and vt in p1 and xv is not None and cv is not None:
+            if not _agree(
+                xv.rows, (),
+                lambda a, b: xv.row_slice(a, b) @ p,
+                lambda a, b: p1[vt].row_slice(a, b) @ cv,
+            ):
                 return CheckReport(False, "p1 vertical chain map", (r, s))
     # item (2): row homotopy identity
     for (r, s) in C.cells:
@@ -351,11 +419,18 @@ def _verify_perturbed_rows(Xp, C, delta, i1, p1, h1):
         up = _perturbed_summands(C, delta, (r + 1, s))
         if not up:
             continue
-        lhs = [d @ h1[(r, s)] for d in up]
-        prev = (r - 1, s)
-        if prev in h1:
-            lhs += [h1[prev] @ d for d in _perturbed_summands(C, delta, (r, s))]
-        rhs = i1[(r, s)] @ p1[(r, s)] - IntegerMatrix.identity(C.rank((r, s)))
-        if _sum(lhs) != rhs:
+        h, i, p = h1[(r, s)], i1[(r, s)], p1[(r, s)]
+        prev = h1.get((r - 1, s))
+        here = _perturbed_summands(C, delta, (r, s)) if prev is not None else []
+        n = C.rank((r, s))
+
+        def lhs(a, b):
+            hb = h.column_slice(a, b)
+            return _sum([d @ hb for d in up] + [prev @ d.column_slice(a, b) for d in here])
+
+        if not _agree(
+            n, (h, p, *here), lhs,
+            lambda a, b: i @ p.column_slice(a, b) - _identity_columns(n, a, b),
+        ):
             return CheckReport(False, "row homotopy identity", (r, s))
     return CheckReport(True)

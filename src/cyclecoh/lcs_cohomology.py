@@ -38,6 +38,7 @@ import numpy as np
 
 from .abelian import (
     _INT64_BOUND,
+    FaceDifference,
     FinAbGroup,
     IdentityKron,
     IntegerMatrix,
@@ -195,7 +196,11 @@ def perturbation_delta(lcs, cells, positions=((1, 1), (2, 1), (1, 2))):
     exp_tuples order of the joined tuples (gt, mt), as both the full
     complex and the shuffle-quotient bar cells do; so the generator with
     code c, tuple (x_1..x_n), has the plain face x_2..x_n at c mod
-    (v-1)^(n-1) and the twisted face x_1.x_2..x_1.x_n."""
+    (v-1)^(n-1) and the twisted face x_1.x_2..x_1.x_n.  Each delta(r, s)
+    is the `FaceDifference` of these two faces, held by the twisted codes
+    alone.  They are built one first letter x_1 at a time, from the
+    letters of the (v-1)^(n-1) tuples x_2..x_n, so the letters of all
+    (v-1)^n tuples are never held."""
     v = lcs.v
     dot = np.array(lcs.dot, dtype=np.int64)
     delta = {}
@@ -205,19 +210,14 @@ def perturbation_delta(lcs, cells, positions=((1, 1), (2, 1), (1, 2))):
         if (r, s) not in cells or (r - 1, s) not in cells:
             continue
         n = r + s
-        if (cells[(r, s)].ngens, cells[(r - 1, s)].ngens) != ((v - 1) ** n, (v - 1) ** (n - 1)):
+        faces = (v - 1) ** (n - 1)
+        if (cells[(r, s)].ngens, cells[(r - 1, s)].ngens) != ((v - 1) * faces, faces):
             raise ValueError(f"cells at {(r, s)} are not on the exponent-tuple basis")
-        x = tuple_letters(n, v)
-        cols = np.arange(len(x))
-        twisted = tuple_codes(dot[x[:, :1], x[:, 1:]], v)
-        plain = cols % (v - 1) ** (n - 1)
-        delta[(r, s)] = IntegerMatrix._from_coo(
-            (v - 1) ** (n - 1),
-            len(x),
-            np.concatenate((twisted, plain)),
-            np.concatenate((cols, cols)),
-            np.repeat(np.array([1, -1], dtype=np.int64), len(x)),
-        )
+        rest = tuple_letters(n - 1, v)
+        twisted = np.empty((v - 1) * faces, dtype=np.int64)
+        for x1 in range(1, v):
+            twisted[(x1 - 1) * faces : x1 * faces] = tuple_codes(dot[x1][rest], v)
+        delta[(r, s)] = FaceDifference(faces, twisted)
     return delta
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from cyclecoh import abelian
 from cyclecoh.abelian import (
+    FaceDifference,
     FinAbGroup,
     IdentityKron,
     InconsistentComplexError,
@@ -290,7 +291,7 @@ def test_integer_matrix_never_wraps():
 
 # entries on both sides of the int64 bound 2^62, and caps on the terms in
 # flight from one term per block up to the module's own
-ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 2**40, -(2**62), 2**62, 2**70])
+ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 2**40, 2**62 - 1, -(2**62), 2**62, 2**70])
 CAPS = st.sampled_from([1, 2, 5, abelian._TERMS_IN_FLIGHT])
 
 
@@ -315,6 +316,58 @@ def test_identity_kron_products_equal_the_explicit_kron(data):
         K @ IntegerMatrix.zero(K.cols + 1, 1)
     with pytest.raises(ValueError):
         IntegerMatrix.zero(1, K.rows + 1) @ K
+    # with outer 1, a slice of whole copies of I_inner from a drawn offset
+    if outer == 1:
+        copies = K.factor.cols
+        a = data.draw(st.integers(0, copies))
+        b = data.draw(st.integers(a, copies))
+        S = K.column_slice(a * inner, b * inner)
+        assert left @ S == left @ explicit.column_slice(a * inner, b * inner)
+        if inner > 1 and copies:
+            with pytest.raises(ValueError):
+                K.column_slice(1, K.cols)
+
+
+def _explicit_face_difference(F):
+    """Column c of F as e_twisted[c] - e_(c mod rows), entry by entry."""
+    data = {}
+    for c, t in enumerate(F.twisted.tolist()):
+        for row, sign in ((t, 1), (c % F.rows, -1)):
+            data[(row, c)] = data.get((row, c), 0) + sign
+    return IntegerMatrix(F.rows, F.cols, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_face_difference_products_equal_the_explicit_matrix(data):
+    rows, copies = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 3))
+    twisted = [data.draw(st.integers(0, rows - 1)) for _ in range(rows * copies)]
+    F = FaceDifference(rows, np.array(twisted, dtype=np.int64))
+    explicit = _explicit_face_difference(F)
+    assert (F.rows, F.cols, F.nnz) == (explicit.rows, explicit.cols, explicit.nnz)
+    m = data.draw(st.integers(0, 4))
+    right = _matrices(data.draw, F.cols, m)
+    left = _matrices(data.draw, m, F.rows)
+    # a slice of whole copies of the plain face, from a nonzero offset
+    # whenever there is more than one copy
+    a = data.draw(st.integers(min(1, copies), copies))
+    b = data.draw(st.integers(a, copies))
+    S = F.column_slice(a * rows, b * rows)
+    explicit_S = explicit.column_slice(a * rows, b * rows)
+    with mock.patch.object(abelian, "_TERMS_IN_FLIGHT", data.draw(CAPS)):
+        assert F @ right == explicit @ right
+        assert left @ F == left @ explicit
+        assert S @ right.row_slice(a * rows, b * rows) == explicit_S @ right.row_slice(a * rows, b * rows)
+        assert left @ S == left @ explicit_S
+    with pytest.raises(ValueError):
+        F @ IntegerMatrix.zero(F.cols + 1, 1)
+    with pytest.raises(ValueError):
+        IntegerMatrix.zero(1, F.rows + 1) @ F
+    if rows > 1 and copies:
+        with pytest.raises(ValueError):
+            F.column_slice(1, F.cols)
+        with pytest.raises(ValueError):
+            FaceDifference(rows, F.twisted[1:])
 
 
 @settings(max_examples=150, deadline=None)
@@ -341,6 +394,16 @@ def test_row_blocked_product_equals_the_one_shot_product(data):
     # each block holds at most cap terms, or is a single row with more
     assert sum(expanded) == sum(row_terms)
     assert all(t <= cap or t in row_terms for t in expanded)
+
+
+def test_face_difference_sums_beyond_int64():
+    # row 0 of F @ M sums three int64 entries 2^62 - 1 (columns 1, 3, 5
+    # of F are e_0 - e_1), beyond 2^63
+    x = 2**62 - 1
+    F = FaceDifference(2, np.zeros(6, dtype=np.int64))
+    M = IntegerMatrix.from_rows([[x]] * 6)
+    assert M.values.dtype == np.int64
+    assert (F @ M).dense() == [[3 * x], [-3 * x]]
 
 
 def test_row_blocks_mix_int64_and_python_int_terms():

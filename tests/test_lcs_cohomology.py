@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from cyclecoh.abelian import FinAbGroup, hom_cohomology_at
+from cyclecoh.abelian import FinAbGroup, IntegerMatrix, hom_cohomology_at
 from cyclecoh.cycleset import CyclicFamilyParams, LinearCycleSet, make_cyclic_lcs
 from cyclecoh.lcs_cohomology import (
     CocyclePair,
@@ -92,7 +92,8 @@ def test_perturbation_delta_values():
     fc = full_double_complex(lcs, 3)
     delta = perturbation_delta(lcs, fc.dc.cells)
     assert set(delta) == {(1, 1), (2, 1), (1, 2)}
-    m = delta[(1, 1)]
+    # the face record, expanded by a product with the identity
+    m = delta[(1, 1)] @ IntegerMatrix.identity(delta[(1, 1)].cols)
     v, u = params.v, params.u
     labels = cell_basis(1, 1, v)
     tgt = {lab: i for i, lab in enumerate(cell_basis(0, 1, v))}

@@ -962,12 +962,7 @@ class FinAbGroup:
         return GroupElement(self, (0,) * len(self.factors))
 
     def element(self, coords):
-        coords = tuple(
-            c % f if f else int(c) for c, f in zip(coords, self.factors)
-        )
-        if len(coords) != len(self.factors):
-            raise ValueError("coordinate length mismatch")
-        return GroupElement(self, coords)
+        return GroupElement(self, tuple(coords))
 
     def elements(self):
         if not self.is_finite:
@@ -1014,6 +1009,8 @@ class GroupElement:
     coords: tuple
 
     def __post_init__(self):
+        if len(self.coords) != len(self.group.factors):
+            raise ValueError("coordinate length mismatch")
         coords = tuple(
             c % f if f else int(c) for c, f in zip(self.coords, self.group.factors)
         )
@@ -1089,9 +1086,6 @@ class PresentedModule:
     @classmethod
     def free(cls, ngens):
         return cls(ngens, IntegerMatrix.zero(0, ngens))
-
-    def invariants(self):
-        return cokernel_invariants(self.relations)
 
 
 def cokernel_invariants(relations):

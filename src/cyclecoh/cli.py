@@ -37,10 +37,16 @@ from .cycleset import (
 )
 from .cyclic_resolution import dl_agreement_suite
 from .extensions import enumerate_extension_classes
-from .lcs_cohomology import cohomology, full_double_complex, reduced_complex
+from .lcs_cohomology import (
+    ROUTES,
+    admitted_routes,
+    cohomology,
+    full_double_complex,
+    reduced_complex,
+)
 from .modular import ResourceLimitError
 
-COHOMOLOGY_METHODS = ("full", "reduced", "closed", "all")
+COHOMOLOGY_METHODS = (*ROUTES, "all")
 EXTENSION_METHODS = ("theorem", "brute", "all")
 
 
@@ -119,36 +125,34 @@ def parse_coeff(text):
 # ---------------------------------------------------------------------------
 
 
+def compare_routes(params, gamma, degree, method):
+    """H^degree by `method`, or with "all" by every route that gamma
+    admits, and the pairwise agreement of their groups ("all" is true
+    when no pair disagrees, so also when one route ran)."""
+    methods = admitted_routes(gamma) if method == "all" else (method,)
+    results = {m: cohomology(params, gamma, degree, m) for m in methods}
+    names = sorted(results)
+    agreement = {
+        f"{a}={b}": results[a].group == results[b].group
+        for i, a in enumerate(names)
+        for b in names[i + 1 :]
+    }
+    agreement["all"] = all(agreement.values())
+    return results, agreement
+
+
 def run_cohomology(spec):
-    params = spec.params()
-    gamma = spec.gamma()
     degree = spec.degree if spec.degree is not None else 2
-    method = spec.method or "all"
-    if method == "all":
-        methods = ["closed"]
-        if gamma.is_finite:
-            methods = ["full", "reduced", "closed"]
-    else:
-        methods = [method]
-    results = []
-    groups = {}
-    for m in methods:
-        res = cohomology(params, gamma, degree, m)
-        groups[m] = res.group
-        results.append(
-            {
-                "method": m,
-                "invariant_factors": list(res.group.factors),
-                "representatives": len(res.representatives),
-            }
-        )
-    agreement = {}
-    names = sorted(groups)
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            agreement[f"{a}={b}"] = groups[a] == groups[b]
-    agreement["all"] = all(agreement.values()) if agreement else True
-    report = Report(spec.echo(), results, agreement)
+    results, agreement = compare_routes(spec.params(), spec.gamma(), degree, spec.method or "all")
+    rows = [
+        {
+            "method": m,
+            "invariant_factors": list(res.group.factors),
+            "representatives": len(res.representatives),
+        }
+        for m, res in results.items()
+    ]
+    report = Report(spec.echo(), rows, agreement)
     if not agreement["all"]:
         raise RouteDisagreement(render(report, spec))
     return report
@@ -241,20 +245,14 @@ def run_verify(spec):
             snf_ok = False
     record("smith-normal-form", "pass" if snf_ok else "fail")
     if spec.coeff:
-        gamma = spec.gamma()
-        if gamma.is_finite:
-            agree = True
-            for n in (1, 2):
-                gs = {
-                    m: cohomology(params, gamma, n, m).group
-                    for m in ("full", "reduced", "closed")
-                }
-                agree = agree and gs["full"] == gs["reduced"] == gs["closed"]
-            record("route-agreement", "pass" if agree else "fail")
-        else:
-            # the full and reduced routes take finite coefficients only, so
-            # no routes are compared
+        checks = [compare_routes(params, spec.gamma(), n, "all") for n in (1, 2)]
+        if len(checks[0][0]) < 2:
+            # one admitted route (the closed one, for a free factor): no
+            # routes are compared
             record("route-agreement", "skipped")
+        else:
+            agree = all(agreement["all"] for _, agreement in checks)
+            record("route-agreement", "pass" if agree else "fail")
     failed = [s for s in suites if s["status"] == "fail"]
     report = Report(spec.echo(), suites, {"all": not failed})
     if failed:
@@ -271,17 +269,12 @@ def run_table(spec):
     # one member at a time: the module caches hold only the current member
     for member in family_members(max_v):
         for degree in degrees:
-            if method == "all" and gamma.is_finite:
-                groups = {
-                    m: cohomology(member, gamma, degree, m).group
-                    for m in ("full", "reduced", "closed")
-                }
-                agree = len(set(groups.values())) == 1
-                factors = groups["closed"].factors
-                word = "all-agree" if agree else "DISAGREE"
-            else:
-                factors = cohomology(member, gamma, degree, "closed").group.factors
+            results, agreement = compare_routes(member, gamma, degree, method)
+            factors = results["closed"].group.factors
+            if len(results) < 2:
                 word = "closed-only"
+            else:
+                word = "all-agree" if agreement["all"] else "DISAGREE"
             rows.append(
                 {
                     "p": member.p,

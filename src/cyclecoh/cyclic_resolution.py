@@ -756,9 +756,8 @@ class CoefficientComplex:
 
     The normalized complex is not held: its differential is
     `tuple_bar_differential(n, v)` (x) id_M, which the perturbation
-    transfer holds factored as an `IdentityKron`; `bar_rank` gives the
-    size of its degree-n module and `bar_module` builds that module's
-    presentation on request, as the transfer reads only ranks."""
+    transfer holds factored as an `IdentityKron`, and `bar_rank` gives
+    the size of its degree-n module, as the transfer reads only ranks."""
 
     v: int
     u: int
@@ -773,12 +772,6 @@ class CoefficientComplex:
     def bar_rank(self, n):
         """Generators of bar_n(M) = Dbar^{x n} (x) M: (v-1)^n copies of M's."""
         return (self.v - 1) ** n * self.M.ngens
-
-    def bar_module(self, n):
-        """bar_n(M) presented on the basis (exp tuple, generator of M),
-        tuples outer: (v-1)^n copies of M's relations."""
-        relations = IntegerMatrix.identity((self.v - 1) ** n).kron(self.M.relations)
-        return PresentedModule(self.bar_rank(n), relations)
 
 
 def coefficient_complex(params, M, n_max):

@@ -308,6 +308,10 @@ def perturb_double_complex(system, delta, n0, verify=True):
             if (r, s) in system.p:
                 p1[(r, s)] = system.p[(r, s)] + system.p[(r, s)] @ Ah
             h1[(r, s)] = system.h[(r, s)] + system.h[(r, s)] @ Ah
+    # the verification reads neither the smallness products nor the last
+    # series applied, so they are released before it
+    dh.clear()
+    Ai = Ah = None
 
     Xp = DoubleComplex(system.X.cells, new_dhX, system.X.dv)
     report = CheckReport(True)

@@ -20,7 +20,9 @@ partial total complex spanning degrees 1..3:
         Mbar(1)_00 <- Mbar(1)_01 + Mbar(1)_10 <- Mbar(1)_02 + _11 + _20
 
 whose arrows also have closed forms; the construction asserts closed
-forms and transfer output agree entrywise.
+forms and transfer output agree entrywise.  Its degree-2 cochains pull
+back to the full complex along the comparison phi2, the identity on
+Mbar(2) and the transferred projection phi-hat on Dbar (x) Mbar(1).
 
 The closed route evaluates the final formulas directly:
 H^1 = G_u and H^2 = G_v + G/vG (u = v), G/uG + G_u (2 < u < v), or
@@ -183,14 +185,10 @@ def _full_dh(lcs, r, s):
     return IntegerMatrix._from_coo((v - 1) ** (r + s - 1), len(x), tgt, col, values)
 
 
-def perturbation_delta(lcs, cells, positions=((1, 1), (2, 1), (1, 2))):
-    """The dot-twist of the horizontal differential.
-
-    By default only the three positions feeding the degree <= 3 arrows;
-    positions=None takes the twist everywhere on the grid, which is the
-    honest square-zero perturbation (the truncated version fails
-    (d + delta)^2 = 0 above total degree 3, without affecting the
-    transferred arrows).
+def perturbation_delta(lcs, cells):
+    """The dot-twist of the horizontal differential at every cell (r, s),
+    r >= 1, whose (r - 1, s) is a cell: the square-zero perturbation
+    over the whole grid.
 
     Cell (r, s) must have the basis Dbar^{x r} (x) Dbar^{x s} in
     exp_tuples order of the joined tuples (gt, mt), as both the full
@@ -204,10 +202,8 @@ def perturbation_delta(lcs, cells, positions=((1, 1), (2, 1), (1, 2))):
     v = lcs.v
     dot = np.array(lcs.dot, dtype=np.int64)
     delta = {}
-    if positions is None:
-        positions = [(r, s) for (r, s) in cells if r >= 1]
-    for (r, s) in positions:
-        if (r, s) not in cells or (r - 1, s) not in cells:
+    for (r, s) in cells:
+        if r < 1 or (r - 1, s) not in cells:
             continue
         n = r + s
         faces = (v - 1) ** (n - 1)
@@ -243,31 +239,19 @@ def _one_slot_map(v, images):
 
 @dataclass
 class ReducedComplexT:
-    """The small partial total complex with its named arrows."""
+    """The small partial total complex as a chain complex in degrees 1..3,
+    blocks in DEG1/DEG2/DEG3 order, with diff {2: d2, 3: d3}, its named
+    arrows, and phi2, the degree-2 comparison from the full complex's
+    cochain positions (Mbar(2), then Dbar (x) Mbar(1)) to the three
+    reduced blocks (Mbar(2)_00, Mbar(1)_01, Mbar(1)_10).  phi2 is the
+    identity on Mbar(2) and the transferred projection phi-hat on
+    Dbar (x) Mbar(1); a reduced degree-2 cochain c pulls back to the full
+    cochain phi2^T c."""
 
     params: CyclicFamilyParams
-    modules: dict          # degree -> PresentedModule, blocks in DEG1/DEG2/DEG3 order
-    d2: IntegerMatrix
-    d3: IntegerMatrix
+    total: ChainComplex
     arrows: dict           # name -> IntegerMatrix
-    phi01: IntegerMatrix   # Dbar (x) Mbar(1) -> Mbar(1), component into cell (0,1)
-    phi10: IntegerMatrix   # component into cell (1,0)
-
-    def phi2_matrix(self):
-        """Degree-2 comparison: full cochain positions (Mbar(2), Dbar x Mbar(1))
-        to the three reduced blocks (Mbar(2)_00, Mbar(1)_01, Mbar(1)_10)."""
-        v = self.params.v
-        n2 = (v - 1) ** 2
-        n1 = v - 1
-        return block_matrix(
-            {
-                (0, 0): IntegerMatrix.identity(n2),
-                (1, 1): self.phi01,
-                (2, 1): self.phi10,
-            },
-            [n2, n1, n1],
-            [n2, (v - 1) * (v - 1)],
-        )
+    phi2: IntegerMatrix
 
 
 def _arrow_matrices(params):
@@ -340,7 +324,6 @@ def reduced_complex(params):
     and cross-checked against the perturbation-lemma transfer."""
     arrows = _arrow_matrices(params)
     quotients = {s: shuffle_quotient(s, params.v) for s in (1, 2, 3)}
-    mods = _reduced_modules(quotients)
     d2 = _assemble(
         {
             ((1, (0, 0)), (2, (0, 0))): arrows["dv_002"],
@@ -365,7 +348,8 @@ def reduced_complex(params):
         list(DEG3),
         params,
     )
-    if not (d2 @ d3).is_zero():
+    total = ChainComplex(_reduced_modules(quotients), {2: d2, 3: d3})
+    if not total.validate():
         raise AssertionError("reduced complex fails d o d = 0")
 
     transfer = _transfer_reduced(params, quotients)
@@ -392,12 +376,16 @@ def reduced_complex(params):
         if not got.is_zero():
             raise AssertionError(f"expected zero arrow at {pos} {src_cell}->{tgt_cell}")
 
-    phi01, phi10 = _phi_hat_from_transfer(transfer, params)
+    # phi-hat: the projection on X_{1,1} = Mbar(1)_01 + Mbar(1)_10
+    phi_hat = transfer.p1[(1, 1)]
     closed01, closed10 = phi_hat_closed(params)
-    if phi01 != closed01 or phi10 != closed10:
+    if phi_hat != closed01.vstack(closed10):
         raise AssertionError("transferred degree-2 projection disagrees with closed form")
-
-    return ReducedComplexT(params, mods, d2, d3, arrows, phi01, phi10)
+    n2 = (params.v - 1) ** 2
+    phi2 = block_matrix(
+        {(0, 0): IntegerMatrix.identity(n2), (1, 1): phi_hat}, [n2, phi_hat.rows], [n2, n2]
+    )
+    return ReducedComplexT(params, total, arrows, phi2)
 
 
 def _extract_block(m, pos, tgt_cell, src_cell, params):
@@ -452,7 +440,7 @@ def _transfer_reduced(params, quotients):
             # side: id on the group slots tensor the inner map
             xdv[(r, s)] = IntegerMatrix.identity(r + 1).kron(signed)
             cdv[(r, s)] = IdentityKron((v - 1) ** r, signed, 1)
-    delta = perturbation_delta(lcs, ccells, positions=None)
+    delta = perturbation_delta(lcs, ccells)
     system = RowSDRSystem(
         DoubleComplex(xcells, xdh, xdv), DoubleComplex(ccells, cdh, cdv), i_maps, p_maps, h_maps
     )
@@ -479,14 +467,6 @@ def _pepito_row_d(params, r, s, g):
                 blk = IntegerMatrix.identity(g).scale(scalar)
                 blocks[(bi, bj)] = blocks.get((bi, bj), IntegerMatrix.zero(g, g)) + blk
     return block_matrix(blocks, [g] * len(tgts), [g] * len(srcs))
-
-
-def _phi_hat_from_transfer(transfer, params):
-    v = params.v
-    n1 = v - 1
-    p1 = transfer.p1[(1, 1)]
-    # blocks of X_{1,1} = Mbar(1)_{01} + Mbar(1)_{10}
-    return p1.submatrix(0, n1, 0, p1.cols), p1.submatrix(n1, 2 * n1, 0, p1.cols)
 
 
 def phi_hat_closed(params):
@@ -592,24 +572,59 @@ class CohomologyResult:
     representatives: list = field(default_factory=list)
 
 
-def cohomology(params, gamma, n, method):
-    """H^n of the cycle set with coefficients in gamma, n in {1, 2}.
+ROUTES = ("full", "reduced", "closed")
 
-    method "full" computes on the total cycle-set complex, "reduced" on
-    the small transferred complex, "closed" evaluates the final
-    formulas; full/reduced also return representative cocycles.
+
+def admitted_routes(gamma):
+    """The routes that compute H^n with coefficients in gamma, in report
+    order: all three for a finite group; with a free factor only the
+    closed formulas, as the full and reduced routes eliminate modulo
+    prime powers only."""
+    return ROUTES if gamma.is_finite else ("closed",)
+
+
+def cohomology(params, gamma, n, method):
+    """H^n of the cycle set with coefficients in gamma, n in {1, 2}, by
+    one of the routes that `admitted_routes(gamma)` lists.
+
+    "closed" evaluates the final formulas.  "full" and "reduced" take
+    H^n of Hom(-, gamma) at degree n of a chain complex, the full total
+    complex or the reduced one, and return a representative cochain per
+    cyclic summand; in degree 2 as a `CocyclePair` on the full complex,
+    a reduced cochain pulled back along the comparison phi2 first.
     """
     if n not in (1, 2):
         raise ValueError("only degrees 1 and 2 are in scope")
+    if method not in ROUTES:
+        raise ValueError(f"unknown method {method!r}")
+    if method not in admitted_routes(gamma):
+        raise ValueError("full/reduced routes require finite coefficients")
     if method == "closed":
         return CohomologyResult(_closed_form(params, gamma, n), "closed")
-    if method not in ("full", "reduced"):
-        raise ValueError(f"unknown method {method!r}")
-    if not gamma.is_finite:
-        raise ValueError("full/reduced routes require finite coefficients")
     if method == "full":
-        return _full_route(params, gamma, n)
-    return _reduced_route(params, gamma, n)
+        chain, phi2 = _full_slice(params).total, None
+    else:
+        rc = reduced_complex(params)
+        chain, phi2 = rc.total, rc.phi2
+    out = chain.modules.get(n - 1)
+    res = hom_cohomology_at(
+        chain.diff[n + 1],
+        chain.diff.get(n),
+        chain.modules[n].relations,
+        gamma,
+        None if out is None else out.relations,
+    )
+    reps = list(res.summands)
+    if n == 2:
+        if phi2 is not None:
+            # a reduced cochain c pulls back to the full cochain phi2^T c
+            phiT = phi2.transpose()
+            reps = [
+                (order, (phiT @ IntegerMatrix.from_rows(c.tolist(), c.shape[1])).dense())
+                for order, c in reps
+            ]
+        reps = [(order, _full_vector_to_pair(params, gamma, c)) for order, c in reps]
+    return CohomologyResult(res.group, method, reps)
 
 
 def _closed_form(params, gamma, n):
@@ -629,30 +644,9 @@ def _closed_form(params, gamma, n):
     return quot.direct_sum(tors).direct_sum(tors)
 
 
-def _full_route(params, gamma, n):
-    fc = _full_slice(params)
-    chain = fc.total
-    d_in = chain.diff[n + 1]
-    if n >= 2:
-        d_out = chain.diff[n]
-        out_rel = chain.modules[n - 1].relations
-    else:
-        d_out = IntegerMatrix.zero(0, chain.rank(n))
-        out_rel = None
-    res = hom_cohomology_at(
-        d_in, d_out, chain.modules[n].relations, gamma, out_rel
-    )
-    reps = []
-    if n == 2:
-        for order, cochain in res.summands:
-            reps.append((order, _full_vector_to_pair(params, gamma, cochain)))
-    else:
-        reps = list(res.summands)
-    return CohomologyResult(res.group, "full", reps)
-
-
 def _full_vector_to_pair(params, gamma, cochain):
-    """Scatter a full degree-2 cochain, (ngen, r) coordinates, onto a pair.
+    """Scatter a full degree-2 cochain, (ngen, r) coordinates, onto a pair;
+    the reduced route's cochains arrive pulled back along phi2.
 
     Degree 2 of the total complex is the (0,2) block, Mbar(2) on the
     exponent tuples (a, b), then the (1,1) block, Dbar (x) Mbar(1) on the
@@ -664,41 +658,6 @@ def _full_vector_to_pair(params, gamma, cochain):
     cochain = np.asarray(cochain, dtype=object)
     xi = np.zeros((2, v, v, r), dtype=object)
     xi[:, 1:, 1:] = cochain.reshape(2, n1, n1, r)
-    return CocyclePair(gamma, v, xi[0], xi[1])
-
-
-def _reduced_route(params, gamma, n):
-    rc = reduced_complex(params)
-    if n == 1:
-        d_in = rc.d2
-        d_out = IntegerMatrix.zero(0, rc.modules[1].ngens)
-        res = hom_cohomology_at(d_in, d_out, rc.modules[1].relations, gamma, None)
-        return CohomologyResult(res.group, "reduced", list(res.summands))
-    res = hom_cohomology_at(
-        rc.d3, rc.d2, rc.modules[2].relations, gamma, rc.modules[1].relations
-    )
-    reps = []
-    for order, cochain in res.summands:
-        reps.append((order, reduced_vector_to_pair(params, gamma, cochain)))
-    return CohomologyResult(res.group, "reduced", reps)
-
-
-def reduced_vector_to_pair(params, gamma, cochain):
-    """Push a reduced degree-2 cochain, (ngen, r) coordinates, through the
-    degree-2 comparison to a cocycle pair on the full complex.
-
-    The Mbar(2)_00 block is xi1 on the exponent tuples (a, b).  xi2 at
-    (a, i1) pairs column (a-1)(v-1) + i1-1 of phi01 with the Mbar(1)_01
-    block and that of phi10 with the Mbar(1)_10 block.
-    """
-    rc = reduced_complex(params)
-    v, r = params.v, len(gamma.factors)
-    n1 = v - 1
-    cochain = np.asarray(cochain, dtype=object)
-    phi = np.array(rc.phi01.vstack(rc.phi10).dense(), dtype=object)
-    xi = np.zeros((2, v, v, r), dtype=object)
-    xi[0, 1:, 1:] = cochain[: n1 * n1].reshape(n1, n1, r)
-    xi[1, 1:, 1:] = (phi.T @ cochain[n1 * n1 :]).reshape(n1, n1, r)
     return CocyclePair(gamma, v, xi[0], xi[1])
 
 

@@ -21,6 +21,7 @@ from cyclecoh import abelian
 from cyclecoh.abelian import (
     FaceDifference,
     FinAbGroup,
+    GroupElement,
     IdentityKron,
     InconsistentComplexError,
     IntegerMatrix,
@@ -573,6 +574,18 @@ def test_group_elements():
     assert (a - a).is_zero
 
 
+def test_group_elements_of_the_wrong_length_are_refused():
+    # one coordinate per invariant factor: a shorter or longer tuple is
+    # refused before it is reduced, by the constructor and by element()
+    g = FinAbGroup((2, 4))
+    for coords in ((1,), (1, 2, 3), ()):
+        with pytest.raises(ValueError, match="^coordinate length mismatch$"):
+            GroupElement(g, coords)
+        with pytest.raises(ValueError, match="^coordinate length mismatch$"):
+            g.element(coords)
+    assert GroupElement(g, (3, 5)).coords == g.element((3, 5)).coords == (1, 1)
+
+
 def test_torsion_and_quotient_examples():
     t, q = torsion_and_quotient(FinAbGroup((4,)), 2)
     assert t.factors == (2,) and q.factors == (2,)
@@ -797,6 +810,6 @@ def test_hom_cohomology_infinite_coefficients():
 
 def test_presented_module():
     mod = PresentedModule(2, IntegerMatrix.from_rows([[2, 0], [0, 2]]))
-    assert mod.invariants().factors == (2, 2)
+    assert cokernel_invariants(mod.relations).factors == (2, 2)
     free = PresentedModule.free(3)
-    assert free.invariants().factors == (0, 0, 0)
+    assert cokernel_invariants(free.relations).factors == (0, 0, 0)

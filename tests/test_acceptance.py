@@ -184,6 +184,7 @@ def test_criterion_6_machinery_identities():
     # phi_hat_closed, which reduced_complex invokes on every build)
     # (e) nilpotency of the twist against the degree-2 homotopy
     from cyclecoh.cyclic_resolution import coefficient_complex
+    from cyclecoh.homology_engine import CellRank
     from cyclecoh.lcs_cohomology import perturbation_delta, shuffle_quotient
 
     for v, triples in members.items():
@@ -192,8 +193,8 @@ def test_criterion_6_machinery_identities():
             lcs = make_cyclic_lcs(params)
             m1 = shuffle_quotient(1, params.v)
             cc = coefficient_complex(params, m1, 2)
-            cells = {(r, 1): cc.bar_module(r) for r in range(3)}
-            delta = perturbation_delta(lcs, cells, positions=((1, 1), (2, 1)))
+            cells = {(r, 1): CellRank(cc.bar_rank(r)) for r in range(3)}
+            delta = perturbation_delta(lcs, cells)
             if params.t == 1:
                 if not (delta[(2, 1)] @ cc.omegabar[2]).is_zero():
                     ok = False

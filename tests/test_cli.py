@@ -241,6 +241,49 @@ def test_verify_with_free_coefficients_skips_route_agreement(capsys):
     assert report["agreement"]["all"] is True
 
 
+# reports of the routes a coefficient group admits: a free factor gets the
+# closed route only, and `table --method closed` runs no other route
+ROUTE_REPORTS = {
+    ("cohomology", "--p", "2", "--nu", "1", "--eta", "2", "--coeff", "0,4", "--method", "all"): (
+        '{"agreement":{"all":true},"job":{"coeff":[4,0],"command":"cohomology","degree":2,'
+        '"eta":2,"method":"all","nu":1,"p":2,"seed":0},"results":[{"invariant_factors":'
+        '[2,2,2,2],"method":"closed","representatives":0}],"version":"0.1.0"}\n'
+    ),
+    ("table", "--max-v", "4", "--coeff", "0,4", "--method", "all"): (
+        '{"agreement":{"all":true},"job":{"coeff":[4,0],"command":"table","max_v":4,'
+        '"method":"all","seed":0},"results":['
+        '{"agreement":"closed-only","coeff":[4,0],"degree":1,"eta":1,"invariant_factors":[2],"nu":1,"p":2},'
+        '{"agreement":"closed-only","coeff":[4,0],"degree":2,"eta":1,"invariant_factors":[2,2,2],"nu":1,"p":2},'
+        '{"agreement":"closed-only","coeff":[4,0],"degree":1,"eta":2,"invariant_factors":[2],"nu":1,"p":2},'
+        '{"agreement":"closed-only","coeff":[4,0],"degree":2,"eta":2,"invariant_factors":[2,2,2,2],"nu":1,"p":2},'
+        '{"agreement":"closed-only","coeff":[4,0],"degree":1,"eta":2,"invariant_factors":[4],"nu":2,"p":2},'
+        '{"agreement":"closed-only","coeff":[4,0],"degree":2,"eta":2,"invariant_factors":[4,4,4],"nu":2,"p":2},'
+        '{"agreement":"closed-only","coeff":[4,0],"degree":1,"eta":1,"invariant_factors":[],"nu":1,"p":3},'
+        '{"agreement":"closed-only","coeff":[4,0],"degree":2,"eta":1,"invariant_factors":[3],"nu":1,"p":3}'
+        '],"version":"0.1.0"}\n'
+    ),
+    ("table", "--max-v", "4", "--coeff", "2", "--method", "closed"): (
+        '{"agreement":{"all":true},"job":{"coeff":[2],"command":"table","max_v":4,'
+        '"method":"closed","seed":0},"results":['
+        '{"agreement":"closed-only","coeff":[2],"degree":1,"eta":1,"invariant_factors":[2],"nu":1,"p":2},'
+        '{"agreement":"closed-only","coeff":[2],"degree":2,"eta":1,"invariant_factors":[2,2],"nu":1,"p":2},'
+        '{"agreement":"closed-only","coeff":[2],"degree":1,"eta":2,"invariant_factors":[2],"nu":1,"p":2},'
+        '{"agreement":"closed-only","coeff":[2],"degree":2,"eta":2,"invariant_factors":[2,2,2],"nu":1,"p":2},'
+        '{"agreement":"closed-only","coeff":[2],"degree":1,"eta":2,"invariant_factors":[2],"nu":2,"p":2},'
+        '{"agreement":"closed-only","coeff":[2],"degree":2,"eta":2,"invariant_factors":[2,2],"nu":2,"p":2},'
+        '{"agreement":"closed-only","coeff":[2],"degree":1,"eta":1,"invariant_factors":[],"nu":1,"p":3},'
+        '{"agreement":"closed-only","coeff":[2],"degree":2,"eta":1,"invariant_factors":[],"nu":1,"p":3}'
+        '],"version":"0.1.0"}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ROUTE_REPORTS), ids=lambda a: " ".join(a))
+def test_route_decision_reports_are_pinned(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, ROUTE_REPORTS[argv], "")
+
+
 def test_table_command(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -6,7 +6,9 @@ import pytest
 from cyclecoh.abelian import FinAbGroup, IntegerMatrix, hom_cohomology_at
 from cyclecoh.cycleset import CyclicFamilyParams, LinearCycleSet, make_cyclic_lcs
 from cyclecoh.lcs_cohomology import (
+    ROUTES,
     CocyclePair,
+    admitted_routes,
     all_cocycle_pairs,
     base_coefficient,
     cocycle_family,
@@ -154,10 +156,9 @@ def test_phi2_is_a_chain_map_into_degree_1():
     for params in (P212, P312, P211):
         rc = reduced_complex(params)
         fc = full_double_complex(make_cyclic_lcs(params), 3)
-        phi2 = rc.phi2_matrix()
         full_d2 = fc.total.diff[2]
         # degree-1 comparison is the identity on Mbar(1)
-        assert rc.d2 @ phi2 == full_d2
+        assert rc.total.diff[2] @ rc.phi2 == full_d2
 
 
 def test_cohomology_route_agreement_small():
@@ -178,6 +179,23 @@ def test_cohomology_route_agreement_small():
                 n,
                 groups,
             )
+
+
+def test_route_decision():
+    # all three routes for a finite group, the closed formulas alone with
+    # a free factor; cohomology() refuses a route outside the list
+    for orders in ((2,), (2, 8), (6, 6)):
+        assert admitted_routes(FinAbGroup.from_cyclic_orders(orders)) == ROUTES
+    assert ROUTES == ("full", "reduced", "closed")
+    for orders in ((0,), (0, 4)):
+        gamma = FinAbGroup.from_cyclic_orders(orders)
+        assert admitted_routes(gamma) == ("closed",)
+        assert cohomology(P212, gamma, 2, "closed").method == "closed"
+        for method in ("full", "reduced"):
+            with pytest.raises(ValueError, match="^full/reduced routes require finite coefficients$"):
+                cohomology(P212, gamma, 2, method)
+    with pytest.raises(ValueError, match="unknown method"):
+        cohomology(P212, FinAbGroup((2,)), 2, "all")
 
 
 def test_full_route_accepts_arbitrary_cycle_sets():

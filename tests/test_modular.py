@@ -288,9 +288,10 @@ def _condition_matrices(triple, route):
         mats = [(rel[n].relations, d[n + 1]) for n in (1, 2)]
         out = rel[1].relations
     else:
-        rc = reduced_complex(params)
-        mats = [(rc.modules[1].relations, rc.d2), (rc.modules[2].relations, rc.d3)]
-        out = rc.modules[1].relations
+        chain = reduced_complex(params).total
+        rel, d = chain.modules, chain.diff
+        mats = [(rel[n].relations, d[n + 1]) for n in (1, 2)]
+        out = rel[1].relations
     return [_dedupe_rows(r.vstack(d.transpose())) for r, d in mats] + [out]
 
 

@@ -28,7 +28,7 @@ from cyclecoh.cyclic_resolution import (
     right_translate,
     tuple_bar_differential,
 )
-from cyclecoh.homology_engine import _verify_perturbed_rows
+from cyclecoh.homology_engine import CellRank, _verify_perturbed_rows
 from cyclecoh.lcs_cohomology import (
     _shuffle_arrangements,
     full_double_complex,
@@ -320,13 +320,11 @@ def ref_block_diagonal(block, count):
     )
 
 
-def ref_perturbation_delta(lcs, cells, positions=((1, 1), (2, 1), (1, 2))):
+def ref_perturbation_delta(lcs, cells):
     dot = lcs.dot
     delta = {}
-    if positions is None:
-        positions = [(r, s) for (r, s) in cells if r >= 1]
-    for (r, s) in positions:
-        if (r, s) not in cells or (r - 1, s) not in cells:
+    for (r, s) in cells:
+        if r < 1 or (r - 1, s) not in cells:
             continue
         src = cell_basis(r, s, lcs.v)
         tgt_index = {lab: i for i, lab in enumerate(cell_basis(r - 1, s, lcs.v))}
@@ -414,7 +412,7 @@ def test_coefficient_complexes_match_reference(member):
         for n in range(n_max + 1):
             tuples = exp_tuples(n, v)
             cells = ctx.cells(n)
-            assert cc.bar_module(n).relations == ref_block_diagonal(M.relations, len(tuples))
+            assert cc.bar_rank(n) == len(tuples) * g
             assert cc.chain.modules[n].relations == ref_block_diagonal(M.relations, len(cells))
             phi = {cell: ref.breve_phi(*cell) for cell in cells}
             assert cc.phibar[n] == ref_kron_with_identity(phi, cells, tuples, g), (s, n)
@@ -454,16 +452,11 @@ def test_perturbation_delta_matches_reference(member):
     for s, n_max in ((1, 3), (2, 2), (3, 1)):
         cc = coefficient_complex(params, shuffle_quotient(s, v), n_max)
         for r in range(n_max + 1):
-            cells[(r, s)] = cc.bar_module(r)
-    assert expanded(perturbation_delta(lcs, cells, positions=None)) == ref_perturbation_delta(
-        lcs, cells, positions=None
-    )
+            cells[(r, s)] = CellRank(cc.bar_rank(r))
+    assert expanded(perturbation_delta(lcs, cells)) == ref_perturbation_delta(lcs, cells)
     # the cells of the full double complex
     full = full_double_complex(lcs, 3).dc.cells
-    for positions in (((1, 1), (2, 1), (1, 2)), None):
-        assert expanded(perturbation_delta(lcs, full, positions)) == ref_perturbation_delta(
-            lcs, full, positions
-        )
+    assert expanded(perturbation_delta(lcs, full)) == ref_perturbation_delta(lcs, full)
 
 
 def ref_full_dh(lcs, r, s):

@@ -215,7 +215,7 @@ def run_verify(spec):
     except (ValueError, AssertionError):
         record("yang-baxter", "fail")
     try:
-        full_double_complex(lcs, 3)
+        full_double_complex(lcs)
         record("full-complex", "pass")
     except AssertionError:
         record("full-complex", "fail")
@@ -261,13 +261,12 @@ def run_verify(spec):
 
 
 def run_table(spec):
-    max_v = spec.max_v or 9
     method = spec.method or "closed"
     degrees = (spec.degree,) if spec.degree else (1, 2)
     gamma = spec.gamma()
     rows = []
     # one member at a time: the module caches hold only the current member
-    for member in family_members(max_v):
+    for member in family_members(spec.max_v):
         for degree in degrees:
             results, agreement = compare_routes(member, gamma, degree, method)
             factors = results["closed"].group.factors
@@ -446,6 +445,8 @@ def spec_from_args(args):
         raise ParameterDomainError("--coeff is required")
     if args.command == "table" and not coeff:
         coeff = (2,)
+    if args.command == "table" and args.max_v < 2:
+        raise ParameterDomainError(f"--max-v must be at least 2, got {args.max_v}")
     return JobSpec(
         command=args.command,
         p=getattr(args, "p", None),

@@ -331,22 +331,14 @@ class ResolutionContext:
     def cells(self, n):
         return [(alpha, n - alpha) for alpha in range(n + 1)]
 
+    def array_map(self, l, alpha, beta):
+        """The array's map X_{alpha,beta} -> X_{alpha+l-1,beta-l}: d0 for
+        l = 0, else d^l."""
+        return self.d0(alpha, beta) if l == 0 else self.dl(l, alpha, beta)
+
     def total_d(self, n):
         """d_n: X_n -> X_{n-1} with X_n = direct sum of the degree-n cells."""
-        srcs = self.cells(n)
-        tgts = self.cells(n - 1)
-        tgt_index = {pos: k for k, pos in enumerate(tgts)}
-        blocks = {}
-        for bj, (alpha, beta) in enumerate(srcs):
-            lmin = 1 if alpha == 0 else 0
-            for l in range(lmin, beta + 1):
-                pos = (alpha + l - 1, beta - l)
-                if pos not in tgt_index:
-                    continue
-                m = self.d0(alpha, beta) if l == 0 else self.dl(l, alpha, beta)
-                bi = tgt_index[pos]
-                blocks[(bi, bj)] = blocks.get((bi, bj), IntegerMatrix.zero(self.v, self.v)) + m
-        return block_matrix(blocks, [self.v] * len(tgts), [self.v] * len(srcs))
+        return array_differential(n, self.v, self.array_map)
 
     def sigma_bar(self, n):
         """The contracting homotopy X_{n-1} -> X_n of the total resolution
@@ -542,6 +534,25 @@ def pepito_scalar(l, alpha, beta, u, t):
     if l == 2:
         return -1 if alpha % 2 == 0 else 0
     return 0
+
+
+def array_differential(n, size, block):
+    """The degree-n differential of the total complex of an (alpha, beta)
+    array whose cells all have `size` generators, in the cell order of
+    `ResolutionContext.cells`.  block(l, alpha, beta) is the map
+    X_{alpha,beta} -> X_{alpha+l-1,beta-l}, for l = 0 (alpha >= 1) and
+    1 <= l <= beta, or None where it is zero; blocks that land on the same
+    cell are summed."""
+    blocks = {}
+    for alpha in range(n + 1):
+        beta = n - alpha
+        for l in range(0 if alpha else 1, beta + 1):
+            m = block(l, alpha, beta)
+            if m is not None:
+                # the target (alpha + l - 1, beta - l) is cell alpha + l - 1 of degree n - 1
+                key = (alpha + l - 1, alpha)
+                blocks[key] = blocks[key] + m if key in blocks else m
+    return block_matrix(blocks, [size] * n, [size] * (n + 1))
 
 
 @dataclass
@@ -790,42 +801,24 @@ def coefficient_complex(params, M, n_max):
     id_g = IntegerMatrix.identity(g)
 
     modules = {}
-    diff = {}
     for n in range(n_max + 1):
         relations = IntegerMatrix.identity(len(ctx.cells(n))).kron(M.relations)
         modules[n] = PresentedModule(relations.cols, relations)
-    for n in range(1, n_max + 1):
-        srcs = ctx.cells(n)
-        tgts = ctx.cells(n - 1)
-        tgt_index = {pos: k for k, pos in enumerate(tgts)}
-        blocks = {}
-        for bj, (alpha, beta) in enumerate(srcs):
-            lmin = 1 if alpha == 0 else 0
-            for l in range(lmin, beta + 1):
-                pos = (alpha + l - 1, beta - l)
-                if pos not in tgt_index:
-                    continue
-                # authoritative scalar: collapse the group-ring matrix along
-                # the augmentation; the closed-form table must agree except
-                # in the known t = 1 degeneracy, where the second-order maps
-                # vanish (their closed form -1 presumes t >= 2)
-                mat = ctx.d0(alpha, beta) if l == 0 else ctx.dl(l, alpha, beta)
-                eps = sum(mat.column(ident).values())
-                table = pepito_scalar(l, alpha, beta, u, t)
-                if eps != table and not (
-                    t == 1 and l == 2 and alpha % 2 == 0 and eps == 0 and table == -1
-                ):
-                    raise AssertionError(
-                        f"coefficient collapse mismatch at l={l}, ({alpha},{beta})"
-                    )
-                if eps:
-                    bi = tgt_index[pos]
-                    blk = id_g.scale(eps)
-                    if (bi, bj) in blocks:
-                        blocks[(bi, bj)] = blocks[(bi, bj)] + blk
-                    else:
-                        blocks[(bi, bj)] = blk
-        diff[n] = block_matrix(blocks, [g] * len(tgts), [g] * len(srcs))
+
+    def collapsed_block(l, alpha, beta):
+        # authoritative scalar: collapse the group-ring matrix along the
+        # augmentation; the closed-form table must agree except in the
+        # known t = 1 degeneracy, where the second-order maps vanish
+        # (their closed form -1 presumes t >= 2)
+        eps = sum(ctx.array_map(l, alpha, beta).column(ident).values())
+        table = pepito_scalar(l, alpha, beta, u, t)
+        if eps != table and not (
+            t == 1 and l == 2 and alpha % 2 == 0 and eps == 0 and table == -1
+        ):
+            raise AssertionError(f"coefficient collapse mismatch at l={l}, ({alpha},{beta})")
+        return id_g.scale(eps) if eps else None
+
+    diff = {n: array_differential(n, g, collapsed_block) for n in range(1, n_max + 1)}
     chain = ChainComplex(modules, diff)
 
     phibar = {n: ctx.breve_phi(n).kron(id_g) for n in range(n_max + 1)}

@@ -10,8 +10,9 @@ computes the cohomology classifying central extensions.
 
 The reduced route replaces each row by the small complex of copies of
 Mbar(s) coming from the crossed-product resolution, transfers the
-dot-perturbation through the row retractions, and lands on the small
-partial total complex spanning degrees 1..3:
+dot-perturbation through the row retractions, and takes the total
+complex of the transfer's output on its cells of total degree <= 3, a
+small partial total complex spanning degrees 1..3:
 
         Mbar(3)_00
             |
@@ -19,10 +20,12 @@ partial total complex spanning degrees 1..3:
             |                |
         Mbar(1)_00 <- Mbar(1)_01 + Mbar(1)_10 <- Mbar(1)_02 + _11 + _20
 
-whose arrows also have closed forms; the construction asserts closed
-forms and transfer output agree entrywise.  Its degree-2 cochains pull
-back to the full complex along the comparison phi2, the identity on
-Mbar(2) and the transferred projection phi-hat on Dbar (x) Mbar(1).
+Its horizontal arrows also have closed forms, which check the transfer:
+each block of the transferred horizontal differentials must equal its
+closed-form arrow, or be zero where the diagram has none.  Its degree-2
+cochains pull back to the full complex along the comparison phi2, the
+identity on Mbar(2) and the transferred projection phi-hat on
+Dbar (x) Mbar(1).
 
 The closed route evaluates the final formulas directly:
 H^1 = G_u and H^2 = G_v + G/vG (u = v), G/uG + G_u (2 < u < v), or
@@ -52,12 +55,12 @@ from .abelian import (
 from . import modular
 from .cycleset import (
     CyclicFamilyParams,
-    LinearCycleSet,
     Verdict,
     first_failure,
     make_cyclic_lcs,
 )
 from .cyclic_resolution import (
+    array_differential,
     coefficient_complex,
     exp_tuples,
     pepito_scalar,
@@ -123,23 +126,27 @@ def shuffle_quotient(s, v):
     return PresentedModule(T, relations)
 
 
+# the full complex's top total degree: H^2 needs degree 3, and the shuffle
+# quotients Mbar(s) are built for s <= 3
+FULL_CAP = 3
+
+
 @dataclass
 class FullComplexSlice:
-    """The full double complex of a linear cycle set through total degree cap."""
+    """The full double complex of a linear cycle set through total degree
+    FULL_CAP, and its total complex."""
 
-    lcs: LinearCycleSet
-    cap: int
     dc: DoubleComplex
     total: ChainComplex
 
 
-def full_double_complex(lcs, cap=3):
+def full_double_complex(lcs):
     """Cells, horizontal and vertical differentials, and the verified total
-    complex of the cycle-set double complex through total degree cap."""
+    complex of the cycle-set double complex through total degree FULL_CAP."""
     v = lcs.v
     cells = {}
-    relcache = {s: shuffle_quotient(s, v).relations for s in range(1, cap + 1)}
-    for n in range(1, cap + 1):
+    relcache = {s: shuffle_quotient(s, v).relations for s in range(1, FULL_CAP + 1)}
+    for n in range(1, FULL_CAP + 1):
         for s in range(1, n + 1):
             r = n - s
             relations = IntegerMatrix.identity((v - 1) ** r).kron(relcache[s])
@@ -159,7 +166,7 @@ def full_double_complex(lcs, cap=3):
     report = dc.validate()
     if not report:
         raise AssertionError(f"full double complex is inconsistent: {report}")
-    return FullComplexSlice(lcs, cap, dc, total_complex(dc))
+    return FullComplexSlice(dc, total_complex(dc))
 
 
 def _full_dh(lcs, r, s):
@@ -221,11 +228,6 @@ def perturbation_delta(lcs, cells):
 # the reduced complex
 # ---------------------------------------------------------------------------
 
-DEG1 = ((1, (0, 0)),)
-DEG2 = ((2, (0, 0)), (1, (0, 1)), (1, (1, 0)))
-DEG3 = ((3, (0, 0)), (2, (0, 1)), (2, (1, 0)), (1, (0, 2)), (1, (1, 1)), (1, (2, 0)))
-
-
 def _one_slot_map(v, images):
     """Matrix on Mbar(1) generators from a map exponent -> list of (exp, coeff)."""
     data = {}
@@ -240,13 +242,17 @@ def _one_slot_map(v, images):
 @dataclass
 class ReducedComplexT:
     """The small partial total complex as a chain complex in degrees 1..3,
-    blocks in DEG1/DEG2/DEG3 order, with diff {2: d2, 3: d3}, its named
-    arrows, and phi2, the degree-2 comparison from the full complex's
-    cochain positions (Mbar(2), then Dbar (x) Mbar(1)) to the three
-    reduced blocks (Mbar(2)_00, Mbar(1)_01, Mbar(1)_10).  phi2 is the
-    identity on Mbar(2) and the transferred projection phi-hat on
-    Dbar (x) Mbar(1); a reduced degree-2 cochain c pulls back to the full
-    cochain phi2^T c."""
+    with diff {2: d2, 3: d3}, its named closed-form arrows, and phi2.
+    Degree n holds the transfer's cells (r, s), r + s = n, in sorted
+    order, each cell its copies of Mbar(s) by alpha: Mbar(1)_00; then
+    Mbar(2)_00, Mbar(1)_01, Mbar(1)_10; then Mbar(3)_00, Mbar(2)_01,
+    Mbar(2)_10, Mbar(1)_02, Mbar(1)_11, Mbar(1)_20.
+
+    phi2 is the degree-2 comparison from the full complex's cochain
+    positions (Mbar(2), then Dbar (x) Mbar(1)) to the three reduced
+    blocks of degree 2: the identity on Mbar(2) and the transferred
+    projection phi-hat on Dbar (x) Mbar(1).  A reduced degree-2 cochain c
+    pulls back to the full cochain phi2^T c."""
 
     params: CyclicFamilyParams
     total: ChainComplex
@@ -281,100 +287,46 @@ def _arrow_matrices(params):
                 k = (idx2[key], col)
                 data[k] = data.get(k, 0) + c
     arrows["dh1_012"] = IntegerMatrix(len(m2), len(m2), data)
-    inner2 = tuple_bar_differential(2, v)
-    inner3 = tuple_bar_differential(3, v)
-    arrows["dv_002"] = inner2.scale(-1)   # position sign (-1)^(0+1)
-    arrows["dv_003"] = inner3.scale(-1)
-    arrows["dv_012"] = inner2             # position sign (-1)^(1+1)
-    arrows["dv_102"] = inner2
     return arrows
 
 
-def _reduced_modules(quotients):
-    mods = {}
-    for degree, blocks in ((1, DEG1), (2, DEG2), (3, DEG3)):
-        rel_blocks = {}
-        sizes = []
-        rel_rows = []
-        for bi, (s, _) in enumerate(blocks):
-            q = quotients[s]
-            sizes.append(q.ngens)
-            rel_rows.append(q.relations.rows)
-            if q.relations.rows:
-                rel_blocks[(bi, bi)] = q.relations
-        relations = block_matrix(rel_blocks, rel_rows, sizes)
-        mods[degree] = PresentedModule(sum(sizes), relations)
-    return mods
-
-
-def _assemble(blocks, tgt_blocks, src_blocks, params):
-    v = params.v
-    size = {1: v - 1, 2: (v - 1) ** 2, 3: (v - 1) ** 3}
-    tgt_sizes = [size[s] for s, _ in tgt_blocks]
-    src_sizes = [size[s] for s, _ in src_blocks]
-    placed = {}
-    for (tgt, src), m in blocks.items():
-        placed[(tgt_blocks.index(tgt), src_blocks.index(src))] = m
-    return block_matrix(placed, tgt_sizes, src_sizes)
+# the closed-form arrow that each block of the transfer's horizontal
+# differentials must equal, by the cell (r, s) and the target and source
+# copies of Mbar(s) in it, indexed (alpha, beta); the other blocks are 0
+ARROW_BLOCKS = {
+    ((1, 1), (0, 0), (0, 1)): "dh1_011",
+    ((2, 1), (1, 0), (1, 1)): "dh1_111",
+    ((2, 1), (1, 0), (2, 0)): "dh0_201",
+    ((2, 1), (0, 1), (0, 2)): "dh1_021",
+    ((2, 1), (1, 0), (0, 2)): "dh2_021",
+    ((1, 2), (0, 0), (0, 1)): "dh1_012",
+}
 
 
 @functools.lru_cache(maxsize=1)
 def reduced_complex(params):
-    """The reduced partial total complex, built from the closed-form arrows
-    and cross-checked against the perturbation-lemma transfer."""
-    arrows = _arrow_matrices(params)
+    """The reduced partial total complex: the total complex of the
+    perturbation-lemma transfer's output on its cells of total degree
+    <= 3, cross-checked against the closed-form arrows."""
     quotients = {s: shuffle_quotient(s, params.v) for s in (1, 2, 3)}
-    d2 = _assemble(
-        {
-            ((1, (0, 0)), (2, (0, 0))): arrows["dv_002"],
-            ((1, (0, 0)), (1, (0, 1))): arrows["dh1_011"],
-        },
-        list(DEG1),
-        list(DEG2),
-        params,
-    )
-    d3 = _assemble(
-        {
-            ((2, (0, 0)), (3, (0, 0))): arrows["dv_003"],
-            ((2, (0, 0)), (2, (0, 1))): arrows["dh1_012"],
-            ((1, (0, 1)), (2, (0, 1))): arrows["dv_012"],
-            ((1, (1, 0)), (2, (1, 0))): arrows["dv_102"],
-            ((1, (0, 1)), (1, (0, 2))): arrows["dh1_021"],
-            ((1, (1, 0)), (1, (0, 2))): arrows["dh2_021"],
-            ((1, (1, 0)), (1, (1, 1))): arrows["dh1_111"],
-            ((1, (1, 0)), (1, (2, 0))): arrows["dh0_201"],
-        },
-        list(DEG2),
-        list(DEG3),
-        params,
-    )
-    total = ChainComplex(_reduced_modules(quotients), {2: d2, 3: d3})
+    transfer = _transfer_reduced(params, quotients)
+    X = transfer.X
+    cells = {pos: X.cells[pos] for pos in X.cells if sum(pos) <= 3}
+    arrows = _arrow_matrices(params)
+    for r, s in cells:
+        g = (params.v - 1) ** s
+        for bi, bj in itertools.product(range(r), range(r + 1)):
+            tgt, src = (bi, r - 1 - bi), (bj, r - bj)
+            got = X.dh[(r, s)].submatrix(bi * g, (bi + 1) * g, bj * g, (bj + 1) * g)
+            name = ARROW_BLOCKS.get(((r, s), tgt, src))
+            if name is None and not got.is_zero():
+                raise AssertionError(f"expected zero arrow at {(r, s)} {src}->{tgt}")
+            if name is not None and got != arrows[name]:
+                raise AssertionError(f"transfer output disagrees with the closed-form arrow {name}")
+    # total_complex reads the differentials of the given cells only
+    total = total_complex(DoubleComplex(cells, X.dh, X.dv))
     if not total.validate():
         raise AssertionError("reduced complex fails d o d = 0")
-
-    transfer = _transfer_reduced(params, quotients)
-    for name, (pos, tgt_cell, src_cell) in {
-        "dh1_011": ((1, 1), (0, 0), (0, 1)),
-        "dh1_111": ((2, 1), (1, 0), (1, 1)),
-        "dh0_201": ((2, 1), (1, 0), (2, 0)),
-        "dh1_021": ((2, 1), (0, 1), (0, 2)),
-        "dh2_021": ((2, 1), (1, 0), (0, 2)),
-        "dh1_012": ((1, 2), (0, 0), (0, 1)),
-    }.items():
-        got = _extract_block(transfer.X.dh[pos], pos, tgt_cell, src_cell, params)
-        if got != arrows[name]:
-            raise AssertionError(
-                f"transfer output disagrees with the closed-form arrow {name}"
-            )
-    # the zero arrows of the diagram
-    for pos, tgt_cell, src_cell in (
-        ((2, 1), (0, 1), (1, 1)),
-        ((1, 2), (0, 0), (1, 0)),
-        ((1, 1), (0, 0), (1, 0)),
-    ):
-        got = _extract_block(transfer.X.dh[pos], pos, tgt_cell, src_cell, params)
-        if not got.is_zero():
-            raise AssertionError(f"expected zero arrow at {pos} {src_cell}->{tgt_cell}")
 
     # phi-hat: the projection on X_{1,1} = Mbar(1)_01 + Mbar(1)_10
     phi_hat = transfer.p1[(1, 1)]
@@ -386,17 +338,6 @@ def reduced_complex(params):
         {(0, 0): IntegerMatrix.identity(n2), (1, 1): phi_hat}, [n2, phi_hat.rows], [n2, n2]
     )
     return ReducedComplexT(params, total, arrows, phi2)
-
-
-def _extract_block(m, pos, tgt_cell, src_cell, params):
-    v = params.v
-    s = pos[1]
-    gsize = (v - 1) ** s
-    src_cells = [(alpha, pos[0] - alpha) for alpha in range(pos[0] + 1)]
-    tgt_cells = [(alpha, pos[0] - 1 - alpha) for alpha in range(pos[0])]
-    bi = tgt_cells.index(tgt_cell)
-    bj = src_cells.index(src_cell)
-    return m.submatrix(bi * gsize, (bi + 1) * gsize, bj * gsize, (bj + 1) * gsize)
 
 
 def _transfer_reduced(params, quotients):
@@ -431,7 +372,7 @@ def _transfer_reduced(params, quotients):
                 h_maps[(r, s)] = cc.omegabar[r + 1]
             if r >= 1:
                 cdh[(r, s)] = IdentityKron(1, bar[r], g)
-                xdh[(r, s)] = _pepito_row_d(params, r, s, g)
+                xdh[(r, s)] = _pepito_row_d(params, r, g)
     del cc
     for s in (2, 3):
         for r in range(min(rmax[s], rmax[s - 1]) + 1):
@@ -447,26 +388,16 @@ def _transfer_reduced(params, quotients):
     return perturb_double_complex(system, delta, t, verify=(t >= 2))
 
 
-def _pepito_row_d(params, r, s, g):
-    """Horizontal differential of the small row complex at (r, s), assembled
-    from the closed-form scalar table."""
-    u, t = params.u, params.t
-    srcs = [(alpha, r - alpha) for alpha in range(r + 1)]
-    tgts = [(alpha, r - 1 - alpha) for alpha in range(r)]
-    tgt_index = {pos: k for k, pos in enumerate(tgts)}
-    blocks = {}
-    for bj, (alpha, beta) in enumerate(srcs):
-        lmin = 1 if alpha == 0 else 0
-        for l in range(lmin, min(beta, 2) + 1):
-            pos = (alpha + l - 1, beta - l)
-            if pos not in tgt_index:
-                continue
-            scalar = pepito_scalar(l, alpha, beta, u, t)
-            if scalar:
-                bi = tgt_index[pos]
-                blk = IntegerMatrix.identity(g).scale(scalar)
-                blocks[(bi, bj)] = blocks.get((bi, bj), IntegerMatrix.zero(g, g)) + blk
-    return block_matrix(blocks, [g] * len(tgts), [g] * len(srcs))
+def _pepito_row_d(params, r, g):
+    """Horizontal differential of the small row complex in row degree r,
+    every cell g generators wide, from the closed-form scalar table."""
+    id_g = IntegerMatrix.identity(g)
+
+    def table_block(l, alpha, beta):
+        scalar = pepito_scalar(l, alpha, beta, params.u, params.t)
+        return id_g.scale(scalar) if scalar else None
+
+    return array_differential(r, g, table_block)
 
 
 def phi_hat_closed(params):
@@ -562,7 +493,7 @@ def _phi_hat_binomial(params):
 
 @functools.lru_cache(maxsize=1)
 def _full_slice(params):
-    return full_double_complex(make_cyclic_lcs(params), 3)
+    return full_double_complex(make_cyclic_lcs(params))
 
 
 @dataclass

@@ -392,12 +392,22 @@ def solve_mod_pk(A, b, p, k):
     return None
 
 
+# the largest trial divisor of `factorize`: every m below 2^40 is
+# factored completely by the divisors up to it
+_TRIAL_BOUND = 1 << 20
+
+
 def factorize(m):
-    """Prime-power factorisation [(p, k), ...] of m >= 2."""
+    """Prime-power factorisation [(p, k), ...] of m >= 2 by trial division,
+    which stops at _TRIAL_BOUND: a cofactor with no divisor up to it that
+    is still above its square, so not known to be prime, is a resource
+    limit."""
     parts = []
     n = m
     d = 2
     while d * d <= n:
+        if d > _TRIAL_BOUND:
+            raise ResourceLimitError(f"factoring {m} needs trial divisors above {_TRIAL_BOUND}")
         if n % d == 0:
             e = 0
             while n % d == 0:

@@ -328,6 +328,40 @@ def test_usage_errors_are_parameter_domain_errors(capsys, argv, message):
     assert message in error["message"]
 
 
+@pytest.mark.parametrize("max_v", ["0", "-3"])
+def test_table_max_v_below_2_is_a_parameter_domain_error(capsys, max_v):
+    # 0 used to sweep v <= 9 and -3 to print an empty table with exit 0
+    code, out, err = run_cli(capsys, "table", "--max-v", max_v)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "parameter-domain",
+        "message": f"--max-v must be at least 2, got {max_v}",
+    }
+
+
+LARGE_PRIME = "1000000000000000003"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", *PARAMS[:6], "--coeff", LARGE_PRIME, "--method", "closed"],
+        ["cohomology", "--p", LARGE_PRIME, *PARAMS[2:]],
+    ],
+    ids=["coeff", "p"],
+)
+def test_a_large_prime_factor_is_a_resource_limit(capsys, argv):
+    # trial division stops at its bound instead of running for hours
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "resource-limit",
+        "message": f"factoring {LARGE_PRIME} needs trial divisors above 1048576",
+    }
+
+
 def test_version_and_help_exit_0(capsys):
     for argv, start in ((["--version"], __version__ + "\n"), (["extensions", "--help"], "usage: ")):
         with pytest.raises(SystemExit) as exc:

@@ -24,6 +24,7 @@ from cyclecoh.lcs_cohomology import (
     verify_cocycle,
     xi1_standard,
 )
+from cyclecoh.cyclic_resolution import tuple_bar_differential
 
 from basis import cell_basis
 
@@ -69,13 +70,13 @@ def test_shuffle_quotient_rejects_out_of_scope():
 
 def test_full_double_complex_validates():
     for params in (P211, P212, P312):
-        fc = full_double_complex(make_cyclic_lcs(params), 3)
+        fc = full_double_complex(make_cyclic_lcs(params))
         assert fc.total.validate()
 
 
 def test_full_complex_trivial_cycle_set_loses_the_twist():
     lcs = LinearCycleSet.trivial(3)
-    fc = full_double_complex(lcs, 3)
+    fc = full_double_complex(lcs)
     # horizontal differential at (1,1): first face drops the group slot
     m = fc.dc.dh[(1, 1)]
     labels = cell_basis(1, 1, 3)
@@ -91,7 +92,7 @@ def test_full_complex_trivial_cycle_set_loses_the_twist():
 def test_perturbation_delta_values():
     params = P312
     lcs = make_cyclic_lcs(params)
-    fc = full_double_complex(lcs, 3)
+    fc = full_double_complex(lcs)
     delta = perturbation_delta(lcs, fc.dc.cells)
     assert set(delta) == {(1, 1), (2, 1), (1, 2)}
     # the face record, expanded by a product with the identity
@@ -135,6 +136,49 @@ def test_reduced_arrows_t_1_degenerate_sums():
         assert rc.arrows["dh1_011"].column(i - 1) == {}
 
 
+@pytest.fixture
+def uncached_reduced_complex():
+    reduced_complex.cache_clear()
+    yield reduced_complex
+    reduced_complex.cache_clear()
+
+
+def test_arrow_check_names_a_changed_arrow(monkeypatch, uncached_reduced_complex):
+    from cyclecoh import lcs_cohomology
+
+    original = lcs_cohomology._arrow_matrices
+
+    def changed(params):
+        arrows = original(params)
+        arrows["dh2_021"] = arrows["dh2_021"] + IntegerMatrix.identity(params.v - 1)
+        return arrows
+
+    monkeypatch.setattr(lcs_cohomology, "_arrow_matrices", changed)
+    with pytest.raises(AssertionError, match="closed-form arrow dh2_021$"):
+        uncached_reduced_complex(P312)
+
+
+@pytest.mark.parametrize("src", [(1, 1), (2, 0)])
+def test_arrow_check_names_a_nonzero_block(monkeypatch, uncached_reduced_complex, src):
+    # one entry in the block (0, 1) <- src of the transferred d_h at (2, 1);
+    # the diagram has no arrow there
+    from cyclecoh import lcs_cohomology
+
+    original = lcs_cohomology._transfer_reduced
+
+    def corrupted(params, quotients):
+        out = original(params, quotients)
+        g = params.v - 1
+        dh = out.X.dh[(2, 1)]
+        out.X.dh[(2, 1)] = dh + IntegerMatrix(dh.rows, dh.cols, {(0, src[0] * g): 1})
+        return out
+
+    monkeypatch.setattr(lcs_cohomology, "_transfer_reduced", corrupted)
+    with pytest.raises(AssertionError) as exc:
+        uncached_reduced_complex(P312)
+    assert str(exc.value) == f"expected zero arrow at (2, 1) {src}->(0, 1)"
+
+
 def test_phi_hat_examples():
     for params in (P212, P312, P223):
         top, bottom = phi_hat_closed(params)
@@ -155,7 +199,7 @@ def test_phi2_is_a_chain_map_into_degree_1():
     # the degree-2 comparison must intertwine the full and reduced d_2
     for params in (P212, P312, P211):
         rc = reduced_complex(params)
-        fc = full_double_complex(make_cyclic_lcs(params), 3)
+        fc = full_double_complex(make_cyclic_lcs(params))
         full_d2 = fc.total.diff[2]
         # degree-1 comparison is the identity on Mbar(1)
         assert rc.total.diff[2] @ rc.phi2 == full_d2
@@ -202,7 +246,7 @@ def test_full_route_accepts_arbitrary_cycle_sets():
     # the full complex is built from any valid table, not just the family;
     # for the trivial operation on Z/6 the degree-1 group is Hom(Z/6, -)
     lcs = LinearCycleSet.trivial(6)
-    fc = full_double_complex(lcs, 3)
+    fc = full_double_complex(lcs)
     chain = fc.total
     gamma = FinAbGroup((6,))
     res = hom_cohomology_at(
@@ -480,11 +524,12 @@ def test_vertical_kernel_characterization():
 
 def test_corner_cohomology_is_quotient_by_v():
     # kernel/image at the (0,2) -> (0,3) corner with coefficients Z/4
-    rc = reduced_complex(P212)
+    # the vertical maps Mbar(3) -> Mbar(2) -> Mbar(1) at alpha = beta = 0,
+    # with the position sign (-1)^(0 + 1)
     gamma = FinAbGroup((4,))
     res = hom_cohomology_at(
-        rc.arrows["dv_003"],
-        rc.arrows["dv_002"],
+        tuple_bar_differential(3, 4).scale(-1),
+        tuple_bar_differential(2, 4).scale(-1),
         shuffle_quotient(2, 4).relations,
         gamma,
         None,

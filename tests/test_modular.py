@@ -434,3 +434,13 @@ def test_modulus_cap_is_a_resource_limit():
     with pytest.raises(modular.ResourceLimitError):
         modular.local_smith(np.ones((1, 1), dtype=np.int64), 2, 15)
     assert issubclass(modular.ResourceLimitError, ValueError)
+
+
+def test_factorize_stops_at_its_trial_bound():
+    # every m below 2^40 is factored completely; beyond, a cofactor with
+    # no divisor up to the bound is a resource limit, not an endless loop
+    big = 2**40 - 87
+    assert modular.factorize(big) == [(big, 1)]
+    assert modular.factorize(12 * big) == [(2, 2), (3, 1), (big, 1)]
+    with pytest.raises(modular.ResourceLimitError, match="trial divisors above 1048576"):
+        modular.factorize(1000000000000000003)

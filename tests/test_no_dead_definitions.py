@@ -1,11 +1,12 @@
 """Every definition in the package is used by the program itself.
 
-Lists the top-level functions and classes and the non-dunder methods of
-src/cyclecoh/*.py and fails on any name that no module under src/ or
-perfbench/ references as a name, an attribute or an import, unless
-ALLOWED lists it with the reason it stays.  References from tests/ do
-not count: a definition only the tests read belongs in the tests, or in
-ALLOWED.
+Lists the top-level functions, classes and constants (names assigned at
+module level) and the non-dunder methods of src/cyclecoh/*.py and fails
+on any name that no module under src/ or perfbench/ reads as a name, an
+attribute or an import, unless ALLOWED lists it with the reason it
+stays; assigning a name does not count as reading it.  References from
+tests/ do not count: a definition only the tests read belongs in the
+tests, or in ALLOWED.
 """
 
 import ast
@@ -49,6 +50,12 @@ def _definitions(tree):
     for node in tree.body:
         if isinstance(node, FUNCS + (ast.ClassDef,)):
             yield node.name
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not _is_dunder(name.id):
+                        yield name.id
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, FUNCS) and not _is_dunder(item.name):
@@ -57,7 +64,7 @@ def _definitions(tree):
 
 def _references(tree):
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr

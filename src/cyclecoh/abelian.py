@@ -75,9 +75,7 @@ class IntegerMatrix:
     product runs in int64 only after an exact bound on its entries and
     partial sums is below 2^62, and otherwise the same code runs on
     Python ints; the sum of two int64 entries is below 2^63 and so never
-    wraps.  A product expands its terms in bounded blocks of rows of the
-    left factor, so its transient does not grow with the factors' sizes
-    (see `__matmul__`).
+    wraps.
     """
 
     __slots__ = ("rows", "cols", "row_idx", "col_idx", "values")
@@ -263,11 +261,9 @@ class IntegerMatrix:
         """The exact product with an `IntegerMatrix`, an `IdentityKron` or a
         `FaceDifference`.
 
-        The terms are expanded in blocks of whole rows of the left factor,
-        each of at most _TERMS_IN_FLIGHT terms (a row with more is a block
-        of its own), so a product's transient stays bounded whatever the
-        sizes; each block's result is a canonical range of rows, and the
-        blocks are concatenated without a sort."""
+        The terms, one per pair of a left entry (i, k) and an entry of
+        row k of the right factor, are expanded at once, then sorted and
+        summed (see `_product`)."""
         if isinstance(other, (IntegerMatrix, IdentityKron, FaceDifference)):
             if self.cols != other.rows:
                 raise ValueError(
@@ -374,71 +370,33 @@ def _product_fits_int64(rows, values, other_values):
     return int(np.add.reduceat(absv, firsts).max()) * _abs_max(other_values) < _INT64_BOUND
 
 
-# the most terms a product expands at once, about 40 bytes each beyond
-# the result (so about 20 MB); a single row of the left factor with more
-# terms is expanded whole.  Only products of more than 2^19 terms are
-# split: a few in reduced (2,3,5) at v = 32, none in the v = 16 jobs of
-# perfbench.  Without the cap the peak RSS of reduced (2,3,5), 217-222
-# MB, and of the v <= 32 table, 250-262 MB, moves by up to 15 MB either
-# way, as much as it moves with how the job is launched (x86-64 Linux,
-# numpy 2); the cap bounds a product's transient whatever the sizes.
-_TERMS_IN_FLIGHT = 2**19
-
-
 def _product(left, right, inner=1):
-    """left @ (right (x) I_inner), exact, expanded in blocks of whole rows
-    of left of at most _TERMS_IN_FLIGHT terms.
+    """left @ (right (x) I_inner), exact, its terms expanded in one pass.
 
     There is one term per pair (left entry (i, k), entry of row k of
     right (x) I_inner); that row is row k // inner of right, whose entries
     are ptr[k // inner]:ptr[k // inner + 1], with each column j moved to
     j * inner + k % inner."""
-    rows, cols = left.rows, right.cols * inner
+    cols = right.cols * inner
     ptr = np.searchsorted(right.row_idx, np.arange(right.rows + 1))
     right_row = left.col_idx if inner == 1 else left.col_idx // inner
-    counts = ptr[right_row + 1] - ptr[right_row]
-    parts = []
-    for block in _row_blocks(left.row_idx, counts):
-        # the entries of left that meet an empty row of right are dropped
-        c = counts[block]
-        meet = c > 0
-        i, k, a, c = left.row_idx[block][meet], right_row[block][meet], left.values[block][meet], c[meet]
-        first_term = np.cumsum(c) - c
-        idx = np.arange(int(c.sum())) + np.repeat(ptr[k] - first_term, c)
-        dtype = np.int64 if _product_fits_int64(i, a, right.values) else object
-        terms = np.repeat(a.astype(dtype, copy=False), c)
-        terms *= right.values[idx].astype(dtype, copy=False)
-        # each term's position row * cols + col, built without a row array
-        key = right.col_idx[idx]
-        del idx
-        if inner > 1:
-            key *= inner
-            key += np.repeat(left.col_idx[block][meet] % inner, c)
-        key += np.repeat(i * cols, c)
-        parts.append(_canonical_keys(cols, key, terms))
-        del key, terms
-    if len(parts) > 1:
-        parts = [[np.concatenate(arrs) for arrs in zip(*parts)]]
-    return IntegerMatrix._from_coo(rows, cols, *parts[0], canonical=True)
-
-
-def _row_blocks(row_idx, counts):
-    """Slices of the entries (row_idx in row-major order, counts terms
-    each) in blocks of whole rows of at most _TERMS_IN_FLIGHT terms; a row
-    with more terms is a block of its own."""
-    if counts.sum() <= _TERMS_IN_FLIGHT:
-        return [slice(0, len(counts))]
-    # the entry index where each row starts, then the number of entries;
-    # and the terms of the entries before each of these
-    bounds = np.flatnonzero(np.diff(row_idx, prepend=-1, append=-1))
-    terms_before = np.concatenate(([0], np.cumsum(counts)))[bounds]
-    blocks, first = [], 0
-    while first < len(bounds) - 1:
-        fits = np.searchsorted(terms_before, terms_before[first] + _TERMS_IN_FLIGHT, side="right") - 1
-        stop = max(int(fits), first + 1)
-        blocks.append(slice(bounds[first], bounds[stop]))
-        first = stop
-    return blocks
+    c = ptr[right_row + 1] - ptr[right_row]
+    # the entries of left that meet an empty row of right are dropped
+    meet = c > 0
+    i, k, a, c = left.row_idx[meet], right_row[meet], left.values[meet], c[meet]
+    first_term = np.cumsum(c) - c
+    idx = np.arange(int(c.sum())) + np.repeat(ptr[k] - first_term, c)
+    dtype = np.int64 if _product_fits_int64(i, a, right.values) else object
+    terms = np.repeat(a.astype(dtype, copy=False), c)
+    terms *= right.values[idx].astype(dtype, copy=False)
+    # each term's position row * cols + col, built without a row array
+    key = right.col_idx[idx]
+    del idx
+    if inner > 1:
+        key *= inner
+        key += np.repeat(left.col_idx[meet] % inner, c)
+    key += np.repeat(i * cols, c)
+    return IntegerMatrix._from_coo(left.rows, cols, *_canonical_keys(cols, key, terms), canonical=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1126,35 +1084,6 @@ class HomCohomologyResult:
     summands: list = field(default_factory=list)
 
 
-def _dedupe_rows(M):
-    """Drop empty rows, and rows equal up to sign to an earlier row, of a
-    condition matrix."""
-    if M.is_zero():
-        return IntegerMatrix.zero(0, M.cols)
-    firsts = np.flatnonzero(np.diff(M.row_idx, prepend=-1))
-    lengths = np.diff(np.append(firsts, M.nnz))
-    # each row scaled by the sign of its first entry, so that a row and its
-    # negative agree; values replaced by their rank among all values
-    signs = np.repeat(np.where(M.values[firsts] < 0, -1, 1), lengths)
-    _, codes = np.unique(M.values * signs, return_inverse=True)
-    # one line per nonempty row: its columns, then its value codes, padded by -1
-    width = int(lengths.max())
-    lines = np.full((len(firsts), 2 * width), -1, dtype=np.int64)
-    line = np.repeat(np.arange(len(firsts)), lengths)
-    slot = np.arange(M.nnz) - np.repeat(firsts, lengths)
-    lines[line, slot] = M.col_idx
-    lines[line, width + slot] = codes
-    _, first_of_each = np.unique(lines, axis=0, return_index=True)
-    kept = M.row_idx[firsts[np.sort(first_of_each)]]
-    renumber = np.full(M.rows, -1)
-    renumber[kept] = np.arange(len(kept))
-    new_row = renumber[M.row_idx]
-    hit = new_row >= 0
-    return IntegerMatrix._from_coo(
-        len(kept), M.cols, new_row[hit], M.col_idx[hit], M.values[hit], canonical=True
-    )
-
-
 def _check_composite_zero(d_in, d_out, out_relations):
     comp = d_out @ d_in
     if comp.is_zero():
@@ -1195,9 +1124,9 @@ def hom_cohomology_at(d_in, d_out, domain_relations, gamma, out_relations=None):
     _check_composite_zero(d_in, d_out, out_relations)
 
     # A cochain f in gamma^ngen is a cocycle iff A @ f = 0 where the rows of
-    # A are the domain relations followed by the columns of d_in; duplicate
-    # and empty condition rows are pruned (they are plentiful).
-    A = _dedupe_rows(domain_relations.vstack(d_in.transpose()))
+    # A are the domain relations followed by the columns of d_in; a row
+    # repeated up to sign, or empty, changes no kernel and is kept.
+    A = domain_relations.vstack(d_in.transpose())
     n_out = d_out.rows
     if out_relations is None:
         out_relations = IntegerMatrix.zero(0, n_out)

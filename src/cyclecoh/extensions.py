@@ -37,6 +37,7 @@ from .lcs_cohomology import (
     cohomologous,
     verify_cocycle,
 )
+from .modular import ResourceLimitError
 
 VERIFY_SIZE_CAP = 64
 
@@ -311,7 +312,7 @@ def enumerate_extension_classes(gamma, params, method="theorem", cap=2**20):
     solve.  Both orders are deterministic.
     """
     if not gamma.is_finite:
-        raise ValueError("enumeration requires finite coefficients")
+        raise ResourceLimitError("enumeration requires finite coefficients")
     if method == "theorem":
         case = family_case(params)
         grid = family_parameter_grid(gamma, params)

@@ -70,9 +70,8 @@ class ChainComplex:
     def top(self):
         return max(self.modules) if self.modules else -1
 
-    def validate(self, upto=None):
-        top = self.top if upto is None else upto
-        for n in range(2, top + 1):
+    def validate(self):
+        for n in range(2, self.top + 1):
             if n in self.diff and (n - 1) in self.diff:
                 comp = self.diff[n - 1] @ self.diff[n]
                 if not comp.is_zero():

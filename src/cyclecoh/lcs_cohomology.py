@@ -54,7 +54,6 @@ from .abelian import (
 )
 from . import modular
 from .cycleset import (
-    CyclicFamilyParams,
     Verdict,
     first_failure,
     make_cyclic_lcs,
@@ -242,7 +241,7 @@ def _one_slot_map(v, images):
 @dataclass
 class ReducedComplexT:
     """The small partial total complex as a chain complex in degrees 1..3,
-    with diff {2: d2, 3: d3}, its named closed-form arrows, and phi2.
+    with diff {2: d2, 3: d3} and phi2.
     Degree n holds the transfer's cells (r, s), r + s = n, in sorted
     order, each cell its copies of Mbar(s) by alpha: Mbar(1)_00; then
     Mbar(2)_00, Mbar(1)_01, Mbar(1)_10; then Mbar(3)_00, Mbar(2)_01,
@@ -254,9 +253,7 @@ class ReducedComplexT:
     projection phi-hat on Dbar (x) Mbar(1).  A reduced degree-2 cochain c
     pulls back to the full cochain phi2^T c."""
 
-    params: CyclicFamilyParams
     total: ChainComplex
-    arrows: dict           # name -> IntegerMatrix
     phi2: IntegerMatrix
 
 
@@ -337,7 +334,7 @@ def reduced_complex(params):
     phi2 = block_matrix(
         {(0, 0): IntegerMatrix.identity(n2), (1, 1): phi_hat}, [n2, phi_hat.rows], [n2, n2]
     )
-    return ReducedComplexT(params, total, arrows, phi2)
+    return ReducedComplexT(total, phi2)
 
 
 def _transfer_reduced(params, quotients):
@@ -529,7 +526,7 @@ def cohomology(params, gamma, n, method):
     if method not in ROUTES:
         raise ValueError(f"unknown method {method!r}")
     if method not in admitted_routes(gamma):
-        raise ValueError("full/reduced routes require finite coefficients")
+        raise modular.ResourceLimitError("full/reduced routes require finite coefficients")
     if method == "closed":
         return CohomologyResult(_closed_form(params, gamma, n), "closed")
     if method == "full":
@@ -842,7 +839,7 @@ def all_cocycle_pairs(params, gamma, cap=2**20):
     Enumerates the kernel of the cocycle conditions; the raw cochain
     space must stay under the cap."""
     if not gamma.is_finite:
-        raise ValueError("enumeration requires finite coefficients")
+        raise modular.ResourceLimitError("enumeration requires finite coefficients")
     v = params.v
     n_sym = (v - 1) * v // 2
     raw = gamma.order() ** ((v - 1) ** 2 + n_sym)

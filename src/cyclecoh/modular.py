@@ -26,8 +26,8 @@ reaches it in two phases.
    valuation 0, the minimum, so these pivots head the Smith order.  The
    rounds stop when no active column holds a unit.  The condition
    matrices of the cochain complexes are very sparse and nearly all of
-   their pivots are units: at v = 16 the 434 unit pivots of the largest
-   take 8 rounds.
+   their pivots are units: at v = 16 the 434 unit pivots of the largest,
+   10350 x 450, take 8 rounds.
 2. Dense residual.  Every entry left is divisible by p.  Only the rows
    and columns of this residual are densified into int64 and eliminated
    by pivoting on an entry of minimal valuation; the block's V is

@@ -26,7 +26,6 @@ from cyclecoh.abelian import (
     InconsistentComplexError,
     IntegerMatrix,
     PresentedModule,
-    _dedupe_rows,
     block_matrix,
     cokernel_invariants,
     hom_cohomology_at,
@@ -290,10 +289,8 @@ def test_integer_matrix_never_wraps():
     assert IntegerMatrix.from_rows([[3]]).scale(2**61).dense() == [[3 * 2**61]]
 
 
-# entries on both sides of the int64 bound 2^62, and caps on the terms in
-# flight from one term per block up to the module's own
+# entries on both sides of the int64 bound 2^62
 ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 2**40, 2**62 - 1, -(2**62), 2**62, 2**70])
-CAPS = st.sampled_from([1, 2, 5, abelian._TERMS_IN_FLIGHT])
 
 
 def _matrices(draw, rows, cols):
@@ -310,9 +307,8 @@ def test_identity_kron_products_equal_the_explicit_kron(data):
     assert (K.rows, K.cols, K.nnz) == (explicit.rows, explicit.cols, explicit.nnz)
     right = _matrices(data.draw, K.cols, m)
     left = _matrices(data.draw, m, K.rows)
-    with mock.patch.object(abelian, "_TERMS_IN_FLIGHT", data.draw(CAPS)):
-        assert K @ right == explicit @ right
-        assert left @ K == left @ explicit
+    assert K @ right == explicit @ right
+    assert left @ K == left @ explicit
     with pytest.raises(ValueError):
         K @ IntegerMatrix.zero(K.cols + 1, 1)
     with pytest.raises(ValueError):
@@ -355,11 +351,10 @@ def test_face_difference_products_equal_the_explicit_matrix(data):
     b = data.draw(st.integers(a, copies))
     S = F.column_slice(a * rows, b * rows)
     explicit_S = explicit.column_slice(a * rows, b * rows)
-    with mock.patch.object(abelian, "_TERMS_IN_FLIGHT", data.draw(CAPS)):
-        assert F @ right == explicit @ right
-        assert left @ F == left @ explicit
-        assert S @ right.row_slice(a * rows, b * rows) == explicit_S @ right.row_slice(a * rows, b * rows)
-        assert left @ S == left @ explicit_S
+    assert F @ right == explicit @ right
+    assert left @ F == left @ explicit
+    assert S @ right.row_slice(a * rows, b * rows) == explicit_S @ right.row_slice(a * rows, b * rows)
+    assert left @ S == left @ explicit_S
     with pytest.raises(ValueError):
         F @ IntegerMatrix.zero(F.cols + 1, 1)
     with pytest.raises(ValueError):
@@ -373,28 +368,10 @@ def test_face_difference_products_equal_the_explicit_matrix(data):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_row_blocked_product_equals_the_one_shot_product(data):
+def test_product_equals_the_python_int_reference(data):
     n, k, m = (data.draw(st.integers(0, 6)) for _ in range(3))
     A, B = _matrices(data.draw, n, k), _matrices(data.draw, k, m)
-    one_shot = A @ B
-    assert _entries(one_shot) == _ref_matmul(_entries(A), _entries(B))
-    # terms per row of A: one per pair of entries A[i, k], B[k, j]
-    b_row_entries = [sum(1 for x in row if x) for row in B.dense()]
-    row_terms = [sum(b_row_entries[kk] for kk, x in enumerate(row) if x) for row in A.dense()]
-    cap, expanded = data.draw(CAPS), []
-    original = abelian._canonical_keys
-
-    def recording_keys(cols, key, values):
-        expanded.append(len(key))
-        return original(cols, key, values)
-
-    with mock.patch.object(abelian, "_TERMS_IN_FLIGHT", cap), mock.patch.object(
-        abelian, "_canonical_keys", recording_keys
-    ):
-        assert A @ B == one_shot
-    # each block holds at most cap terms, or is a single row with more
-    assert sum(expanded) == sum(row_terms)
-    assert all(t <= cap or t in row_terms for t in expanded)
+    assert _entries(A @ B) == _ref_matmul(_entries(A), _entries(B))
 
 
 def test_face_difference_sums_beyond_int64():
@@ -407,9 +384,9 @@ def test_face_difference_sums_beyond_int64():
     assert (F @ M).dense() == [[3 * x], [-3 * x]]
 
 
-def test_row_blocks_mix_int64_and_python_int_terms():
-    # with one term per block, the first row's block passes the int64 bound
-    # and the second row's (2 x 2^40 x 2^30 > 2^62) runs on Python ints
+def test_product_with_one_large_row_runs_on_python_ints():
+    # the second row of A fails the int64 bound (2 x 2^40 x 2^30 > 2^62),
+    # so the one decision for the whole product is the Python-int fallback
     A = IntegerMatrix.from_rows([[1, 1], [2**40, 2**40], [3, 0]])
     B = IntegerMatrix.from_rows([[2**30, 1], [2**30, 0]])
     assert A.values.dtype == B.values.dtype == np.int64
@@ -421,30 +398,10 @@ def test_row_blocks_mix_int64_and_python_int_terms():
         fits.append(original(*args))
         return fits[-1]
 
-    with mock.patch.object(abelian, "_TERMS_IN_FLIGHT", 1), mock.patch.object(
-        abelian, "_product_fits_int64", recording_fits
-    ):
+    with mock.patch.object(abelian, "_product_fits_int64", recording_fits):
         assert (A @ B).dense() == expected
-    assert fits == [True, False, True]
+    assert fits == [False]
     assert (A @ B).dense() == expected
-
-
-def test_dedupe_rows_against_python_reference():
-    rng = random.Random(7)
-    for bound in (2, 2**70):
-        for _ in range(100):
-            n, k = rng.randint(0, 12), rng.randint(1, 4)
-            rows = [[rng.choice((0, 0, 1, -1, bound)) for _ in range(k)] for _ in range(n)]
-            rows += [[-x for x in row] for row in rng.sample(rows, n // 3)]
-            rows += rng.sample(rows, len(rows) // 3)
-            # reference: the first row of each class {row, -row}, empty rows dropped
-            kept, seen = [], set()
-            for row in rows:
-                if any(row) and tuple(row) not in seen:
-                    kept.append(row)
-                    seen.update((tuple(row), tuple(-x for x in row)))
-            got = _dedupe_rows(IntegerMatrix.from_rows(rows, k))
-            assert got == IntegerMatrix.from_rows(kept, k)
 
 
 def assert_valid_snf(M, dec):
@@ -733,6 +690,17 @@ def test_hom_cohomology_examples():
         IntegerMatrix.identity(3), IntegerMatrix.zero(0, 3), None, FinAbGroup((6,))
     )
     assert res.group.is_trivial
+
+    # the condition rows are the columns of d_in, eliminated as given: a
+    # repeated, a negated and a zero column change no group
+    c0, c1 = [2, 0, 4], [0, 3, 3]
+    clean = IntegerMatrix.from_columns([c0, c1])
+    messy = IntegerMatrix.from_columns([c0, c1, c0, [-x for x in c1], [0, 0, 0]])
+    for orders in ((12,), (2, 8), (0,), (9, 0)):
+        gamma = FinAbGroup.from_cyclic_orders(orders)
+        want = hom_cohomology_at(clean, IntegerMatrix.zero(0, 3), None, gamma).group
+        assert not want.is_trivial
+        assert hom_cohomology_at(messy, IntegerMatrix.zero(0, 3), None, gamma).group == want
 
 
 def test_hom_cohomology_rejects_bad_complex():

@@ -382,6 +382,9 @@ def test_errors_match_the_schema(capsys, monkeypatch):
         ("parameter-domain", 2, ["cohomology", "--p", "4", "--nu", "1", "--eta", "1", "--coeff", "2"]),
         ("parameter-domain", 2, ["cohomology", *PARAMS, "--degree", "two"]),
         ("resource-limit", 2, ["extensions", *PARAMS[:4], "--eta", "2", "--coeff", "4", "--method", "brute"]),
+        # a free coefficient factor is valid, beyond the routes that eliminate mod p^k
+        ("resource-limit", 2, ["cohomology", *PARAMS[:6], "--coeff", "0,2", "--method", "full"]),
+        ("resource-limit", 2, ["extensions", *PARAMS[:6], "--coeff", "0"]),
     ]
     for kind, expected_code, argv in jobs:
         code, out, err = run_cli(capsys, *argv)

@@ -8,6 +8,7 @@ from cyclecoh.cycleset import CyclicFamilyParams, LinearCycleSet, make_cyclic_lc
 from cyclecoh.lcs_cohomology import (
     ROUTES,
     CocyclePair,
+    _arrow_matrices,
     admitted_routes,
     all_cocycle_pairs,
     base_coefficient,
@@ -25,6 +26,7 @@ from cyclecoh.lcs_cohomology import (
     xi1_standard,
 )
 from cyclecoh.cyclic_resolution import tuple_bar_differential
+from cyclecoh.modular import ResourceLimitError
 
 from basis import cell_basis
 
@@ -112,9 +114,8 @@ def test_perturbation_delta_values():
 
 
 def test_reduced_arrows_examples():
-    rc = reduced_complex(P312)
     u, v, t, u2 = 3, 9, 3, 1
-    a = rc.arrows
+    a = _arrow_matrices(P312)
     for i in range(1, v):
         assert a["dh0_201"].column(i - 1) == {i - 1: u}
         # dh2_021: -g^i + u2 * sum s g^{(1-su)i}
@@ -128,12 +129,12 @@ def test_reduced_arrows_examples():
 
 
 def test_reduced_arrows_t_1_degenerate_sums():
-    rc = reduced_complex(P211)
+    arrows = _arrow_matrices(P211)
     v = 2
     for i in range(1, v):
-        assert rc.arrows["dh1_021"].column(i - 1) == {i - 1: -1}
-        assert rc.arrows["dh2_021"].column(i - 1) == {i - 1: -1}
-        assert rc.arrows["dh1_011"].column(i - 1) == {}
+        assert arrows["dh1_021"].column(i - 1) == {i - 1: -1}
+        assert arrows["dh2_021"].column(i - 1) == {i - 1: -1}
+        assert arrows["dh1_011"].column(i - 1) == {}
 
 
 @pytest.fixture
@@ -236,7 +237,7 @@ def test_route_decision():
         assert admitted_routes(gamma) == ("closed",)
         assert cohomology(P212, gamma, 2, "closed").method == "closed"
         for method in ("full", "reduced"):
-            with pytest.raises(ValueError, match="^full/reduced routes require finite coefficients$"):
+            with pytest.raises(ResourceLimitError, match="^full/reduced routes require finite coefficients$"):
                 cohomology(P212, gamma, 2, method)
     with pytest.raises(ValueError, match="unknown method"):
         cohomology(P212, FinAbGroup((2,)), 2, "all")
@@ -313,7 +314,7 @@ def test_module_caches_build_each_complex_once(monkeypatch):
     assert get_context(P312) is get_context(P312)
     for _ in range(2):
         assert cohomology(P212, gamma, 2, "full").group == first
-        assert reduced_complex(P212).params == P212
+        assert reduced_complex(P212).phi2 == rc.phi2
     assert builds == {"full": 3, "perturb": 3}
 
 
@@ -541,9 +542,8 @@ def test_horizontal_image_vanishes_when_u_equals_v():
     # dual of the (0,1)-horizontal arrow on Mbar(2) kills f_1 when u = v
     for params in (P211, CyclicFamilyParams(3, 1, 1), CyclicFamilyParams(2, 2, 2)):
         v = params.v
-        rc = reduced_complex(params)
         lam = lambda_table(1, v)
-        m = rc.arrows["dh1_012"]
+        m = _arrow_matrices(params)["dh1_012"]
         labels = exp_tuples(2, v)
         for col, (a, b) in enumerate(labels):
             s = 0
@@ -766,7 +766,7 @@ def test_all_cocycle_pairs_refuses_infinite_coefficients():
     for orders in ((0,), (0, 2)):
         gamma = FinAbGroup.from_cyclic_orders(orders)
         assert not gamma.is_finite
-        with pytest.raises(ValueError, match="^enumeration requires finite coefficients$"):
+        with pytest.raises(ResourceLimitError, match="^enumeration requires finite coefficients$"):
             all_cocycle_pairs(P211, gamma)
 
 

@@ -9,6 +9,15 @@ closed formulas), and constructs and classifies the extensions
 themselves.
 """
 
+import os
+
+# numpy's OpenBLAS starts one thread per core, and the idle pool spins a
+# second core at start-up; cyclecoh's arithmetic is integer apart from
+# one small float64 product (`modular.kernel_coordinates`), which one
+# thread serves.  Set before the first submodule imports numpy; a value
+# already in the environment is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .abelian import FinAbGroup, GroupElement, IntegerMatrix, SmithDecomposition

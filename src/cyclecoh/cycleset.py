@@ -146,9 +146,9 @@ def check_cycle_set_table(n, dot):
     for a in range(n):
         da = dot[a]
         # dot[a.b][a.c] against dot[b.a][b.c], rows b, columns c
-        hit = first_failure(flat.take(da[:, None] * n + da) != flat.take(scaled[:, a][:, None] + dot))
-        if hit:
-            return Verdict(False, "cycle-set", (a, *hit))
+        failing = flat.take(da[:, None] * n + da) != flat.take(scaled[:, a][:, None] + dot)
+        if failing.any():
+            return Verdict(False, "cycle-set", (a, *first_failure(failing)))
     return Verdict(True)
 
 
@@ -164,9 +164,8 @@ def check_linearity_table(n, add, dot):
         at = da[:, None] * n + da  # (a.b, a.c)
         left = da.take(add) != flat_add.take(at)
         twisted = dot[add[a]] != flat_dot.take(at)
-        hit = first_failure(np.stack([left, twisted], axis=-1))
-        if hit:
-            b, c, which = hit
+        if left.any() or twisted.any():
+            b, c, which = first_failure(np.stack([left, twisted], axis=-1))
             axiom = "twisted-right-distributive" if which else "left-distributive"
             return Verdict(False, axiom, (a, b, c))
     return Verdict(True)

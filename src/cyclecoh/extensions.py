@@ -39,7 +39,26 @@ from .lcs_cohomology import (
 )
 from .modular import ResourceLimitError
 
+# the cubic axioms run exhaustively up to this many elements; above it
+# only the quadratic checks run, measured at n = 512, (2,3,5) with
+# Z/2+Z/8 (one 2-core x86 VM): the quadratic suite takes about 6 ms per
+# extension, the cubic ones about 3 s (the cycle-set axiom 2.1 s, 4 ms
+# per a; both distributivities 1.0 s), so 13 min for the 256 classes
 VERIFY_SIZE_CAP = 64
+
+
+@dataclass(frozen=True, eq=False)
+class ExtensionClass:
+    """A class of central extensions by the data that builds its
+    representative, `build_extension(gamma, params, pair, family)`:
+    `enumerate_extension_classes` built and verified that extension, and
+    keeps only this record.  `family` is (case, parameter tuple) for a
+    family representative, else None."""
+
+    gamma: FinAbGroup
+    params: CyclicFamilyParams
+    pair: CocyclePair
+    family: tuple = None
 
 
 @dataclass(eq=False)
@@ -77,17 +96,22 @@ def _element_positions(gamma, coords):
     return ((coords % factors) @ weights).astype(np.int64)
 
 
-def _coordinates(gamma_elems, r):
-    return np.array([c.coords for c in gamma_elems], dtype=np.int64).reshape(len(gamma_elems), r)
+def _group_addition(gamma, gamma_elems):
+    """The |gamma| x |gamma| addition table on positions in gamma_elems."""
+    r = len(gamma.factors)
+    C = np.array([c.coords for c in gamma_elems], dtype=np.int64).reshape(len(gamma_elems), r)
+    return _element_positions(gamma, C[:, None] + C[None])
 
 
-def build_extension(gamma, params, pair, family=None, verify=None):
+def build_extension(gamma, params, pair, family=None, verify=True):
     """The twisted product; refuses pairs that fail the cocycle check.
 
-    The tables are computed from the coordinate arrays of the pair at
-    once over all (c1, i1, c2, i2).  The full axiom suite runs whenever
-    the carrier has at most 64 elements (every instance the
-    classification sweeps produce).
+    The tables are gathered at once over all (c1, i1, c2, i2) from the
+    group addition table on element positions and the positions of the
+    values of xi1 and xi2: two (|gamma|, v, v) tables, spread over
+    n x n.  `verify_central_extension` runs on the result unless
+    verify=False: the full axiom suite up to 64 elements (every instance
+    the classification sweeps produce), the quadratic checks above.
     """
     if pair.gamma != gamma or pair.v != params.v:
         raise ValueError(
@@ -103,20 +127,18 @@ def build_extension(gamma, params, pair, family=None, verify=None):
     elems = [(c.coords, i) for c in gamma_elems for i in range(v)]
     index = {e: k for k, e in enumerate(elems)}
     n = len(elems)
-    x1, x2 = pair.xi1, pair.xi2
-    # axes (c1, i1, c2, i2) of the n x n tables, coordinates last
-    C = _coordinates(gamma_elems, len(gamma.factors))
-    c1 = C[:, None, None, None]
-    c2 = C[None, None, :, None]
-    i1 = np.arange(v)[:, None, None]
-    i2 = np.arange(v)
-    add = _element_positions(gamma, c1 + c2 + x1[:, None]) * v + (i1 + i2) % v
-    dot = _element_positions(gamma, c2 + x2[:, None]) * v + np.array(lcs.dot)[i1, i2]
-    shape = (len(gamma_elems), v, len(gamma_elems), v)
-    add, dot = (np.broadcast_to(t, shape).reshape(n, n).copy() for t in (add, dot))
+    g = len(gamma_elems)
+    plus = _group_addition(gamma, gamma_elems)
+    i = np.arange(v)
+    # (c, i1, i2) -> the element over i1 + i2 with fiber c + xi1(i1, i2),
+    # and the one over i1.i2 with fiber c + xi2(i1, i2)
+    over_add = plus[:, _element_positions(gamma, pair.xi1)] * v + (i[:, None] + i) % v
+    over_dot = plus[:, _element_positions(gamma, pair.xi2)] * v + np.array(lcs.dot)
+    # axes (c1, i1, c2, i2) of the n x n tables: add reads c = c1 + c2,
+    # dot reads c = c2 whatever c1
+    add = over_add.take(plus, axis=0).transpose(0, 2, 1, 3).reshape(n, n)
+    dot = np.broadcast_to(over_dot.transpose(1, 0, 2), (g, v, g, v)).reshape(n, n)
     ext = CentralExtension(gamma, params, pair, elems, index, add, dot, family)
-    if verify is None:
-        verify = ext.size <= VERIFY_SIZE_CAP
     if verify:
         verdict = verify_central_extension(ext)
         if not verdict:
@@ -132,35 +154,40 @@ def verify_central_extension(ext, exhaustive=None):
     (associativity, the cycle-set axiom, both distributivities) run
     exhaustively up to 64 elements by default, as one n x n block over
     (b, c) per a; beyond that exhaustive=False keeps the quadratic
-    checks only (the cubic axioms are implied by the verified cocycle
-    conditions and are exercised exhaustively at the smaller sizes).
-    Every failure names the first witness in loop order.
+    checks only, at once over every a (see `VERIFY_SIZE_CAP` for their
+    costs).  Every failure names the first witness in loop order.
     """
     n = ext.size
     if exhaustive is None:
         exhaustive = n <= VERIFY_SIZE_CAP
     add, dot = np.asarray(ext.add), np.asarray(ext.dot)
     zero = ext.index[(ext.gamma.zero().coords, 0)]
-    # abelian group under the twisted addition
+    # abelian group under the twisted addition: per a the identity, the
+    # inverse, then over b commutativity and, when exhaustive,
+    # associativity over c
     rng = np.arange(n)
     no_identity = add[:, zero] != rng
     no_inverse = ~(add == zero).any(axis=1)
     not_commuting = add != add.T
-    for a in range(n):
-        if no_identity[a]:
+    quadratic = np.column_stack([no_identity, no_inverse, not_commuting])
+    hit = first_failure(quadratic)
+    if exhaustive:
+        # associativity at (a, b) follows commutativity at (a, b); only the
+        # rows up to the first quadratic failure can hold an earlier witness
+        for a in range(n if hit is None else hit[0] + 1):
+            # (a + b) + c != a + (b + c), rows b, columns c
+            associating = add[add[a]] != add[a].take(add)
+            if associating.any():
+                b, c = first_failure(associating)
+                if hit is None or (a, 2 + b) < hit:
+                    return Verdict(False, "additive associativity", (a, b, c))
+    if hit:
+        a, col = hit
+        if col == 0:
             return Verdict(False, "additive identity", (a,))
-        if no_inverse[a]:
+        if col == 1:
             return Verdict(False, "additive inverse", (a,))
-        block = not_commuting[a][:, None]
-        if exhaustive:
-            # column 0: a + b != b + a; column 1 + c: (a + b) + c != a + (b + c)
-            block = np.column_stack([block, add[add[a]] != add[a].take(add)])
-        hit = first_failure(block)
-        if hit:
-            b, col = hit
-            if col == 0:
-                return Verdict(False, "additive commutativity", (a, b))
-            return Verdict(False, "additive associativity", (a, b, col - 1))
+        return Verdict(False, "additive commutativity", (a, col - 2))
     if exhaustive:
         verdict = check_cycle_set_table(n, dot)
         if not verdict:
@@ -176,19 +203,21 @@ def verify_central_extension(ext, exhaustive=None):
     gamma_elems = list(gamma.elements())
     iota = np.array([ext.iota(c) for c in gamma_elems], dtype=np.int64)
     # iota and pi are morphisms
-    C = _coordinates(gamma_elems, len(gamma.factors))
-    sums = iota[_element_positions(gamma, C[:, None, :] + C[None, :, :])]
-    hit = first_failure(add[iota[:, None], iota] != sums)
+    hit = first_failure(add[iota[:, None], iota] != iota[_group_addition(gamma, gamma_elems)])
     if hit:
         c1, c2 = hit
         return Verdict(False, "iota additive", (gamma_elems[c1].coords, gamma_elems[c2].coords))
-    pi = np.array([i for _, i in ext.elems], dtype=np.int64)
-    lcs_dot = np.array(make_cyclic_lcs(ext.params).dot)
-    pi_add = pi[add] != (pi[:, None] + pi) % v
-    pi_dot = pi[dot] != lcs_dot[pi[:, None], pi]
-    hit = first_failure(np.stack([pi_add, pi_dot], axis=-1))
-    if hit:
-        a, b, which = hit
+    # pi and the tables of Z/v, read at (pi(a), pi(b)), in the smallest
+    # type that holds v: the n x n temporaries set the cost of this check
+    small = np.min_scalar_type(v)
+    pi = np.array([i for _, i in ext.elems], dtype=small)
+    i = np.arange(v)
+    z_add = ((i[:, None] + i) % v).astype(small)
+    z_dot = np.array(make_cyclic_lcs(ext.params).dot, dtype=small)
+    pi_add = pi.take(add) != z_add[pi][:, pi]
+    pi_dot = pi.take(dot) != z_dot[pi][:, pi]
+    if pi_add.any() or pi_dot.any():
+        a, b, which = first_failure(np.stack([pi_add, pi_dot], axis=-1))
         return Verdict(False, "pi multiplicative" if which else "pi additive", (a, b))
     # exactness: the fiber over 0 is exactly the image of iota
     fiber = {k for k, (c, i) in enumerate(ext.elems) if i == 0}
@@ -209,6 +238,8 @@ def verify_central_extension(ext, exhaustive=None):
 def extensions_equivalent(ext1, ext2):
     """Whether the pairs of the two extensions are cohomologous (see
     `cohomologous`; the witness is the fiber translation eta(1..v-1)).
+    Either may be a `CentralExtension` or an `ExtensionClass`: only the
+    data they are built from is read.
 
     For family-built extensions of one case the closed-form criterion is
     evaluated too and must agree with the coboundary solve.
@@ -304,12 +335,15 @@ def _class_key(case, gamma, params, tup):
 
 
 def enumerate_extension_classes(gamma, params, method="theorem", cap=2**20):
-    """Representatives of all equivalence classes of central extensions.
+    """Representatives of all equivalence classes of central extensions,
+    as `ExtensionClass` records.
 
     method "theorem": sweep the family parameter ranges of the matching
     case and quotient by its closed-form criterion.  method "brute":
     enumerate every normalized cocycle pair and classify by the coboundary
-    solve.  Both orders are deterministic.
+    solve.  Both orders are deterministic.  Each representative's
+    extension is built and verified, one at a time: only one extension's
+    tables are held at once.
     """
     if not gamma.is_finite:
         raise ResourceLimitError("enumeration requires finite coefficients")
@@ -326,11 +360,9 @@ def enumerate_extension_classes(gamma, params, method="theorem", cap=2**20):
         out = []
         for key in sorted(classes):
             tup = classes[key]
-            if case == "C":
-                pair = cocycle_family(params, gamma, tup[0], tup[1], tup[2])
-            else:
-                pair = cocycle_family(params, gamma, tup[0], tup[1])
-            out.append(build_extension(gamma, params, pair, family=(case, tup)))
+            pair = cocycle_family(params, gamma, *tup)
+            build_extension(gamma, params, pair, family=(case, tup))
+            out.append(ExtensionClass(gamma, params, pair, (case, tup)))
         return out
     if method == "brute":
         pairs = all_cocycle_pairs(params, gamma, cap=cap)
@@ -339,10 +371,9 @@ def enumerate_extension_classes(gamma, params, method="theorem", cap=2**20):
         for pair in pairs:
             ext = build_extension(gamma, params, pair, verify=False)
             if not any(extensions_equivalent(ext, r) for r in reps):
-                reps.append(ext)
-        for r in reps:
-            verdict = verify_central_extension(r)
-            if not verdict:
-                raise AssertionError(f"brute-force representative fails: {verdict}")
+                verdict = verify_central_extension(ext)
+                if not verdict:
+                    raise AssertionError(f"brute-force representative fails: {verdict}")
+                reps.append(ExtensionClass(gamma, params, pair))
         return reps
     raise ValueError(f"unknown enumeration method {method!r}")

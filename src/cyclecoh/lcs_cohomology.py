@@ -701,9 +701,11 @@ def base_coefficient(r, params):
     return r, c
 
 
+@functools.lru_cache(maxsize=1)
 def _family_xi2_tables(params):
     """Coefficient tables of g, g1 and g1' in the second component of the
-    family of the case of params, a (3, v, v) integer array: with
+    family of the case of params, a read-only (3, v, v) integer array
+    built once per member: with
     (i, j) = divmod(a, t), xi2(a, i1) is
     (a i1) g1 (u = v);
     i1 (i - u2 C(j, 2)) (t g1 - g) + sum_{l<j} gamma_{(1-ul) i1} (2 < u < v);
@@ -725,6 +727,7 @@ def _family_xi2_tables(params):
                 r, c = base_coefficient((1 - u * l) * i1, params)
                 tables[0, a, i1] -= c
                 tables[1, a, i1] += r
+    tables.flags.writeable = False
     return tables
 
 
@@ -764,32 +767,63 @@ def cocycle_family(params, gamma, g, g1, g1p=None):
     return CocyclePair(gamma, v, xi1, xi2)
 
 
+@functools.lru_cache(maxsize=1)
+def _cocycle_grid(lcs):
+    """The (v-1)^3 grid of (i1, i2, i3) in loop order, flattened, and by
+    name the flat positions i * v + j of the entries (i, j) the cocycle
+    conditions read there.  Read-only, built once per cycle set."""
+    v = lcs.v
+    dot = np.array(lcs.dot, dtype=np.int64)
+    i1, i2, i3 = (g.ravel() for g in np.meshgrid(*[np.arange(1, v)] * 3, indexing="ij"))
+    at = {
+        "i2,i3": i2 * v + i3,
+        "i1+i2,i3": (i1 + i2) % v * v + i3,
+        "i1,i2+i3": i1 * v + (i2 + i3) % v,
+        "i1,i2": i1 * v + i2,
+        "i1.i2,i1.i3": dot[i1, i2] * v + dot[i1, i3],
+        "i1,i3": i1 * v + i3,
+    }
+    for a in (i1, i2, i3, *at.values()):
+        a.flags.writeable = False
+    return (i1, i2, i3), at
+
+
 def verify_cocycle(pair, lcs):
     """The three degree-2 cocycle conditions of the total complex.
 
     Each condition is one array expression over the (v-1)^3 grid of
-    (i1, i2, i3); the verdict names the first failing triple in loop
-    order (i1 outermost) and, at that triple, the first failing
-    condition.
+    (i1, i2, i3), per coordinate of the coefficients; the verdict names
+    the first failing triple in loop order (i1 outermost) and, at that
+    triple, the first failing condition.
     """
-    v = lcs.v
-    x1, x2 = pair.xi1, pair.xi2
-    dot = np.array(lcs.dot, dtype=np.int64)
-    i1, i2, i3 = (g.ravel() for g in np.meshgrid(*[np.arange(1, v)] * 3, indexing="ij"))
-    d12, d13 = dot[i1, i2], dot[i1, i3]
-    s12, s23 = (i1 + i2) % v, (i2 + i3) % v
-    conditions = {
-        "vertical (0,3)": -x1[i2, i3] + x1[s12, i3] - x1[i1, s23] + x1[i1, i2],
-        "mixed (1,2)": x1[d12, d13] - x1[i2, i3] + x2[i1, i3] - x2[i1, s23] + x2[i1, i2],
-        "horizontal (2,1)": x2[d12, d13] - x2[s12, i3] + x2[i1, i3],
-    }
-    factors = np.array(pair.gamma.factors, dtype=x1.dtype)
-    nonzero = [(_mod_factors(s, factors) != 0).any(axis=-1) for s in conditions.values()]
-    hit = first_failure(np.stack(nonzero, axis=-1))
+    (i1, i2, i3), at = _cocycle_grid(lcs)
+    names = ("vertical (0,3)", "mixed (1,2)", "horizontal (2,1)")
+    nonzero = np.zeros((len(i1), len(names)), dtype=bool)
+    for col, m in enumerate(pair.gamma.factors):
+        # one coordinate of xi1 and xi2 as flat tables; reduced mod m its
+        # entries lie in [0, m), and a condition sums at most five, so
+        # int32 is exact while 5 m < 2^31
+        dtype = np.int32 if 0 < m < (1 << 31) // 5 else pair.xi1.dtype
+        f1, f2 = (x[..., col].ravel().astype(dtype) for x in (pair.xi1, pair.xi2))
+
+        def x1(key):
+            return f1.take(at[key])
+
+        def x2(key):
+            return f2.take(at[key])
+
+        conditions = (
+            -x1("i2,i3") + x1("i1+i2,i3") - x1("i1,i2+i3") + x1("i1,i2"),
+            x1("i1.i2,i1.i3") - x1("i2,i3") + x2("i1,i3") - x2("i1,i2+i3") + x2("i1,i2"),
+            x2("i1.i2,i1.i3") - x2("i1+i2,i3") + x2("i1,i3"),
+        )
+        for which, c in enumerate(conditions):
+            nonzero[:, which] |= (c % m if m else c) != 0
+    hit = first_failure(nonzero)
     if hit is None:
         return Verdict(True)
     t, which = hit
-    return Verdict(False, list(conditions)[which], (int(i1[t]), int(i2[t]), int(i3[t])))
+    return Verdict(False, names[which], (int(i1[t]), int(i2[t]), int(i3[t])))
 
 
 def cohomologous(pair1, pair2, lcs):

@@ -331,11 +331,17 @@ def kernel_coordinates(kd, vecs):
 
     One product Vinv @ vecs^T gives every row's coordinates in the basis
     V; coordinate i is divisible by p^(k - col_exps[i]) exactly for
-    kernel vectors, and the quotient is c_i."""
+    kernel vectors, and the quotient is c_i.
+
+    The product runs in float64 and is exact: Vinv's entries lie below
+    the modulus it was eliminated at, so below `_MAX_MODULUS` = 2^15,
+    as do the reduced vectors' entries, and each of the n = len(col_exps)
+    terms of an entry is below 2^30; the sum stays below 2^53 while
+    n < 2^23, which any n x n Vinv that fits in memory satisfies."""
     p, k = kd.p, kd.k
     m = p**k
     vecs = np.asarray(vecs, dtype=np.int64).reshape(len(vecs), len(kd.col_exps)) % m
-    y = (kd.Vinv @ vecs.T) % m
+    y = (kd.Vinv.astype(np.float64) @ vecs.T.astype(np.float64)).astype(np.int64) % m
     exps = np.array(kd.col_exps, dtype=np.int64).reshape(-1, 1)
     step = p ** (k - exps)
     if (y % step).any():
@@ -358,15 +364,17 @@ def quotient_mod_pk(kd, b_rows, p, k):
     # p^e gens[i] = 0 for the generators of order p^e < p^k, then the b_rows
     e = np.array(kd.orders, dtype=np.int64)
     rel = np.vstack((np.diag(p**e)[e < k], kernel_coordinates(kd, b_rows)))
-    exps, V, Vinv = local_smith(rel, p, k)
+    # U rel V = D: the coordinates y = c V carry rowspan(rel) onto
+    # rowspan(D), so the quotient splits into the Z/p^f_j, and summand j
+    # is generated by c = e_j V^{-1}, row j of Vinv
+    exps, _, Vinv = local_smith(rel, p, k)
     orders = []
     reps = []
     for j in range(s):
         f = exps[j] if j < len(exps) else k
         if f == 0:
             continue
-        coeffs = V[:, j]
-        vec = (coeffs @ kd.gens) % m
+        vec = (Vinv[j] @ kd.gens) % m
         orders.append(p**f)
         reps.append(vec)
     return orders, reps

@@ -430,3 +430,30 @@ def test_scipy_is_never_imported(argv):
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+_BLAS_THREADS = """
+import os
+import cyclecoh
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(os.environ.get("OPENBLAS_NUM_THREADS"), threads)
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_blas_pool_defaults_to_one_thread(preset):
+    # cyclecoh's arithmetic needs no BLAS pool, and an idle one spins a
+    # core at start-up; importing the package sets the default before
+    # numpy loads and keeps a value the user set
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    done = subprocess.run(
+        [sys.executable, "-c", _BLAS_THREADS], env=env, capture_output=True, text=True, timeout=300, check=True
+    )
+    value, threads = done.stdout.split()
+    assert value == (preset or "1")
+    if preset is None and threads != "None":
+        assert threads == "1"

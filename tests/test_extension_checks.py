@@ -375,6 +375,47 @@ def test_extension_checks_match_reference(params):
     assert failing > 0
 
 
+def test_corrupted_dot_beyond_the_cap_is_refused(monkeypatch):
+    """Above 64 elements build_extension still verifies, with the quadratic
+    checks; corruptions of the dot table of a 128-element extension,
+    (2,2,4) with Z/8, that they see are refused with the reference's
+    verdict."""
+    import cyclecoh.extensions as extensions
+
+    params, gamma = CyclicFamilyParams(2, 2, 4), FinAbGroup((8,))
+    rng = random.Random(128)
+    (pair,) = family_pairs(params, gamma, 1, rng)
+    verified = []
+    check = extensions.verify_central_extension
+
+    def recording(ext, exhaustive=None):
+        verified.append(ext.size)
+        return check(ext, exhaustive)
+
+    monkeypatch.setattr(extensions, "verify_central_extension", recording)
+    ext = build_extension(gamma, params, pair)
+    assert verified == [128]
+    n, v = ext.size, params.v
+    add, intact = ext.add.tolist(), ext.dot.tolist()
+    kernel = [ext.iota(c) for c in gamma.elements()]
+    for axiom in ("left-translation-bijective", "pi multiplicative", "kernel invariance"):
+        dot = [row.copy() for row in intact]
+        b = rng.randrange(n)
+        if axiom == "left-translation-bijective":
+            a, c = rng.randrange(n), (b + 1) % n
+            dot[a][b] = dot[a][c]
+        else:
+            if axiom == "pi multiplicative":  # c lies over pi(b) + 1
+                a, c = rng.randrange(n), b - b % v + (b + 1) % v
+            else:  # c lies over pi(b) in another fiber, a in the kernel
+                a, c = rng.choice(kernel), (b + v) % n
+            dot[a][b], dot[a][c] = dot[a][c], dot[a][b]
+        expected = ref_verify_central_extension(ext, add, dot)
+        assert expected.axiom == axiom
+        ext.dot = np.array(dot)
+        same(check(ext), expected)
+
+
 def test_cycle_set_and_linearity_tables_match_reference():
     """Seeded random tables on small carriers, most of them failing."""
     rng = random.Random(5)

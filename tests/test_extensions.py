@@ -209,3 +209,24 @@ def test_equivalence_is_equivalence_relation():
             for c in sample:
                 if ab and bool(extensions_equivalent(b, c)):
                     assert bool(extensions_equivalent(a, c))
+
+
+def test_enumeration_holds_one_extension_at_a_time():
+    """(2,2,4) with Z/8: 16 classes of 128-element extensions, each with
+    256 KB of int64 add and dot tables.  Every class is built and verified,
+    and the traced peak stays below four extensions' tables, where holding
+    every class's would take 16.  A first call fills the per-member
+    caches, which no extension owns."""
+    import tracemalloc
+
+    params, gamma = CyclicFamilyParams(2, 2, 4), FinAbGroup((8,))
+    tables = 2 * 128 * 128 * 8
+    enumerate_extension_classes(gamma, params)
+    tracemalloc.start()
+    try:
+        classes = enumerate_extension_classes(gamma, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(classes) == 16
+    assert peak < 4 * tables, peak

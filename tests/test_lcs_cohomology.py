@@ -348,15 +348,52 @@ def test_closed_route_infinite_coefficients():
     assert res.group.factors == (3,)
 
 
+def _scaled(pair, k):
+    return CocyclePair(pair.gamma, pair.v, k * pair.xi1, k * pair.xi2)
+
+
 def test_representatives_are_cocycles_and_spanning():
-    for params, fac in ((P211, (4,)), (P212, (2,)), (P312, (3,))):
+    """Each representative is a cocycle of exactly its stated order: order
+    x rep is a coboundary and (order/p) x rep is not.  Where H^2 is small,
+    all its combinations of the representatives are pairwise distinct
+    classes, so together they generate it."""
+    P222 = CyclicFamilyParams(2, 2, 2)
+    cases = (
+        (P211, (4,)),
+        (P212, (2,)),
+        (P312, (3,)),
+        (P222, (4,)),
+        (P212, (2, 4)),
+        (P312, (3, 9)),
+        (P223, (2, 8)),
+    )
+    for params, fac in cases:
         gamma = FinAbGroup(fac)
         lcs = make_cyclic_lcs(params)
+        zero = CocyclePair.zero(gamma, params.v)
         for method in ("full", "reduced"):
             res = cohomology(params, gamma, 2, method)
+            where = (params, fac, method)
             assert res.group.order() > 1
+            assert sorted(o for o, _ in res.representatives) == sorted(res.group.factors), where
             for order, pair in res.representatives:
-                assert verify_cocycle(pair, lcs), (params, fac, method)
+                assert verify_cocycle(pair, lcs), where
+                assert cohomologous(zero, _scaled(pair, order), lcs), (*where, order)
+                # the coefficients are p-groups, so each order is a power of p
+                assert order % params.p == 0, (*where, order)
+                assert not cohomologous(zero, _scaled(pair, order // params.p), lcs), (*where, order)
+            if res.group.order() <= 16:
+                combos = [zero]
+                for order, pair in res.representatives:
+                    combos = [
+                        CocyclePair(gamma, params.v, c.xi1 + k * pair.xi1, c.xi2 + k * pair.xi2)
+                        for c in combos
+                        for k in range(order)
+                    ]
+                assert len(combos) == res.group.order()
+                for i, a in enumerate(combos):
+                    for b in combos[i + 1 :]:
+                        assert not cohomologous(a, b, lcs), where
 
 
 # ---------------------------------------------------------------------------

@@ -820,14 +820,6 @@ def solver(M):
     return solve_one
 
 
-def solve(M, b):
-    """One integer solution x of M @ x = b, or None.
-
-    b is a dense list of length M.rows.
-    """
-    return solver(M)(b)
-
-
 # ---------------------------------------------------------------------------
 # Finitely generated abelian groups
 # ---------------------------------------------------------------------------
@@ -932,21 +924,22 @@ class FinAbGroup:
         return FinAbGroup.from_cyclic_orders(self.factors + other.factors)
 
     def prime_power_coordinates(self):
-        """Split into cyclic summands of prime-power order.
+        """Split a finite group into cyclic summands of prime-power order.
 
         Returns a list of (p, k, factor_index, embed) where embed is the
-        multiplier realising Z/p^k inside Z/factor by CRT, plus the
-        number of free (Z) factors as a second value.
+        multiplier realising Z/p^k inside Z/factor by CRT.  The mod-p^k
+        engine that reads them has nothing for a free factor, so one is a
+        resource limit.
         """
-        coords = []
-        nfree = 0
-        for idx, f in enumerate(self.factors):
-            if f == 0:
-                nfree += 1
-                continue
-            for p, e in modular.factorize(f):
-                coords.append((p, e, idx, _crt_embed(f, p**e)))
-        return coords, nfree
+        if not self.is_finite:
+            raise modular.ResourceLimitError(
+                f"{self} is not finite: the mod-p^k engine needs finite coefficients"
+            )
+        return [
+            (p, e, idx, _crt_embed(f, p**e))
+            for idx, f in enumerate(self.factors)
+            for p, e in modular.factorize(f)
+        ]
 
     def __str__(self):
         if not self.factors:
@@ -1057,63 +1050,29 @@ def cokernel_invariants(relations):
     return FinAbGroup.from_cyclic_orders(orders)
 
 
-def _cokernel_with_generators(relations):
-    """Like cokernel_invariants but also returns a generator column per factor.
-
-    Returns a list of (order, column) with order 0 for free summands;
-    columns are vectors in the ambient Z^cols.
-    """
-    dec = smith_normal_form(relations, check=False)
-    diag = dec.diagonal()
-    v_columns = dec.V.transpose().dense()
-    out = []
-    for j in range(relations.cols):
-        d = diag[j] if j < len(diag) else 0
-        if d == 1:
-            continue
-        out.append((d, v_columns[j]))
-    return out
-
-
 @dataclass
 class HomCohomologyResult:
     group: FinAbGroup
-    # one (order, cochain) per cyclic summand, order 0 meaning a free summand;
-    # cochain is an (ngen, r) array of Python ints (dtype object): one row of
+    # one (order, cochain) per cyclic summand, of prime-power order; cochain
+    # is an (ngen, r) array of Python ints (dtype object): one row of
     # coordinates in gamma's r invariant factors per generator of the domain
     summands: list = field(default_factory=list)
 
 
-def _check_composite_zero(d_in, d_out, out_relations):
-    comp = d_out @ d_in
-    if comp.is_zero():
-        return
-    if out_relations is not None and out_relations.rows:
-        solve_relT = solver(out_relations.transpose())
-        for col in comp.columns():
-            vec = [0] * comp.rows
-            for r, v in col.items():
-                vec[r] = v
-            if solve_relT(vec) is None:
-                raise InconsistentComplexError(
-                    "d_out o d_in does not vanish modulo relations"
-                )
-        return
-    raise InconsistentComplexError("d_out o d_in is nonzero")
-
-
 def hom_cohomology_at(d_in, d_out, domain_relations, gamma, out_relations=None):
-    """Cohomology of Hom(-, gamma) at a single spot of a complex.
+    """Cohomology of Hom(-, gamma) at a single spot of a complex, gamma finite.
 
     d_in  : X_{n+1} -> X_n   (matrix, columns = generators of X_{n+1})
-    d_out : X_n -> X_{n-1}
+    d_out : X_n -> X_{n-1}, with d_out @ d_in = 0 exactly
     domain_relations : relations of X_n (rows)
     out_relations    : relations of X_{n-1}, needed so that coboundaries
                        range over honest functionals on X_{n-1}
 
     Returns ker(Hom(d_in, gamma)) / im(Hom(d_out, gamma)) together with
-    a representative cochain per cyclic summand.
+    a representative cochain per cyclic summand.  A free factor of gamma
+    is a resource limit (see `FinAbGroup.prime_power_coordinates`).
     """
+    pp_coords = gamma.prime_power_coordinates()
     ngen = d_in.rows
     if domain_relations is None:
         domain_relations = IntegerMatrix.zero(0, ngen)
@@ -1121,86 +1080,51 @@ def hom_cohomology_at(d_in, d_out, domain_relations, gamma, out_relations=None):
         d_out = IntegerMatrix.zero(0, ngen)
     if domain_relations.cols != ngen or d_out.cols != ngen:
         raise ValueError("domain size mismatch between d_in, d_out and relations")
-    _check_composite_zero(d_in, d_out, out_relations)
+    if not (d_out @ d_in).is_zero():
+        raise InconsistentComplexError("d_out o d_in is nonzero")
 
     # A cochain f in gamma^ngen is a cocycle iff A @ f = 0 where the rows of
     # A are the domain relations followed by the columns of d_in; a row
     # repeated up to sign, or empty, changes no kernel and is kept.
     A = domain_relations.vstack(d_in.transpose())
-    n_out = d_out.rows
-    if out_relations is None:
-        out_relations = IntegerMatrix.zero(0, n_out)
+    if d_out.is_zero():
+        out_relations = None  # no coboundaries
+    elif out_relations is None:
+        out_relations = IntegerMatrix.zero(0, d_out.rows)
 
-    pp_coords, nfree = gamma.prime_power_coordinates()
-    orders = []
-    summands = []
+    # one prime at a time, so that only its kernels are held; the summands
+    # keep the order of the coordinates
+    parts = {}
+    for p in dict.fromkeys(coord[0] for coord in pp_coords):
+        parts.update(_summands_at_prime(A, d_out, out_relations, gamma, pp_coords, p))
+    summands = [s for i in range(len(pp_coords)) for s in parts[i]]
+    group = FinAbGroup.from_cyclic_orders([order for order, _ in summands])
+    return HomCohomologyResult(group, summands)
 
-    # one elimination per prime, at its largest power: the Z/p^k kernels
-    # for smaller k are truncations of it
-    top = {}
-    for p, k, _, _ in pp_coords:
-        top[p] = max(top.get(p, 0), k)
-    kernels = {}
-    for p, k in top.items():
-        kd = modular.kernel_mod_pk(A, p, k)
-        okd = None
-        if n_out and not d_out.is_zero():
-            okd = modular.kernel_mod_pk(out_relations, p, k)
-        kernels[p] = kd, okd
 
-    for p, k, fidx, embed in pp_coords:
+def _summands_at_prime(A, d_out, out_relations, gamma, pp_coords, p):
+    """The summands of each prime-power coordinate of p, as a dict from
+    the coordinate's index to its list of (order, cochain).
+
+    p is eliminated once, at its largest power: the Z/p^k kernels for
+    smaller k are truncations of it.  Its kernels live only in this
+    call."""
+    at_p = {i: coord for i, coord in enumerate(pp_coords) if coord[0] == p}
+    top = max(k for _, k, _, _ in at_p.values())
+    kd = modular.kernel_mod_pk(A, p, top)
+    okd = None if out_relations is None else modular.kernel_mod_pk(out_relations, p, top)
+    parts = {}
+    for i, (_, k, fidx, embed) in at_p.items():
         m = p**k
-        kd, okd = kernels[p]
-        kd = kd.truncate(k)
         b_rows = []
         if okd is not None:
             ogens = okd.truncate(k).gens
             if len(ogens):
                 b_rows = list((ogens @ d_out.to_numpy_mod(m)) % m)
-        facs, reps = modular.quotient_mod_pk(kd, b_rows, p, k)
+        facs, reps = modular.quotient_mod_pk(kd.truncate(k), b_rows, p, k)
+        parts[i] = []
         for order, vec in zip(facs, reps):
-            orders.append(order)
-            cochain = np.zeros((ngen, len(gamma.factors)), dtype=object)
+            cochain = np.zeros((A.cols, len(gamma.factors)), dtype=object)
             cochain[:, fidx] = np.asarray(vec, dtype=object) * embed % gamma.factors[fidx]
-            summands.append((order, cochain))
-
-    if nfree:
-        # integral coordinate: same computation for every Z factor of gamma
-        zfacs = _hom_cohomology_over_Z(A, d_out, out_relations)
-        free_idxs = [i for i, f in enumerate(gamma.factors) if f == 0]
-        for fidx in free_idxs:
-            for order, vec in zfacs:
-                orders.append(order)
-                cochain = np.zeros((ngen, len(gamma.factors)), dtype=object)
-                cochain[:, fidx] = vec
-                summands.append((order, cochain))
-
-    group = FinAbGroup.from_cyclic_orders(orders)
-    return HomCohomologyResult(group, summands)
-
-
-def _hom_cohomology_over_Z(A, d_out, out_relations):
-    """The integer-coefficient slice: ker/im inside Z^ngen."""
-    zbasis = kernel_basis(A)
-    if not zbasis:
-        return []
-    Zmat = IntegerMatrix.from_columns(zbasis)
-    b_rows = []
-    if d_out.rows and not d_out.is_zero():
-        gk = kernel_basis(out_relations) if out_relations.rows else [
-            [1 if i == j else 0 for i in range(d_out.rows)] for j in range(d_out.rows)
-        ]
-        dT = d_out.transpose()
-        solve_Z = solver(Zmat)
-        for g in gk:
-            b = dT.apply(g)
-            c = solve_Z(b)
-            if c is None:
-                raise InconsistentComplexError("coboundary not a cocycle over Z")
-            b_rows.append(c)
-    rel = IntegerMatrix.from_rows(b_rows, cols=len(zbasis))
-    out = []
-    for order, col in _cokernel_with_generators(rel):
-        vec = Zmat.apply(col)
-        out.append((order, vec))
-    return out
+            parts[i].append((order, cochain))
+    return parts

@@ -50,7 +50,6 @@ from .abelian import (
     PresentedModule,
     block_matrix,
     hom_cohomology_at,
-    solve,
 )
 from . import modular
 from .cycleset import (
@@ -832,14 +831,16 @@ def cohomologous(pair1, pair2, lcs):
     The coboundary matrix has two rows per (i, j), 1 <= i, j < v, in that
     order: lam(i+j) - lam(i) - lam(j) (against xi1) and lam(i.j) - lam(j)
     (against xi2), and one column per lam(1), ..., lam(v-1).  The system
-    is solved exactly per coefficient coordinate; on success the witness
-    is the (v-1, r) coordinate array of lam.
+    is solved exactly modulo each prime power of gamma's invariant
+    factors; on success the witness is the (v-1, r) coordinate array of
+    lam.  A free factor of gamma is a resource limit.
     """
     if pair1.gamma != pair2.gamma or pair1.v != pair2.v:
         raise ValueError("pairs live on different data")
     if lcs.v != pair1.v:
         raise ValueError(f"pairs on Z/{pair1.v} compared over a cycle set on Z/{lcs.v}")
     gamma, v = pair1.gamma, lcs.v
+    pp_coords = gamma.prime_power_coordinates()
     n, r = v - 1, len(gamma.factors)
     i, j = (g.ravel() for g in np.meshgrid(np.arange(1, v), np.arange(1, v), indexing="ij"))
     rows = np.arange(len(i))
@@ -854,17 +855,14 @@ def cohomologous(pair1, pair2, lcs):
         np.add.at(A, (rows, part, cols), sign)
     A = A[:, :, 1:].reshape(-1, n)
     rhs = np.stack([pair2.xi1 - pair1.xi1, pair2.xi2 - pair1.xi2], axis=2)[i, j].reshape(len(A), r)
-    witness = []
-    for fidx, m in enumerate(gamma.factors):
-        b = [int(x) for x in rhs[:, fidx]]
-        if m == 0:
-            x = solve(IntegerMatrix.from_rows(A.tolist(), n), b)
-        else:
-            x = modular.solve_mod_m(A, b, m)
+    # one solve per prime-power coordinate, joined into its factor by CRT
+    witness = np.zeros((n, r), dtype=object)
+    for p, k, fidx, embed in pp_coords:
+        x = modular.solve_mod_pk(A, rhs[:, fidx], p, k)
         if x is None:
             return Verdict(False, "no degree-1 witness", None)
-        witness.append([int(c) for c in x])
-    return Verdict(True, None, np.array(witness, dtype=object).reshape(r, n).T)
+        witness[:, fidx] = (witness[:, fidx] + x.astype(object) * embed) % gamma.factors[fidx]
+    return Verdict(True, None, witness)
 
 
 def all_cocycle_pairs(params, gamma, cap=2**20):
@@ -882,8 +880,7 @@ def all_cocycle_pairs(params, gamma, cap=2**20):
     fc = _full_slice(params)
     chain = fc.total
     A = chain.modules[2].relations.vstack(chain.diff[3].transpose())
-    pp, nfree = gamma.prime_power_coordinates()
-    assert nfree == 0
+    pp = gamma.prime_power_coordinates()
     # every cocycle as (ngen, r) coordinates: the sums over the prime-power
     # coordinates of their kernel combinations, the first varying slowest
     ngen, r = chain.rank(2), len(gamma.factors)

@@ -427,25 +427,3 @@ def factorize(m):
         parts.append((n, 1))
     return parts
 
-
-def solve_mod_m(A, b, m):
-    """One solution of A x = b over Z/m (m >= 1) by prime-power CRT."""
-    A = np.atleast_2d(np.array(A, dtype=np.int64))
-    if m == 1:
-        return [0] * A.shape[1]
-    sols = []
-    for p, kk in factorize(m):
-        x = solve_mod_pk(A, b, p, kk)
-        if x is None:
-            return None
-        sols.append((p**kk, x))
-    cols = A.shape[1]
-    out = []
-    for j in range(cols):
-        x, mod = 0, 1
-        for q, vec in sols:
-            t = ((int(vec[j]) - x) * pow(mod, -1, q)) % q
-            x += mod * t
-            mod *= q
-        out.append(x % m)
-    return out

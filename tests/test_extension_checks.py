@@ -485,14 +485,29 @@ def test_cocycle_family_matches_reference(params):
 
 @pytest.mark.parametrize(
     "triple, fac",
-    [((2, 1, 1), (2,)), ((2, 1, 1), (4,)), ((2, 1, 2), (2,)), ((3, 1, 1), (3,))],
-    ids=["211-Z2", "211-Z4", "212-Z2", "311-Z3"],
+    [
+        ((2, 1, 1), (2,)),
+        ((2, 1, 1), (4,)),
+        ((2, 1, 1), (6,)),
+        ((2, 1, 1), (12,)),
+        ((2, 1, 2), (2,)),
+        ((3, 1, 1), (3,)),
+    ],
+    ids=["211-Z2", "211-Z4", "211-Z6", "211-Z12", "212-Z2", "311-Z3"],
 )
 def test_equivalence_matches_reference(triple, fac):
     """Every ordered pair of cocycle pairs: the coboundary solve and the
-    fiber-translation search give the same verdict."""
+    fiber-translation search give the same verdict, and a true verdict's
+    witness lam has d(lam) = pair2 - pair1 modulo the factors.  At v = 2,
+    d(lam) sees lam(1) only through 2 lam(1), so a witness summed from
+    its prime-power parts without their CRT multipliers passes with Z/6
+    and fails with Z/12."""
     params = CyclicFamilyParams(*triple)
     gamma = FinAbGroup(fac)
+    v = params.v
+    dot = np.array(make_cyclic_lcs(params).dot)
+    i, j = np.meshgrid(np.arange(v), np.arange(v), indexing="ij")
+    factors = np.array(gamma.factors, dtype=object)
     exts = [
         build_extension(gamma, params, pair, verify=False)
         for pair in all_cocycle_pairs(params, gamma)
@@ -500,7 +515,14 @@ def test_equivalence_matches_reference(triple, fac):
     verdicts = set()
     for a in exts:
         for b in exts:
-            verdict = bool(extensions_equivalent(a, b))
-            assert verdict == ref_extensions_equivalent(a, b)
-            verdicts.add(verdict)
+            verdict = extensions_equivalent(a, b)
+            assert bool(verdict) == ref_extensions_equivalent(a, b)
+            verdicts.add(bool(verdict))
+            if verdict:
+                lam = np.vstack((np.zeros((1, len(factors)), dtype=object), verdict.witness))
+                for d_lam, xi in (
+                    (lam[(i + j) % v] - lam[i] - lam[j], b.pair.xi1 - a.pair.xi1),
+                    (lam[dot[i, j]] - lam[j], b.pair.xi2 - a.pair.xi2),
+                ):
+                    assert not ((d_lam - xi) % factors).any()
     assert verdicts == {True, False}

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -408,6 +409,27 @@ def test_one_kernel_elimination_per_prime(monkeypatch):
     # Z/2 and Z/8 share one elimination at 2^3 for the cocycle conditions
     # and one for the relations of the next module; one quotient per factor
     assert calls == {"kernel": 2, "smith": 4}
+    assert group == cohomology(params, gamma, 2, "closed").group
+
+
+def test_hom_cohomology_holds_one_prime_at_a_time(monkeypatch):
+    """When a prime is eliminated, no other prime's V is alive: each
+    prime's kernels are dropped before the next prime's elimination."""
+    held = []  # (prime, weak reference to the returned V)
+    kernel_mod_pk = modular.kernel_mod_pk
+
+    def spy(A, p, k):
+        alive = [q for q, ref in held if q != p and ref() is not None]
+        assert not alive, (p, alive)
+        kd = kernel_mod_pk(A, p, k)
+        held.append((p, weakref.ref(kd.V)))
+        return kd
+
+    monkeypatch.setattr(modular, "kernel_mod_pk", spy)
+    params = CyclicFamilyParams(2, 1, 2)
+    gamma = FinAbGroup((60,))
+    group = cohomology(params, gamma, 2, "full").group
+    assert [q for q, _ in held] == [2, 2, 3, 3, 5, 5]
     assert group == cohomology(params, gamma, 2, "closed").group
 
 

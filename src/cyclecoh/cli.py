@@ -3,9 +3,10 @@
 Four subcommands: `cohomology` (one group, up to three routes with
 agreement flags), `extensions` (class enumeration), `verify` (the
 verification suites for one family member), `table` (a sweep over all
-family members up to a carrier bound).  One job per process; output is
-a single report in json, tsv or pretty form, byte-identical for a fixed
-job and seed (timing is only included on request).
+family members up to a carrier bound, one member per CPU of the
+affinity mask).  One job per invocation; output is a single report in
+json, tsv or pretty form, byte-identical for a fixed job and seed
+(timing is only included on request).
 
 Exit codes: 0 success, 2 parameter/usage error or resource limit, 3 route
 disagreement or a failed self-check (an identity the computation
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import pickle
 import random
 import sys
 import time
@@ -260,37 +263,160 @@ def run_verify(spec):
     return report
 
 
+def _table_rows(member, gamma, degrees, method):
+    """The report rows of one family member: every degree, every route."""
+    rows = []
+    for degree in degrees:
+        results, agreement = compare_routes(member, gamma, degree, method)
+        factors = results["closed"].group.factors
+        if len(results) < 2:
+            word = "closed-only"
+        else:
+            word = "all-agree" if agreement["all"] else "DISAGREE"
+        rows.append(
+            {
+                "p": member.p,
+                "nu": member.nu,
+                "eta": member.eta,
+                "coeff": list(gamma.factors),
+                "degree": degree,
+                "invariant_factors": list(factors),
+                "agreement": word,
+            }
+        )
+    return rows
+
+
 def run_table(spec):
     method = spec.method or "closed"
     degrees = (spec.degree,) if spec.degree else (1, 2)
     gamma = spec.gamma()
-    rows = []
-    # one member at a time: the module caches hold only the current member
-    for member in family_members(spec.max_v):
-        for degree in degrees:
-            results, agreement = compare_routes(member, gamma, degree, method)
-            factors = results["closed"].group.factors
-            if len(results) < 2:
-                word = "closed-only"
-            else:
-                word = "all-agree" if agreement["all"] else "DISAGREE"
-            rows.append(
-                {
-                    "p": member.p,
-                    "nu": member.nu,
-                    "eta": member.eta,
-                    "coeff": list(gamma.factors),
-                    "degree": degree,
-                    "invariant_factors": list(factors),
-                    "agreement": word,
-                }
-            )
+    members = family_members(spec.max_v)
+
+    def rows_of(member):
+        return _table_rows(member, gamma, degrees, method)
+
+    rows = None
+    if method == "all" and len(admitted_routes(gamma)) > 1:
+        rows = _parallel_rows(members, rows_of)
+    if rows is None:
+        # one member at a time: the module caches hold only the current member
+        rows = [row for member in members for row in rows_of(member)]
     rows.sort(key=lambda r: (r["p"], r["nu"], r["eta"], r["degree"]))
     bad = [r for r in rows if r["agreement"] == "DISAGREE"]
     report = Report(spec.echo(), rows, {"all": not bad})
     if bad:
         raise RouteDisagreement(render(report, spec))
     return report
+
+
+def _parallel_rows(members, rows_of):
+    """The rows of every member, computed by this process and one forked
+    worker per further CPU of its affinity mask; None, for the serial
+    loop, when there is one CPU or one member, or the queue does not fit
+    in a pipe.
+
+    The queue is a pipe of 4-byte member indices, largest carrier first,
+    filled before the first fork; every process reads one index at a time
+    until it is empty (the pipe holds whole indices and serves one read at
+    a time, so no index is split or read twice).  A worker sends its rows
+    and its failure back pickled on its own pipe and leaves through
+    os._exit, writing nothing to stdout or stderr.  The exception raised is the serial loop's, that
+    of the first failing member in family order; a worker that dies
+    before it reports is a ResourceLimitError.  Every worker is reaped on
+    every path, killed first when this process fails.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    processes = min(cpus, len(members))
+    if processes < 2:
+        return None
+    import signal
+
+    order = sorted(range(len(members)), key=lambda i: -members[i].v)
+    queue = b"".join(i.to_bytes(4, "little") for i in order)
+    queue_r, queue_w = os.pipe()
+    os.set_blocking(queue_w, False)
+    try:
+        queued = os.write(queue_w, queue)
+    except BlockingIOError:
+        queued = 0
+    os.close(queue_w)
+    if queued < len(queue):
+        os.close(queue_r)
+        return None
+    workers = {}  # pid -> read end of its result pipe
+    reports = {}  # pid -> (exit code, what it sent), once reaped
+    try:
+        for _ in range(processes - 1):
+            result_r, result_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no more processes: the ones started share the queue
+                os.close(result_r)
+                os.close(result_w)
+                break
+            if pid == 0:
+                _serve_queue(queue_r, result_w, members, rows_of)
+            os.close(result_w)
+            workers[pid] = result_r
+        rows, failed = _pull_members(queue_r, members, rows_of)
+        for pid, result_r in workers.items():
+            with open(result_r, "rb", closefd=False) as fh:
+                payload = fh.read()
+            reports[pid] = (os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), payload)
+    finally:
+        for pid, result_r in workers.items():
+            if pid not in reports:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(result_r)
+        os.close(queue_r)
+    failures = [failed] if failed else []
+    for code, payload in reports.values():
+        if code < 0:
+            raise ResourceLimitError(
+                f"a table worker was killed by {signal.Signals(-code).name} before it reported its members"
+            )
+        if code:
+            raise ResourceLimitError(f"a table worker exited with status {code} before it reported its members")
+        worker_rows, failed = pickle.loads(payload)
+        rows += worker_rows
+        failures += [failed] if failed else []
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return rows
+
+
+def _pull_members(queue_r, members, rows_of):
+    """Rows of the members read from the queue until it is empty, and the
+    first failure in family order as (index, exception), or None.  Like
+    the serial loop, a member after a failure in family order is not
+    computed."""
+    rows, failed = [], None
+    while chunk := os.read(queue_r, 4):
+        i = int.from_bytes(chunk, "little")
+        if failed and i > failed[0]:
+            continue
+        try:
+            rows += rows_of(members[i])
+        except Exception as exc:
+            # without its traceback, which would keep the member's data alive
+            failed = (i, exc.with_traceback(None))
+    return rows, failed
+
+
+def _serve_queue(queue_r, result_w, members, rows_of):
+    """A forked worker's life: pull members, send back what
+    `_pull_members` returns, and leave through os._exit, never returning
+    into the caller."""
+    code = 1
+    try:
+        result = _pull_members(queue_r, members, rows_of)
+        with open(result_w, "wb") as fh:
+            pickle.dump(result, fh)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 # ---------------------------------------------------------------------------

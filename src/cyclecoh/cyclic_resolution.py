@@ -336,10 +336,12 @@ class ResolutionContext:
         l = 0, else d^l."""
         return self.d0(alpha, beta) if l == 0 else self.dl(l, alpha, beta)
 
+    @_memoized
     def total_d(self, n):
         """d_n: X_n -> X_{n-1} with X_n = direct sum of the degree-n cells."""
         return array_differential(n, self.v, self.array_map)
 
+    @_memoized
     def sigma_bar(self, n):
         """The contracting homotopy X_{n-1} -> X_n of the total resolution
         (n >= 1); sigma_bar(0) is the degree -1 piece Z -> X_0."""
@@ -376,6 +378,8 @@ class ResolutionContext:
 
     @_memoized
     def resolution(self, nmax):
+        """The chain complex X_0..X_nmax and its homotopies sigma_bar(0..nmax),
+        assembled from the memoized pieces."""
         modules = {}
         for n in range(nmax + 1):
             modules[n] = PresentedModule.free((n + 1) * self.v)
@@ -447,7 +451,7 @@ class ResolutionContext:
         v = self.v
         if n == 0:
             return self.unit()
-        d = self.resolution(n)[0].diff[n]
+        d = self.total_d(n)
         w1_cols = d.col_idx % v == 0
         d_w1 = IntegerMatrix._from_coo(
             d.rows, n + 1, d.row_idx[w1_cols], d.col_idx[w1_cols] // v, d.values[w1_cols],
@@ -461,8 +465,7 @@ class ResolutionContext:
         normalised columns."""
         if n == 0:
             return self.unit()
-        sigma = self.resolution(n)[1]
-        return sigma[n] @ (right_translate(self.varphi(n - 1), self.v) @ self.bprime(n))
+        return self.sigma_bar(n) @ (right_translate(self.varphi(n - 1), self.v) @ self.bprime(n))
 
     @_memoized
     def omega(self, n):

@@ -296,6 +296,175 @@ def test_table_command(capsys):
     assert (3, 1, 1, 1) in keys
 
 
+_TABLE_JOBS = [
+    ["table", "--max-v", "9", "--coeff", "2,4,9", "--method", "all", "--output", "json"],
+    ["table", "--max-v", "9", "--coeff", "2,4,9", "--method", "all", "--output", "tsv"],
+    ["table", "--max-v", "9", "--coeff", "2,4,9", "--method", "all", "--output", "pretty"],
+    ["table", "--max-v", "4", "--coeff", "32771", "--method", "all"],
+    ["table", "--max-v", "4", "--coeff", "0,4", "--method", "all"],  # closed only: serial
+]
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity mask")
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2, reason="one CPU: the table runs serially"
+)
+
+
+def _cli_subprocess(argv, one_cpu):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    pin = (lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})) if one_cpu else None
+    return subprocess.run(
+        [sys.executable, "-m", "cyclecoh.cli", *argv],
+        env=env, capture_output=True, timeout=300, preexec_fn=pin,
+    )
+
+
+@needs_affinity
+@pytest.mark.parametrize("argv", _TABLE_JOBS, ids=lambda a: " ".join(a[1:]))
+def test_table_report_does_not_depend_on_the_cpu_count(argv):
+    # `table` runs its members on every CPU of the affinity mask; one CPU
+    # gives the serial loop, whose report is the reference
+    serial = _cli_subprocess(argv, one_cpu=True)
+    spread = _cli_subprocess(argv, one_cpu=False)
+    assert (spread.returncode, spread.stdout, spread.stderr) == (serial.returncode, serial.stdout, serial.stderr)
+    if "32771" in argv:
+        assert spread.returncode == 2
+        assert spread.stdout == b""
+        assert [json.loads(line)["error"]["type"] for line in spread.stderr.splitlines()] == ["resource-limit"]
+    else:
+        assert spread.returncode == 0
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_table_leaves_no_process(capsys):
+    code, out, _ = run_cli(capsys, "table", "--max-v", "9", "--coeff", "2", "--method", "all")
+    assert code == 0
+    assert json.loads(out)["agreement"]["all"] is True
+    _assert_no_child_left()
+    code, out, err = run_cli(capsys, "table", "--max-v", "4", "--coeff", "32771", "--method", "all")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "resource-limit"
+    _assert_no_child_left()
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that runs longer than the given seconds instead of hanging."""
+    import signal
+
+    def expire(signum, frame):
+        raise TimeoutError("the table did not finish in time")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    yield signal.alarm
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@needs_two_cpus
+def test_a_killed_table_worker_is_a_resource_limit(capsys, monkeypatch, alarm):
+    import signal
+
+    import cyclecoh.cli
+
+    parent_pid = os.getpid()
+    rows_of = cyclecoh.cli._table_rows
+
+    def killed_in_a_worker(member, *args):
+        if os.getpid() != parent_pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return rows_of(member, *args)
+
+    monkeypatch.setattr(cyclecoh.cli, "_table_rows", killed_in_a_worker)
+    alarm(120)
+    code, out, err = run_cli(capsys, "table", "--max-v", "9", "--coeff", "2", "--method", "all")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "type": "resource-limit",
+        "message": "a table worker was killed by SIGKILL before it reported its members",
+    }
+    _assert_no_child_left()
+
+
+@needs_two_cpus
+def test_a_failing_table_kills_and_reaps_its_workers(monkeypatch, alarm):
+    import time
+
+    import cyclecoh.cli
+
+    class Abort(BaseException):
+        pass
+
+    parent_pid = os.getpid()
+
+    def stuck_in_a_worker(member, *args):
+        if os.getpid() == parent_pid:
+            raise Abort
+        time.sleep(600)
+
+    monkeypatch.setattr(cyclecoh.cli, "_table_rows", stuck_in_a_worker)
+    alarm(120)
+    with pytest.raises(Abort):
+        main(["table", "--max-v", "9", "--coeff", "2", "--method", "all"])
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("slow", ["every-member", "first-pulled"])
+def test_a_table_failure_is_the_first_in_family_order(capsys, monkeypatch, slow):
+    # every member fails, and the queue hands out the largest carriers
+    # first, so each process meets failures out of family order; the one
+    # reported is the serial loop's, (2,1,1).  With equal durations the
+    # process that pulls first ends up holding (2,1,1); with a slow first
+    # member (3,1,2) the other one does
+    import time
+
+    import cyclecoh.cli
+    from cyclecoh.modular import ResourceLimitError
+
+    def failing(member, *args):
+        if slow == "every-member" or (member.p, member.nu, member.eta) == (3, 1, 2):
+            time.sleep(0.3 if slow == "first-pulled" else 0.05)
+        raise ResourceLimitError(f"member {member.p},{member.nu},{member.eta}")
+
+    monkeypatch.setattr(cyclecoh.cli, "_table_rows", failing)
+    code, out, err = run_cli(capsys, "table", "--max-v", "9", "--coeff", "2", "--method", "all")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"type": "resource-limit", "message": "member 2,1,1"}
+    _assert_no_child_left()
+
+
+def test_a_process_skips_members_after_its_first_failure_in_family_order():
+    # one process's share of the queue: family indices 6, 1, 7, 0; 6 and 1
+    # fail, so 7 is skipped, 0 is computed and 1 is the failure to report
+    from cyclecoh.cli import _pull_members
+    from cyclecoh.cycleset import family_members
+
+    members = family_members(9)
+    computed = []
+
+    def rows_of(member):
+        i = members.index(member)
+        computed.append(i)
+        if i in (6, 1):
+            raise ValueError(f"member {i}")
+        return [i]
+
+    queue_r, queue_w = os.pipe()
+    os.write(queue_w, b"".join(i.to_bytes(4, "little") for i in (6, 1, 7, 0)))
+    os.close(queue_w)
+    try:
+        rows, (index, exc) = _pull_members(queue_r, members, rows_of)
+    finally:
+        os.close(queue_r)
+    assert computed == [6, 1, 0]
+    assert rows == [0]
+    assert (index, str(exc)) == (1, "member 1")
+
+
 def test_timing_flag_is_opt_in(capsys):
     argv = [
         "cohomology", "--p", "2", "--nu", "1", "--eta", "1",

@@ -20,7 +20,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 
-from .abelian import FinAbGroup, GroupElement, IntegerMatrix, SmithDecomposition
+from .abelian import FinAbGroup, GroupElement, IntegerMatrix
 from .cycleset import CyclicFamilyParams, LinearCycleSet, make_cyclic_lcs
 from .extensions import build_extension, enumerate_extension_classes, extensions_equivalent
 from .lcs_cohomology import CocyclePair, cocycle_family, cohomology
@@ -33,7 +33,6 @@ __all__ = [
     "GroupElement",
     "IntegerMatrix",
     "LinearCycleSet",
-    "SmithDecomposition",
     "build_extension",
     "cocycle_family",
     "cohomology",

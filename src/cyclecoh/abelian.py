@@ -1,15 +1,15 @@
 """Exact integer linear algebra and finitely generated abelian groups.
 
 Everything downstream reduces to integer matrices: presentations of
-finitely generated abelian groups, Smith normal form, and cohomology of
-Hom(-, G) complexes.  The chain-level differentials are very sparse, so
+finitely generated abelian groups and cohomology of Hom(-, G)
+complexes.  The chain-level differentials are very sparse, so
 `IntegerMatrix` keeps canonical numpy COO arrays (row-major, no repeated
 position, no zero) and does its arithmetic vectorised.  All arithmetic
 is exact: entries are int64 only while an exact bound keeps every result
 and partial sum below 2^62, and Python ints (numpy dtype object)
-otherwise.  Smith normal form over Z works on Python ints.  Heavy
-kernel/quotient computations with finite cyclic coefficients are
-delegated to the vectorised mod-p^k engine in `modular`.
+otherwise.  Nothing here eliminates: the kernels and quotients of
+Hom(-, G) cohomology, G finite, come from the one mod-p^k elimination
+engine in `modular`, one prime at a time.
 
 Conventions:
   * a matrix M with shape (rows, cols) represents a map sending the
@@ -168,13 +168,6 @@ class IntegerMatrix:
     def column(self, c):
         hit = self.col_idx == c
         return dict(zip(self.row_idx[hit].tolist(), self.values[hit].tolist()))
-
-    def columns(self):
-        """Entries grouped by column: list of dicts row -> value."""
-        cols = [dict() for _ in range(self.cols)]
-        for r, c, v in self._entries():
-            cols[c][r] = v
-        return cols
 
     def submatrix(self, r0, r1, c0, c1):
         """The block of rows r0..r1-1 and columns c0..c1-1."""
@@ -605,222 +598,6 @@ def block_matrix(blocks, row_sizes, col_sizes):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U @ M @ V = S with S diagonal, nonnegative, divisibility chain."""
-
-    S: IntegerMatrix
-    U: IntegerMatrix
-    V: IntegerMatrix
-    det_u: int
-    det_v: int
-
-    def diagonal(self):
-        out = [0] * min(self.S.rows, self.S.cols)
-        on = self.S.row_idx == self.S.col_idx
-        for i, d in zip(self.S.row_idx[on].tolist(), self.S.values[on].tolist()):
-            out[i] = d
-        return out
-
-
-def smith_normal_form(M, check=True):
-    """Smith normal form with unimodular transforms.
-
-    Pivoting picks the minimal-absolute-value nonzero entry of the
-    remaining submatrix, which keeps coefficient growth tame at the
-    sizes we care about.  All arithmetic is arbitrary precision.
-    """
-    rows, cols = M.rows, M.cols
-    D = M.dense()
-    U = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    V = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    det_u = 1
-    det_v = 1
-
-    def swap_rows(i, j):
-        nonlocal det_u
-        if i != j:
-            D[i], D[j] = D[j], D[i]
-            U[i], U[j] = U[j], U[i]
-            det_u = -det_u
-
-    def swap_cols(i, j):
-        nonlocal det_v
-        if i != j:
-            for row in D:
-                row[i], row[j] = row[j], row[i]
-            for row in V:
-                row[i], row[j] = row[j], row[i]
-            det_v = -det_v
-
-    def add_row(src, dst, q):
-        # row_dst += q * row_src
-        Ds, Dd = D[src], D[dst]
-        for c in range(cols):
-            if Ds[c]:
-                Dd[c] += q * Ds[c]
-        Us, Ud = U[src], U[dst]
-        for c in range(rows):
-            if Us[c]:
-                Ud[c] += q * Us[c]
-
-    def add_col(src, dst, q):
-        for row in D:
-            if row[src]:
-                row[dst] += q * row[src]
-        for row in V:
-            if row[src]:
-                row[dst] += q * row[src]
-
-    def negate_row(i):
-        nonlocal det_u
-        D[i] = [-x for x in D[i]]
-        U[i] = [-x for x in U[i]]
-        det_u = -det_u
-
-    n = min(rows, cols)
-    for k in range(n):
-        # locate minimal |entry| pivot in the trailing submatrix
-        pivot = None
-        best = None
-        for i in range(k, rows):
-            Di = D[i]
-            for j in range(k, cols):
-                v = Di[j]
-                if v:
-                    a = abs(v)
-                    if best is None or a < best:
-                        best = a
-                        pivot = (i, j)
-                        if a == 1:
-                            break
-            if best == 1:
-                break
-        if pivot is None:
-            break
-        swap_rows(k, pivot[0])
-        swap_cols(k, pivot[1])
-        while True:
-            # clear column k with row operations
-            for i in range(k + 1, rows):
-                if D[i][k]:
-                    q = D[i][k] // D[k][k]
-                    if q:
-                        add_row(k, i, -q)
-                    if D[i][k]:
-                        # remainder became the smaller pivot
-                        swap_rows(k, i)
-            if any(D[i][k] for i in range(k + 1, rows)):
-                continue
-            # clear row k with column operations
-            for j in range(k + 1, cols):
-                if D[k][j]:
-                    q = D[k][j] // D[k][k]
-                    if q:
-                        add_col(k, j, -q)
-                    if D[k][j]:
-                        swap_cols(k, j)
-            if not any(D[k][j] for j in range(k + 1, cols)) and not any(
-                D[i][k] for i in range(k + 1, rows)
-            ):
-                break
-
-    # signs, then divisibility chain
-    for k in range(n):
-        if D[k][k] < 0:
-            negate_row(k)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(n - 1):
-            a, b = D[k][k], D[k + 1][k + 1]
-            if a and b % a != 0:
-                changed = True
-                # fold gcd(a, b) into position k:  diag(a, b) -> diag(g, a*b/g)
-                add_col(k + 1, k, 1)
-                while True:
-                    for i in (k + 1,):
-                        if D[i][k]:
-                            q = D[i][k] // D[k][k]
-                            if q:
-                                add_row(k, i, -q)
-                            if D[i][k]:
-                                swap_rows(k, i)
-                    if not D[k + 1][k]:
-                        break
-                if D[k][k + 1]:
-                    q = D[k][k + 1] // D[k][k]
-                    add_col(k, k + 1, -q)
-                if D[k][k] < 0:
-                    negate_row(k)
-                if D[k + 1][k + 1] < 0:
-                    negate_row(k + 1)
-            elif a == 0 and b != 0:
-                changed = True
-                swap_rows(k, k + 1)
-                swap_cols(k, k + 1)
-
-    S = IntegerMatrix.from_rows(D, cols)
-    Um = IntegerMatrix.from_rows(U, rows)
-    Vm = IntegerMatrix.from_rows(V, cols)
-    dec = SmithDecomposition(S, Um, Vm, det_u, det_v)
-    if check:
-        assert dec.det_u in (1, -1) and dec.det_v in (1, -1)
-        if Um @ M @ Vm != S:
-            raise AssertionError("Smith normal form verification failed")
-        diag = dec.diagonal()
-        for i in range(len(diag) - 1):
-            if diag[i] and diag[i + 1] % diag[i] != 0:
-                raise AssertionError("divisibility chain violated")
-            if diag[i] == 0 and diag[i + 1] != 0:
-                raise AssertionError("zero before nonzero on diagonal")
-    return dec
-
-
-def kernel_basis(M):
-    """Columns (as lists) spanning the integer kernel {x : M @ x = 0}."""
-    dec = smith_normal_form(M, check=False)
-    diag = dec.diagonal()
-    rank = sum(1 for d in diag if d)
-    v_columns = dec.V.transpose().dense()
-    basis = []
-    for j in range(M.cols):
-        if j >= len(diag) or diag[j] == 0:
-            if j >= rank:
-                basis.append(v_columns[j])
-    return basis
-
-
-def solver(M):
-    """A function b -> one integer solution x of M @ x = b, or None.
-
-    M is factorised once; every right-hand side b (a dense list of
-    length M.rows) is solved against that one Smith decomposition.
-    """
-    dec = smith_normal_form(M, check=False)
-    diag = dec.diagonal()
-
-    def solve_one(b):
-        c = dec.U.apply(b)
-        y = [0] * M.cols
-        for i in range(M.rows):
-            ci = c[i]
-            if i < len(diag) and diag[i]:
-                if ci % diag[i]:
-                    return None
-                y[i] = ci // diag[i]
-            elif ci:
-                return None
-        return dec.V.apply(y)
-
-    return solve_one
-
-
-# ---------------------------------------------------------------------------
 # Finitely generated abelian groups
 # ---------------------------------------------------------------------------
 
@@ -1037,17 +814,6 @@ class PresentedModule:
     @classmethod
     def free(cls, ngens):
         return cls(ngens, IntegerMatrix.zero(0, ngens))
-
-
-def cokernel_invariants(relations):
-    """Invariant factors of Z^cols / (integer row span of `relations`)."""
-    dec = smith_normal_form(relations, check=False)
-    diag = dec.diagonal()
-    orders = [d for d in diag if d != 1]
-    orders += [0] * (relations.cols - len(diag))
-    # zero diagonal entries are free directions too
-    orders = [o if o else 0 for o in orders]
-    return FinAbGroup.from_cyclic_orders(orders)
 
 
 @dataclass

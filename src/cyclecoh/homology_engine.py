@@ -31,15 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abelian import (
-    FinAbGroup,
-    IntegerMatrix,
-    PresentedModule,
-    block_matrix,
-    cokernel_invariants,
-    kernel_basis,
-    solver,
-)
+from .abelian import IntegerMatrix, PresentedModule, block_matrix
 
 
 @dataclass(frozen=True)
@@ -77,29 +69,6 @@ class ChainComplex:
                 if not comp.is_zero():
                     return CheckReport(False, "d o d = 0", n)
         return CheckReport(True)
-
-
-def integral_homology(chain, n):
-    """H_n over the integers, for free chain modules."""
-    rank_n = chain.rank(n)
-    d_n = chain.diff.get(n, IntegerMatrix.zero(chain.rank(n - 1), rank_n))
-    d_n1 = chain.diff.get(n + 1, IntegerMatrix.zero(rank_n, chain.rank(n + 1)))
-    ker = kernel_basis(d_n)
-    if not ker:
-        return FinAbGroup.trivial()
-    K = IntegerMatrix.from_columns(ker, rows=rank_n)
-    rows = []
-    solve_K = solver(K)
-    for col in d_n1.columns():
-        vec = [0] * rank_n
-        for r, val in col.items():
-            vec[r] = val
-        c = solve_K(vec)
-        if c is None:
-            raise ValueError("image does not lie in the kernel")
-        rows.append(c)
-    rel = IntegerMatrix.from_rows(rows, cols=len(ker))
-    return cokernel_invariants(rel)
 
 
 @dataclass(frozen=True)

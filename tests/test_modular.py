@@ -11,7 +11,6 @@ from cyclecoh.abelian import (
     FinAbGroup,
     IntegerMatrix,
     hom_cohomology_at,
-    smith_normal_form,
 )
 from cyclecoh.cycleset import CyclicFamilyParams
 from cyclecoh.lcs_cohomology import cohomology, reduced_complex
@@ -113,12 +112,10 @@ def _assert_smith(Amod, result, p, k):
         assert not (AV[:, i] % p**e).any(), i
 
 
-def _valuation(n, p):
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
+def _kernel_by_enumeration(A, m):
+    """The vectors x of (Z/m)^cols with A @ x = 0 mod m, one per row."""
+    ambient = np.array(list(itertools.product(range(m), repeat=A.shape[1])), dtype=np.int64)
+    return ambient[~((ambient @ A.T) % m).any(axis=1)] if len(A) else ambient
 
 
 def _span(vectors, orders, p, m):
@@ -167,16 +164,18 @@ def test_kernel_against_enumeration_oracle():
         kd = modular.kernel_mod_pk(A, p, k)
         assert kd.gens.shape == (len(kd.orders), cols)
         assert not ((A @ kd.gens.T) % m).any()
-        ambient = np.array(list(itertools.product(range(m), repeat=cols)), dtype=np.int64)
-        if rows:
-            ambient = ambient[~((ambient @ A.T) % m).any(axis=1)]
+        ambient = _kernel_by_enumeration(A, m)
         assert int(np.prod([p**e for e in kd.orders])) == len(ambient)
         assert len(_span(kd.gens, kd.orders, p, m)) == len(ambient)
-        # the exponents are the local Smith invariants of A over Z
-        if rows and cols:
-            diag = smith_normal_form(IntegerMatrix.from_rows(A.tolist(), cols)).diagonal()
-            exps = sorted(min(_valuation(d, p), k) if d else k for d in diag)
-            assert modular.local_smith(A, p, k)[0] == exps
+        # the exponents are the local Smith invariants of A: for every
+        # j <= k, |ker(A mod p^j)| = p^(sum_i min(e_i, j)) over the column
+        # exponents, and these k counts fix the multiset of exponents
+        exps = modular.local_smith(A, p, k)[0]
+        assert len(exps) == min(rows, cols) and exps == sorted(exps)
+        col_exps = exps + [k] * (cols - len(exps))
+        for j in range(1, k + 1):
+            size = len(ambient) if j == k else len(_kernel_by_enumeration(A, p**j))
+            assert size == p ** sum(min(e, j) for e in col_exps), (A, j)
         seen["cases"] += 1
         if A.any() and not (A % p).any():
             seen["unit_free_nonzero"] += 1

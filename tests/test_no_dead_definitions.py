@@ -31,8 +31,6 @@ ALLOWED = {
     "model of Z/v with its isomorphism, tested",
     "cyclic_resolution.py:structural_differentials": "paper machinery: the "
     "resolution's differentials as group-ring matrices, tested",
-    "homology_engine.py:integral_homology": "the integral homology of a free chain "
-    "complex, which checks the coefficient complexes against group homology",
     "lcs_cohomology.py:lambda_table": "paper machinery: the basic vertical kernel "
     "element of the top corner, tested",
 }

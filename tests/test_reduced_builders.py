@@ -20,7 +20,7 @@ import pytest
 
 from cyclecoh import cyclic_resolution, homology_engine, lcs_cohomology
 from cyclecoh.abelian import FaceDifference, IdentityKron, IntegerMatrix, block_matrix
-from cyclecoh.cycleset import CyclicFamilyParams, make_cyclic_lcs
+from cyclecoh.cycleset import CyclicFamilyParams, family_members, make_cyclic_lcs
 from cyclecoh.cyclic_resolution import (
     ResolutionContext,
     coefficient_complex,
@@ -37,6 +37,7 @@ from cyclecoh.lcs_cohomology import (
 )
 
 from basis import cell_basis
+from reference import columns
 
 # t = 1: (2,1,1), (3,2,2); t >= 2: the rest
 MEMBERS = [(2, 1, 1), (3, 2, 2), (2, 1, 2), (3, 1, 2), (2, 2, 3), (2, 2, 4)]
@@ -131,10 +132,10 @@ class RefBar:
         G, v = self.G, self.v
         if n == 0:
             return IntegerMatrix.identity(v)
-        prev_cols = self.phi(n - 1).columns()
+        prev_cols = columns(self.phi(n - 1))
         chain, _ = self.ctx.resolution(n)
-        d_cols = chain.diff[n].columns()
-        xi_cols = self.xi(n).columns()
+        d_cols = columns(chain.diff[n])
+        xi_cols = columns(self.xi(n))
         cells = self.ctx.cells(n)
         cols = [
             _apply_cols(xi_cols, _apply_cols(prev_cols, d_cols[bj * v + self.ident]))
@@ -160,10 +161,10 @@ class RefBar:
         G, v, ident = self.G, self.v, self.ident
         if n == 0:
             return IntegerMatrix.identity(v)
-        prev_cols = self.varphi(n - 1).columns()
+        prev_cols = columns(self.varphi(n - 1))
         _, sigma = self.ctx.resolution(n)
-        sb_cols = sigma[n].columns()
-        bp_cols = self.bprime(n).columns()
+        sb_cols = columns(sigma[n])
+        bp_cols = columns(self.bprime(n))
         src_index = self.index(n)
         vals = {
             tup: _apply_cols(sb_cols, _apply_cols(prev_cols, bp_cols[src_index[tup]]))
@@ -188,11 +189,11 @@ class RefBar:
         if n == 1:
             return IntegerMatrix.zero(self.rank(1), self.rank(0))
         m = n - 1
-        phi_cols = self.phi(m).columns()
-        varphi_cols = self.varphi(m).columns()
-        omega_cols = self.omega(m).columns()
-        bp_cols = self.bprime(m).columns()
-        xi_cols = self.xi(n).columns()
+        phi_cols = columns(self.phi(m))
+        varphi_cols = columns(self.varphi(m))
+        omega_cols = columns(self.omega(m))
+        bp_cols = columns(self.bprime(m))
+        xi_cols = columns(self.xi(n))
         src_index = self.index(m)
         vals = {}
         for tup in self.basis(m):
@@ -237,7 +238,7 @@ class RefBar:
     def breve_varphi(self, alpha, beta):
         n = alpha + beta
         bj = self.ctx.cells(n).index((alpha, beta))
-        cols = self.varphi(n).columns()
+        cols = columns(self.varphi(n))
         index = self.index(n)
         nontriv = [k for k in range(self.v) if k != self.ident]
         out = {}
@@ -256,7 +257,7 @@ class RefBar:
         return out
 
     def breve_omega(self, n):
-        cols = self.omega(n).columns()
+        cols = columns(self.omega(n))
         index = self.index(n - 1)
         nontriv = [k for k in range(self.v) if k != self.ident]
         out = {}
@@ -427,7 +428,7 @@ def test_coefficient_complexes_match_reference(member):
                 tb = ref_tuple_bar_differential(n, v)
                 tuple_map = {
                     tuples[c]: {prev[r]: val for r, val in col.items()}
-                    for c, col in enumerate(tb.columns())
+                    for c, col in enumerate(columns(tb))
                     if col
                 }
                 d = IdentityKron(1, tuple_bar_differential(n, v), g)
@@ -490,7 +491,7 @@ def ref_full_dh(lcs, r, s):
 def ref_full_dv(v, r, s):
     src = cell_basis(r, s, v)
     tgt_index = {lab: i for i, lab in enumerate(cell_basis(r, s - 1, v))}
-    inner_cols = tuple_bar_differential(s, v).columns()
+    inner_cols = columns(tuple_bar_differential(s, v))
     m_index = {t: i for i, t in enumerate(exp_tuples(s, v))}
     tgt_mts = exp_tuples(s - 1, v)
     sign = (-1) ** (r + 1)
@@ -581,6 +582,29 @@ def test_transfer_holds_only_factors_and_read_maps(monkeypatch):
     for (r, s), d in out.delta.items():
         assert isinstance(d, FaceDifference), (r, s)
         assert (d.rows, d.cols) == ((v - 1) ** (r + s - 1), (v - 1) ** (r + s))
+
+
+@pytest.mark.parametrize(
+    "member",
+    [m for m in family_members(16) if m.t >= 2],
+    ids=lambda m: f"{m.p}-{m.nu}-{m.eta}",
+)
+def test_transfer_rows_equal_the_collapsed_differentials(member, monkeypatch):
+    """X's row differentials enter the transfer from the closed-form
+    scalar table (`_pepito_row_d`), while its comparison maps belong to
+    the coefficient complexes, whose differentials are collapsed from
+    the group-ring matrices: the two agree on every row the transfer
+    builds.  (At t = 1 they differ in the l = 2 blocks of rows (2, 1),
+    (3, 1) and (2, 2), where the transfer runs unverified.)"""
+    quotients = {s: shuffle_quotient(s, member.v) for s in (1, 2, 3)}
+    monkeypatch.setattr(lcs_cohomology, "perturb_double_complex", lambda system, *a, **k: system)
+    X = lcs_cohomology._transfer_reduced(member, quotients).X
+    assert set(X.dh) == {(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)}
+    for s, quotient in quotients.items():
+        top = max(r for r, cell_s in X.cells if cell_s == s)
+        collapsed = coefficient_complex(member, quotient, top).chain.diff
+        for r in range(1, top + 1):
+            assert X.dh[(r, s)] == collapsed[r], (r, s)
 
 
 @pytest.mark.parametrize("triple", [(3, 1, 2), (2, 2, 4)], ids=lambda m: "%d-%d-%d" % m)

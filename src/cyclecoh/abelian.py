@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import modular
+from .modular import _INT64_BOUND, _abs_max, _product_terms, _run_starts
 
 
 class InconsistentComplexError(ValueError):
@@ -46,15 +47,6 @@ def xgcd(a, b):
     if g < 0:
         x, y, g = -x, -y, -g
     return g, x, y
-
-
-# int64 arrays of an IntegerMatrix hold entries of absolute value below
-# this; any larger entry makes the whole matrix hold Python ints
-_INT64_BOUND = 2**62
-
-
-def _abs_max(values):
-    return int(np.abs(values).max()) if len(values) else 0
 
 
 def _normalized(values):
@@ -345,50 +337,13 @@ class IntegerMatrix:
         return f"IntegerMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
-def _product_fits_int64(rows, values, other_values):
-    """max_i sum_k |A_ik| * max |B| < 2^62 for the left entries (rows,
-    values) in row-major order and the right entries other_values,
-    evaluated exactly.
-
-    The bound holds every entry of the product, and every partial sum of
-    the terms of an entry, below 2^62."""
-    if values.dtype == object or other_values.dtype == object:
-        return False
-    if not len(values):
-        return True
-    absv = np.abs(values)
-    if int(absv.max()) * len(absv) >= 2**63:
-        absv = absv.astype(object)  # the int64 row sums could wrap
-    firsts = np.flatnonzero(np.diff(rows, prepend=-1))
-    return int(np.add.reduceat(absv, firsts).max()) * _abs_max(other_values) < _INT64_BOUND
-
-
 def _product(left, right, inner=1):
-    """left @ (right (x) I_inner), exact, its terms expanded in one pass.
-
-    There is one term per pair (left entry (i, k), entry of row k of
-    right (x) I_inner); that row is row k // inner of right, whose entries
-    are ptr[k // inner]:ptr[k // inner + 1], with each column j moved to
-    j * inner + k % inner."""
+    """left @ (right (x) I_inner), exact: `_product_terms`, sorted and summed."""
     cols = right.cols * inner
-    ptr = np.searchsorted(right.row_idx, np.arange(right.rows + 1))
-    right_row = left.col_idx if inner == 1 else left.col_idx // inner
-    c = ptr[right_row + 1] - ptr[right_row]
-    # the entries of left that meet an empty row of right are dropped
-    meet = c > 0
-    i, k, a, c = left.row_idx[meet], right_row[meet], left.values[meet], c[meet]
-    first_term = np.cumsum(c) - c
-    idx = np.arange(int(c.sum())) + np.repeat(ptr[k] - first_term, c)
-    dtype = np.int64 if _product_fits_int64(i, a, right.values) else object
-    terms = np.repeat(a.astype(dtype, copy=False), c)
-    terms *= right.values[idx].astype(dtype, copy=False)
-    # each term's position row * cols + col, built without a row array
-    key = right.col_idx[idx]
-    del idx
-    if inner > 1:
-        key *= inner
-        key += np.repeat(left.col_idx[meet] % inner, c)
-    key += np.repeat(i * cols, c)
+    key, terms = _product_terms(
+        (left.row_idx, left.col_idx, left.values), (right.row_idx, right.col_idx, right.values),
+        right.rows, cols, inner,
+    )
     return IntegerMatrix._from_coo(left.rows, cols, *_canonical_keys(cols, key, terms), canonical=True)
 
 
@@ -540,22 +495,23 @@ class FaceDifference:
 
     def __rmatmul__(self, other):
         """other @ self: column c is other's column twisted[c] minus its
-        column c mod rows, that is the product with the map c -> twisted[c]
-        minus other tiled cols / rows times; each position gets at most one
-        term of each, so their int64 sum cannot wrap."""
+        column c mod rows, that is the terms of the product with the map
+        c -> twisted[c] and of -other tiled cols / rows times, summed by one
+        sort; a position gets at most one term of each: no int64 sum wraps."""
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
         cols = self.cols
-        picks = IntegerMatrix._from_coo(
-            self.rows, cols, self.twisted, np.arange(cols), np.ones(cols, dtype=np.int64)
+        by_row = np.argsort(self.twisted, kind="stable")
+        key, picked = _product_terms(
+            (other.row_idx, other.col_idx, other.values),
+            (self.twisted[by_row], by_row, np.ones(cols, dtype=np.int64)), self.rows, cols,
         )
-        picked = _product(other, picks)
         tiles = np.arange(0, cols, self.rows)
         tiled = (other.row_idx * cols + other.col_idx)[:, None] + tiles
         r, c, values = _canonical_keys(
             cols,
-            np.concatenate((picked.row_idx * cols + picked.col_idx, tiled.ravel())),
-            np.concatenate((picked.values, np.repeat(-other.values, len(tiles)))),
+            np.concatenate((key, tiled.ravel())),
+            np.concatenate((picked, np.repeat(-other.values, len(tiles)))),
         )
         return IntegerMatrix._from_coo(other.rows, cols, r, c, values, canonical=True)
 
@@ -574,7 +530,7 @@ def _canonical_keys(cols, key, values):
         order = np.argsort(key, kind="stable")
         key, values = key[order], values[order]
         del order
-        firsts = np.flatnonzero(np.diff(key, prepend=-1))
+        firsts = _run_starts(key)
         if len(firsts) < len(key):
             key, values = key[firsts], np.add.reduceat(values, firsts)
     nonzero = values != 0

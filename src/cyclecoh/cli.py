@@ -17,6 +17,7 @@ extension); both signal a bug.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import pickle
@@ -204,16 +205,21 @@ def _local_smith_contract_holds(M, p, k):
     """Whether `local_smith(M, p, k)` keeps its documented contract:
     min(rows, cols) exponents, ascending; column i of M @ V divisible by
     p^exps[i] and the columns past min(rows, cols) by p^k; and
-    V @ Vinv = I mod p^k."""
+    V @ Vinv = I mod p^k; and, from below, the columns with exps[i] < k,
+    divided by p^exps[i], independent mod p: no nonzero combination of
+    them over F_p vanishes (M has at most five columns)."""
     m = p**k
     exps, V, Vinv = local_smith(M, p, k)
-    col_exps = exps + [k] * (M.shape[1] - len(exps))
     MV = M @ V % m
+    pe = p ** np.array(exps + [k] * (M.shape[1] - len(exps)), dtype=np.int64)
+    low = (MV // pe % p)[:, pe < m]
+    combos = np.array(list(itertools.product(range(p), repeat=low.shape[1])), dtype=np.int64)[1:]
     return (
         len(exps) == min(M.shape)
         and exps == sorted(exps)
-        and all(not (MV[:, i] % p**e).any() for i, e in enumerate(col_exps))
+        and not (MV % pe).any()
         and (V @ Vinv % m == np.eye(len(V), dtype=np.int64)).all()
+        and (low @ combos.T % p).any(axis=0).all()
     )
 
 

@@ -42,7 +42,6 @@ from math import comb
 import numpy as np
 
 from .abelian import (
-    _INT64_BOUND,
     FaceDifference,
     FinAbGroup,
     IdentityKron,
@@ -149,45 +148,24 @@ def full_double_complex(lcs):
             r = n - s
             relations = IntegerMatrix.identity((v - 1) ** r).kron(relcache[s])
             cells[(r, s)] = PresentedModule(relations.cols, relations)
-    dh = {}
-    dv = {}
-    for (r, s) in cells:
-        if r >= 1 and (r - 1, s) in cells:
-            dh[(r, s)] = _full_dh(lcs, r, s)
-        if s >= 2 and (r, s - 1) in cells:
-            dv[(r, s)] = (
-                IntegerMatrix.identity((v - 1) ** r)
-                .kron(tuple_bar_differential(s, v))
-                .scale((-1) ** (r + 1))
-            )
+    # d_h: the plain bar faces on gt (x) I, plus delta twisting the first face
+    dh = {
+        (r, s): tuple_bar_differential(r, v).kron(IntegerMatrix.identity((v - 1) ** s))
+        + delta @ IntegerMatrix.identity(delta.cols)
+        for (r, s), delta in perturbation_delta(lcs, cells).items()
+    }
+    dv = {
+        (r, s): IntegerMatrix.identity((v - 1) ** r)
+        .kron(tuple_bar_differential(s, v))
+        .scale((-1) ** (r + 1))
+        for (r, s) in cells
+        if (r, s - 1) in cells
+    }
     dc = DoubleComplex(cells, dh, dv)
     report = dc.validate()
     if not report:
         raise AssertionError(f"full double complex is inconsistent: {report}")
     return FullComplexSlice(dc, total_complex(dc))
-
-
-def _full_dh(lcs, r, s):
-    """The horizontal differential C_{r,s} -> C_{r-1,s} on exponent-tuple
-    codes: the generator (gt, mt), joined into one tuple x_1..x_n, has
-    the twisted face x_1.x_2..x_1.x_n, the merges of adjacent letters of
-    gt with signs (-1)^j (dropped where the sum is 0 mod v) and the
-    last face, gt without its last letter, with sign (-1)^r."""
-    v = lcs.v
-    dot = np.array(lcs.dot, dtype=np.int64)
-    x = tuple_letters(r + s, v)
-    faces = [(dot[x[:, :1], x[:, 1:]], 1)]
-    for j in range(1, r):
-        merged = (x[:, j - 1 : j] + x[:, j : j + 1]) % v
-        faces.append((np.concatenate((x[:, : j - 1], merged, x[:, j + 1 :]), axis=1), (-1) ** j))
-    faces.append((np.delete(x, r - 1, axis=1), (-1) ** r))
-    cols = np.arange(len(x))
-    parts = []
-    for y, sign in faces:
-        keep = (y != 0).all(axis=1)
-        parts.append((tuple_codes(y[keep], v), cols[keep], np.full(int(keep.sum()), sign)))
-    tgt, col, values = (np.concatenate(a) for a in zip(*parts))
-    return IntegerMatrix._from_coo((v - 1) ** (r + s - 1), len(x), tgt, col, values)
 
 
 def perturbation_delta(lcs, cells):
@@ -650,7 +628,7 @@ class CocyclePair:
         top = max(
             [int(np.abs(a).max()) for a in arrays if a.size] + list(self.gamma.factors), default=0
         )
-        dtype = np.int64 if 5 * top < _INT64_BOUND else object
+        dtype = np.int64 if 5 * top < modular._INT64_BOUND else object
         for name, a in zip(("xi1", "xi2"), arrays):
             a = a.astype(dtype)
             if a[0].any() or a[:, 0].any():

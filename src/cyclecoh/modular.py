@@ -21,13 +21,13 @@ reaches it in two phases.
    A12 the pivot rows on N and G = D^{-1} A12, the column operations
    V[:, N] -= V[:, P] G and V^{-1}[P] += G V^{-1}[N] clear the pivot
    rows, and row operations, which V does not see, turn the other rows
-   into the Schur complement A22 - A21 G: one expand, sum and reduce
-   mod p^k per round, as in `IntegerMatrix.__matmul__`.  A unit has
-   valuation 0, the minimum, so these pivots head the Smith order.  The
-   rounds stop when no active column holds a unit.  The condition
-   matrices of the cochain complexes are very sparse and nearly all of
-   their pivots are units: at v = 16 the 434 unit pivots of the largest,
-   10350 x 450, take 8 rounds.
+   into the Schur complement A22 - A21 G: A22 and the terms of A21 G
+   (`_product_terms`, as for `IntegerMatrix` products) are sorted,
+   summed and reduced mod p^k once per round.  Units have valuation 0,
+   the minimum, so these pivots head the Smith order.  The rounds stop
+   when no active column holds a unit.  The condition matrices are very
+   sparse and nearly all of their pivots are units: at v = 16 the 434
+   unit pivots of the largest, 10350 x 450, take 8 rounds.
 2. Dense residual.  Every entry left is divisible by p.  Only the rows
    and columns of this residual are densified into int64 and eliminated
    by pivoting on an entry of minimal valuation; the block's V is
@@ -56,6 +56,14 @@ import numpy as np
 # cols + 1 <= 2^32 of them (pivots per round + 1, or one per column)
 # stays below 2^62 in int64
 _MAX_MODULUS = 1 << 15
+
+# int64 arrays of an `IntegerMatrix` hold entries of absolute value below
+# this; any larger entry makes the whole matrix hold Python ints
+_INT64_BOUND = 2**62
+
+
+def _abs_max(values):
+    return int(np.abs(values).max()) if len(values) else 0
 
 
 class ResourceLimitError(ValueError):
@@ -186,24 +194,21 @@ def _pivot_round(key, a, pr, pc, m, nrows, ncols):
     gt, gj = gt[by_t], c[in12][by_t]
     gv = a[in12][by_t] * uinv[gt] % m
     in21 = in_col & ~in_row
-    s, t, x = r[in21], t_col[c[in21]], a[in21]
+    left = (r[in21], t_col[c[in21]], a[in21])
     rest = ~(in_row | in_col)
     # each temporary goes before the next is built: the round's peak is
     # a few arrays the length of its entries
     del r, c, in_row, in_col
-    # one term per pair (A21 entry (s, t), G entry in row t), as in
-    # `IntegerMatrix.__matmul__`
-    g_ptr = np.searchsorted(gt, np.arange(q + 1))
-    counts = g_ptr[t + 1] - g_ptr[t]
-    idx = np.arange(int(counts.sum())) + np.repeat(g_ptr[t] - (np.cumsum(counts) - counts), counts)
-    key = np.concatenate((key[rest], np.repeat(s * ncols, counts) + gj[idx]))
-    a = np.concatenate((a[rest], -np.repeat(x, counts) * gv[idx]))
-    del rest, idx
+    # the terms of A21 G (A21's column is the pivot t), negated, with A22
+    terms_key, terms = _product_terms(left, (gt, gj, gv), q, ncols)
+    key = np.concatenate((key[rest], terms_key))
+    a = np.concatenate((a[rest], -terms))
+    del left, rest, terms_key, terms
     by_key = np.argsort(key, kind="stable")
     key = key[by_key]
     a = a[by_key]
     del by_key
-    firsts = np.flatnonzero(np.diff(key, prepend=-1))
+    firsts = _run_starts(key)
     if len(a):
         a = np.add.reduceat(a, firsts) % m
     live = a != 0
@@ -217,9 +222,63 @@ def _add_rows(M, targets, sources, coeffs, m):
         return
     by_t = np.argsort(targets, kind="stable")
     t = targets[by_t]
-    firsts = np.flatnonzero(np.diff(t, prepend=-1))
+    firsts = _run_starts(t)
     sums = np.add.reduceat(M[sources[by_t]] * coeffs[by_t, None], firsts, axis=0)
     M[t[firsts]] = (M[t[firsts]] + sums) % m
+
+
+def _run_starts(x):
+    """The positions in x where a run of equal entries starts."""
+    new = np.ones(len(x), dtype=bool)
+    new[1:] = x[1:] != x[:-1]
+    return np.flatnonzero(new)
+
+
+def _product_fits_int64(rows, values, other_values):
+    """max_i sum_k |A_ik| * max |B| < 2^62, evaluated exactly, for the
+    left entries (rows, values), row-major, and the right entries
+    other_values: it holds every entry of the product, and every partial
+    sum of the terms of an entry, below 2^62."""
+    if values.dtype == object or other_values.dtype == object:
+        return False
+    if not len(values):
+        return True
+    absv = np.abs(values)
+    if int(absv.max()) * len(absv) >= 2**63:
+        absv = absv.astype(object)  # the int64 row sums could wrap
+    row_sum = int(np.add.reduceat(absv, _run_starts(rows)).max())
+    return row_sum * _abs_max(other_values) < _INT64_BOUND
+
+
+def _product_terms(left, right, right_rows, cols, inner=1):
+    """The terms of left @ (right (x) I_inner), unsorted, as keys row *
+    cols + col and values, int64 if `_product_fits_int64`, else Python
+    ints.  left and right are row-major (row, col, value) arrays.
+
+    There is one term per pair (left entry (i, j), entry of row j of
+    right (x) I_inner); that row is row k = j // inner of right, whose
+    entries are ptr[k]:ptr[k + 1], each column moved to col * inner +
+    j % inner."""
+    (i, j, a), (right_row_idx, right_col_idx, b) = left, right
+    ptr = np.searchsorted(right_row_idx, np.arange(right_rows + 1))
+    k = j if inner == 1 else j // inner
+    c = ptr[k + 1] - ptr[k]
+    # the entries of left that meet an empty row of right are dropped
+    meet = c > 0
+    i, k, a, c = i[meet], k[meet], a[meet], c[meet]
+    first_term = np.cumsum(c) - c
+    idx = np.arange(int(c.sum())) + np.repeat(ptr[k] - first_term, c)
+    dtype = np.int64 if _product_fits_int64(i, a, b) else object
+    terms = np.repeat(a.astype(dtype, copy=False), c)
+    terms *= b[idx].astype(dtype, copy=False)
+    # each term's key, built without a row array
+    key = right_col_idx[idx]
+    del idx
+    if inner > 1:
+        key *= inner
+        key += np.repeat(j[meet] % inner, c)
+    key += np.repeat(i * cols, c)
+    return key, terms
 
 
 def _dense_smith(D, p, k):

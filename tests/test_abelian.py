@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclecoh import abelian
+from cyclecoh import modular
 from cyclecoh.abelian import (
     FaceDifference,
     FinAbGroup,
@@ -313,13 +313,13 @@ def test_product_with_one_large_row_runs_on_python_ints():
     assert A.values.dtype == B.values.dtype == np.int64
     expected = [[2**31, 1], [2**71, 2**40], [3 * 2**30, 3]]
     fits = []
-    original = abelian._product_fits_int64
+    original = modular._product_fits_int64
 
     def recording_fits(*args):
         fits.append(original(*args))
         return fits[-1]
 
-    with mock.patch.object(abelian, "_product_fits_int64", recording_fits):
+    with mock.patch.object(modular, "_product_fits_int64", recording_fits):
         assert (A @ B).dense() == expected
     assert fits == [False]
     assert (A @ B).dense() == expected

@@ -229,6 +229,29 @@ def test_verify_command(capsys):
     assert statuses["route-agreement"] == "pass"
 
 
+def test_verify_pins_smith_exponents_from_below(capsys, monkeypatch):
+    import cyclecoh.cli
+    from cyclecoh import modular
+
+    argv = ["verify", "--p", "2", "--nu", "1", "--eta", "2", "--coeff", "2"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    statuses = {r["suite"]: r["status"] for r in json.loads(out)["results"]}
+    assert statuses["smith-normal-form"] == "pass"
+
+    def under_reported(M, p, k):
+        # the same V and V^{-1}, with every exponent reported as 0
+        exps, V, Vinv = modular.local_smith(M, p, k)
+        return [0] * len(exps), V, Vinv
+
+    monkeypatch.setattr(cyclecoh.cli, "local_smith", under_reported)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 3
+    statuses = {r["suite"]: r["status"] for r in json.loads(out)["results"]}
+    assert statuses["smith-normal-form"] == "fail"
+    assert statuses["route-agreement"] == "pass"
+
+
 def test_verify_with_free_coefficients_skips_route_agreement(capsys):
     code, out, _ = run_cli(
         capsys,

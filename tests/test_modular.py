@@ -360,6 +360,42 @@ def test_a_round_rejects_colliding_candidates():
     assert len(pr) == 1
 
 
+def test_one_pivot_round_is_the_dense_schur_complement():
+    # the first round of each sparse case against A22 - A21 D^-1 A12 and
+    # G = D^-1 A12, both dense mod p^k; an entry that cancels to 0 must
+    # leave no key
+    seen = {"rounds": 0, "cancelled": 0}
+    for p, k, A in _sparse_cases():
+        m = p**k
+        nrows, ncols = A.shape
+        A = A % m
+        r, c = np.nonzero(A)
+        key, a = r * ncols + c, A[r, c]
+        pr, pc = modular._unit_pivots(key, a, p, nrows, ncols)
+        if not len(pc):
+            continue
+        schur_key, schur, (gt, gj, gv) = modular._pivot_round(key, a, pr, pc, m, nrows, ncols)
+        rows, cols = np.setdiff1d(np.arange(nrows), pr), np.setdiff1d(np.arange(ncols), pc)
+        dinv = np.array([pow(int(u), -1, m) for u in A[pr, pc]])
+        G = dinv[:, None] * A[np.ix_(pr, cols)] % m
+        A21, A22 = A[np.ix_(rows, pc)], A[np.ix_(rows, cols)]
+        want = np.zeros_like(A)
+        want[np.ix_(rows, cols)] = (A22 - A21 @ G) % m
+        wr, wc = np.nonzero(want)
+        assert schur_key.tolist() == (wr * ncols + wc).tolist()
+        assert schur.tolist() == want[wr, wc].tolist()
+        assert (np.diff(gt) >= 0).all()
+        got_G = np.zeros((len(pc), ncols), dtype=np.int64)
+        got_G[gt, gj] = gv
+        want_G = np.zeros_like(got_G)
+        want_G[:, cols] = G
+        assert (got_G == want_G).all() and (gv != 0).all()
+        seen["rounds"] += 1
+        touched = (A22 != 0) | ((A21 != 0).astype(int) @ (G != 0).astype(int) > 0)
+        seen["cancelled"] += int((touched & (want[np.ix_(rows, cols)] == 0)).sum())
+    assert seen["rounds"] > 100 and seen["cancelled"] > 0, seen
+
+
 def test_integer_matrix_and_array_give_the_same_elimination():
     for p, k, A in itertools.islice(_sparse_cases(), 0, None, 7):
         M = IntegerMatrix.from_rows(A.tolist(), A.shape[1])

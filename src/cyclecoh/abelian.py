@@ -22,6 +22,7 @@ Conventions:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,21 +33,6 @@ from .modular import _INT64_BOUND, _abs_max, _product_terms, _run_starts
 
 class InconsistentComplexError(ValueError):
     """Raised when maps handed to a (co)homology computation do not compose to zero."""
-
-
-def xgcd(a, b):
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return g, x, y
 
 
 def _normalized(values):
@@ -738,7 +724,7 @@ def torsion_and_quotient(gamma, r):
         if f == 0:
             quotient.append(r)
         else:
-            g = xgcd(f, r)[0]
+            g = math.gcd(f, r)
             torsion.append(g)
             quotient.append(g)
     return (

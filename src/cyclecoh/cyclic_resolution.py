@@ -529,13 +529,14 @@ def _augment(N, v):
 def pepito_scalar(l, alpha, beta, u, t):
     """The integer by which the (l, alpha, beta) differential acts on a
     trivial coefficient module: u / 0 for l = 0, 0 / +-t for l = 1,
-    -1 / 0 for l = 2, and 0 beyond."""
+    -1 / 0 for l = 2 (0 at t = 1, where the resolution's d^2 is zero),
+    and 0 beyond."""
     if l == 0:
         return u if alpha % 2 == 0 else 0
     if l == 1:
         return 0 if beta % 2 == 1 else (-1) ** (alpha + 1) * t
     if l == 2:
-        return -1 if alpha % 2 == 0 else 0
+        return -1 if alpha % 2 == 0 and t >= 2 else 0
     return 0
 
 
@@ -810,14 +811,9 @@ def coefficient_complex(params, M, n_max):
 
     def collapsed_block(l, alpha, beta):
         # authoritative scalar: collapse the group-ring matrix along the
-        # augmentation; the closed-form table must agree except in the
-        # known t = 1 degeneracy, where the second-order maps vanish
-        # (their closed form -1 presumes t >= 2)
+        # augmentation; the closed-form table must agree
         eps = sum(ctx.array_map(l, alpha, beta).column(ident).values())
-        table = pepito_scalar(l, alpha, beta, u, t)
-        if eps != table and not (
-            t == 1 and l == 2 and alpha % 2 == 0 and eps == 0 and table == -1
-        ):
+        if eps != pepito_scalar(l, alpha, beta, u, t):
             raise AssertionError(f"coefficient collapse mismatch at l={l}, ({alpha},{beta})")
         return id_g.scale(eps) if eps else None
 

@@ -49,6 +49,7 @@ from .abelian import (
     PresentedModule,
     block_matrix,
     hom_cohomology_at,
+    torsion_and_quotient,
 )
 from . import modular
 from .cycleset import (
@@ -57,10 +58,8 @@ from .cycleset import (
     make_cyclic_lcs,
 )
 from .cyclic_resolution import (
-    array_differential,
     coefficient_complex,
     exp_tuples,
-    pepito_scalar,
     tuple_bar_differential,
     tuple_codes,
     tuple_letters,
@@ -247,9 +246,10 @@ def _arrow_matrices(params):
     arrows["dh1_021"] = _one_slot_map(
         v, lambda a: [(p((1 - s * u) * a), -1) for s in range(t)]
     )
+    # the -1 is the resolution's d^2, which is zero at t = 1
     arrows["dh2_021"] = _one_slot_map(
         v,
-        lambda a: [(a, -1)] + [(p((1 - s * u) * a), u2 * s) for s in range(1, t)],
+        lambda a: [(a, -1)] * (t >= 2) + [(p((1 - s * u) * a), u2 * s) for s in range(1, t)],
     )
     # dh1_012 on Mbar(2) generators
     m2 = exp_tuples(2, v)
@@ -346,7 +346,7 @@ def _transfer_reduced(params, quotients):
                 h_maps[(r, s)] = cc.omegabar[r + 1]
             if r >= 1:
                 cdh[(r, s)] = IdentityKron(1, bar[r], g)
-                xdh[(r, s)] = _pepito_row_d(params, r, g)
+                xdh[(r, s)] = cc.chain.diff[r]
     del cc
     for s in (2, 3):
         for r in range(min(rmax[s], rmax[s - 1]) + 1):
@@ -360,18 +360,6 @@ def _transfer_reduced(params, quotients):
         DoubleComplex(xcells, xdh, xdv), DoubleComplex(ccells, cdh, cdv), i_maps, p_maps, h_maps
     )
     return perturb_double_complex(system, delta, t, verify=(t >= 2))
-
-
-def _pepito_row_d(params, r, g):
-    """Horizontal differential of the small row complex in row degree r,
-    every cell g generators wide, from the closed-form scalar table."""
-    id_g = IntegerMatrix.identity(g)
-
-    def table_block(l, alpha, beta):
-        scalar = pepito_scalar(l, alpha, beta, params.u, params.t)
-        return id_g.scale(scalar) if scalar else None
-
-    return array_differential(r, g, table_block)
 
 
 def phi_hat_closed(params):
@@ -533,8 +521,6 @@ def cohomology(params, gamma, n, method):
 
 
 def _closed_form(params, gamma, n):
-    from .abelian import torsion_and_quotient
-
     u, v = params.u, params.v
     if n == 1:
         return torsion_and_quotient(gamma, u)[0]

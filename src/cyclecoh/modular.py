@@ -8,30 +8,31 @@ the chain ring Z/p^k every matrix A has a Smith form
 
 and only its column side is ever needed: the exponents, V and V^{-1}
 give the kernel of A and the change of basis into it.  `local_smith`
-reaches it in two phases.
+reaches it by sparse rounds of pivots at the least valuation left
+(Dumas, Saunders and Villard, "On efficient sparse integer matrix Smith
+normal forms", J. Symb. Comput. 32, 2001).
 
-1. Sparse unit pivots, in rounds.  The nonzero entries are kept as
-   numpy arrays: row-major keys row * cols + col and values in
-   [1, p^k).  A round counts the entries of every row and column
-   (`np.bincount`).  Every active column that holds a unit (an entry
-   prime to p) offers its unit row with the fewest entries; the offers
-   are visited by column count and accepted while the block D of the
-   accepted pivots stays diagonal (ties go to the lower index
-   throughout).  With P the pivot columns, N the other active columns,
-   A12 the pivot rows on N and G = D^{-1} A12, the column operations
-   V[:, N] -= V[:, P] G and V^{-1}[P] += G V^{-1}[N] clear the pivot
-   rows, and row operations, which V does not see, turn the other rows
-   into the Schur complement A22 - A21 G: A22 and the terms of A21 G
-   (`_product_terms`, as for `IntegerMatrix` products) are sorted,
-   summed and reduced mod p^k once per round.  Units have valuation 0,
-   the minimum, so these pivots head the Smith order.  The rounds stop
-   when no active column holds a unit.  The condition matrices are very
-   sparse and nearly all of their pivots are units: at v = 16 the 434
-   unit pivots of the largest, 10350 x 450, take 8 rounds.
-2. Dense residual.  Every entry left is divisible by p.  Only the rows
-   and columns of this residual are densified into int64 and eliminated
-   by pivoting on an entry of minimal valuation; the block's V is
-   composed into the outer one.
+The nonzero entries are kept as numpy arrays: row-major keys
+row * cols + col and values in [1, p^k).  A round first finds e, the
+least valuation among them, so that every entry is divisible by p^e;
+the entries of valuation exactly e are its units.  It counts the
+entries of every row and column (`np.bincount`).  Every active column
+that holds a unit offers its unit row with the fewest entries; the
+offers are visited by column count and accepted while the block D of
+the accepted pivots stays diagonal (ties go to the lower index
+throughout).  With P the pivot columns, N the other active columns,
+A12 the pivot rows on N and G = (D / p^e)^{-1} (A12 / p^e), the column
+operations V[:, N] -= V[:, P] G and V^{-1}[P] += G V^{-1}[N] clear the
+pivot rows, and row operations, which V does not see, turn the other
+rows into the Schur complement A22 - A21 G: A22 and the terms of A21 G
+(`_product_terms`, as for `IntegerMatrix` products) are sorted, summed
+and reduced mod p^k once per round.  G is defined mod p^(k - e) only,
+but A21 is divisible by p^e, so the Schur complement is exact mod p^k
+for any lift of G.  It stays divisible by p^e, so e never decreases and
+the pivots come in Smith order; the rounds stop when no entry is left.
+The condition matrices are very sparse and nearly all of their pivots
+are units: at v = 16 the 434 unit pivots of the largest, 10350 x 450,
+take 8 rounds.
 
 Smith exponents truncate: reduced mod p^k (k <= K), the form over
 Z/p^K is the form over Z/p^k with exponents min(e, k) and the same V.
@@ -40,10 +41,10 @@ So one elimination at the largest power of a prime serves every Z/p^k
 modulus stays below 2^15 (`_MAX_MODULUS`): every value is below 2^15,
 every product of two below 2^30, and each sum has at most cols + 1
 terms (an entry of a Schur complement sums one term per pivot of the
-round and one more; an entry of V or V^{-1}, or of the dense residual,
-at most one per column), so it stays below 2^62 while cols < 2^32.
-V and V^{-1} hold only values below 2^15, so the rounds keep them in
-int32 and widen each product to int64.
+round and one more; an entry of V or V^{-1} at most one per column), so
+it stays below 2^62 while cols < 2^32.  V and V^{-1} hold only values
+below 2^15, so the rounds keep them in int32 and widen each product to
+int64.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ def local_smith(A, p, k):
     entries, ascending: exps[i] is the valuation of the i-th diagonal
     entry, k for a zero one.  V is invertible mod p^k with inverse Vinv;
     column i of A @ V is divisible by p^exps[i] and the columns past
-    min(rows, cols) are 0 mod p^k.  Unit pivots are taken in sparse
-    rounds, the rest densely (see the module docstring).
+    min(rows, cols) are 0 mod p^k.  The pivots are taken in sparse
+    rounds, each at the least valuation left (see the module docstring).
     """
     m = p**k
     _check_modulus(m)
@@ -107,28 +108,20 @@ def local_smith(A, p, k):
     Vinv = np.eye(ncols, dtype=np.int32)
     active = np.ones(ncols, dtype=bool)
     order = []  # pivot columns in Smith order
-    while True:
-        pr, pc = _unit_pivots(key, a, p, nrows, ncols)
-        if not len(pc):
-            break
-        key, a, (gt, gj, gv) = _pivot_round(key, a, pr, pc, m, nrows, ncols)
+    exps = []
+    e = 0
+    while len(a):
+        # every entry left is divisible by p^e; some entry is not by p^(e + 1)
+        while not (a % p ** (e + 1)).any():
+            e += 1
+        pr, pc = _unit_pivots(key, a, p ** (e + 1), nrows, ncols)
+        key, a, (gt, gj, gv) = _pivot_round(key, a, pr, pc, p**e, m, nrows, ncols)
         _add_rows(W, gj, pc[gt], m - gv, m)  # V[:, N] -= V[:, P] G
         _add_rows(Vinv, pc[gt], gj, gv, m)   # Vinv[P] += G Vinv[N]
         active[pc] = False
         order += pc.tolist()
-
-    exps = [0] * len(order)
-    res_cols = np.flatnonzero(active)
-    if len(a):
-        r, c = np.divmod(key, ncols)
-        res_rows, row_pos = np.unique(r, return_inverse=True)
-        D = np.zeros((len(res_rows), len(res_cols)), dtype=np.int64)
-        D[row_pos, np.searchsorted(res_cols, c)] = a
-        res_exps, Vr, Vr_inv = _dense_smith(D, p, k)
-        W[res_cols] = (Vr.T @ W[res_cols]) % m
-        Vinv[res_cols] = (Vr_inv @ Vinv[res_cols]) % m
-        exps += res_exps
-    order += res_cols.tolist()
+        exps += [e] * len(pc)
+    order += np.flatnonzero(active).tolist()
     exps += [k] * (min(nrows, ncols) - len(exps))
     # one permuted copy at a time
     W = W[order].astype(np.int64)
@@ -136,17 +129,19 @@ def local_smith(A, p, k):
     return exps, W.T, Vinv
 
 
-def _unit_pivots(key, a, p, nrows, ncols):
-    """One round's pivots (pr, pc): unit entries whose block A[pr][:, pc]
-    is diagonal.
+def _unit_pivots(key, a, q, nrows, ncols):
+    """One round's pivots (pr, pc): entries not divisible by q whose block
+    A[pr][:, pc] is diagonal.
 
-    Every column holding a unit offers its unit row with the fewest
-    entries (ties by index); the offers are visited by column count
-    (ties by index), and one is accepted when its row meets no accepted
-    column (so it is not an accepted row either) and its column meets no
-    accepted row."""
+    q is p^(e + 1), where every entry is divisible by p^e, so the entries
+    q does not divide are those of least valuation, the "units" of the
+    round.  Every column holding a unit offers its unit row with the
+    fewest entries (ties by index); the offers are visited by column
+    count (ties by index), and one is accepted when its row meets no
+    accepted column (so it is not an accepted row either) and its column
+    meets no accepted row."""
     r, c = np.divmod(key, ncols)
-    unit = a % p != 0
+    unit = a % q != 0
     ur = r[unit]
     row_n = np.bincount(r, minlength=nrows)
     col_n = np.bincount(c, minlength=ncols)
@@ -171,13 +166,16 @@ def _unit_pivots(key, a, p, nrows, ncols):
     return np.array(pr, dtype=np.int64), np.array(pc, dtype=np.int64)
 
 
-def _pivot_round(key, a, pr, pc, m, nrows, ncols):
-    """Eliminate the pivots (pr[t], pc[t]), whose block D is diagonal.
+def _pivot_round(key, a, pr, pc, pe, m, nrows, ncols):
+    """Eliminate the pivots (pr[t], pc[t]), whose block D is diagonal,
+    where every entry is divisible by pe = p^e and D / pe is a unit.
 
     With A12 the pivot rows off the pivot columns, A21 the pivot columns
     off the pivot rows and A22 the rest, returns the Schur complement
-    A22 - A21 G as sorted keys and values reduced mod m, and G = D^-1 A12
-    as entries (pivot t, column j, value g) sorted by t."""
+    A22 - A21 G as sorted keys and values reduced mod m, and
+    G = (D / pe)^-1 (A12 / pe) as entries (pivot t, column j, value g)
+    sorted by t.  G is defined mod m / pe only, but A21 is divisible by
+    pe, so A21 G is exact mod m for the lift taken, and D G = A12."""
     q = len(pr)
     t_row = np.full(nrows, -1)
     t_row[pr] = np.arange(q)
@@ -187,12 +185,12 @@ def _pivot_round(key, a, pr, pc, m, nrows, ncols):
     in_row, in_col = t_row[r] >= 0, t_col[c] >= 0
     diag = in_row & in_col
     uinv = np.empty(q, dtype=np.int64)
-    uinv[t_row[r[diag]]] = [pow(u, -1, m) for u in a[diag].tolist()]
+    uinv[t_row[r[diag]]] = [pow(u // pe, -1, m) for u in a[diag].tolist()]
     in12 = in_row & ~in_col
     gt = t_row[r[in12]]
     by_t = np.argsort(gt, kind="stable")
     gt, gj = gt[by_t], c[in12][by_t]
-    gv = a[in12][by_t] * uinv[gt] % m
+    gv = a[in12][by_t] // pe * uinv[gt] % m
     in21 = in_col & ~in_row
     left = (r[in21], t_col[c[in21]], a[in21])
     rest = ~(in_row | in_col)
@@ -279,66 +277,6 @@ def _product_terms(left, right, right_rows, cols, inner=1):
         key += np.repeat(j[meet] % inner, c)
     key += np.repeat(i * cols, c)
     return key, terms
-
-
-def _dense_smith(D, p, k):
-    """Smith form of the dense block D (reduced mod p^k, overwritten) by
-    minimal-valuation pivots: (exps, V, Vinv) as in `local_smith`."""
-    m = p**k
-    rows, cols = D.shape
-    V = np.eye(cols, dtype=np.int64)
-    Vinv = np.eye(cols, dtype=np.int64)
-
-    pe_table = [p**e for e in range(k + 1)]
-
-    def find_pivot(t):
-        sub = D[t:, t:]
-        if sub.size == 0 or not sub.any():
-            return None
-        for e in range(k):
-            mask = sub % pe_table[e + 1] != 0
-            if mask.any():
-                i, j = np.argwhere(mask)[0]
-                return t + int(i), t + int(j), e
-        return None
-
-    t = 0
-    exps = []
-    while t < min(rows, cols):
-        piv = find_pivot(t)
-        if piv is None:
-            break
-        i, j, e = piv
-        if i != t:
-            D[[t, i]] = D[[i, t]]
-        if j != t:
-            D[:, [t, j]] = D[:, [j, t]]
-            V[:, [t, j]] = V[:, [j, t]]
-            Vinv[[t, j]] = Vinv[[j, t]]
-        pe = pe_table[e]
-        winv = pow(int(D[t, t]) // pe, -1, m)
-        D[t] = (D[t] * winv) % m
-        # clear the pivot column with row operations (valuations are >= e),
-        # touching only the rows that actually carry an entry
-        f = D[:, t] // pe
-        f[t] = 0
-        nz = np.nonzero(f)[0]
-        if nz.size:
-            D[nz] = (D[nz] - np.outer(f[nz], D[t])) % m
-        # clear the pivot row with column operations: column t now holds
-        # only (t, t) = p^e, so of D only row t changes, and it becomes p^e e_t
-        g = D[t] // pe
-        g[t] = 0
-        nzc = np.nonzero(g)[0]
-        if nzc.size:
-            D[t, nzc] = 0
-            V[:, nzc] = (V[:, nzc] - np.outer(V[:, t], g[nzc])) % m
-            Vinv[t] = (Vinv[t] + g[nzc] @ Vinv[nzc]) % m
-        exps.append(e)
-        t += 1
-
-    exps += [k] * (min(rows, cols) - len(exps))
-    return exps, V, Vinv
 
 
 @dataclass

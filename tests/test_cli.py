@@ -44,6 +44,35 @@ def test_cohomology_json_report(capsys):
     assert "timing_seconds" not in report
 
 
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--p", "2", "--nu", "1", "--eta", "2", "--coeff", "2", "--method", "all"],
+    ["table", "--max-v", "4", "--method", "all"],
+], ids=["cohomology", "table"])
+def test_route_disagreement_exits_3_with_the_report(capsys, monkeypatch, argv):
+    """When the reduced route returns another group, the report, with
+    agreement.all false, goes to stdout, a route-disagreement error to
+    stderr, and the exit status is 3 (table workers are forked, so they
+    see the patch too)."""
+    import dataclasses
+
+    import cyclecoh.cli
+    from cyclecoh.abelian import FinAbGroup
+
+    cohomology = cyclecoh.cli.cohomology
+
+    def another_reduced_group(params, gamma, n, method):
+        res = cohomology(params, gamma, n, method)
+        if method != "reduced":
+            return res
+        return dataclasses.replace(res, group=res.group.direct_sum(FinAbGroup((2,))))
+
+    monkeypatch.setattr(cyclecoh.cli, "cohomology", another_reduced_group)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert json.loads(out)["agreement"]["all"] is False
+    assert json.loads(err)["error"]["type"] == "route-disagreement"
+
+
 def test_cohomology_h1_example(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -300,6 +300,8 @@ def test_pepito_scalars():
     assert pepito_scalar(1, 0, 1, 4, 2) == 0
     assert pepito_scalar(2, 0, 2, 4, 2) == -1
     assert pepito_scalar(2, 1, 2, 4, 2) == 0
+    # at t = 1 the resolution's d^2 is zero
+    assert pepito_scalar(2, 0, 2, 2, 1) == 0
     assert pepito_scalar(3, 0, 3, 4, 2) == 0
 
 

@@ -17,9 +17,10 @@ from cyclecoh.lcs_cohomology import cohomology, reduced_complex
 
 
 def ref_local_smith(A, p, k):
-    """The sequential elimination: one sparse unit pivot at a time on
-    Python-int row dicts (sparsest column with a unit, then its sparsest
-    unit row), then the dense residual.  A is a 2-D integer array."""
+    """The sequential elimination: one sparse pivot at a time on Python-int
+    row dicts, at the least valuation e left, units (e = 0) first: the
+    sparsest column with an entry of valuation e, then its sparsest row
+    with one.  A is a 2-D integer array."""
     m = p**k
     nrows, ncols = A.shape
     V = np.eye(ncols, dtype=np.int64)
@@ -27,67 +28,60 @@ def ref_local_smith(A, p, k):
 
     rows = {}                                  # row -> {col: entry in [1, m)}
     col_rows = [set() for _ in range(ncols)]   # rows with an entry
-    col_units = [set() for _ in range(ncols)]  # rows with a unit entry
     r_idx, c_idx = np.nonzero(A)
     for r, c, a in zip(r_idx.tolist(), c_idx.tolist(), (A[r_idx, c_idx] % m).tolist()):
         if a:
             rows.setdefault(r, {})[c] = a
             col_rows[c].add(r)
-            if a % p:
-                col_units[c].add(r)
 
     active = set(range(ncols))
-    order = []
-    while True:
-        best = min(((len(col_rows[j]), j) for j in active if col_units[j]), default=None)
-        if best is None:
-            break
-        c = best[1]
-        r = min(col_units[c], key=lambda s: (len(rows[s]), s))
-        prow = rows.pop(r)
-        for j in prow:
-            col_rows[j].discard(r)
-            col_units[j].discard(r)
-        uinv = pow(prow.pop(c), -1, m)
-        for s in col_rows[c]:
-            row = rows[s]
-            f = row.pop(c) * uinv % m
-            for j, a in prow.items():
-                x = (row.get(j, 0) - f * a) % m
-                if x:
-                    row[j] = x
-                    col_rows[j].add(s)
-                    if x % p:
-                        col_units[j].add(s)
-                    else:
+    order, exps = [], []
+    # an entry left below p^k has valuation at most k - 1, so the last e
+    # leaves none; no pivot lowers the valuations left below e
+    for e in range(k):
+        pe, q = p**e, p ** (e + 1)
+        col_units = [  # rows with an entry of valuation e
+            {s for s in col_rows[j] if rows[s][j] % q} if j in active else None
+            for j in range(ncols)
+        ]
+        while True:
+            best = min(((len(col_rows[j]), j) for j in active if col_units[j]), default=None)
+            if best is None:
+                break
+            c = best[1]
+            r = min(col_units[c], key=lambda s: (len(rows[s]), s))
+            prow = rows.pop(r)
+            for j in prow:
+                col_rows[j].discard(r)
+                col_units[j].discard(r)
+            uinv = pow(prow.pop(c) // pe, -1, m)
+            for s in col_rows[c]:
+                row = rows[s]
+                f = row.pop(c) // pe * uinv % m
+                for j, a in prow.items():
+                    x = (row.get(j, 0) - f * a) % m
+                    if x:
+                        row[j] = x
+                        col_rows[j].add(s)
+                        if x % q:
+                            col_units[j].add(s)
+                        else:
+                            col_units[j].discard(s)
+                    elif j in row:
+                        del row[j]
+                        col_rows[j].discard(s)
                         col_units[j].discard(s)
-                elif j in row:
-                    del row[j]
-                    col_rows[j].discard(s)
-                    col_units[j].discard(s)
-        col_rows[c] = col_units[c] = None
-        active.discard(c)
-        order.append(c)
-        if prow:
-            others = list(prow)
-            g = np.array([a * uinv % m for a in prow.values()], dtype=np.int64)
-            V[:, others] = (V[:, others] - np.outer(V[:, c], g)) % m
-            Vinv[c] = (Vinv[c] + g @ Vinv[others]) % m
-
-    exps = [0] * len(order)
-    res_cols = sorted(active)
-    res_rows = [row for _, row in sorted(rows.items()) if row]
-    if res_rows and res_cols:
-        pos = {j: i for i, j in enumerate(res_cols)}
-        D = np.zeros((len(res_rows), len(res_cols)), dtype=np.int64)
-        for i, row in enumerate(res_rows):
-            for j, a in row.items():
-                D[i, pos[j]] = a
-        res_exps, Vr, Vr_inv = modular._dense_smith(D, p, k)
-        V[:, res_cols] = (V[:, res_cols] @ Vr) % m
-        Vinv[res_cols] = (Vr_inv @ Vinv[res_cols]) % m
-        exps += res_exps
-    order += res_cols
+            col_rows[c] = col_units[c] = None
+            active.discard(c)
+            order.append(c)
+            exps.append(e)
+            if prow:
+                others = list(prow)
+                g = np.array([a // pe * uinv % m for a in prow.values()], dtype=np.int64)
+                V[:, others] = (V[:, others] - np.outer(V[:, c], g)) % m
+                Vinv[c] = (Vinv[c] + g @ Vinv[others]) % m
+    assert not any(rows.values())
+    order += sorted(active)
     exps += [k] * (min(nrows, ncols) - len(exps))
     return exps, V[:, order], Vinv[order]
 
@@ -334,19 +328,19 @@ def _sparse_cases():
 
 
 def test_rounds_match_sequential_elimination_on_sparse_inputs():
-    seen = {"cases": 0, "residual": 0}
+    seen = {"cases": 0, "valuation": 0}
     for p, k, A in _sparse_cases():
         m = p**k
         result = modular.local_smith(A, p, k)
         assert result[0] == ref_local_smith(A, p, k)[0]
         _assert_smith(A % m, result, p, k)
         seen["cases"] += 1
-        seen["residual"] += any(0 < e < k for e in result[0])
+        seen["valuation"] += any(0 < e < k for e in result[0])
     for shape in ((0, 0), (3, 0), (0, 3), (4, 3)):
         A = np.zeros(shape, dtype=np.int64)
         assert modular.local_smith(A, 2, 3)[0] == ref_local_smith(A, 2, 3)[0] == [3] * min(shape)
         _assert_smith(A, modular.local_smith(A, 2, 3), 2, 3)
-    assert seen["cases"] == 160 and seen["residual"] > 20
+    assert seen["cases"] == 160 and seen["valuation"] > 20
 
 
 def test_a_round_rejects_colliding_candidates():
@@ -360,40 +354,62 @@ def test_a_round_rejects_colliding_candidates():
     assert len(pr) == 1
 
 
+def _first_round_against_dense(A, p, k):
+    """The first round of A (reduced mod p^k, not 0) against the dense
+    A22 - A21 G and G = (D / p^e)^-1 (A12 / p^e) mod p^(k - e), for e the
+    least valuation of A; an entry that cancels to 0 must leave no key.
+    Returns (e, entries of A22 or A21 G that cancelled)."""
+    m = p**k
+    nrows, ncols = A.shape
+    r, c = np.nonzero(A)
+    key, a = r * ncols + c, A[r, c]
+    e = min(next(e for e in range(k) if x % p ** (e + 1)) for x in a.tolist())
+    pe = p**e
+    pr, pc = modular._unit_pivots(key, a, p * pe, nrows, ncols)
+    assert len(pc) and not (A[pr, pc] % (p * pe) == 0).any()
+    schur_key, schur, (gt, gj, gv) = modular._pivot_round(key, a, pr, pc, pe, m, nrows, ncols)
+    rows, cols = np.setdiff1d(np.arange(nrows), pr), np.setdiff1d(np.arange(ncols), pc)
+    dinv = np.array([pow(int(u) // pe, -1, m) for u in A[pr, pc]])
+    A12 = A[np.ix_(pr, cols)]
+    assert not (A12 % pe).any()
+    G = dinv[:, None] * (A12 // pe) % m
+    A21, A22 = A[np.ix_(rows, pc)], A[np.ix_(rows, cols)]
+    want = np.zeros_like(A)
+    want[np.ix_(rows, cols)] = (A22 - A21 @ G) % m
+    wr, wc = np.nonzero(want)
+    assert schur_key.tolist() == (wr * ncols + wc).tolist()
+    assert schur.tolist() == want[wr, wc].tolist()
+    assert (np.diff(gt) >= 0).all()
+    got_G = np.zeros((len(pc), ncols), dtype=np.int64)
+    got_G[gt, gj] = gv
+    want_G = np.zeros_like(got_G)
+    want_G[:, cols] = G
+    # G is defined mod p^(k - e), and D G = A12 mod p^k for the lift taken
+    assert (got_G % (m // pe) == want_G % (m // pe)).all()
+    assert (gv % (m // pe) != 0).all()
+    assert (A[pr, pc][:, None] * got_G[:, cols] % m == A12).all()
+    touched = (A22 != 0) | ((A21 != 0).astype(int) @ (G != 0).astype(int) > 0)
+    return e, int((touched & (want[np.ix_(rows, cols)] == 0)).sum())
+
+
 def test_one_pivot_round_is_the_dense_schur_complement():
-    # the first round of each sparse case against A22 - A21 D^-1 A12 and
-    # G = D^-1 A12, both dense mod p^k; an entry that cancels to 0 must
-    # leave no key
-    seen = {"rounds": 0, "cancelled": 0}
+    # the first round of each sparse case, at valuation 0, and of p times
+    # it, for k >= 2, at a valuation e >= 1
+    seen = {"rounds": 0, "cancelled": 0, "valuation_rounds": 0, "valuation_cancelled": 0}
     for p, k, A in _sparse_cases():
         m = p**k
-        nrows, ncols = A.shape
-        A = A % m
-        r, c = np.nonzero(A)
-        key, a = r * ncols + c, A[r, c]
-        pr, pc = modular._unit_pivots(key, a, p, nrows, ncols)
-        if not len(pc):
-            continue
-        schur_key, schur, (gt, gj, gv) = modular._pivot_round(key, a, pr, pc, m, nrows, ncols)
-        rows, cols = np.setdiff1d(np.arange(nrows), pr), np.setdiff1d(np.arange(ncols), pc)
-        dinv = np.array([pow(int(u), -1, m) for u in A[pr, pc]])
-        G = dinv[:, None] * A[np.ix_(pr, cols)] % m
-        A21, A22 = A[np.ix_(rows, pc)], A[np.ix_(rows, cols)]
-        want = np.zeros_like(A)
-        want[np.ix_(rows, cols)] = (A22 - A21 @ G) % m
-        wr, wc = np.nonzero(want)
-        assert schur_key.tolist() == (wr * ncols + wc).tolist()
-        assert schur.tolist() == want[wr, wc].tolist()
-        assert (np.diff(gt) >= 0).all()
-        got_G = np.zeros((len(pc), ncols), dtype=np.int64)
-        got_G[gt, gj] = gv
-        want_G = np.zeros_like(got_G)
-        want_G[:, cols] = G
-        assert (got_G == want_G).all() and (gv != 0).all()
-        seen["rounds"] += 1
-        touched = (A22 != 0) | ((A21 != 0).astype(int) @ (G != 0).astype(int) > 0)
-        seen["cancelled"] += int((touched & (want[np.ix_(rows, cols)] == 0)).sum())
+        if (A % p).any():
+            e, cancelled = _first_round_against_dense(A % m, p, k)
+            assert e == 0
+            seen["rounds"] += 1
+            seen["cancelled"] += cancelled
+        if k >= 2 and (p * A % m).any():
+            e, cancelled = _first_round_against_dense(p * A % m, p, k)
+            assert e >= 1
+            seen["valuation_rounds"] += 1
+            seen["valuation_cancelled"] += cancelled
     assert seen["rounds"] > 100 and seen["cancelled"] > 0, seen
+    assert seen["valuation_rounds"] > 50 and seen["valuation_cancelled"] > 0, seen
 
 
 def test_integer_matrix_and_array_give_the_same_elimination():

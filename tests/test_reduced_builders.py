@@ -586,16 +586,13 @@ def test_transfer_holds_only_factors_and_read_maps(monkeypatch):
 
 @pytest.mark.parametrize(
     "member",
-    [m for m in family_members(16) if m.t >= 2],
+    family_members(16),
     ids=lambda m: f"{m.p}-{m.nu}-{m.eta}",
 )
 def test_transfer_rows_equal_the_collapsed_differentials(member, monkeypatch):
-    """X's row differentials enter the transfer from the closed-form
-    scalar table (`_pepito_row_d`), while its comparison maps belong to
-    the coefficient complexes, whose differentials are collapsed from
-    the group-ring matrices: the two agree on every row the transfer
-    builds.  (At t = 1 they differ in the l = 2 blocks of rows (2, 1),
-    (3, 1) and (2, 2), where the transfer runs unverified.)"""
+    """X's row differentials are those of the coefficient complexes whose
+    comparison maps the transfer reads, collapsed from the group-ring
+    matrices, on every row it builds, t = 1 included."""
     quotients = {s: shuffle_quotient(s, member.v) for s in (1, 2, 3)}
     monkeypatch.setattr(lcs_cohomology, "perturb_double_complex", lambda system, *a, **k: system)
     X = lcs_cohomology._transfer_reduced(member, quotients).X

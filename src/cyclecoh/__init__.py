@@ -11,11 +11,11 @@ themselves.
 
 import os
 
-# numpy's OpenBLAS starts one thread per core, and the idle pool spins a
-# second core at start-up; cyclecoh's arithmetic is integer apart from
-# one small float64 product (`modular.kernel_coordinates`), which one
-# thread serves.  Set before the first submodule imports numpy; a value
-# already in the environment is kept.
+# numpy's OpenBLAS starts one thread per core when numpy is imported,
+# and the idle pool spins a second core at start-up, although cyclecoh's
+# arithmetic is all integer and calls no BLAS routine.  Set before the
+# first submodule imports numpy; a value already in the environment is
+# kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

@@ -275,7 +275,9 @@ class ResolutionContext:
 
     def dl_closed(self, l, alpha, beta):
         """Closed form: d^1 alternates w_1 - w_y / the y-norm, d^2 is -w_1
-        on even columns and 0 on odd ones, d^l = 0 for l > 2."""
+        on even columns and 0 on odd ones, d^l = 0 for l > 2.  At t = 1,
+        where the odd-column d^1 vanish, d^2 is 0 as well (as in
+        `pepito_scalar`)."""
         G = self.G
         vec = _vec(self.v)
         if l == 1:
@@ -288,7 +290,7 @@ class ResolutionContext:
                 for h in range(self.t):
                     vec[G.index[(0, h)]] += sign
         elif l == 2:
-            if alpha % 2 == 0:
+            if alpha % 2 == 0 and self.t >= 2:
                 vec[G.index[(0, 0)]] = -1
         elif l <= 0:
             raise ValueError("l must be >= 1")
@@ -713,7 +715,7 @@ def contracting_homotopies(params):
 
 def dl_agreement_suite(params, degree_cap=4):
     """Recursion-versus-closed-form agreement for every higher
-    differential with total degree within the cap (t >= 2 members)."""
+    differential with total degree within the cap."""
     for n in range(1, degree_cap + 1):
         for alpha in range(n):
             beta = n - alpha

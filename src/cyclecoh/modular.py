@@ -16,7 +16,7 @@ The nonzero entries are kept as numpy arrays: row-major keys
 row * cols + col and values in [1, p^k).  A round first finds e, the
 least valuation among them, so that every entry is divisible by p^e;
 the entries of valuation exactly e are its units.  It counts the
-entries of every row and column (`np.bincount`).  Every active column
+entries of every row and column.  Every active column
 that holds a unit offers its unit row with the fewest entries; the
 offers are visited by column count and accepted while the block D of
 the accepted pivots stays diagonal (ties go to the lower index
@@ -25,14 +25,26 @@ A12 the pivot rows on N and G = (D / p^e)^{-1} (A12 / p^e), the column
 operations V[:, N] -= V[:, P] G and V^{-1}[P] += G V^{-1}[N] clear the
 pivot rows, and row operations, which V does not see, turn the other
 rows into the Schur complement A22 - A21 G: A22 and the terms of A21 G
-(`_product_terms`, as for `IntegerMatrix` products) are sorted, summed
-and reduced mod p^k once per round.  G is defined mod p^(k - e) only,
+(`_product_terms`, as for `IntegerMatrix` products), each packed into
+one int64 as key * p^k + value mod p^k, are sorted in place, summed and
+reduced mod p^k once per round.  G is defined mod p^(k - e) only,
 but A21 is divisible by p^e, so the Schur complement is exact mod p^k
 for any lift of G.  It stays divisible by p^e, so e never decreases and
-the pivots come in Smith order; the rounds stop when no entry is left.
-The condition matrices are very sparse and nearly all of their pivots
-are units: at v = 16 the 434 unit pivots of the largest, 10350 x 450,
-take 8 rounds.
+the pivots come in Smith order; the rounds stop when no entry of A is
+left.  The condition matrices are very sparse and nearly all of their
+pivots are units: at v = 16 the 434 unit pivots of the largest,
+10350 x 450, take 8 rounds.
+
+V and V^{-1} are as sparse as A, and neither needs arithmetic of its
+own.  A row x of V, starting as a row of I, takes V[x, N] -= V[x, P] G,
+the update of a Schur complement row that is never a pivot: so V's rows
+ride below A's in the rounds' entries, through the same sort, but out
+of the counts, the offers and the valuation scan, and the entries they
+hold in a round's pivot columns are finished columns of V, read off
+there.  The rows V^{-1}[N] that a round adds to V^{-1}[P] belong to
+columns never pivoted, so they are still rows of I: V^{-1} is I plus
+the G of every round.  At v = 16 the V of that matrix mod 8 holds 3533
+entries and V^{-1} 1141, of 202500.
 
 Smith exponents truncate: reduced mod p^k (k <= K), the form over
 Z/p^K is the form over Z/p^k with exponents min(e, k) and the same V.
@@ -40,11 +52,12 @@ So one elimination at the largest power of a prime serves every Z/p^k
 (`KernelData.truncate`).  The int64 arithmetic is exact because the
 modulus stays below 2^15 (`_MAX_MODULUS`): every value is below 2^15,
 every product of two below 2^30, and each sum has at most cols + 1
-terms (an entry of a Schur complement sums one term per pivot of the
-round and one more; an entry of V or V^{-1} at most one per column), so
-it stays below 2^62 while cols < 2^32.  V and V^{-1} hold only values
-below 2^15, so the rounds keep them in int32 and widen each product to
-int64.
+terms, so it stays below 2^62 while cols < 2^32: in a round an entry of
+a Schur complement, one of V's included, sums one term per pivot of the
+round and one more, and an entry of V^{-1} sums none, as it is written
+once; an entry of V^{-1} @ x in `kernel_coordinates` sums one term per
+column.  A packed entry is below (rows + cols) * cols * p^k, which
+`local_smith` requires to be below 2^63.
 """
 
 from __future__ import annotations
@@ -86,47 +99,73 @@ def local_smith(A, p, k):
     entries, ascending: exps[i] is the valuation of the i-th diagonal
     entry, k for a zero one.  V is invertible mod p^k with inverse Vinv;
     column i of A @ V is divisible by p^exps[i] and the columns past
-    min(rows, cols) are 0 mod p^k.  The pivots are taken in sparse
-    rounds, each at the least valuation left (see the module docstring).
+    min(rows, cols) are 0 mod p^k.  V and Vinv are cols x cols and
+    sparse, each a pair (keys, values) of int64 arrays: ascending
+    row-major keys row * cols + col and values in [1, p^k).  The pivots
+    are taken in sparse rounds, each at the least valuation left (see
+    the module docstring).
     """
     m = p**k
     _check_modulus(m)
     nrows, ncols = A.shape
+    # the rounds pack an entry of A or V as key * m + value (`_packed`)
+    if (nrows + ncols) * ncols * m >= 2**63:
+        raise ResourceLimitError(f"a {nrows} x {ncols} matrix mod {m} is too large for int64 keys")
     if isinstance(A, np.ndarray):
         r, c = np.nonzero(A)
         a = A[r, c]
     else:
         r, c, a = A.row_idx, A.col_idx, A.values
-    # the entries are kept as row-major keys r * ncols + c and values in [1, m)
-    a = (a % m).astype(np.int64)
+    # the rounds run on A stacked over V = I: row nrows + x is row x of V,
+    # which takes the Schur updates of a row that is never a pivot; the
+    # keys are row-major, so A's entries are the first n_a
+    a = (a % m).astype(np.int64, copy=False)
     live = a != 0
-    key, a = r[live] * ncols + c[live], a[live]
+    diag = np.arange(ncols)
+    key = np.concatenate((r[live] * ncols + c[live], (nrows + diag) * ncols + diag))
+    a = np.concatenate((a[live], np.ones(ncols, dtype=np.int64)))
     del r, c, live
-    # W is V transposed, so that V's column operations are row operations;
-    # W and Vinv hold values below m < 2^15 in int32, widened for each update
-    W = np.eye(ncols, dtype=np.int32)
-    Vinv = np.eye(ncols, dtype=np.int32)
+    n_a = len(a) - ncols
     active = np.ones(ncols, dtype=bool)
+    done = []   # V's columns as they are finished, as (row, column, value)
+    G = []      # every round's G, as (row, column, value)
     order = []  # pivot columns in Smith order
     exps = []
     e = 0
-    while len(a):
-        # every entry left is divisible by p^e; some entry is not by p^(e + 1)
-        while not (a % p ** (e + 1)).any():
+    while n_a:
+        # every entry of A is divisible by p^e; some entry is not by p^(e + 1)
+        while not (a[:n_a] % p ** (e + 1)).any():
             e += 1
-        pr, pc = _unit_pivots(key, a, p ** (e + 1), nrows, ncols)
-        key, a, (gt, gj, gv) = _pivot_round(key, a, pr, pc, p**e, m, nrows, ncols)
-        _add_rows(W, gj, pc[gt], m - gv, m)  # V[:, N] -= V[:, P] G
-        _add_rows(Vinv, pc[gt], gj, gv, m)   # Vinv[P] += G Vinv[N]
+        pr, pc = _unit_pivots(key[:n_a], a[:n_a], p ** (e + 1), nrows, ncols)
+        # V's entries in the pivot columns are final: the round only reads them
         active[pc] = False
+        x, j = np.divmod(key[n_a:] - nrows * ncols, ncols)
+        final = ~active[j]
+        done.append((x[final], j[final], a[n_a:][final]))
+        packed, (gt, gj, gv) = _pivot_round(key, a, pr, pc, p**e, m, nrows + ncols, ncols)
+        # the round's input goes before its entries are summed
+        del key, a
+        key, a = _summed_mod(packed, m)
+        del packed
+        n_a = int(np.searchsorted(key, nrows * ncols))
+        G.append((pc[gt], gj, gv))
         order += pc.tolist()
         exps += [e] * len(pc)
+    # the columns that took no pivot follow, in order; V's entries left
+    # are theirs, and Vinv is I plus every G
     order += np.flatnonzero(active).tolist()
     exps += [k] * (min(nrows, ncols) - len(exps))
-    # one permuted copy at a time
-    W = W[order].astype(np.int64)
-    Vinv = Vinv[order].astype(np.int64)
-    return exps, W.T, Vinv
+    done.append((*np.divmod(key - nrows * ncols, ncols), a))
+    G.append((diag, diag, np.ones(ncols, dtype=np.int64)))
+    # V's columns and Vinv's rows go to their places in the Smith order;
+    # no position comes twice, and no value is 0
+    place = np.empty(ncols, dtype=np.int64)
+    place[order] = diag
+    x, j, v = (np.concatenate(part) for part in zip(*done))
+    V = _unpacked(_packed(x * ncols + place[j], v, m), m)
+    x, j, v = (np.concatenate(part) for part in zip(*G))
+    Vinv = _unpacked(_packed(place[x] * ncols + j, v, m), m)
+    return exps, V, Vinv
 
 
 def _unit_pivots(key, a, q, nrows, ncols):
@@ -140,17 +179,17 @@ def _unit_pivots(key, a, q, nrows, ncols):
     count (ties by index), and one is accepted when its row meets no
     accepted column (so it is not an accepted row either) and its column
     meets no accepted row."""
-    r, c = np.divmod(key, ncols)
+    c = key % ncols
     unit = a % q != 0
-    ur = r[unit]
-    row_n = np.bincount(r, minlength=nrows)
+    row_ptr = np.searchsorted(key, np.arange(nrows + 1) * ncols)  # key is row-major
     col_n = np.bincount(c, minlength=ncols)
     # per column the least (row count, row) of a unit, as one number
+    rank = np.diff(row_ptr) * nrows + np.arange(nrows)
     best = np.full(ncols, (ncols + 1) * nrows, dtype=np.int64)
-    np.minimum.at(best, c[unit], row_n[ur] * nrows + ur)
+    np.minimum.at(best, c[unit], rank[key[unit] // ncols])
+    del unit, rank
     uc = np.flatnonzero(best < (ncols + 1) * nrows)
     ur = best[uc] % nrows
-    row_ptr = np.searchsorted(r, np.arange(nrows + 1))  # r is row-major
     pivot = np.zeros(ncols, dtype=bool)  # accepted columns
     met = np.zeros(ncols, dtype=bool)    # columns meeting an accepted row
     visit = np.lexsort((uc, col_n[uc]))
@@ -171,11 +210,12 @@ def _pivot_round(key, a, pr, pc, pe, m, nrows, ncols):
     where every entry is divisible by pe = p^e and D / pe is a unit.
 
     With A12 the pivot rows off the pivot columns, A21 the pivot columns
-    off the pivot rows and A22 the rest, returns the Schur complement
-    A22 - A21 G as sorted keys and values reduced mod m, and
-    G = (D / pe)^-1 (A12 / pe) as entries (pivot t, column j, value g)
-    sorted by t.  G is defined mod m / pe only, but A21 is divisible by
-    pe, so A21 G is exact mod m for the lift taken, and D G = A12."""
+    off the pivot rows and A22 the rest, returns the entries of the Schur
+    complement A22 - A21 G, those of A22 and the terms of A21 G negated,
+    in `_packed` form for `_summed_mod`, and G = (D / pe)^-1 (A12 / pe)
+    as entries (pivot t, column j, value g) sorted by t.  G is defined
+    mod m / pe only, but A21 is divisible by pe, so A21 G is exact mod m
+    for the lift taken, and D G = A12."""
     q = len(pr)
     t_row = np.full(nrows, -1)
     t_row[pr] = np.arange(q)
@@ -197,32 +237,46 @@ def _pivot_round(key, a, pr, pc, pe, m, nrows, ncols):
     # each temporary goes before the next is built: the round's peak is
     # a few arrays the length of its entries
     del r, c, in_row, in_col
-    # the terms of A21 G (A21's column is the pivot t), negated, with A22
-    terms_key, terms = _product_terms(left, (gt, gj, gv), q, ncols)
-    key = np.concatenate((key[rest], terms_key))
-    a = np.concatenate((a[rest], -terms))
-    del left, rest, terms_key, terms
-    by_key = np.argsort(key, kind="stable")
-    key = key[by_key]
-    a = a[by_key]
-    del by_key
-    firsts = _run_starts(key)
-    if len(a):
-        a = np.add.reduceat(a, firsts) % m
-    live = a != 0
-    return key[firsts][live], a[live], (gt, gj, gv)
+    # the terms of A21 G (A21's column is the pivot t), negated, and A22,
+    # in `_packed` form
+    key21, terms = _product_terms(left, (gt, gj, gv), q, ncols)
+    del left
+    terms = _packed(key21, np.negative(terms, out=terms), m)
+    del key21
+    return np.concatenate((_packed(key[rest], a[rest], m), terms)), (gt, gj, gv)
 
 
-def _add_rows(M, targets, sources, coeffs, m):
-    """M[t] = (M[t] + g M[s]) mod m for every (t, s, g), the terms of a
-    target summed; no target is a source."""
-    if not len(targets):
-        return
-    by_t = np.argsort(targets, kind="stable")
-    t = targets[by_t]
-    firsts = _run_starts(t)
-    sums = np.add.reduceat(M[sources[by_t]] * coeffs[by_t, None], firsts, axis=0)
-    M[t[firsts]] = (M[t[firsts]] + sums) % m
+def _packed(key, values, m):
+    """The entries as one int64 array, key * m + (value mod m), written over
+    key; values are reduced in place."""
+    key *= m
+    key += np.remainder(values, m, out=values)
+    return key
+
+
+def _unpacked(packed, m):
+    """The entries of `_packed` form as ascending keys and their values:
+    packed is sorted in place and then overwritten by the keys, so that
+    neither a permutation nor a sorted copy is held beside it."""
+    packed.sort()
+    values = packed % m
+    packed //= m
+    return packed, values
+
+
+def _summed_mod(packed, m):
+    """The entries of `_packed` form summed at each key, as ascending keys
+    and values reduced into [1, m): zeros mod m are dropped (see
+    `_unpacked`)."""
+    packed, values = _unpacked(packed, m)
+    firsts = _run_starts(packed)
+    if len(values):
+        values = np.add.reduceat(values, firsts)
+        values %= m
+    live = values != 0
+    firsts = firsts[live]
+    values = values[live]
+    return packed[firsts], values
 
 
 def _run_starts(x):
@@ -275,6 +329,7 @@ def _product_terms(left, right, right_rows, cols, inner=1):
     if inner > 1:
         key *= inner
         key += np.repeat(j[meet] % inner, c)
+
     key += np.repeat(i * cols, c)
     return key, terms
 
@@ -285,16 +340,17 @@ class KernelData:
 
     gens[i] has additive order p^orders[i]; together they generate the
     kernel.  col_exps / V / Vinv retain the change of basis needed to
-    rewrite kernel vectors in terms of the generators.  A truncation
-    shares V and Vinv with the kernel it came from: reduced mod p^K they
-    are inverse mod every p^k with k <= K.
+    rewrite kernel vectors in terms of the generators: V and Vinv are
+    sparse, (keys, values) pairs as `local_smith` returns them.  A
+    truncation shares V and Vinv with the kernel it came from: reduced
+    mod p^K they are inverse mod every p^k with k <= K.
     """
 
     gens: np.ndarray       # shape (s, ncols)
     orders: list           # exponent of p per generator
     col_exps: list         # constraint exponent per V-column
-    V: np.ndarray
-    Vinv: np.ndarray
+    V: tuple               # (keys, values), row-major
+    Vinv: tuple
     p: int
     k: int
 
@@ -308,10 +364,15 @@ class KernelData:
 def _kernel_data(col_exps, V, Vinv, p, k):
     # column i of V spans the constraint p^col_exps[i]; p^(k - e) times it
     # is a kernel generator of order p^e
-    live = [i for i, e in enumerate(col_exps) if e]
-    scale = np.array([p ** (k - col_exps[i]) for i in live], dtype=np.int64)
-    gens = np.ascontiguousarray((V[:, live] * scale).T % p**k)
-    return KernelData(gens, [col_exps[i] for i in live], col_exps, V, Vinv, p, k)
+    n = len(col_exps)
+    exps = np.array(col_exps, dtype=np.int64)
+    live = exps > 0
+    r, c = np.divmod(V[0], n)
+    hit = live[c]
+    r, c = r[hit], c[hit]
+    gens = np.zeros((np.count_nonzero(live), n), dtype=np.int64)
+    gens[(np.cumsum(live) - 1)[c], r] = V[1][hit] * p ** (k - exps[c]) % p**k
+    return KernelData(gens, exps[live].tolist(), col_exps, V, Vinv, p, k)
 
 
 def kernel_mod_pk(A, p, k):
@@ -326,25 +387,27 @@ def kernel_coordinates(kd, vecs):
     """Write kernel vectors, the rows of `vecs`, as sums c_i * gens[i] with
     c_i taken mod p^orders[i]; row j of the result holds those of row j.
 
-    One product Vinv @ vecs^T gives every row's coordinates in the basis
+    One product vecs @ Vinv^T gives every row's coordinates in the basis
     V; coordinate i is divisible by p^(k - col_exps[i]) exactly for
-    kernel vectors, and the quotient is c_i.
-
-    The product runs in float64 and is exact: Vinv's entries lie below
-    the modulus it was eliminated at, so below `_MAX_MODULUS` = 2^15,
-    as do the reduced vectors' entries, and each of the n = len(col_exps)
-    terms of an entry is below 2^30; the sum stays below 2^53 while
-    n < 2^23, which any n x n Vinv that fits in memory satisfies."""
+    kernel vectors, and the quotient is c_i.  Vinv stays sparse: column
+    i of the product sums vecs[:, c] * Vinv[i, c] over the entries (i, c)
+    of row i, every row holding one, so the product's terms take the
+    size of vecs times Vinv's mean row fill.  They are int64 and exact:
+    Vinv's entries lie below the modulus it was eliminated at, so below
+    `_MAX_MODULUS` = 2^15, as do the reduced vectors' entries, and an
+    entry sums at most len(col_exps) terms."""
     p, k = kd.p, kd.k
     m = p**k
-    vecs = np.asarray(vecs, dtype=np.int64).reshape(len(vecs), len(kd.col_exps)) % m
-    y = (kd.Vinv.astype(np.float64) @ vecs.T.astype(np.float64)).astype(np.int64) % m
-    exps = np.array(kd.col_exps, dtype=np.int64).reshape(-1, 1)
+    n = len(kd.col_exps)
+    vecs = np.asarray(vecs, dtype=np.int64).reshape(len(vecs), n) % m
+    i, c = np.divmod(kd.Vinv[0], n)
+    y = np.add.reduceat(vecs[:, c] * kd.Vinv[1], _run_starts(i), axis=1) % m if n else vecs
+    exps = np.array(kd.col_exps, dtype=np.int64)
     step = p ** (k - exps)
     if (y % step).any():
         raise ValueError("vector is not in the kernel")
-    live = exps[:, 0] > 0
-    return ((y[live] // step[live]) % p ** exps[live]).T
+    live = exps > 0
+    return (y[:, live] // step[live]) % p ** exps[live]
 
 
 def quotient_mod_pk(kd, b_rows, p, k):
@@ -364,17 +427,17 @@ def quotient_mod_pk(kd, b_rows, p, k):
     # U rel V = D: the coordinates y = c V carry rowspan(rel) onto
     # rowspan(D), so the quotient splits into the Z/p^f_j, and summand j
     # is generated by c = e_j V^{-1}, row j of Vinv
-    exps, _, Vinv = local_smith(rel, p, k)
-    orders = []
-    reps = []
-    for j in range(s):
-        f = exps[j] if j < len(exps) else k
-        if f == 0:
-            continue
-        vec = (Vinv[j] @ kd.gens) % m
-        orders.append(p**f)
-        reps.append(vec)
-    return orders, reps
+    exps, _, (vkey, vval) = local_smith(rel, p, k)
+    f = exps + [k] * (s - len(exps))
+    # f ascends: the summands, f_j > 0, are the rows of Vinv from
+    # j0 = f.count(0) on, and every row of Vinv holds an entry
+    j0 = f.count(0)
+    if j0 == s:
+        return [], []
+    lo = np.searchsorted(vkey, j0 * s)
+    j, c = np.divmod(vkey[lo:], s)
+    reps = np.add.reduceat(kd.gens[c] * vval[lo:, None], _run_starts(j), axis=0) % m
+    return [p**x for x in f[j0:]], list(reps)
 
 
 def solve_mod_pk(A, b, p, k):

@@ -15,7 +15,7 @@ from cyclecoh.cycleset import (
     make_cyclic_lcs,
     verify_ybe,
 )
-from cyclecoh.cyclic_resolution import comparison_maps, dl_agreement_suite, get_context
+from cyclecoh.cyclic_resolution import comparison_maps, dl_agreement_suite
 from cyclecoh.extensions import (
     build_extension,
     enumerate_extension_classes,
@@ -155,24 +155,7 @@ def test_criterion_6_machinery_identities():
     # (a) recursion versus closed form for the higher differentials
     for v, triples in members.items():
         for triple in triples:
-            params = CyclicFamilyParams(*triple)
-            if params.t >= 2:
-                dl_agreement_suite(params, 4)
-            else:
-                # documented degeneracy: at t = 1 the recursion gives 0 where
-                # the closed-form table says -1 on even columns; everything
-                # else must agree
-                ctx = get_context(params)
-                for n in range(1, 5):
-                    for alpha in range(n):
-                        beta = n - alpha
-                        for l in range(1, beta + 1):
-                            rec = ctx.dl(l, alpha, beta)
-                            closed = ctx.dl_closed(l, alpha, beta)
-                            if rec == closed:
-                                continue
-                            if not (l == 2 and alpha % 2 == 0 and rec.is_zero()):
-                                ok = False
+            dl_agreement_suite(CyclicFamilyParams(*triple), 4)
     # (b) comparison identities through degree 3
     for triple in ((2, 1, 2), (3, 1, 2), (2, 2, 3)):
         comparison_maps(CyclicFamilyParams(*triple), 3)

@@ -258,6 +258,18 @@ def test_verify_command(capsys):
     assert statuses["route-agreement"] == "pass"
 
 
+def test_verify_checks_the_closed_forms_at_t_1(capsys):
+    # at t = 1 (nu = eta) the closed-form d^2 is zero, as the recursion's
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "--p", "2", "--nu", "1", "--eta", "1", "--coeff", "2",
+    )
+    assert code == 0
+    statuses = {r["suite"]: r["status"] for r in json.loads(out)["results"]}
+    assert statuses["dl-closed-forms"] == "pass"
+    assert statuses["route-agreement"] == "pass"
+
+
 def test_verify_pins_smith_exponents_from_below(capsys, monkeypatch):
     import cyclecoh.cli
     from cyclecoh import modular

@@ -7,6 +7,7 @@ from cyclecoh.cyclic_resolution import (
     coefficient_complex,
     crossed_product,
     contracting_homotopies,
+    dl_agreement_suite,
     dl_maps,
     exp_tuples,
     get_context,
@@ -123,17 +124,23 @@ def test_dl_recursion_matches_closed_form():
 
 
 def test_dl_closed_form_degenerates_at_t_1():
-    # with t = 1 the odd-column d^1 vanish, so the recursive d^2 are zero
-    # while the closed-form table still says -1 on even columns; the
-    # contractibility checks certify the recursion as the true value
-    for params in (P211, CyclicFamilyParams(2, 2, 2), CyclicFamilyParams(3, 1, 1)):
+    # with t = 1 the odd-column d^1 vanish, so the recursive d^2 are zero,
+    # and so is the closed form's; the contractibility checks certify the
+    # recursion as the true value
+    for params in (
+        P211,
+        CyclicFamilyParams(2, 2, 2),
+        CyclicFamilyParams(3, 1, 1),
+        CyclicFamilyParams(3, 3, 3),
+        CyclicFamilyParams(2, 3, 3),
+    ):
         ctx = get_context(params)
         assert params.t == 1
         for alpha in range(3):
             for beta in range(2, 5):
                 assert ctx.dl(2, alpha, beta).is_zero()
-        with pytest.raises(AssertionError):
-            dl_maps(params, 0, 2, 2)
+                assert ctx.dl_closed(2, alpha, beta).is_zero()
+        dl_agreement_suite(params, 4)
 
 
 def test_resolution_is_contractible_complex():

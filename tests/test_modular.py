@@ -93,12 +93,27 @@ def _product_mod(X, Y, m):
     return np.rint(X.astype(np.float64) @ Y.astype(np.float64)).astype(np.int64) % m
 
 
+def _dense(M, n):
+    """An n x n matrix, a (keys, values) pair as `local_smith` returns V
+    and Vinv, as an array."""
+    out = np.zeros(n * n, dtype=np.int64)
+    out[M[0]] = M[1]
+    return out.reshape(n, n)
+
+
 def _assert_smith(Amod, result, p, k):
-    """The contract of `local_smith` for A, given reduced mod p^k."""
+    """The contract of `local_smith` for A, given reduced mod p^k: V and
+    Vinv in their sparse layout, ascending distinct keys and values in
+    [1, p^k), and the Smith identities."""
     exps, V, Vinv = result
     m = p**k
     rows, cols = Amod.shape
     assert exps == sorted(exps) and len(exps) == min(rows, cols)
+    for key, values in (V, Vinv):
+        assert key.dtype == values.dtype == np.int64
+        assert (np.diff(key) > 0).all() and ((key >= 0) & (key < cols * cols)).all()
+        assert ((values > 0) & (values < m)).all()
+    V, Vinv = _dense(V, cols), _dense(Vinv, cols)
     assert (_product_mod(V, Vinv, m) == np.eye(cols, dtype=np.int64)).all()
     AV = _product_mod(Amod, V, m)
     for i in range(cols):
@@ -198,14 +213,17 @@ def test_truncated_kernel_matches_direct_elimination():
                 assert cut.k == k and cut.col_exps == direct.col_exps
                 assert cut.orders == direct.orders
                 assert _span(cut.gens, cut.orders, p, m) == _span(direct.gens, direct.orders, p, m)
-                assert ((cut.V @ cut.Vinv) % m == np.eye(cols, dtype=np.int64)).all()
+                V, Vinv = _dense(cut.V, cols), _dense(cut.Vinv, cols)
+                assert ((V @ Vinv) % m == np.eye(cols, dtype=np.int64)).all()
 
 
 def ref_kernel_coordinates(kd, vec):
-    """The per-row coordinate rule: one Vinv @ vec for a single vector."""
+    """The per-row coordinate rule: one Vinv @ vec for a single vector, in
+    Python ints."""
     p, k = kd.p, kd.k
     m = p**k
-    y = (kd.Vinv @ (np.array(vec, dtype=np.int64) % m)) % m
+    Vinv = _dense(kd.Vinv, len(kd.col_exps)).astype(object)
+    y = (Vinv @ (np.array(vec, dtype=np.int64) % m).astype(object)) % m
     coeffs = []
     for i, e in enumerate(kd.col_exps):
         step = p ** (k - e)
@@ -218,9 +236,12 @@ def ref_kernel_coordinates(kd, vec):
 
 
 def test_batched_kernel_coordinates_match_per_row_reference():
+    # the product runs in int64, also at 181^2 = 32761, the largest modulus
+    # below 2^15, where its terms come near 2^30; the reference runs in
+    # Python ints
     rng = random.Random(11)
-    seen = {"rows": 0, "rejected": 0}
-    for p, k in ((2, 3), (3, 2), (2, 1)):
+    seen = {"rows": 0, "rejected": 0, "largest term": 0}
+    for p, k in ((2, 3), (3, 2), (2, 1), (181, 2)):
         m = p**k
         for _ in range(40):
             rows, cols = rng.randint(0, 6), rng.randint(1, 5)
@@ -232,10 +253,14 @@ def test_batched_kernel_coordinates_match_per_row_reference():
             ).reshape(nvecs, len(kd.orders))
             vecs = (coeffs @ kd.gens) % m
             got = modular.kernel_coordinates(kd, vecs)
-            assert got.shape == (len(vecs), len(kd.orders))
+            assert got.dtype == np.int64 and got.shape == (len(vecs), len(kd.orders))
             assert got.tolist() == [ref_kernel_coordinates(kd, vec) for vec in vecs]
             assert ((got @ kd.gens - vecs) % m == 0).all()
             seen["rows"] += len(vecs)
+            if len(vecs):
+                # the largest term Vinv[i, c] * vecs[b, c] of the product
+                top = int((kd.Vinv[1] * vecs.max(axis=0)[kd.Vinv[0] % cols]).max())
+                seen["largest term"] = max(seen["largest term"], top)
             # a vector outside the kernel is rejected, also among kernel rows
             outside = np.array(rng.choices(range(m), k=cols * 8), dtype=np.int64).reshape(8, cols)
             outside = outside[((outside @ A.T) % m).any(axis=1)] if rows else outside[:0]
@@ -245,6 +270,7 @@ def test_batched_kernel_coordinates_match_per_row_reference():
                 with pytest.raises(ValueError, match="not in the kernel"):
                     modular.kernel_coordinates(kd, np.vstack((vecs, outside[:1])))
                 seen["rejected"] += 1
+    assert seen["largest term"] > 2**29
     assert seen["rows"] > 100 and seen["rejected"] > 30
 
 
@@ -258,6 +284,7 @@ def test_smith_identities_on_full_condition_matrix(params, p, k):
     m = p**k
     Amod = A.to_numpy_mod(m)
     exps, V, Vinv = modular.local_smith(Amod, p, k)
+    V, Vinv = _dense(V, A.cols), _dense(Vinv, A.cols)
     assert (Amod == A.to_numpy_mod(m)).all()  # the input is only read
     assert exps == sorted(exps) and len(exps) == min(Amod.shape)
     assert ((V @ Vinv) % m == np.eye(A.cols, dtype=np.int64)).all()
@@ -367,7 +394,8 @@ def _first_round_against_dense(A, p, k):
     pe = p**e
     pr, pc = modular._unit_pivots(key, a, p * pe, nrows, ncols)
     assert len(pc) and not (A[pr, pc] % (p * pe) == 0).any()
-    schur_key, schur, (gt, gj, gv) = modular._pivot_round(key, a, pr, pc, pe, m, nrows, ncols)
+    packed, (gt, gj, gv) = modular._pivot_round(key, a, pr, pc, pe, m, nrows, ncols)
+    schur_key, schur = modular._summed_mod(packed, m)
     rows, cols = np.setdiff1d(np.arange(nrows), pr), np.setdiff1d(np.arange(ncols), pc)
     dinv = np.array([pow(int(u) // pe, -1, m) for u in A[pr, pc]])
     A12 = A[np.ix_(pr, cols)]
@@ -417,11 +445,13 @@ def test_integer_matrix_and_array_give_the_same_elimination():
         M = IntegerMatrix.from_rows(A.tolist(), A.shape[1])
         sparse, dense = modular.local_smith(M, p, k), modular.local_smith(A, p, k)
         assert sparse[0] == dense[0]
-        assert (sparse[1] == dense[1]).all() and (sparse[2] == dense[2]).all()
+        for x, y in zip(sparse[1:], dense[1:]):
+            assert (x[0] == y[0]).all() and (x[1] == y[1]).all()
     A = _condition_matrices((2, 2, 3), "full")[1]
     sparse, dense = modular.local_smith(A, 2, 3), modular.local_smith(A.to_numpy_mod(8), 2, 3)
     assert sparse[0] == dense[0]
-    assert (sparse[1] == dense[1]).all() and (sparse[2] == dense[2]).all()
+    for x, y in zip(sparse[1:], dense[1:]):
+        assert (x[0] == y[0]).all() and (x[1] == y[1]).all()
 
 
 def test_full_route_builds_no_dense_condition_matrix():
@@ -435,10 +465,23 @@ def test_full_route_builds_no_dense_condition_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # a quarter of the dense int64 array of the 9269 distinct condition
-    # rows up to sign; the 10350 rows eliminated as built do not raise it
+    # a sixth of the dense int64 array of the 9269 distinct condition
+    # rows up to sign; the 10350 rows eliminated as built do not raise it,
+    # and neither do V and V^{-1}, which are held sparse (dense, they took
+    # the peak above this bound)
     assert A.shape == (10350, 450)
-    assert peak < 8 * 9269 * 450 / 4, (peak, A)
+    assert peak < 8 * 9269 * 450 / 6, (peak, A)
+
+
+def test_column_side_is_held_sparse():
+    # of the 450^2 = 202500 entries of V and of V^{-1} for the full (2,2,4)
+    # degree-2 cocycle conditions at 2^3, 3533 and 1141 are nonzero
+    A = _condition_matrices((2, 2, 4), "full")[1]
+    assert A.shape == (10350, 450)
+    result = modular.local_smith(A, 2, 3)
+    exps, (vkey, vval), (ikey, ival) = result
+    assert (len(vkey), len(vval), len(ikey), len(ival)) == (3533, 3533, 1141, 1141)
+    _assert_smith(A.to_numpy_mod(8), result, 2, 3)
 
 
 def test_one_kernel_elimination_per_prime(monkeypatch):
@@ -473,7 +516,7 @@ def test_hom_cohomology_holds_one_prime_at_a_time(monkeypatch):
         alive = [q for q, ref in held if q != p and ref() is not None]
         assert not alive, (p, alive)
         kd = kernel_mod_pk(A, p, k)
-        held.append((p, weakref.ref(kd.V)))
+        held.append((p, weakref.ref(kd.V[0])))
         return kd
 
     monkeypatch.setattr(modular, "kernel_mod_pk", spy)
@@ -509,6 +552,13 @@ def test_modulus_cap_is_a_resource_limit():
     with pytest.raises(modular.ResourceLimitError):
         modular.local_smith(np.ones((1, 1), dtype=np.int64), 2, 15)
     assert issubclass(modular.ResourceLimitError, ValueError)
+
+
+def test_packed_key_bound_is_a_resource_limit():
+    # an entry of the rounds is packed as key * m + value in int64
+    huge = IntegerMatrix.zero(2**40, 2**20)
+    with pytest.raises(modular.ResourceLimitError, match="too large for int64 keys"):
+        modular.local_smith(huge, 2, 3)
 
 
 def test_factorize_stops_at_its_trial_bound():

@@ -31,10 +31,6 @@ from . import modular
 from .modular import _INT64_BOUND, _abs_max, _product_terms, _run_starts
 
 
-class InconsistentComplexError(ValueError):
-    """Raised when maps handed to a (co)homology computation do not compose to zero."""
-
-
 def _normalized(values):
     """`values` as int64 when every entry is below 2^62 in absolute value,
     else as Python ints (dtype object)."""
@@ -603,10 +599,6 @@ class FinAbGroup:
     def from_cyclic_orders(cls, orders):
         return cls(_normalize_cyclic_orders(list(orders)))
 
-    @classmethod
-    def trivial(cls):
-        return cls(())
-
     @property
     def is_trivial(self):
         return not self.factors
@@ -614,10 +606,6 @@ class FinAbGroup:
     @property
     def is_finite(self):
         return all(f > 0 for f in self.factors)
-
-    @property
-    def rank(self):
-        return sum(1 for f in self.factors if f == 0)
 
     def order(self):
         if not self.is_finite:
@@ -767,72 +755,56 @@ class HomCohomologyResult:
     summands: list = field(default_factory=list)
 
 
-def hom_cohomology_at(d_in, d_out, domain_relations, gamma, out_relations=None):
-    """Cohomology of Hom(-, gamma) at a single spot of a complex, gamma finite.
+def hom_cohomology_at(chain, n, gamma):
+    """H^n of Hom(chain, gamma), gamma finite, with a representative
+    cochain per cyclic summand.
 
-    d_in  : X_{n+1} -> X_n   (matrix, columns = generators of X_{n+1})
-    d_out : X_n -> X_{n-1}, with d_out @ d_in = 0 exactly
-    domain_relations : relations of X_n (rows)
-    out_relations    : relations of X_{n-1}, needed so that coboundaries
-                       range over honest functionals on X_{n-1}
-
-    Returns ker(Hom(d_in, gamma)) / im(Hom(d_out, gamma)) together with
-    a representative cochain per cyclic summand.  A free factor of gamma
-    is a resource limit (see `FinAbGroup.prime_power_coordinates`).
+    Reads X_n with its relations, d_{n+1} and d_n (if any).  The cocycles
+    come from `cocycle_kernels`; the coboundaries are the rows of d_n,
+    which needs X_{n-1} free: a chain whose X_{n-1} has relations is
+    refused (no complex the program builds has any).  d o d = 0 is checked
+    where each complex is built, not here.  A free factor of gamma is a
+    resource limit (see `FinAbGroup.prime_power_coordinates`).
     """
-    pp_coords = gamma.prime_power_coordinates()
-    ngen = d_in.rows
-    if domain_relations is None:
-        domain_relations = IntegerMatrix.zero(0, ngen)
-    if d_out is None:
-        d_out = IntegerMatrix.zero(0, ngen)
-    if domain_relations.cols != ngen or d_out.cols != ngen:
-        raise ValueError("domain size mismatch between d_in, d_out and relations")
-    if not (d_out @ d_in).is_zero():
-        raise InconsistentComplexError("d_out o d_in is nonzero")
+    below = chain.modules.get(n - 1)
+    if below is not None and not below.relations.is_zero():
+        raise ValueError(f"X_{n - 1} has relations: its functionals are not the rows of d_{n}")
+    d_n = chain.diff.get(n)
+    ngen, r = chain.rank(n), len(gamma.factors)
 
-    # A cochain f in gamma^ngen is a cocycle iff A @ f = 0 where the rows of
-    # A are the domain relations followed by the columns of d_in; a row
-    # repeated up to sign, or empty, changes no kernel and is kept.
-    A = domain_relations.vstack(d_in.transpose())
-    if d_out.is_zero():
-        out_relations = None  # no coboundaries
-    elif out_relations is None:
-        out_relations = IntegerMatrix.zero(0, d_out.rows)
+    def quotient(coord, kd):
+        p, k, fidx, embed = coord
+        b_rows = [] if d_n is None else d_n.to_numpy_mod(p**k)
+        parts = []
+        for order, vec in zip(*modular.quotient_mod_pk(kd, b_rows, p, k)):
+            cochain = np.zeros((ngen, r), dtype=object)
+            cochain[:, fidx] = np.asarray(vec, dtype=object) * embed % gamma.factors[fidx]
+            parts.append((order, cochain))
+        return parts
 
-    # one prime at a time, so that only its kernels are held; the summands
-    # keep the order of the coordinates
-    parts = {}
-    for p in dict.fromkeys(coord[0] for coord in pp_coords):
-        parts.update(_summands_at_prime(A, d_out, out_relations, gamma, pp_coords, p))
-    summands = [s for i in range(len(pp_coords)) for s in parts[i]]
+    summands = [s for parts in cocycle_kernels(chain, n, gamma, quotient) for s in parts]
     group = FinAbGroup.from_cyclic_orders([order for order, _ in summands])
     return HomCohomologyResult(group, summands)
 
 
-def _summands_at_prime(A, d_out, out_relations, gamma, pp_coords, p):
-    """The summands of each prime-power coordinate of p, as a dict from
-    the coordinate's index to its list of (order, cochain).
+def cocycle_kernels(chain, n, gamma, visit):
+    """[visit(coord, kernel) for each prime-power coordinate coord = (p,
+    k, factor index, embed) of gamma], kernel the `modular.KernelData` of
+    the n-cocycles of Hom(chain, Z/p^k).
 
-    p is eliminated once, at its largest power: the Z/p^k kernels for
-    smaller k are truncations of it.  Its kernels live only in this
-    call."""
-    at_p = {i: coord for i, coord in enumerate(pp_coords) if coord[0] == p}
-    top = max(k for _, k, _, _ in at_p.values())
-    kd = modular.kernel_mod_pk(A, p, top)
-    okd = None if out_relations is None else modular.kernel_mod_pk(out_relations, p, top)
-    parts = {}
-    for i, (_, k, fidx, embed) in at_p.items():
-        m = p**k
-        b_rows = []
-        if okd is not None:
-            ogens = okd.truncate(k).gens
-            if len(ogens):
-                b_rows = list((ogens @ d_out.to_numpy_mod(m)) % m)
-        facs, reps = modular.quotient_mod_pk(kd.truncate(k), b_rows, p, k)
-        parts[i] = []
-        for order, vec in zip(facs, reps):
-            cochain = np.zeros((A.cols, len(gamma.factors)), dtype=object)
-            cochain[:, fidx] = np.asarray(vec, dtype=object) * embed % gamma.factors[fidx]
-            parts[i].append((order, cochain))
-    return parts
+    The condition matrix, X_n's relations stacked over d_{n+1}^T, is
+    built once and eliminated as built (repeated or empty rows change no
+    kernel), once per prime at its largest power in gamma: each Z/p^k
+    takes a truncation.  A prime's kernel is dropped before the next
+    prime is eliminated, so visit's results must not hold it.
+    """
+    coords = gamma.prime_power_coordinates()
+    A = chain.modules[n].relations.vstack(chain.diff[n + 1].transpose())
+    results = [None] * len(coords)
+    for p in dict.fromkeys(coord[0] for coord in coords):
+        at_p = [i for i, coord in enumerate(coords) if coord[0] == p]
+        kd = modular.kernel_mod_pk(A, p, max(coords[i][1] for i in at_p))
+        for i in at_p:
+            results[i] = visit(coords[i], kd.truncate(coords[i][1]))
+        del kd
+    return results

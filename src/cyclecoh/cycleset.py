@@ -92,9 +92,6 @@ class LinearCycleSet:
             raise ValueError("dot table must be v x v")
         object.__setattr__(self, "dot", tuple(tuple(row) for row in self.dot))
 
-    def d(self, i, j):
-        return self.dot[i % self.v][j % self.v]
-
     @classmethod
     def trivial(cls, v):
         return cls(v, tuple(tuple(range(v)) for _ in range(v)))

@@ -713,10 +713,10 @@ def contracting_homotopies(params):
     }
 
 
-def dl_agreement_suite(params, degree_cap=4):
+def dl_agreement_suite(params):
     """Recursion-versus-closed-form agreement for every higher
-    differential with total degree within the cap."""
-    for n in range(1, degree_cap + 1):
+    differential with total degree at most 4."""
+    for n in range(1, 5):
         for alpha in range(n):
             beta = n - alpha
             for l in range(1, beta + 1):

@@ -83,9 +83,6 @@ class CentralExtension:
     def iota(self, c):
         return self.index[(c.coords, 0)]
 
-    def pi(self, k):
-        return self.elems[k][1]
-
 
 def _element_positions(gamma, coords):
     """Positions in gamma.elements() of coordinate arrays (last axis),
@@ -146,20 +143,19 @@ def build_extension(gamma, params, pair, family=None, verify=True):
     return ext
 
 
-def verify_central_extension(ext, exhaustive=None):
+def verify_central_extension(ext):
     """Linear cycle set axioms, morphism properties of the two ends,
     exactness, and invariance/triviality of the coefficient fiber.
 
     The tables may be arrays or nested lists.  The cubic axioms
     (associativity, the cycle-set axiom, both distributivities) run
-    exhaustively up to 64 elements by default, as one n x n block over
-    (b, c) per a; beyond that exhaustive=False keeps the quadratic
-    checks only, at once over every a (see `VERIFY_SIZE_CAP` for their
-    costs).  Every failure names the first witness in loop order.
+    exhaustively up to `VERIFY_SIZE_CAP` elements, as one n x n block
+    over (b, c) per a; beyond it only the quadratic checks run, at once
+    over every a (see `VERIFY_SIZE_CAP` for their costs).  Every failure
+    names the first witness in loop order.
     """
     n = ext.size
-    if exhaustive is None:
-        exhaustive = n <= VERIFY_SIZE_CAP
+    exhaustive = n <= VERIFY_SIZE_CAP
     add, dot = np.asarray(ext.add), np.asarray(ext.dot)
     zero = ext.index[(ext.gamma.zero().coords, 0)]
     # abelian group under the twisted addition: per a the identity, the
@@ -334,7 +330,7 @@ def _class_key(case, gamma, params, tup):
     return min(orbit)
 
 
-def enumerate_extension_classes(gamma, params, method="theorem", cap=2**20):
+def enumerate_extension_classes(gamma, params, method="theorem"):
     """Representatives of all equivalence classes of central extensions,
     as `ExtensionClass` records.
 
@@ -365,7 +361,7 @@ def enumerate_extension_classes(gamma, params, method="theorem", cap=2**20):
             out.append(ExtensionClass(gamma, params, pair, (case, tup)))
         return out
     if method == "brute":
-        pairs = all_cocycle_pairs(params, gamma, cap=cap)
+        pairs = all_cocycle_pairs(params, gamma)
         pairs.sort(key=lambda p: p.flat_key())
         reps = []
         for pair in pairs:

@@ -48,6 +48,7 @@ from .abelian import (
     IntegerMatrix,
     PresentedModule,
     block_matrix,
+    cocycle_kernels,
     hom_cohomology_at,
     torsion_and_quotient,
 )
@@ -127,18 +128,11 @@ def shuffle_quotient(s, v):
 FULL_CAP = 3
 
 
-@dataclass
-class FullComplexSlice:
-    """The full double complex of a linear cycle set through total degree
-    FULL_CAP, and its total complex."""
-
-    dc: DoubleComplex
-    total: ChainComplex
-
-
 def full_double_complex(lcs):
-    """Cells, horizontal and vertical differentials, and the verified total
-    complex of the cycle-set double complex through total degree FULL_CAP."""
+    """The cycle-set double complex through total degree FULL_CAP, its
+    cells, horizontal and vertical differentials, validated: d_h o d_h,
+    d_v o d_v and d_h d_v + d_v d_h vanish, so its total complex has
+    d o d = 0."""
     v = lcs.v
     cells = {}
     relcache = {s: shuffle_quotient(s, v).relations for s in range(1, FULL_CAP + 1)}
@@ -164,7 +158,7 @@ def full_double_complex(lcs):
     report = dc.validate()
     if not report:
         raise AssertionError(f"full double complex is inconsistent: {report}")
-    return FullComplexSlice(dc, total_complex(dc))
+    return dc
 
 
 def perturbation_delta(lcs, cells):
@@ -455,7 +449,9 @@ def _phi_hat_binomial(params):
 
 @functools.lru_cache(maxsize=1)
 def _full_slice(params):
-    return full_double_complex(make_cyclic_lcs(params))
+    """The total complex of the full double complex; the double complex
+    itself is not kept."""
+    return total_complex(full_double_complex(make_cyclic_lcs(params)))
 
 
 @dataclass
@@ -495,18 +491,11 @@ def cohomology(params, gamma, n, method):
     if method == "closed":
         return CohomologyResult(_closed_form(params, gamma, n), "closed")
     if method == "full":
-        chain, phi2 = _full_slice(params).total, None
+        chain, phi2 = _full_slice(params), None
     else:
         rc = reduced_complex(params)
         chain, phi2 = rc.total, rc.phi2
-    out = chain.modules.get(n - 1)
-    res = hom_cohomology_at(
-        chain.diff[n + 1],
-        chain.diff.get(n),
-        chain.modules[n].relations,
-        gamma,
-        None if out is None else out.relations,
-    )
+    res = hom_cohomology_at(chain, n, gamma)
     reps = list(res.summands)
     if n == 2:
         if phi2 is not None:
@@ -829,32 +818,37 @@ def cohomologous(pair1, pair2, lcs):
     return Verdict(True, None, witness)
 
 
-def all_cocycle_pairs(params, gamma, cap=2**20):
-    """Every normalized degree-2 cocycle pair with the given coefficients.
+# the largest raw cochain space, |gamma|^(number of cochain values), that
+# `all_cocycle_pairs` enumerates
+ENUMERATION_CAP = 2**20
 
-    Enumerates the kernel of the cocycle conditions; the raw cochain
-    space must stay under the cap."""
+
+def all_cocycle_pairs(params, gamma):
+    """Every normalized degree-2 cocycle pair with the given coefficients:
+    the sums over gamma's prime-power coordinates of every element of the
+    full complex's cocycle kernel that `cocycle_kernels` hands each.  The
+    raw cochain space must stay within ENUMERATION_CAP."""
     if not gamma.is_finite:
         raise modular.ResourceLimitError("enumeration requires finite coefficients")
     v = params.v
     n_sym = (v - 1) * v // 2
     raw = gamma.order() ** ((v - 1) ** 2 + n_sym)
-    if raw > cap:
-        raise modular.ResourceLimitError(f"cochain space of size {raw} exceeds the cap {cap}")
-    fc = _full_slice(params)
-    chain = fc.total
-    A = chain.modules[2].relations.vstack(chain.diff[3].transpose())
-    pp = gamma.prime_power_coordinates()
-    # every cocycle as (ngen, r) coordinates: the sums over the prime-power
-    # coordinates of their kernel combinations, the first varying slowest
+    if raw > ENUMERATION_CAP:
+        raise modular.ResourceLimitError(f"cochain space of size {raw} exceeds the cap {ENUMERATION_CAP}")
+    chain = _full_slice(params)
     ngen, r = chain.rank(2), len(gamma.factors)
-    cochains = np.zeros((1, ngen, r), dtype=np.int64)
-    for p, k, fidx, embed in pp:
-        kd = modular.kernel_mod_pk(A, p, k)
-        s = len(kd.orders)
+
+    def combinations(coord, kd):
+        # (ngen, r) coordinates, the first generator varying slowest
+        p, k, fidx, embed = coord
         combos = itertools.product(*[range(p**e) for e in kd.orders])
         combos = np.array(list(combos), dtype=np.int64)
         part = np.zeros((len(combos), ngen, r), dtype=np.int64)
-        part[:, :, fidx] = (combos @ np.reshape(kd.gens, (s, ngen))) % p**k * embed
+        part[:, :, fidx] = (combos @ np.reshape(kd.gens, (len(kd.orders), ngen))) % p**k * embed
+        return part
+
+    # the first coordinate varies slowest
+    cochains = np.zeros((1, ngen, r), dtype=np.int64)
+    for part in cocycle_kernels(chain, 2, gamma, combinations):
         cochains = (cochains[:, None] + part[None]).reshape(len(cochains) * len(part), ngen, r)
     return [_full_vector_to_pair(params, gamma, c) for c in cochains]

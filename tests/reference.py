@@ -4,7 +4,8 @@ They use the package's matrix type and its one elimination engine,
 `modular.local_smith`, but none of the code under test's shortcuts.
 """
 
-from cyclecoh.abelian import IntegerMatrix
+from cyclecoh.abelian import IntegerMatrix, PresentedModule
+from cyclecoh.homology_engine import ChainComplex
 from cyclecoh.modular import local_smith
 
 
@@ -38,3 +39,18 @@ def p_local_homology(chain, n, p, K):
             assert local_smith(diff(n + 1), q, 1)[0].count(0) == rank_up, f"{q}-torsion in H_{n}"
     torsion = [p**e for e in exps_up if 0 < e < K]
     return chain.rank(n) - rank_n - rank_up, torsion
+
+
+def spot(d_in, d_out=None, relations=None):
+    """d_in: X_2 -> X_1 and d_out: X_1 -> X_0 (no X_0 when None) as a chain
+    complex, X_1 presented by `relations` (free when None) and X_0, X_2
+    free, so that H^1 of Hom(-, G) is taken at the spot between them."""
+    modules = {
+        1: PresentedModule.free(d_in.rows) if relations is None else PresentedModule(d_in.rows, relations),
+        2: PresentedModule.free(d_in.cols),
+    }
+    diff = {2: d_in}
+    if d_out is not None:
+        modules[0] = PresentedModule.free(d_out.rows)
+        diff[1] = d_out
+    return ChainComplex(modules, diff)

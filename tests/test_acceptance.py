@@ -155,7 +155,7 @@ def test_criterion_6_machinery_identities():
     # (a) recursion versus closed form for the higher differentials
     for v, triples in members.items():
         for triple in triples:
-            dl_agreement_suite(CyclicFamilyParams(*triple), 4)
+            dl_agreement_suite(CyclicFamilyParams(*triple))
     # (b) comparison identities through degree 3
     for triple in ((2, 1, 2), (3, 1, 2), (2, 2, 3)):
         comparison_maps(CyclicFamilyParams(*triple), 3)

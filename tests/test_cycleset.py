@@ -28,9 +28,9 @@ def test_params_validation():
 
 def test_make_cyclic_lcs_values():
     lcs = make_cyclic_lcs(CyclicFamilyParams(2, 1, 2))
-    assert lcs.d(1, 1) == 3  # (1 - 2) * 1 mod 4
+    assert lcs.dot[1][1] == 3  # (1 - 2) * 1 mod 4
     lcs = make_cyclic_lcs(CyclicFamilyParams(3, 1, 2))
-    assert lcs.d(1, 1) == 7  # -2 mod 9
+    assert lcs.dot[1][1] == 7  # -2 mod 9
     lcs = make_cyclic_lcs(CyclicFamilyParams(2, 1, 1))
     assert lcs == LinearCycleSet.trivial(2)
 

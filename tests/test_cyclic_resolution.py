@@ -140,7 +140,7 @@ def test_dl_closed_form_degenerates_at_t_1():
             for beta in range(2, 5):
                 assert ctx.dl(2, alpha, beta).is_zero()
                 assert ctx.dl_closed(2, alpha, beta).is_zero()
-        dl_agreement_suite(params, 4)
+        dl_agreement_suite(params)
 
 
 def test_resolution_is_contractible_complex():

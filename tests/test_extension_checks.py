@@ -17,6 +17,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from cyclecoh import extensions
 from cyclecoh.abelian import FinAbGroup
 from cyclecoh.cycleset import (
     CyclicFamilyParams,
@@ -139,10 +140,10 @@ def ref_linearity(n, add, dot):
     return Verdict(True)
 
 
-def ref_verify_central_extension(ext, add, dot, exhaustive=None):
+def ref_verify_central_extension(ext, add, dot, cap=64):
+    """The checks of `verify_central_extension` with `VERIFY_SIZE_CAP` = cap."""
     n = ext.size
-    if exhaustive is None:
-        exhaustive = n <= 64
+    exhaustive = n <= cap
     zero = ext.index[(ext.gamma.zero().coords, 0)]
     for a in range(n):
         if add[a][zero] != a:
@@ -172,11 +173,12 @@ def ref_verify_central_extension(ext, add, dot, exhaustive=None):
         for c2 in gamma.elements():
             if add[ext.iota(c1)][ext.iota(c2)] != ext.iota(c1 + c2):
                 return Verdict(False, "iota additive", (c1.coords, c2.coords))
+    pi = [i for _, i in ext.elems]
     for a in range(n):
         for b in range(n):
-            if ext.pi(add[a][b]) != (ext.pi(a) + ext.pi(b)) % v:
+            if pi[add[a][b]] != (pi[a] + pi[b]) % v:
                 return Verdict(False, "pi additive", (a, b))
-            if ext.pi(dot[a][b]) != lcs_dot[ext.pi(a)][ext.pi(b)]:
+            if pi[dot[a][b]] != lcs_dot[pi[a]][pi[b]]:
                 return Verdict(False, "pi multiplicative", (a, b))
     fiber = {k for k, (c, i) in enumerate(ext.elems) if i == 0}
     image = {ext.iota(c) for c in gamma.elements()}
@@ -348,7 +350,7 @@ def test_cocycle_checks_match_reference(params):
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=lambda P: f"{P.p}{P.nu}{P.eta}")
-def test_extension_checks_match_reference(params):
+def test_extension_checks_match_reference(params, monkeypatch):
     rng = random.Random(100 + params.v)
     failing = 0
     for fac in GAMMAS:
@@ -361,15 +363,17 @@ def test_extension_checks_match_reference(params):
             n = ext.size
             # the exhaustive reference costs about n^3 steps per run
             trials = 12 if n <= 16 else 4 if n <= 36 else 1
-            for exhaustive in (None, False):
-                same(verify_central_extension(ext, exhaustive), Verdict(True))
+            # at the cap 0 only the quadratic checks run
+            for cap in (64, 0):
+                monkeypatch.setattr(extensions, "VERIFY_SIZE_CAP", cap)
+                same(verify_central_extension(ext), Verdict(True))
                 for _ in range(trials):
                     bad_add, bad_dot = corrupt_tables(ext, rng)
-                    expected = ref_verify_central_extension(ext, bad_add, bad_dot, exhaustive)
+                    expected = ref_verify_central_extension(ext, bad_add, bad_dot, cap)
                     ext.add, ext.dot = bad_add, bad_dot  # list-of-lists input
-                    same(verify_central_extension(ext, exhaustive), expected)
+                    same(verify_central_extension(ext), expected)
                     ext.add, ext.dot = np.array(bad_add), np.array(bad_dot)
-                    same(verify_central_extension(ext, exhaustive), expected)
+                    same(verify_central_extension(ext), expected)
                     ext.add, ext.dot = np.array(add), np.array(dot)
                     failing += not expected
     assert failing > 0
@@ -380,17 +384,15 @@ def test_corrupted_dot_beyond_the_cap_is_refused(monkeypatch):
     checks; corruptions of the dot table of a 128-element extension,
     (2,2,4) with Z/8, that they see are refused with the reference's
     verdict."""
-    import cyclecoh.extensions as extensions
-
     params, gamma = CyclicFamilyParams(2, 2, 4), FinAbGroup((8,))
     rng = random.Random(128)
     (pair,) = family_pairs(params, gamma, 1, rng)
     verified = []
     check = extensions.verify_central_extension
 
-    def recording(ext, exhaustive=None):
+    def recording(ext):
         verified.append(ext.size)
-        return check(ext, exhaustive)
+        return check(ext)
 
     monkeypatch.setattr(extensions, "verify_central_extension", recording)
     ext = build_extension(gamma, params, pair)

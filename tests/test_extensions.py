@@ -192,7 +192,7 @@ def test_equivalence_matches_cohomologous_pairs():
 
 def test_equivalence_is_equivalence_relation():
     gamma = FinAbGroup((4,))
-    exts = enumerate_extension_classes(gamma, P211, "brute", cap=2**20)
+    exts = enumerate_extension_classes(gamma, P211, "brute")
     # spot check symmetry/transitivity over the cocycle set
     from cyclecoh.lcs_cohomology import all_cocycle_pairs
 

@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -26,9 +27,11 @@ from cyclecoh.lcs_cohomology import (
     xi1_standard,
 )
 from cyclecoh.cyclic_resolution import tuple_bar_differential
+from cyclecoh.homology_engine import DoubleComplex, total_complex
 from cyclecoh.modular import ResourceLimitError
 
 from basis import cell_basis
+from reference import spot
 
 P211 = CyclicFamilyParams(2, 1, 1)
 P212 = CyclicFamilyParams(2, 1, 2)
@@ -72,15 +75,16 @@ def test_shuffle_quotient_rejects_out_of_scope():
 
 def test_full_double_complex_validates():
     for params in (P211, P212, P312):
-        fc = full_double_complex(make_cyclic_lcs(params))
-        assert fc.total.validate()
+        dc = full_double_complex(make_cyclic_lcs(params))
+        assert dc.validate()
+        assert total_complex(dc).validate()
 
 
 def test_full_complex_trivial_cycle_set_loses_the_twist():
     lcs = LinearCycleSet.trivial(3)
-    fc = full_double_complex(lcs)
+    dc = full_double_complex(lcs)
     # horizontal differential at (1,1): first face drops the group slot
-    m = fc.dc.dh[(1, 1)]
+    m = dc.dh[(1, 1)]
     labels = cell_basis(1, 1, 3)
     tgt = {lab: i for i, lab in enumerate(cell_basis(0, 1, 3))}
     for col, (gt, mt) in enumerate(labels):
@@ -94,8 +98,7 @@ def test_full_complex_trivial_cycle_set_loses_the_twist():
 def test_perturbation_delta_values():
     params = P312
     lcs = make_cyclic_lcs(params)
-    fc = full_double_complex(lcs)
-    delta = perturbation_delta(lcs, fc.dc.cells)
+    delta = perturbation_delta(lcs, full_double_complex(lcs).cells)
     assert set(delta) == {(1, 1), (2, 1), (1, 2)}
     # the face record, expanded by a product with the identity
     m = delta[(1, 1)] @ IntegerMatrix.identity(delta[(1, 1)].cols)
@@ -201,8 +204,7 @@ def test_phi2_is_a_chain_map_into_degree_1():
     # the degree-2 comparison must intertwine the full and reduced d_2
     for params in (P212, P312, P211):
         rc = reduced_complex(params)
-        fc = full_double_complex(make_cyclic_lcs(params))
-        full_d2 = fc.total.diff[2]
+        full_d2 = total_complex(full_double_complex(make_cyclic_lcs(params))).diff[2]
         # degree-1 comparison is the identity on Mbar(1)
         assert rc.total.diff[2] @ rc.phi2 == full_d2
 
@@ -248,15 +250,8 @@ def test_full_route_accepts_arbitrary_cycle_sets():
     # the full complex is built from any valid table, not just the family;
     # for the trivial operation on Z/6 the degree-1 group is Hom(Z/6, -)
     lcs = LinearCycleSet.trivial(6)
-    fc = full_double_complex(lcs)
-    chain = fc.total
-    gamma = FinAbGroup((6,))
-    res = hom_cohomology_at(
-        chain.diff[2],
-        None,
-        chain.modules[1].relations,
-        gamma,
-    )
+    chain = total_complex(full_double_complex(lcs))
+    res = hom_cohomology_at(chain, 1, FinAbGroup((6,)))
     assert res.group.factors == (6,)
 
 
@@ -317,6 +312,26 @@ def test_module_caches_build_each_complex_once(monkeypatch):
         assert cohomology(P212, gamma, 2, "full").group == first
         assert reduced_complex(P212).phi2 == rc.phi2
     assert builds == {"full": 3, "perturb": 3}
+
+
+def test_full_route_keeps_no_double_complex(monkeypatch):
+    # the full-route cache holds the total complex alone: the double
+    # complex `full_double_complex` returned is gone after the call
+    from cyclecoh import lcs_cohomology
+
+    built = []
+
+    def recorded(lcs):
+        dc = full_double_complex(lcs)
+        assert isinstance(dc, DoubleComplex)
+        built.append(weakref.ref(dc))
+        return dc
+
+    monkeypatch.setattr(lcs_cohomology, "full_double_complex", recorded)
+    lcs_cohomology._full_slice.cache_clear()
+    cohomology(P212, FinAbGroup((2,)), 2, "full")
+    assert len(built) == 1
+    assert built[0]() is None
 
 
 def test_cohomology_h1_closed_form_values():
@@ -567,11 +582,13 @@ def test_corner_cohomology_is_quotient_by_v():
     # with the position sign (-1)^(0 + 1)
     gamma = FinAbGroup((4,))
     res = hom_cohomology_at(
-        tuple_bar_differential(3, 4).scale(-1),
-        tuple_bar_differential(2, 4).scale(-1),
-        shuffle_quotient(2, 4).relations,
+        spot(
+            tuple_bar_differential(3, 4).scale(-1),
+            tuple_bar_differential(2, 4).scale(-1),
+            shuffle_quotient(2, 4).relations,
+        ),
+        1,
         gamma,
-        None,
     )
     assert res.group.factors == (4,)
 

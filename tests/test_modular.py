@@ -279,7 +279,7 @@ def test_batched_kernel_coordinates_match_per_row_reference():
     (CyclicFamilyParams(3, 1, 2), 3, 2),
 ])
 def test_smith_identities_on_full_condition_matrix(params, p, k):
-    chain = lcs_cohomology._full_slice(params).total
+    chain = lcs_cohomology._full_slice(params)
     A = chain.modules[2].relations.vstack(chain.diff[3].transpose())
     m = p**k
     Amod = A.to_numpy_mod(m)
@@ -300,19 +300,10 @@ ROUTE_PRIME_POWERS = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))
 
 def _condition_matrices(triple, route):
     """The matrices a route eliminates for H^1 and H^2: the cocycle
-    conditions of each degree and the relations of degree 1."""
+    conditions of each degree."""
     params = CyclicFamilyParams(*triple)
-    if route == "full":
-        chain = lcs_cohomology._full_slice(params).total
-        rel, d = chain.modules, chain.diff
-        mats = [(rel[n].relations, d[n + 1]) for n in (1, 2)]
-        out = rel[1].relations
-    else:
-        chain = reduced_complex(params).total
-        rel, d = chain.modules, chain.diff
-        mats = [(rel[n].relations, d[n + 1]) for n in (1, 2)]
-        out = rel[1].relations
-    return [r.vstack(d.transpose()) for r, d in mats] + [out]
+    chain = lcs_cohomology._full_slice(params) if route == "full" else reduced_complex(params).total
+    return [chain.modules[n].relations.vstack(chain.diff[n + 1].transpose()) for n in (1, 2)]
 
 
 @pytest.mark.parametrize("route", ["full", "reduced"])
@@ -456,12 +447,11 @@ def test_integer_matrix_and_array_give_the_same_elimination():
 
 def test_full_route_builds_no_dense_condition_matrix():
     params = CyclicFamilyParams(2, 2, 4)
-    chain = lcs_cohomology._full_slice(params).total
-    rel, d = chain.modules, chain.diff
-    A = rel[2].relations.vstack(d[3].transpose())
+    chain = lcs_cohomology._full_slice(params)
+    A = chain.modules[2].relations.vstack(chain.diff[3].transpose())
     tracemalloc.start()
     try:
-        hom_cohomology_at(d[3], d[2], rel[2].relations, FinAbGroup((2, 8)), rel[1].relations)
+        hom_cohomology_at(chain, 2, FinAbGroup((2, 8)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -500,10 +490,25 @@ def test_one_kernel_elimination_per_prime(monkeypatch):
     params = CyclicFamilyParams(2, 1, 2)
     gamma = FinAbGroup((2, 8))
     group = cohomology(params, gamma, 2, "full").group
-    # Z/2 and Z/8 share one elimination at 2^3 for the cocycle conditions
-    # and one for the relations of the next module; one quotient per factor
-    assert calls == {"kernel": 2, "smith": 4}
+    # Z/2 and Z/8 share one elimination at 2^3 for the cocycle conditions;
+    # one quotient per factor
+    assert calls == {"kernel": 1, "smith": 3}
     assert group == cohomology(params, gamma, 2, "closed").group
+
+
+def test_cocycle_enumeration_eliminates_once_per_prime(monkeypatch):
+    calls = []
+    kernel_mod_pk = modular.kernel_mod_pk
+
+    def counted(A, p, k):
+        calls.append((p, k))
+        return kernel_mod_pk(A, p, k)
+
+    monkeypatch.setattr(modular, "kernel_mod_pk", counted)
+    pairs = lcs_cohomology.all_cocycle_pairs(CyclicFamilyParams(2, 1, 1), FinAbGroup((2, 8)))
+    # Z/2 and Z/8 are truncations of one elimination at 2^3
+    assert calls == [(2, 3)]
+    assert len(pairs) == 64
 
 
 def test_hom_cohomology_holds_one_prime_at_a_time(monkeypatch):
@@ -523,7 +528,7 @@ def test_hom_cohomology_holds_one_prime_at_a_time(monkeypatch):
     params = CyclicFamilyParams(2, 1, 2)
     gamma = FinAbGroup((60,))
     group = cohomology(params, gamma, 2, "full").group
-    assert [q for q, _ in held] == [2, 2, 3, 3, 5, 5]
+    assert [q for q, _ in held] == [2, 3, 5]
     assert group == cohomology(params, gamma, 2, "closed").group
 
 

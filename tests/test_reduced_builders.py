@@ -456,7 +456,7 @@ def test_perturbation_delta_matches_reference(member):
             cells[(r, s)] = CellRank(cc.bar_rank(r))
     assert expanded(perturbation_delta(lcs, cells)) == ref_perturbation_delta(lcs, cells)
     # the cells of the full double complex
-    full = full_double_complex(lcs).dc.cells
+    full = full_double_complex(lcs).cells
     assert expanded(perturbation_delta(lcs, full)) == ref_perturbation_delta(lcs, full)
 
 
@@ -506,7 +506,7 @@ def ref_full_dv(v, r, s):
 @pytest.mark.parametrize("triple", MEMBERS, ids=lambda m: "%d-%d-%d" % m)
 def test_full_differentials_match_reference(triple):
     lcs = make_cyclic_lcs(CyclicFamilyParams(*triple))
-    dc = full_double_complex(lcs).dc
+    dc = full_double_complex(lcs)
     assert set(dc.dh) == {(1, 1), (2, 1), (1, 2)}
     assert set(dc.dv) == {(0, 2), (1, 2), (0, 3)}
     for (r, s), m in dc.dh.items():

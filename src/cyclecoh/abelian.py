@@ -155,9 +155,28 @@ class IntegerMatrix:
     # `IdentityKron` and `FaceDifference` records
     column_unit = 1
 
-    def column_slice(self, c0, c1):
-        """Columns c0..c1-1."""
-        return self.submatrix(0, self.rows, c0, c1)
+    def column_slices(self):
+        """A function (c0, c1) -> columns c0..c1-1, for many slices: each
+        slice's entries are found by a binary search in one column order,
+        made at the first slice that is not the whole matrix, not by a
+        pass over every entry, and are put back in row-major order by
+        sorting their positions."""
+        order = None
+
+        def column_slice(c0, c1):
+            nonlocal order
+            if (c0, c1) == (0, self.cols):
+                return self
+            if order is None:
+                order = np.argsort(self.col_idx, kind="stable")
+            lo, hi = np.searchsorted(self.col_idx, (c0, c1), sorter=order)
+            picked = np.sort(order[lo:hi])
+            return IntegerMatrix._from_coo(
+                self.rows, c1 - c0, self.row_idx[picked], self.col_idx[picked] - c0,
+                self.values[picked], canonical=True,
+            )
+
+        return column_slice
 
     def row_slice(self, r0, r1):
         """Rows r0..r1-1, a contiguous range of the entries."""
@@ -197,14 +216,55 @@ class IntegerMatrix:
         )
 
     def __add__(self, other):
+        """The exact sum, by a merge of the two canonical operands: each
+        entry of other is placed among self's by a binary search of its
+        row-major key, equal positions are summed and zeros dropped, and
+        nothing is sorted.  Where other adds no position and no sum
+        cancels, the sum shares self's index arrays."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix addition")
+        if not other.nnz:
+            return self
+        if not self.nnz:
+            return other
+        cols = self.cols
+        key = self.row_idx * cols + self.col_idx
+        other_key = other.row_idx * cols + other.col_idx
+        at = np.searchsorted(key, other_key)
+        # past the end, clipping reads self's last key, which is smaller
+        same = key.take(at, mode="clip") == other_key
+        del key, other_key
+        # two int64 entries sum below 2^63, so int64 stays exact
+        values = self.values.astype(np.result_type(self.values, other.values))
+        values[at[same]] += other.values[same]
+        new = ~same
+        at = at[new]
+        kept = values != 0
+        dropped = np.flatnonzero(~kept)
+        if not len(at) and not len(dropped):
+            return IntegerMatrix._from_coo(
+                self.rows, cols, self.row_idx, self.col_idx, values, canonical=True
+            )
+        # other's new entry j goes after the kept entries of self before at[j]
+        # and after other's new entries before j
+        if len(dropped):
+            at -= np.searchsorted(dropped, at)
+        at += np.arange(len(at))
+        from_self = np.ones(len(at) + len(values) - len(dropped), dtype=bool)
+        from_self[at] = False
+
+        def merged(mine, theirs):
+            out = np.empty(len(from_self), dtype=np.result_type(mine, theirs))
+            out[from_self] = mine[kept] if len(dropped) else mine
+            out[at] = theirs[new]
+            return out
+
         return IntegerMatrix._from_coo(
-            self.rows,
-            self.cols,
-            np.concatenate((self.row_idx, other.row_idx)),
-            np.concatenate((self.col_idx, other.col_idx)),
-            np.concatenate((self.values, other.values)),
+            self.rows, cols,
+            merged(self.row_idx, other.row_idx),
+            merged(self.col_idx, other.col_idx),
+            merged(values, other.values),
+            canonical=True,
         )
 
     def __neg__(self):
@@ -308,12 +368,20 @@ class IntegerMatrix:
         return out
 
     def power(self, n):
+        """self^n by binary powering: about log2(n) squarings and as many
+        products, each exact, and no product with the identity."""
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
-        result = IntegerMatrix.identity(self.rows)
-        for _ in range(n):
-            result = result @ self
-        return result
+        if n < 0:
+            raise ValueError("negative matrix power")
+        result, square = None, self
+        while n:
+            if n & 1:
+                result = square if result is None else result @ square
+            n >>= 1
+            if n:
+                square = square @ square
+        return IntegerMatrix.identity(self.rows) if result is None else result
 
     def __repr__(self):
         return f"IntegerMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
@@ -370,6 +438,10 @@ class IdentityKron:
             raise ValueError(f"columns {c0}..{c1} of I (x) B (x) I_{self.inner} split a copy")
         B, n = self.factor, self.inner
         return IdentityKron(1, B.submatrix(0, B.rows, c0 // n, c1 // n), n)
+
+    def column_slices(self):
+        """`column_slice` as a function of (c0, c1)."""
+        return self.column_slice
 
     def __matmul__(self, other):
         """self @ other: row (a, j, c) of other, a outer and c inner, is
@@ -456,6 +528,10 @@ class FaceDifference:
             raise ValueError(f"columns {c0}..{c1} split a copy of the plain face")
         return FaceDifference(self.rows, self.twisted[c0:c1])
 
+    def column_slices(self):
+        """`column_slice` as a function of (c0, c1)."""
+        return self.column_slice
+
     def __matmul__(self, other):
         """self @ other: row c of other goes to row twisted[c] and, negated,
         to row c mod rows; one sort sums them.  An entry of the result sums
@@ -467,12 +543,18 @@ class FaceDifference:
         values = other.values
         if 2 * self.cols * _abs_max(values) >= _INT64_BOUND:
             values = values.astype(object)
+        # the keys row * cols + col of both terms, built in int64 in one
+        # array, whatever the dtype of the codes
+        n = other.nnz
+        key = np.empty(2 * n, dtype=np.int64)
+        key[:n] = self.twisted[other.row_idx]
+        np.remainder(other.row_idx, self.rows, out=key[n:])
+        key *= other.cols
+        key[:n] += other.col_idx
+        key[n:] += other.col_idx
         return IntegerMatrix._from_coo(
-            self.rows,
-            other.cols,
-            np.concatenate((self.twisted[other.row_idx], other.row_idx % self.rows)),
-            np.tile(other.col_idx, 2),
-            np.concatenate((values, -values)),
+            self.rows, other.cols,
+            *_canonical_keys(other.cols, key, np.concatenate((values, -values))), canonical=True,
         )
 
     def __rmatmul__(self, other):

@@ -317,10 +317,18 @@ def _blocks(lines, factors):
 
 
 def _agree(lines, factors, lhs, rhs):
-    """lhs(a, b) == rhs(a, b) on every block [a, b) of `_blocks`: an
-    identity compared a block of columns (or rows) at a time, so that no
-    more than one block of its products is held."""
-    return all(lhs(a, b) == rhs(a, b) for a, b in _blocks(lines, factors))
+    """lhs(a, b, *cols) == rhs(a, b, *cols) on every block [a, b) of
+    `_blocks`, cols the columns a..b-1 of each factor: an identity
+    compared a block of columns (or rows) at a time, so that no more than
+    one block of its products is held.  The factors' `column_slices`,
+    with their column orders, are made once here and released with the
+    check."""
+    slicers = [m.column_slices() for m in factors]
+    for a, b in _blocks(lines, factors):
+        cols = [column_slice(a, b) for column_slice in slicers]
+        if lhs(a, b, *cols) != rhs(a, b, *cols):
+            return False
+    return True
 
 
 def _identity_columns(n, c0, c1):
@@ -346,8 +354,8 @@ def _verify_perturbed_rows(Xp, C, delta, i1, p1, h1):
             n = Xp.rank(pos)
             if not _agree(
                 n, (i1[pos],),
-                lambda a, b: p1[pos] @ i1[pos].column_slice(a, b),
-                lambda a, b: _identity_columns(n, a, b),
+                lambda a, b, ib: p1[pos] @ ib,
+                lambda a, b, ib: _identity_columns(n, a, b),
             ):
                 return CheckReport(False, "p1 o i1 = id", pos)
     for (r, s) in Xp.cells:
@@ -358,23 +366,23 @@ def _verify_perturbed_rows(Xp, C, delta, i1, p1, h1):
         if i is not None and tgt in i1 and xh is not None and dC:
             if not _agree(
                 xh.cols, (i, xh),
-                lambda a, b: _sum(d @ i.column_slice(a, b) for d in dC),
-                lambda a, b: i1[tgt] @ xh.column_slice(a, b),
+                lambda a, b, ib, xhb: _sum(d @ ib for d in dC),
+                lambda a, b, ib, xhb: i1[tgt] @ xhb,
             ):
                 return CheckReport(False, "i1 horizontal chain map", (r, s))
         if p is not None and tgt in p1 and xh is not None and dC:
             if not _agree(
                 p.cols, (p, *dC),
-                lambda a, b: xh @ p.column_slice(a, b),
-                lambda a, b: _sum(p1[tgt] @ d.column_slice(a, b) for d in dC),
+                lambda a, b, pb, *dCb: xh @ pb,
+                lambda a, b, pb, *dCb: _sum(p1[tgt] @ db for db in dCb),
             ):
                 return CheckReport(False, "p1 horizontal chain map", (r, s))
         vt = (r, s - 1)
         if i is not None and vt in i1 and xv is not None and cv is not None:
             if not _agree(
                 xv.cols, (i, xv),
-                lambda a, b: cv @ i.column_slice(a, b),
-                lambda a, b: i1[vt] @ xv.column_slice(a, b),
+                lambda a, b, ib, xvb: cv @ ib,
+                lambda a, b, ib, xvb: i1[vt] @ xvb,
             ):
                 return CheckReport(False, "i1 vertical chain map", (r, s))
         if p is not None and vt in p1 and xv is not None and cv is not None:
@@ -396,13 +404,12 @@ def _verify_perturbed_rows(Xp, C, delta, i1, p1, h1):
         here = _perturbed_summands(C, delta, (r, s)) if prev is not None else []
         n = C.rank((r, s))
 
-        def lhs(a, b):
-            hb = h.column_slice(a, b)
-            return _sum([d @ hb for d in up] + [prev @ d.column_slice(a, b) for d in here])
+        def lhs(a, b, hb, pb, *hereb):
+            return _sum([d @ hb for d in up] + [prev @ db for db in hereb])
 
         if not _agree(
             n, (h, p, *here), lhs,
-            lambda a, b: i @ p.column_slice(a, b) - _identity_columns(n, a, b),
+            lambda a, b, hb, pb, *hereb: i @ pb - _identity_columns(n, a, b),
         ):
             return CheckReport(False, "row homotopy identity", (r, s))
     return CheckReport(True)

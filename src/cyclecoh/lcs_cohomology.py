@@ -172,9 +172,10 @@ def perturbation_delta(lcs, cells):
     code c, tuple (x_1..x_n), has the plain face x_2..x_n at c mod
     (v-1)^(n-1) and the twisted face x_1.x_2..x_1.x_n.  Each delta(r, s)
     is the `FaceDifference` of these two faces, held by the twisted codes
-    alone.  They are built one first letter x_1 at a time, from the
-    letters of the (v-1)^(n-1) tuples x_2..x_n, so the letters of all
-    (v-1)^n tuples are never held."""
+    alone, int32 while they fit (see `_face_code_dtype`).  They are built
+    one first letter x_1 at a time, from the letters of the (v-1)^(n-1)
+    tuples x_2..x_n, so the letters of all (v-1)^n tuples are never
+    held."""
     v = lcs.v
     dot = np.array(lcs.dot, dtype=np.int64)
     delta = {}
@@ -186,11 +187,19 @@ def perturbation_delta(lcs, cells):
         if (cells[(r, s)].ngens, cells[(r - 1, s)].ngens) != ((v - 1) * faces, faces):
             raise ValueError(f"cells at {(r, s)} are not on the exponent-tuple basis")
         rest = tuple_letters(n - 1, v)
-        twisted = np.empty((v - 1) * faces, dtype=np.int64)
+        twisted = np.empty((v - 1) * faces, dtype=_face_code_dtype(v, n))
         for x1 in range(1, v):
             twisted[(x1 - 1) * faces : x1 * faces] = tuple_codes(dot[x1][rest], v)
         delta[(r, s)] = FaceDifference(faces, twisted)
     return delta
+
+
+def _face_code_dtype(v, n):
+    """The dtype that holds the codes 0..(v-1)^n - 1 of the tuples of
+    length n: int32 while (v-1)^n < 2^31, else int64.  A product with a
+    `FaceDifference` computes its keys in int64 whatever the dtype of
+    its codes."""
+    return np.int32 if (v - 1) ** n < 2**31 else np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +284,17 @@ ARROW_BLOCKS = {
 def reduced_complex(params):
     """The reduced partial total complex: the total complex of the
     perturbation-lemma transfer's output on its cells of total degree
-    <= 3, cross-checked against the closed-form arrows."""
+    <= 3, cross-checked against the closed-form arrows.  The transfer
+    reads X's cells by rank; they are presented here, after it: cell
+    (r, s) is r + 1 copies of Mbar(s)."""
     quotients = {s: shuffle_quotient(s, params.v) for s in (1, 2, 3)}
     transfer = _transfer_reduced(params, quotients)
     X = transfer.X
-    cells = {pos: X.cells[pos] for pos in X.cells if sum(pos) <= 3}
+    cells = {}
+    for r, s in X.cells:
+        if r + s <= 3:
+            relations = IntegerMatrix.identity(r + 1).kron(quotients[s].relations)
+            cells[(r, s)] = PresentedModule(relations.cols, relations)
     arrows = _arrow_matrices(params)
     for r, s in cells:
         g = (params.v - 1) ** s
@@ -313,7 +328,10 @@ def _transfer_reduced(params, quotients):
     <= 3, over the shuffle quotients Mbar(s), s = 1, 2, 3.
 
     The bar cells Dbar^{x r} (x) Mbar(s) enter by their ranks alone, and
-    each coefficient complex is dropped once its maps are in the system.
+    so do X's cells: the transfer and its verification read only their
+    ranks, and `reduced_complex` presents those of degree <= 3 after the
+    transfer.  Each coefficient complex is dropped once its maps are in
+    the system.
     The bar side's differentials are held factored: d_h is the tuple bar
     differential (x) id of Mbar(s), d_v is id of the (v-1)^r tuples (x)
     the inner bar differential."""
@@ -329,7 +347,7 @@ def _transfer_reduced(params, quotients):
         cc = coefficient_complex(params, quotients[s], rmax[s])
         g = quotients[s].ngens
         for r in range(rmax[s] + 1):
-            xcells[(r, s)] = cc.chain.modules[r]
+            xcells[(r, s)] = CellRank(cc.chain.rank(r))
             ccells[(r, s)] = CellRank(cc.bar_rank(r))
             i_maps[(r, s)] = cc.phibar[r]
             if r + 1 <= rmax[s]:

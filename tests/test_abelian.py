@@ -217,6 +217,88 @@ def _matrices(draw, rows, cols):
     return IntegerMatrix.from_rows([[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)], cols)
 
 
+def _dense_sum(A, B, sign=1):
+    """A + sign B from the dense Python-int entries."""
+    return IntegerMatrix.from_rows(
+        [[a + sign * b for a, b in zip(ra, rb)] for ra, rb in zip(A.dense(), B.dense())], A.cols
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_merged_sum_equals_the_dense_sum(data):
+    """The merge of two canonical operands, on int64 and Python-int
+    entries, empty operands, sums that cancel and sums that cross 2^62."""
+    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    A, B = _matrices(data.draw, rows, cols), _matrices(data.draw, rows, cols)
+    # some of A's entries negated, so that those positions cancel
+    keep = data.draw(st.lists(st.booleans(), min_size=A.nnz, max_size=A.nnz))
+    mask = np.array(keep, dtype=bool)
+    cancel = IntegerMatrix._from_coo(
+        rows, cols, A.row_idx[mask], A.col_idx[mask], -A.values[mask], canonical=True
+    )
+    for left, right in ((A, B), (B, A), (A, cancel), (cancel, B), (A, -A), (A, IntegerMatrix.zero(rows, cols))):
+        total = left + right
+        assert total == _dense_sum(left, right)
+        assert total.values.dtype == (object if _abs_max_entry(total) >= 2**62 else np.int64)
+        assert left - right == _dense_sum(left, right, -1)
+    assert (A + -A).is_zero()
+
+
+def _abs_max_entry(M):
+    return max((abs(v) for v in M.values.tolist()), default=0)
+
+
+def test_merged_sum_crosses_the_int64_bound():
+    # int64 operands whose sums reach 2^62 and 2^63 - 2 go to Python ints;
+    # positions of only one operand keep their place in the merge
+    half = IntegerMatrix.from_rows([[2**61, 0, 2**62 - 1], [0, 5, 0]])
+    other = IntegerMatrix.from_rows([[2**61, 7, 2**62 - 1], [1, 0, 0]])
+    assert half.values.dtype == other.values.dtype == np.int64
+    total = half + other
+    assert total.values.dtype == object
+    assert total.dense() == [[2**62, 7, 2**63 - 2], [1, 5, 0]]
+    # and back below the bound, to int64
+    assert (total - other) == half and (total - other).values.dtype == np.int64
+
+
+def test_sum_without_new_positions_shares_the_index_arrays():
+    A = IntegerMatrix.from_rows([[1, 0, 2], [0, 3, 0]])
+    B = IntegerMatrix.from_rows([[4, 0, 0], [0, 1, 0]])
+    total = A + B
+    assert total.row_idx is A.row_idx and total.col_idx is A.col_idx
+    assert total.dense() == [[5, 0, 2], [0, 4, 0]]
+    assert not total.values.flags.writeable
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_column_slices_equal_the_submatrix(data):
+    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 8))
+    A = _matrices(data.draw, rows, cols)
+    column_slice = A.column_slices()
+    for _ in range(4):
+        a = data.draw(st.integers(0, cols))
+        b = data.draw(st.integers(a, cols))
+        assert column_slice(a, b) == A.submatrix(0, rows, a, b)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_power_equals_repeated_products(n):
+    rng = random.Random(n)
+    for size, bound in ((4, 3), (3, 2**20), (5, 1)):
+        M = IntegerMatrix(size, size, _random_entries(rng, size, size, bound))
+        expected = IntegerMatrix.identity(size)
+        for _ in range(n):
+            expected = expected @ M
+        assert M.power(n) == expected
+    # a nilpotent matrix: every power from its degree on is zero
+    shift = IntegerMatrix(4, 4, {(i, i + 1): 2 for i in range(3)})
+    assert [shift.power(n).is_zero() for n in range(6)] == [False] * 4 + [True] * 2
+    with pytest.raises(ValueError):
+        shift.power(-1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_identity_kron_products_equal_the_explicit_kron(data):
@@ -239,7 +321,7 @@ def test_identity_kron_products_equal_the_explicit_kron(data):
         a = data.draw(st.integers(0, copies))
         b = data.draw(st.integers(a, copies))
         S = K.column_slice(a * inner, b * inner)
-        assert left @ S == left @ explicit.column_slice(a * inner, b * inner)
+        assert left @ S == left @ explicit.submatrix(0, explicit.rows, a * inner, b * inner)
         if inner > 1 and copies:
             with pytest.raises(ValueError):
                 K.column_slice(1, K.cols)
@@ -270,11 +352,18 @@ def test_face_difference_products_equal_the_explicit_matrix(data):
     a = data.draw(st.integers(min(1, copies), copies))
     b = data.draw(st.integers(a, copies))
     S = F.column_slice(a * rows, b * rows)
-    explicit_S = explicit.column_slice(a * rows, b * rows)
+    explicit_S = explicit.submatrix(0, explicit.rows, a * rows, b * rows)
     assert F @ right == explicit @ right
     assert left @ F == left @ explicit
     assert S @ right.row_slice(a * rows, b * rows) == explicit_S @ right.row_slice(a * rows, b * rows)
     assert left @ S == left @ explicit_S
+    # the same face map held as int32 codes gives the same products
+    F32 = FaceDifference(rows, F.twisted.astype(np.int32))
+    S32 = F32.column_slice(a * rows, b * rows)
+    assert F32.nnz == F.nnz
+    assert F32 @ right == F @ right and left @ F32 == left @ F
+    assert S32 @ right.row_slice(a * rows, b * rows) == S @ right.row_slice(a * rows, b * rows)
+    assert left @ S32 == left @ S
     with pytest.raises(ValueError):
         F @ IntegerMatrix.zero(F.cols + 1, 1)
     with pytest.raises(ValueError):
@@ -302,6 +391,19 @@ def test_face_difference_sums_beyond_int64():
     M = IntegerMatrix.from_rows([[x]] * 6)
     assert M.values.dtype == np.int64
     assert (F @ M).dense() == [[3 * x], [-3 * x]]
+
+
+def test_face_difference_keys_with_int32_codes_are_int64():
+    # the row-major keys of the products pass 2^32, beyond int32, although
+    # the face codes are int32
+    F = FaceDifference(2, np.array([1, 0, 1, 1], dtype=np.int32))
+    explicit = _explicit_face_difference(F)
+    wide = 2**32
+    right = IntegerMatrix(4, wide, {(0, wide - 1): 1, (2, wide - 2): 3, (3, 5): 2})
+    left = IntegerMatrix(wide, 2, {(wide - 1, 1): 1, (7, 0): 2, (wide - 2, 0): -1})
+    assert F @ right == explicit @ right
+    assert left @ F == left @ explicit
+    assert (F @ right).entry(1, wide - 2) == 3
 
 
 def test_product_with_one_large_row_runs_on_python_ints():

@@ -30,6 +30,7 @@ from cyclecoh.cyclic_resolution import (
 )
 from cyclecoh.homology_engine import CellRank, _verify_perturbed_rows
 from cyclecoh.lcs_cohomology import (
+    _face_code_dtype,
     _shuffle_arrangements,
     full_double_complex,
     perturbation_delta,
@@ -458,6 +459,55 @@ def test_perturbation_delta_matches_reference(member):
     # the cells of the full double complex
     full = full_double_complex(lcs).cells
     assert expanded(perturbation_delta(lcs, full)) == ref_perturbation_delta(lcs, full)
+
+
+def test_face_codes_are_int32_below_2_to_31():
+    """The face codes of the (v-1)^n tuples are int32 exactly while
+    (v-1)^n < 2^31: at (v-1)^n = 2^31 they are int64."""
+    assert _face_code_dtype(3, 30) == np.int32  # 2^30
+    assert _face_code_dtype(3, 31) == np.int64  # 2^31
+    assert _face_code_dtype(2**31, 1) == np.int32  # 2^31 - 1
+    assert _face_code_dtype(2**31 + 1, 1) == np.int64
+    assert _face_code_dtype(32, 6) == np.int32 and _face_code_dtype(32, 7) == np.int64
+    lcs = make_cyclic_lcs(CyclicFamilyParams(3, 1, 2))
+    cells = {(r, s): CellRank((lcs.v - 1) ** (r + s)) for r in range(4) for s in range(1, 5 - r)}
+    delta = perturbation_delta(lcs, cells)
+    assert {d.twisted.dtype for d in delta.values()} == {np.dtype(np.int32)}
+
+
+@pytest.mark.parametrize("member", family_members(16), ids=lambda m: f"{m.p}-{m.nu}-{m.eta}")
+def test_x_cells_enter_the_transfer_by_rank(member, monkeypatch):
+    """X's cells enter the transfer as `CellRank`s, the cells of total
+    degree 4 included; the reduced total complex presents the cells of
+    degree <= 3 as the coefficient complexes do, and is the total complex
+    of the transfer's output on them, with phi2 from its projection."""
+    v = member.v
+    original = lcs_cohomology.perturb_double_complex
+    transfers = []
+
+    def recording_transfer(system, *args, **kwargs):
+        out = original(system, *args, **kwargs)
+        transfers.append((system, out))
+        return out
+
+    monkeypatch.setattr(lcs_cohomology, "perturb_double_complex", recording_transfer)
+    reduced = lcs_cohomology.reduced_complex.__wrapped__(member)
+    ((system, out),) = transfers
+    assert {pos for pos in system.X.cells if sum(pos) == 4} == {(3, 1), (2, 2), (1, 3)}
+    for (r, s), cell in system.X.cells.items():
+        assert isinstance(cell, CellRank) and cell.ngens == (r + 1) * (v - 1) ** s, (r, s)
+    presented = {
+        (r, s): coefficient_complex(member, shuffle_quotient(s, v), r).chain.modules[r]
+        for (r, s) in out.X.cells
+        if r + s <= 3
+    }
+    X = homology_engine.DoubleComplex(presented, out.X.dh, out.X.dv)
+    assert reduced.total == homology_engine.total_complex(X)
+    n2 = (v - 1) ** 2
+    phi_hat = out.p1[(1, 1)]
+    assert reduced.phi2 == block_matrix(
+        {(0, 0): IntegerMatrix.identity(n2), (1, 1): phi_hat}, [n2, phi_hat.rows], [n2, n2]
+    )
 
 
 def ref_full_dh(lcs, r, s):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abelian import IntegerMatrix, PresentedModule, block_matrix
-from .homology_engine import ChainComplex, CheckReport
+from .homology_engine import CellRank, ChainComplex, CheckReport
 
 
 class CrossedProduct:
@@ -76,8 +76,12 @@ def exp_tuples(n, v):
     return list(itertools.product(range(1, v), repeat=n))
 
 
-def tuple_letters(n, v):
-    """exp_tuples(n, v) as a ((v-1)^n, n) int64 array, in the same order."""
+def tuple_letters(n, v, codes=None):
+    """exp_tuples(n, v) as a ((v-1)^n, n) int64 array, in the same order;
+    with `codes`, only the rows of the tuples with those codes."""
+    if codes is not None:
+        powers = (v - 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        return np.asarray(codes, dtype=np.int64)[:, None] // powers % (v - 1) + 1
     if n == 0:
         return np.zeros((1, 0), dtype=np.int64)
     return np.indices((v - 1,) * n, dtype=np.int64).reshape(n, -1).T + 1
@@ -90,22 +94,23 @@ def tuple_codes(letters, v):
     return (letters - 1) @ ((v - 1) ** np.arange(n - 1, -1, -1, dtype=np.int64))
 
 
-def _bar_faces(n, v):
+def bar_faces(x, v):
     """The faces of the normalized bar differential on the exponent tuples
-    of length n >= 1, as arrays (col, tgt, last, sign): tuple number col
-    has the (n-1)-tuple number tgt as a face with the given sign.  The last
+    that are the rows of the letters x (entries 1..v-1, n >= 1 columns),
+    as arrays (col, tgt, last, sign): the tuple in row col has the
+    (n-1)-tuple with code tgt as a face with the given sign.  The last
     face moves the dropped letter, `last`, into the E slot (trivial
     coefficients forget it); the other faces leave 0 there."""
-    x = tuple_letters(n, v)
+    n = x.shape[1]
     cols = np.arange(len(x))
     # (col, tgt, last, sign) of the first face, the merges, the last face
-    parts = [(cols, cols % (v - 1) ** (n - 1), 0 * cols, 1)]
+    parts = [(cols, tuple_codes(x[:, 1:], v), 0 * cols, 1)]
     for i in range(n - 1):
         merged = (x[:, i] + x[:, i + 1]) % v
         keep = merged != 0
         y = np.concatenate((x[keep, :i], merged[keep, None], x[keep, i + 2 :]), axis=1)
         parts.append((cols[keep], tuple_codes(y, v), 0 * cols[keep], (-1) ** (i + 1)))
-    parts.append((cols, cols // (v - 1), x[:, -1], (-1) ** n))
+    parts.append((cols, tuple_codes(x[:, :-1], v), x[:, -1], (-1) ** n))
     col, tgt, last = (np.concatenate(a) for a in zip(*[p[:3] for p in parts]))
     sign = np.concatenate([np.full(len(p[0]), p[3], dtype=np.int64) for p in parts])
     return col, tgt, last, sign
@@ -115,7 +120,7 @@ def tuple_bar_differential(n, v):
     """Tuple-level normalized bar differential Dbar^{x n} -> Dbar^{x (n-1)}
     with trivial coefficients (the map Mbar(n) -> Mbar(n-1) before any
     position sign)."""
-    col, tgt, _, sign = _bar_faces(n, v)
+    col, tgt, _, sign = bar_faces(tuple_letters(n, v), v)
     return IntegerMatrix._from_coo((v - 1) ** (n - 1), (v - 1) ** n, tgt, col, sign)
 
 
@@ -425,7 +430,7 @@ class ResolutionContext:
     def bprime(self, n):
         """bar_n -> bar_{n-1}, normalised columns; the first face drops e_1
         (trivial coefficients)."""
-        col, tgt, last, sign = _bar_faces(n, self.v)
+        col, tgt, last, sign = bar_faces(tuple_letters(n, self.v), self.v)
         return IntegerMatrix._from_coo(
             self.bar_rank(n - 1), (self.v - 1) ** n, tgt * self.v + last, col, sign
         )
@@ -781,7 +786,7 @@ class CoefficientComplex:
     t: int
     M: PresentedModule
     nmax: int
-    chain: ChainComplex           # degree n module: one copy of M per cell
+    chain: ChainComplex           # degree n module: one copy of M per cell, by rank
     phibar: dict                  # n -> X_n(M) -> bar_n(M)
     varphibar: dict               # n < nmax -> bar_n(M) -> X_n(M)
     omegabar: dict                # n -> bar_{n-1}(M) -> bar_n(M)
@@ -806,10 +811,9 @@ def coefficient_complex(params, M, n_max):
     ident = ctx.G.index[ctx.G.identity]
     id_g = IntegerMatrix.identity(g)
 
-    modules = {}
-    for n in range(n_max + 1):
-        relations = IntegerMatrix.identity(len(ctx.cells(n))).kron(M.relations)
-        modules[n] = PresentedModule(relations.cols, relations)
+    # the cells enter by rank: the package reads only the ranks and the
+    # differentials, and `reduced_complex` presents the cells it keeps
+    modules = {n: CellRank(len(ctx.cells(n)) * g) for n in range(n_max + 1)}
 
     def collapsed_block(l, alpha, beta):
         # authoritative scalar: collapse the group-ring matrix along the

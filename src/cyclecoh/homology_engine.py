@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abelian import IntegerMatrix, PresentedModule, block_matrix
+from .abelian import IntegerMatrix, PresentedModule, RowBlocks, block_matrix
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,11 @@ class ChainComplex:
     @property
     def top(self):
         return max(self.modules) if self.modules else -1
+
+    def cocycle_rows(self, n):
+        """The n-cocycle conditions of Hom(self, -), X_n's relations over
+        d_{n+1}^T, as the one block of a `RowBlocks`."""
+        return RowBlocks.of(self.modules[n].relations.vstack(self.diff[n + 1].transpose()))
 
     def validate(self):
         for n in range(2, self.top + 1):
@@ -226,6 +231,11 @@ def perturb_double_complex(system, delta, n0, verify=True):
     a block of columns (or rows) at a time, so it reads column slices of
     the right factors too, which these records give.  Of C's cells only
     the ranks are read.
+
+    The function consumes the system's maps: each i, p or h that a
+    correction replaces is deleted from `system.i`, `system.p` or
+    `system.h` once the corrections are formed, so that the uncorrected
+    map is not held through the verification.
     """
 
     def dh_at(pos):
@@ -276,10 +286,14 @@ def perturb_double_complex(system, delta, n0, verify=True):
             if (r, s) in system.p:
                 p1[(r, s)] = system.p[(r, s)] + system.p[(r, s)] @ Ah
             h1[(r, s)] = system.h[(r, s)] + system.h[(r, s)] @ Ah
-    # the verification reads neither the smallness products nor the last
-    # series applied, so they are released before it
+    # the verification reads neither the smallness products, nor the last
+    # series applied, nor the maps the corrections replaced, so they are
+    # released before it
     dh.clear()
     Ai = Ah = None
+    for old, new in ((system.i, i1), (system.p, p1), (system.h, h1)):
+        for pos in [pos for pos, m in old.items() if new[pos] is not m]:
+            del old[pos]
 
     Xp = DoubleComplex(system.X.cells, new_dhX, system.X.dv)
     report = CheckReport(True)

@@ -47,6 +47,7 @@ from .abelian import (
     IdentityKron,
     IntegerMatrix,
     PresentedModule,
+    RowBlocks,
     block_matrix,
     cocycle_kernels,
     hom_cohomology_at,
@@ -59,6 +60,7 @@ from .cycleset import (
     make_cyclic_lcs,
 )
 from .cyclic_resolution import (
+    bar_faces,
     coefficient_complex,
     exp_tuples,
     tuple_bar_differential,
@@ -68,6 +70,7 @@ from .cyclic_resolution import (
 from .homology_engine import (
     CellRank,
     ChainComplex,
+    CheckReport,
     DoubleComplex,
     RowSDRSystem,
     perturb_double_complex,
@@ -123,42 +126,136 @@ def shuffle_quotient(s, v):
     return PresentedModule(T, relations)
 
 
-# the full complex's top total degree: H^2 needs degree 3, and the shuffle
-# quotients Mbar(s) are built for s <= 3
-FULL_CAP = 3
+# the identities that d_2 o d_3 = 0 checks on each cell (r, s) of degree
+# 3 of the full double complex, whose total differential is d_h + d_v
+DD_IDENTITIES = {
+    (0, 3): "d_v o d_v = 0",
+    (1, 2): "d_h d_v + d_v d_h = 0",
+    (2, 1): "d_h o d_h = 0",
+}
+
+# the most rows of d_3^T that the full complex makes at once, in whole
+# first letters
+FULL_BLOCK_ROWS = 1 << 13
+
+
+@dataclass(eq=False)
+class FullComplex(ChainComplex):
+    """The full total complex in the degrees that H^1 and H^2 read: X_1
+    and X_2 presented, d_2, and X_3 by rank alone (a `CellRank`); X_3's
+    relations are never read.  Degree n holds the cells (r, s), r + s = n,
+    s >= 1, in sorted order, each on the (v-1)^n tuples (gt, mt) of
+    Dbar^{x r} (x) Dbar^{x s} in code order; cell (r, s) is presented as
+    (v-1)^r copies of Mbar(s).
+
+    d_3 is not held: `d3_rows` makes the rows of d_3^T a block of whole
+    first letters of one X_3 cell at a time, from the cycle set's `dot`
+    table, on every call.  `validate` checks d_2 o d_3 = 0 block by
+    block, the identities of DD_IDENTITIES."""
+
+    dot: np.ndarray
+
+    def d3_rows(self):
+        """The rows of d_3^T in order, as (cell, block) pairs."""
+        v = len(self.dot)
+        per_letter = (v - 1) ** 2
+        letters = max(1, FULL_BLOCK_ROWS // per_letter)
+        for cell in _full_cells(3):
+            for x1 in range(1, v, letters):
+                stop = min(v, x1 + letters)
+                yield cell, _full_d_rows(self.dot, cell, (x1 - 1) * per_letter, (stop - 1) * per_letter)
+
+    def validate(self):
+        """d_2 o d_3 = 0, as d_3^T @ d_2^T = 0 a block of rows at a time;
+        a failure names the identity and the X_3 cell."""
+        d2_t = self.diff[2].transpose()
+        for (r, s), block in self.d3_rows():
+            if not (block @ d2_t).is_zero():
+                return CheckReport(False, DD_IDENTITIES[(r, s)], (r, s))
+        return CheckReport(True)
+
+    def cocycle_rows(self, n):
+        """The n-cocycle conditions as `RowBlocks`; in degree 2, X_2's
+        relations and then d_3^T's blocks, made as they are read."""
+        if n != 2:
+            return super().cocycle_rows(n)
+        relations = self.modules[2].relations
+
+        def make():
+            yield relations
+            for _, block in self.d3_rows():
+                yield block
+
+        return RowBlocks(relations.rows + self.rank(3), relations.cols, make)
+
+
+def _full_cells(n):
+    """The cells (r, s) of total degree n of the full double complex, in
+    sorted order."""
+    return [(r, n - r) for r in range(n)]
+
+
+def _full_d_rows(dot, cell, c0, c1):
+    """The rows c0..c1-1 of d_n^T on cell (r, s), n = r + s, of the full
+    total complex: the images of the cell's generators c0..c1-1 in X_{n-1}.
+
+    The horizontal differential into cell (r - 1, s) is the tuple bar
+    differential on gt, (x) the identity, plus the perturbation delta:
+    the twisted face x_1.(x_2..x_n) minus the plain one x_2..x_n.  The
+    vertical one into cell (r, s - 1), s >= 2, is (-1)^(r+1) the identity
+    on gt (x) the tuple bar differential on mt."""
+    v = len(dot)
+    r, s = cell
+    n = r + s
+    size = (v - 1) ** (n - 1)
+    x = tuple_letters(n, v, np.arange(c0, c1))
+    gens = np.arange(c1 - c0)
+    parts = []
+    if r >= 1:
+        col, tgt, _, sign = bar_faces(x[:, :r], v)
+        target = (r - 1) * size
+        parts.append((col, target + tgt * (v - 1) ** s + tuple_codes(x[col, r:], v), sign))
+        parts.append((gens, target + tuple_codes(dot[x[:, :1], x[:, 1:]], v), np.ones_like(gens)))
+        parts.append((gens, target + tuple_codes(x[:, 1:], v), -np.ones_like(gens)))
+    if s >= 2:
+        col, tgt, _, sign = bar_faces(x[:, r:], v)
+        target = r * size + tuple_codes(x[col, :r], v) * (v - 1) ** (s - 1)
+        parts.append((col, target + tgt, sign * (-1) ** (r + 1)))
+    rows, cols, values = (np.concatenate(a) for a in zip(*parts))
+    return IntegerMatrix._from_coo(c1 - c0, (n - 1) * size, rows, cols, values)
+
+
+def _full_module(v, n):
+    """X_n of the full total complex, presented: cell (r, s) is (v-1)^r
+    copies of Mbar(s), the cells block diagonal in order."""
+    rels = [
+        IntegerMatrix.identity((v - 1) ** r).kron(shuffle_quotient(s, v).relations)
+        for r, s in _full_cells(n)
+    ]
+    relations = block_matrix(
+        {(i, i): m for i, m in enumerate(rels) if m.rows}, [m.rows for m in rels], [m.cols for m in rels]
+    )
+    return PresentedModule(relations.cols, relations)
 
 
 def full_double_complex(lcs):
-    """The cycle-set double complex through total degree FULL_CAP, its
-    cells, horizontal and vertical differentials, validated: d_h o d_h,
-    d_v o d_v and d_h d_v + d_v d_h vanish, so its total complex has
-    d o d = 0."""
+    """The full total complex of the cycle-set double complex as H^1 and
+    H^2 read it (see `FullComplex`), validated: every column of d_3 is
+    checked for d o d = 0, a block at a time."""
     v = lcs.v
-    cells = {}
-    relcache = {s: shuffle_quotient(s, v).relations for s in range(1, FULL_CAP + 1)}
-    for n in range(1, FULL_CAP + 1):
-        for s in range(1, n + 1):
-            r = n - s
-            relations = IntegerMatrix.identity((v - 1) ** r).kron(relcache[s])
-            cells[(r, s)] = PresentedModule(relations.cols, relations)
-    # d_h: the plain bar faces on gt (x) I, plus delta twisting the first face
-    dh = {
-        (r, s): tuple_bar_differential(r, v).kron(IntegerMatrix.identity((v - 1) ** s))
-        + delta @ IntegerMatrix.identity(delta.cols)
-        for (r, s), delta in perturbation_delta(lcs, cells).items()
-    }
-    dv = {
-        (r, s): IntegerMatrix.identity((v - 1) ** r)
-        .kron(tuple_bar_differential(s, v))
-        .scale((-1) ** (r + 1))
-        for (r, s) in cells
-        if (r, s - 1) in cells
-    }
-    dc = DoubleComplex(cells, dh, dv)
-    report = dc.validate()
+    dot = np.array(lcs.dot, dtype=np.int64)
+    d2_t = IntegerMatrix.stacked(
+        [_full_d_rows(dot, cell, 0, (v - 1) ** 2) for cell in _full_cells(2)], v - 1
+    )
+    chain = FullComplex(
+        {1: _full_module(v, 1), 2: _full_module(v, 2), 3: CellRank(3 * (v - 1) ** 3)},
+        {2: d2_t.transpose()},
+        dot,
+    )
+    report = chain.validate()
     if not report:
-        raise AssertionError(f"full double complex is inconsistent: {report}")
-    return dc
+        raise AssertionError(f"full complex is inconsistent: {report}")
+    return chain
 
 
 def perturbation_delta(lcs, cells):
@@ -467,9 +564,9 @@ def _phi_hat_binomial(params):
 
 @functools.lru_cache(maxsize=1)
 def _full_slice(params):
-    """The total complex of the full double complex; the double complex
-    itself is not kept."""
-    return total_complex(full_double_complex(make_cyclic_lcs(params)))
+    """The full complex of the member, as H^1 and H^2 read it: X_2's
+    presentation and d_2 are kept, d_3 is made again when read."""
+    return full_double_complex(make_cyclic_lcs(params))
 
 
 @dataclass
@@ -867,6 +964,6 @@ def all_cocycle_pairs(params, gamma):
 
     # the first coordinate varies slowest
     cochains = np.zeros((1, ngen, r), dtype=np.int64)
-    for part in cocycle_kernels(chain, 2, gamma, combinations):
+    for part in cocycle_kernels(chain.cocycle_rows(2), gamma, combinations):
         cochains = (cochains[:, None] + part[None]).reshape(len(cochains) * len(part), ngen, r)
     return [_full_vector_to_pair(params, gamma, c) for c in cochains]

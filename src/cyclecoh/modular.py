@@ -32,8 +32,8 @@ but A21 is divisible by p^e, so the Schur complement is exact mod p^k
 for any lift of G.  It stays divisible by p^e, so e never decreases and
 the pivots come in Smith order; the rounds stop when no entry of A is
 left.  The condition matrices are very sparse and nearly all of their
-pivots are units: at v = 16 the 434 unit pivots of the largest,
-10350 x 450, take 8 rounds.
+pivots are units: at v = 16 the 434 unit pivots of the whole degree-2
+condition matrix of the full route, 10350 x 450, take 8 rounds.
 
 V and V^{-1} are as sparse as A, and neither needs arithmetic of its
 own.  A row x of V, starting as a row of I, takes V[x, N] -= V[x, P] G,
@@ -381,6 +381,56 @@ def kernel_mod_pk(A, p, k):
     cols = A.shape[1]
     exps, V, Vinv = local_smith(A, p, k)
     return _kernel_data(exps + [k] * (cols - len(exps)), V, Vinv, p, k)
+
+
+# the most terms `rows_off_kernel` forms at once
+_CERTIFY_TERMS = 1 << 20
+
+
+def rows_off_kernel(r, c, a, gens, m):
+    """The rows, ascending, of the sparse matrix with the row-major
+    entries (r, c, a) that do not vanish mod m on every row of `gens`: x
+    with sum_c a[x, c] gens[i, c] != 0 mod m for some i.
+
+    With the entries and gens reduced into [0, m), a row's sum for one
+    generator is at most its entries times (m - 1)^2, below 2^b; so the
+    generators are packed b bits apart, as many as fit in 63 bits, into
+    int64 words, and one sum per word gives each generator's sum, exact,
+    in its own b bits.  The sums are formed a chunk of whole rows at a
+    time, at most about _CERTIFY_TERMS terms each: a term is an entry
+    times a word at its column."""
+    a = np.remainder(a, m).astype(np.int64, copy=False)
+    starts = _run_starts(r)
+    widest = int(np.diff(np.append(starts, len(r))).max()) if len(r) else 0
+    b = (widest * (m - 1) ** 2).bit_length() or 1
+    per_word = max(1, 63 // b)
+    gens = np.asarray(gens, dtype=np.int64) % m
+    words = np.zeros((-(-len(gens) // per_word), gens.shape[1]), dtype=np.int64)
+    for i, g in enumerate(gens):
+        words[i // per_word] |= g << (b * (i % per_word))
+    shifts = b * np.arange(per_word, dtype=np.int64)
+    # for m = 2^k a sum is 0 mod m exactly when its low k bits are: one mask
+    # tests every generator of a word
+    low = sum((m - 1) << int(shift) for shift in shifts) if m & (m - 1) == 0 else None
+    step = max(1, _CERTIFY_TERMS // len(words)) if len(words) else len(r)
+    off, lo = [np.zeros(0, dtype=np.int64)], 0
+    while lo < len(r):
+        # the chunk ends at the first row start past lo + step
+        at = np.searchsorted(starts, lo + step)
+        hi = int(starts[at]) if at < len(starts) else len(r)
+        firsts = _run_starts(r[lo:hi])
+        sums = np.add.reduceat(words[:, c[lo:hi]] * a[lo:hi], firsts, axis=1)
+        if low is not None:
+            bad = (sums & low).any(axis=0)
+        else:
+            # each generator's sum, from its b bits of its word
+            each = sums[:, None, :] >> shifts[:, None]
+            each &= (1 << b) - 1
+            each %= m
+            bad = each.reshape(-1, len(firsts)).any(axis=0)
+        off.append(r[lo:hi][firsts[bad]])
+        lo = hi
+    return np.concatenate(off)
 
 
 def kernel_coordinates(kd, vecs):

@@ -690,3 +690,66 @@ def test_blas_pool_defaults_to_one_thread(preset):
     assert value == (preset or "1")
     if preset is None and threads != "None":
         assert threads == "1"
+
+
+def test_a_corrupted_d3_block_fails_verify_and_the_job(capsys, monkeypatch):
+    # one entry added to the rows of d_3^T on cell (1, 2): the d o d check
+    # of the full complex, which `verify`'s full-complex suite runs, fails
+    # and names the identity and the cell; `verify` and the cohomology job
+    # end with that self-check error
+    from cyclecoh import lcs_cohomology
+    from cyclecoh.abelian import IntegerMatrix
+    from cyclecoh.cycleset import CyclicFamilyParams, make_cyclic_lcs
+
+    original = lcs_cohomology._full_d_rows
+
+    def corrupted(dot, cell, c0, c1):
+        block = original(dot, cell, c0, c1)
+        if cell != (1, 2):
+            return block
+        return block + IntegerMatrix(block.rows, block.cols, {(0, 0): 1})
+
+    monkeypatch.setattr(lcs_cohomology, "_full_d_rows", corrupted)
+    lcs_cohomology._full_slice.cache_clear()
+    message = "full complex is inconsistent: fail [d_h d_v + d_v d_h = 0] at (1, 2)"
+    with pytest.raises(AssertionError) as failed:
+        lcs_cohomology.full_double_complex(make_cyclic_lcs(CyclicFamilyParams(2, 1, 2)))
+    assert str(failed.value) == message
+    member = ["--p", "2", "--nu", "1", "--eta", "2", "--coeff", "2"]
+    for argv in (["verify", *member], ["cohomology", *member, "--method", "full"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert json.loads(err) == {"error": {"type": "self-check", "message": message}}
+    monkeypatch.undo()
+    lcs_cohomology._full_slice.cache_clear()
+    code, out, err = run_cli(capsys, "verify", *member)
+    assert code == 0 and err == ""
+
+
+# runs one CLI job, then prints whether the process imported numpy.random
+_IMPORTED_NUMPY_RANDOM = """
+import sys
+from cyclecoh.cli import main
+imported = "numpy.random" in sys.modules
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+print(imported, "numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--version"], ["cohomology", "--p", "2", "--nu", "1", "--eta", "2", "--coeff", "2,8", "--method", "all"]],
+)
+def test_numpy_random_is_never_imported(argv):
+    # importing numpy.random costs every job about 5 MB of RSS; the row
+    # sample of the sampled elimination is drawn by the standard library
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORTED_NUMPY_RANDOM, *argv],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "False False"

@@ -1,10 +1,9 @@
 import random
-import weakref
 
 import numpy as np
 import pytest
 
-from cyclecoh.abelian import FinAbGroup, IntegerMatrix, hom_cohomology_at
+from cyclecoh.abelian import FinAbGroup, IntegerMatrix, block_matrix, hom_cohomology_at
 from cyclecoh.cycleset import CyclicFamilyParams, LinearCycleSet, make_cyclic_lcs
 from cyclecoh.lcs_cohomology import (
     ROUTES,
@@ -27,7 +26,7 @@ from cyclecoh.lcs_cohomology import (
     xi1_standard,
 )
 from cyclecoh.cyclic_resolution import tuple_bar_differential
-from cyclecoh.homology_engine import DoubleComplex, total_complex
+from cyclecoh.homology_engine import CellRank
 from cyclecoh.modular import ResourceLimitError
 
 from basis import cell_basis
@@ -73,18 +72,23 @@ def test_shuffle_quotient_rejects_out_of_scope():
         shuffle_quotient(4, 3)
 
 
+def full_cells(v):
+    """The cells of the full double complex in total degrees 1..3, by rank."""
+    return {(r, n - r): CellRank((v - 1) ** n) for n in (1, 2, 3) for r in range(n)}
+
+
 def test_full_double_complex_validates():
     for params in (P211, P212, P312):
-        dc = full_double_complex(make_cyclic_lcs(params))
-        assert dc.validate()
-        assert total_complex(dc).validate()
+        chain = full_double_complex(make_cyclic_lcs(params))
+        assert chain.validate()
+        assert chain.rank(3) == 3 * (params.v - 1) ** 3
 
 
 def test_full_complex_trivial_cycle_set_loses_the_twist():
     lcs = LinearCycleSet.trivial(3)
-    dc = full_double_complex(lcs)
-    # horizontal differential at (1,1): first face drops the group slot
-    m = dc.dh[(1, 1)]
+    # horizontal differential at (1,1), d_2 on its cell: first face drops
+    # the group slot
+    m = full_double_complex(lcs).diff[2].submatrix(0, 2, 4, 8)
     labels = cell_basis(1, 1, 3)
     tgt = {lab: i for i, lab in enumerate(cell_basis(0, 1, 3))}
     for col, (gt, mt) in enumerate(labels):
@@ -98,7 +102,7 @@ def test_full_complex_trivial_cycle_set_loses_the_twist():
 def test_perturbation_delta_values():
     params = P312
     lcs = make_cyclic_lcs(params)
-    delta = perturbation_delta(lcs, full_double_complex(lcs).cells)
+    delta = perturbation_delta(lcs, full_cells(lcs.v))
     assert set(delta) == {(1, 1), (2, 1), (1, 2)}
     # the face record, expanded by a product with the identity
     m = delta[(1, 1)] @ IntegerMatrix.identity(delta[(1, 1)].cols)
@@ -204,7 +208,7 @@ def test_phi2_is_a_chain_map_into_degree_1():
     # the degree-2 comparison must intertwine the full and reduced d_2
     for params in (P212, P312, P211):
         rc = reduced_complex(params)
-        full_d2 = total_complex(full_double_complex(make_cyclic_lcs(params))).diff[2]
+        full_d2 = full_double_complex(make_cyclic_lcs(params)).diff[2]
         # degree-1 comparison is the identity on Mbar(1)
         assert rc.total.diff[2] @ rc.phi2 == full_d2
 
@@ -250,7 +254,7 @@ def test_full_route_accepts_arbitrary_cycle_sets():
     # the full complex is built from any valid table, not just the family;
     # for the trivial operation on Z/6 the degree-1 group is Hom(Z/6, -)
     lcs = LinearCycleSet.trivial(6)
-    chain = total_complex(full_double_complex(lcs))
+    chain = full_double_complex(lcs)
     res = hom_cohomology_at(chain, 1, FinAbGroup((6,)))
     assert res.group.factors == (6,)
 
@@ -314,24 +318,21 @@ def test_module_caches_build_each_complex_once(monkeypatch):
     assert builds == {"full": 3, "perturb": 3}
 
 
-def test_full_route_keeps_no_double_complex(monkeypatch):
-    # the full-route cache holds the total complex alone: the double
-    # complex `full_double_complex` returned is gone after the call
+def test_full_route_keeps_no_double_complex():
+    # the full-route cache holds X_1 and X_2 presented and d_2: X_3 by
+    # rank alone, and neither d_3 nor X_3's relations
     from cyclecoh import lcs_cohomology
 
-    built = []
-
-    def recorded(lcs):
-        dc = full_double_complex(lcs)
-        assert isinstance(dc, DoubleComplex)
-        built.append(weakref.ref(dc))
-        return dc
-
-    monkeypatch.setattr(lcs_cohomology, "full_double_complex", recorded)
     lcs_cohomology._full_slice.cache_clear()
     cohomology(P212, FinAbGroup((2,)), 2, "full")
-    assert len(built) == 1
-    assert built[0]() is None
+    chain = lcs_cohomology._full_slice(P212)
+    n = P212.v - 1
+    assert set(chain.diff) == {2} and chain.diff[2].shape == (n, 2 * n**2)
+    assert chain.modules[3] == CellRank(3 * n**3)
+    relations = shuffle_quotient(2, P212.v).relations
+    assert chain.modules[2].relations == block_matrix(
+        {(0, 0): relations}, [relations.rows, 0], [n**2, n**2]
+    )
 
 
 def test_cohomology_h1_closed_form_values():

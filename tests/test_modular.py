@@ -280,7 +280,7 @@ def test_batched_kernel_coordinates_match_per_row_reference():
 ])
 def test_smith_identities_on_full_condition_matrix(params, p, k):
     chain = lcs_cohomology._full_slice(params)
-    A = chain.modules[2].relations.vstack(chain.diff[3].transpose())
+    A = chain.cocycle_rows(2).matrix()
     m = p**k
     Amod = A.to_numpy_mod(m)
     exps, V, Vinv = modular.local_smith(Amod, p, k)
@@ -303,7 +303,7 @@ def _condition_matrices(triple, route):
     conditions of each degree."""
     params = CyclicFamilyParams(*triple)
     chain = lcs_cohomology._full_slice(params) if route == "full" else reduced_complex(params).total
-    return [chain.modules[n].relations.vstack(chain.diff[n + 1].transpose()) for n in (1, 2)]
+    return [chain.cocycle_rows(n).matrix() for n in (1, 2)]
 
 
 @pytest.mark.parametrize("route", ["full", "reduced"])
@@ -448,7 +448,7 @@ def test_integer_matrix_and_array_give_the_same_elimination():
 def test_full_route_builds_no_dense_condition_matrix():
     params = CyclicFamilyParams(2, 2, 4)
     chain = lcs_cohomology._full_slice(params)
-    A = chain.modules[2].relations.vstack(chain.diff[3].transpose())
+    A = chain.cocycle_rows(2).matrix()
     tracemalloc.start()
     try:
         hom_cohomology_at(chain, 2, FinAbGroup((2, 8)))

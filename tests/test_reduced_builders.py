@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from cyclecoh import cyclic_resolution, homology_engine, lcs_cohomology
-from cyclecoh.abelian import FaceDifference, IdentityKron, IntegerMatrix, block_matrix
+from cyclecoh.abelian import FaceDifference, IdentityKron, IntegerMatrix, PresentedModule, block_matrix
 from cyclecoh.cycleset import CyclicFamilyParams, family_members, make_cyclic_lcs
 from cyclecoh.cyclic_resolution import (
     ResolutionContext,
@@ -415,7 +415,8 @@ def test_coefficient_complexes_match_reference(member):
             tuples = exp_tuples(n, v)
             cells = ctx.cells(n)
             assert cc.bar_rank(n) == len(tuples) * g
-            assert cc.chain.modules[n].relations == ref_block_diagonal(M.relations, len(cells))
+            # the cells enter by rank; `reduced_complex` presents them
+            assert cc.chain.modules[n] == CellRank(len(cells) * g)
             phi = {cell: ref.breve_phi(*cell) for cell in cells}
             assert cc.phibar[n] == ref_kron_with_identity(phi, cells, tuples, g), (s, n)
             if n < n_max:
@@ -456,8 +457,8 @@ def test_perturbation_delta_matches_reference(member):
         for r in range(n_max + 1):
             cells[(r, s)] = CellRank(cc.bar_rank(r))
     assert expanded(perturbation_delta(lcs, cells)) == ref_perturbation_delta(lcs, cells)
-    # the cells of the full double complex
-    full = full_double_complex(lcs).cells
+    # the cells of the full double complex, in total degrees 1..3
+    full = {(r, n - r): CellRank((v - 1) ** n) for n in (1, 2, 3) for r in range(n)}
     assert expanded(perturbation_delta(lcs, full)) == ref_perturbation_delta(lcs, full)
 
 
@@ -496,11 +497,11 @@ def test_x_cells_enter_the_transfer_by_rank(member, monkeypatch):
     assert {pos for pos in system.X.cells if sum(pos) == 4} == {(3, 1), (2, 2), (1, 3)}
     for (r, s), cell in system.X.cells.items():
         assert isinstance(cell, CellRank) and cell.ngens == (r + 1) * (v - 1) ** s, (r, s)
-    presented = {
-        (r, s): coefficient_complex(member, shuffle_quotient(s, v), r).chain.modules[r]
-        for (r, s) in out.X.cells
-        if r + s <= 3
-    }
+    presented = {}
+    for r, s in out.X.cells:
+        if r + s <= 3:
+            relations = ref_block_diagonal(shuffle_quotient(s, v).relations, r + 1)
+            presented[(r, s)] = PresentedModule(relations.cols, relations)
     X = homology_engine.DoubleComplex(presented, out.X.dh, out.X.dv)
     assert reduced.total == homology_engine.total_complex(X)
     n2 = (v - 1) ** 2
@@ -553,16 +554,32 @@ def ref_full_dv(v, r, s):
     return IntegerMatrix(len(tgt_index), len(src), data)
 
 
+def ref_full_total_d(lcs, n):
+    """d_n of the full total complex from the reference differentials:
+    cell (r, s) of degree n, in sorted order, maps by d_h to (r - 1, s)
+    and by d_v to (r, s - 1)."""
+    size = (lcs.v - 1) ** n
+    blocks = {}
+    for j in range(n):
+        r, s = j, n - j
+        if r >= 1:
+            blocks[(r - 1, j)] = ref_full_dh(lcs, r, s)
+        if s >= 2:
+            blocks[(r, j)] = ref_full_dv(lcs.v, r, s)
+    return block_matrix(blocks, [size // (lcs.v - 1)] * (n - 1), [size] * n)
+
+
 @pytest.mark.parametrize("triple", MEMBERS, ids=lambda m: "%d-%d-%d" % m)
 def test_full_differentials_match_reference(triple):
     lcs = make_cyclic_lcs(CyclicFamilyParams(*triple))
-    dc = full_double_complex(lcs)
-    assert set(dc.dh) == {(1, 1), (2, 1), (1, 2)}
-    assert set(dc.dv) == {(0, 2), (1, 2), (0, 3)}
-    for (r, s), m in dc.dh.items():
-        assert m == ref_full_dh(lcs, r, s), (r, s)
-    for (r, s), m in dc.dv.items():
-        assert m == ref_full_dv(lcs.v, r, s), (r, s)
+    chain = full_double_complex(lcs)
+    assert set(chain.diff) == {2}
+    assert chain.diff[2] == ref_full_total_d(lcs, 2)
+    # d_3 as the blocks of rows of d_3^T the full complex makes, cell by cell
+    blocks = list(chain.d3_rows())
+    assert list(dict.fromkeys(cell for cell, _ in blocks)) == [(0, 3), (1, 2), (2, 1)]
+    d3_t = IntegerMatrix.stacked([block for _, block in blocks], chain.rank(2))
+    assert d3_t.transpose() == ref_full_total_d(lcs, 3)
 
 
 @pytest.mark.parametrize("v", [2, 3, 4, 5, 8, 9, 16])
@@ -609,14 +626,16 @@ def test_transfer_holds_only_factors_and_read_maps(monkeypatch):
     original = lcs_cohomology.perturb_double_complex
 
     def recording_transfer(system, *args, **kwargs):
-        systems.append(system)
+        # the transfer consumes the maps it corrects: their cells are
+        # recorded before it
+        systems.append((system, set(system.p), set(system.h)))
         return original(system, *args, **kwargs)
 
     monkeypatch.setattr(lcs_cohomology, "perturb_double_complex", recording_transfer)
     out = lcs_cohomology._transfer_reduced(params, quotients)
-    (system,) = systems
+    ((system, p_cells, h_cells),) = systems
     below_top = {(0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (0, 3)}
-    assert set(system.p) == set(system.h) == set(out.p1) == below_top
+    assert p_cells == h_cells == set(out.p1) == below_top
     C = out.unperturbed
     assert C is system.C
     assert set(C.dh) == {(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)}

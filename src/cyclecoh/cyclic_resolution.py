@@ -77,14 +77,12 @@ def exp_tuples(n, v):
 
 
 def tuple_letters(n, v, codes=None):
-    """exp_tuples(n, v) as a ((v-1)^n, n) int64 array, in the same order;
-    with `codes`, only the rows of the tuples with those codes."""
-    if codes is not None:
-        powers = (v - 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        return np.asarray(codes, dtype=np.int64)[:, None] // powers % (v - 1) + 1
-    if n == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    return np.indices((v - 1,) * n, dtype=np.int64).reshape(n, -1).T + 1
+    """The rows of exp_tuples(n, v) with the given codes (default: all
+    (v-1)^n of them, in order) as an (len(codes), n) int64 array."""
+    if codes is None:
+        codes = np.arange((v - 1) ** n, dtype=np.int64)
+    powers = (v - 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return np.asarray(codes, dtype=np.int64)[:, None] // powers % (v - 1) + 1
 
 
 def tuple_codes(letters, v):

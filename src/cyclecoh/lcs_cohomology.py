@@ -134,8 +134,7 @@ DD_IDENTITIES = {
     (2, 1): "d_h o d_h = 0",
 }
 
-# the most rows of d_3^T that the full complex makes at once, in whole
-# first letters
+# the most rows of d_3^T that the full complex makes at once
 FULL_BLOCK_ROWS = 1 << 13
 
 
@@ -148,22 +147,19 @@ class FullComplex(ChainComplex):
     Dbar^{x r} (x) Dbar^{x s} in code order; cell (r, s) is presented as
     (v-1)^r copies of Mbar(s).
 
-    d_3 is not held: `d3_rows` makes the rows of d_3^T a block of whole
-    first letters of one X_3 cell at a time, from the cycle set's `dot`
-    table, on every call.  `validate` checks d_2 o d_3 = 0 block by
+    d_3 is not held: `d3_rows` makes the rows of d_3^T a block of at
+    most FULL_BLOCK_ROWS rows of one X_3 cell at a time, from the cycle
+    set's `dot` table, on every call.  `validate` checks d_2 o d_3 = 0 block by
     block, the identities of DD_IDENTITIES."""
 
     dot: np.ndarray
 
     def d3_rows(self):
         """The rows of d_3^T in order, as (cell, block) pairs."""
-        v = len(self.dot)
-        per_letter = (v - 1) ** 2
-        letters = max(1, FULL_BLOCK_ROWS // per_letter)
+        size = (len(self.dot) - 1) ** 3
         for cell in _full_cells(3):
-            for x1 in range(1, v, letters):
-                stop = min(v, x1 + letters)
-                yield cell, _full_d_rows(self.dot, cell, (x1 - 1) * per_letter, (stop - 1) * per_letter)
+            for c0 in range(0, size, FULL_BLOCK_ROWS):
+                yield cell, _full_d_rows(self.dot, cell, c0, min(size, c0 + FULL_BLOCK_ROWS))
 
     def validate(self):
         """d_2 o d_3 = 0, as d_3^T @ d_2^T = 0 a block of rows at a time;

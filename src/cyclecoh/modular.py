@@ -409,9 +409,6 @@ def rows_off_kernel(r, c, a, gens, m):
     for i, g in enumerate(gens):
         words[i // per_word] |= g << (b * (i % per_word))
     shifts = b * np.arange(per_word, dtype=np.int64)
-    # for m = 2^k a sum is 0 mod m exactly when its low k bits are: one mask
-    # tests every generator of a word
-    low = sum((m - 1) << int(shift) for shift in shifts) if m & (m - 1) == 0 else None
     step = max(1, _CERTIFY_TERMS // len(words)) if len(words) else len(r)
     off, lo = [np.zeros(0, dtype=np.int64)], 0
     while lo < len(r):
@@ -420,15 +417,11 @@ def rows_off_kernel(r, c, a, gens, m):
         hi = int(starts[at]) if at < len(starts) else len(r)
         firsts = _run_starts(r[lo:hi])
         sums = np.add.reduceat(words[:, c[lo:hi]] * a[lo:hi], firsts, axis=1)
-        if low is not None:
-            bad = (sums & low).any(axis=0)
-        else:
-            # each generator's sum, from its b bits of its word
-            each = sums[:, None, :] >> shifts[:, None]
-            each &= (1 << b) - 1
-            each %= m
-            bad = each.reshape(-1, len(firsts)).any(axis=0)
-        off.append(r[lo:hi][firsts[bad]])
+        # each generator's sum, from its b bits of its word
+        each = sums[:, None, :] >> shifts[:, None]
+        each &= (1 << b) - 1
+        each %= m
+        off.append(r[lo:hi][firsts[each.reshape(-1, len(firsts)).any(axis=0)]])
         lo = hi
     return np.concatenate(off)
 

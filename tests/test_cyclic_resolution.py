@@ -15,6 +15,8 @@ from cyclecoh.cyclic_resolution import (
     resolution,
     structural_differentials,
     tuple_bar_differential,
+    tuple_codes,
+    tuple_letters,
 )
 from cyclecoh.homology_engine import ChainComplex
 
@@ -418,3 +420,13 @@ def test_induced_omega2_closed_form():
                 expected[(1, l)] = expected.get((1, l), 0) + 1
             expected = {k: c for k, c in expected.items() if c}
             assert by_tuple(om.column(code(v, a)), 2, v) == expected, (params, a)
+
+
+def test_tuple_letters_are_exp_tuples_by_code():
+    for v in (2, 3, 5):
+        for n in range(4):
+            letters = tuple_letters(n, v)
+            assert letters.tolist() == [list(t) for t in exp_tuples(n, v)]
+            assert tuple_codes(letters, v).tolist() == list(range((v - 1) ** n))
+            picked = [(v - 1) ** n - 1, 0]
+            assert tuple_letters(n, v, picked).tolist() == letters[picked].tolist()

@@ -582,6 +582,21 @@ def test_full_differentials_match_reference(triple):
     assert d3_t.transpose() == ref_full_total_d(lcs, 3)
 
 
+@pytest.mark.parametrize("block_rows", [7, lcs_cohomology.FULL_BLOCK_ROWS])
+def test_d3_blocks_stay_within_the_block_rows(block_rows, monkeypatch):
+    # 7 rows splits the (v-1)^2 = 9 rows of a first letter at v = 4;
+    # every block holds at most FULL_BLOCK_ROWS rows and the blocks are
+    # d_3^T in order
+    lcs = make_cyclic_lcs(CyclicFamilyParams(2, 1, 2))
+    monkeypatch.setattr(lcs_cohomology, "FULL_BLOCK_ROWS", block_rows)
+    chain = full_double_complex(lcs)
+    blocks = [block for _, block in chain.d3_rows()]
+    assert all(1 <= block.rows <= block_rows for block in blocks)
+    assert len(blocks) == 3 * -(-27 // block_rows)
+    d3_t = IntegerMatrix.stacked(blocks, chain.rank(2))
+    assert d3_t.transpose() == ref_full_total_d(lcs, 3)
+
+
 @pytest.mark.parametrize("v", [2, 3, 4, 5, 8, 9, 16])
 def test_shuffle_quotient_matches_reference(v):
     for s in (1, 2, 3):

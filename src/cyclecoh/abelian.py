@@ -387,24 +387,16 @@ class IntegerMatrix:
         out[self.row_idx, self.col_idx] = self.values % m
         return out
 
-    def power(self, n):
-        """self^n by binary powering: about log2(n) squarings and as many
-        products, each exact, and no product with the identity."""
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        if n < 0:
-            raise ValueError("negative matrix power")
-        result, square = None, self
-        while n:
-            if n & 1:
-                result = square if result is None else result @ square
-            n >>= 1
-            if n:
-                square = square @ square
-        return IntegerMatrix.identity(self.rows) if result is None else result
-
     def __repr__(self):
         return f"IntegerMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
+
+
+def _identity_columns(n, c0, c1):
+    """Columns c0..c1-1 of the n x n identity."""
+    return IntegerMatrix._from_coo(
+        n, c1 - c0, np.arange(c0, c1), np.arange(c1 - c0), np.ones(c1 - c0, dtype=np.int64),
+        canonical=True,
+    )
 
 
 def _product(left, right, inner=1):
@@ -425,7 +417,8 @@ class IdentityKron:
     Its products with an `IntegerMatrix` on either side relabel the COO
     indices around one product with `factor`, and are exactly equal to
     the products with the explicit Kronecker product, which is never
-    formed.  It has no arithmetic of its own beyond these products."""
+    formed.  It has no arithmetic of its own beyond these products and
+    its row and column slices."""
 
     outer: int
     factor: IntegerMatrix
@@ -446,22 +439,57 @@ class IdentityKron:
     @property
     def column_unit(self):
         """Column slices start and end at multiples of this: whole copies
-        of the identity I_inner when outer is 1, else the whole matrix."""
-        return self.inner if self.outer == 1 else self.cols
+        of the identity I_inner when outer is 1, else anywhere."""
+        return self.inner if self.outer == 1 else 1
 
     def column_slice(self, c0, c1):
-        """Columns c0..c1-1, both multiples of `column_unit`: the factor's
-        columns c0 / inner..c1 / inner, (x) I_inner."""
-        if (c0, c1) == (0, self.cols):
-            return self
-        if c0 % self.column_unit or c1 % self.column_unit:
-            raise ValueError(f"columns {c0}..{c1} of I (x) B (x) I_{self.inner} split a copy")
-        B, n = self.factor, self.inner
-        return IdentityKron(1, B.submatrix(0, B.rows, c0 // n, c1 // n), n)
+        """Columns c0..c1-1, as `column_slices` gives them."""
+        return self.column_slices()(c0, c1)
 
     def column_slices(self):
-        """`column_slice` as a function of (c0, c1)."""
-        return self.column_slice
+        """A function (c0, c1) -> columns c0..c1-1, for many slices.
+
+        When outer is 1, c0 and c1 are multiples of `column_unit` and the
+        slice is a record: the factor's columns c0 / inner..c1 / inner,
+        from the factor's own `column_slices`, (x) I_inner.  Otherwise they
+        may be anywhere and the slice is explicit, as only a block of
+        columns wide ever is: column (a, j, k), a outer and k inner, holds
+        column j of the factor at rows (a, i, k), found by the factor's
+        column pointers, made once here."""
+        B, n = self.factor, self.inner
+        if self.outer == 1:
+            factor_slice = B.column_slices()
+
+            def column_slice(c0, c1):
+                if (c0, c1) == (0, self.cols):
+                    return self
+                if c0 % n or c1 % n:
+                    raise ValueError(f"columns {c0}..{c1} of I (x) B (x) I_{n} split a copy")
+                return IdentityKron(1, factor_slice(c0 // n, c1 // n), n)
+
+            return column_slice
+        order = np.argsort(B.col_idx, kind="stable")
+        ptr = np.searchsorted(B.col_idx, np.arange(B.cols + 1), sorter=order)
+
+        def column_slice(c0, c1):
+            if (c0, c1) == (0, self.cols):
+                return self
+            a, rest = np.divmod(np.arange(c0, c1), B.cols * n)
+            j, k = np.divmod(rest, n)
+            count = ptr[j + 1] - ptr[j]
+            idx = order[np.repeat(ptr[j] - np.cumsum(count) + count, count) + np.arange(count.sum())]
+            return IntegerMatrix._from_coo(
+                self.rows, c1 - c0,
+                (np.repeat(a * B.rows, count) + B.row_idx[idx]) * n + np.repeat(k, count),
+                np.repeat(np.arange(c1 - c0), count), B.values[idx],
+            )
+
+        return column_slice
+
+    def row_slice(self, r0, r1):
+        """Rows r0..r1-1, at any offset, as the explicit matrix
+        I[r0:r1, :] @ self."""
+        return _identity_columns(self.rows, r0, r1).transpose() @ self
 
     def __matmul__(self, other):
         """self @ other: row (a, j, c) of other, a outer and c inner, is

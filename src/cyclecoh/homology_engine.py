@@ -15,7 +15,8 @@ Sign conventions used throughout (and enforced by the checks):
     d_h + d_v (the vertical maps carry their signs internally);
   * perturbations are certified small by an explicit nilpotency degree
     n0 with (delta o h)^{n0} = 0, which truncates the geometric series
-    of the perturbation lemma.
+    of the perturbation lemma; the certificate is the series' own term
+    of degree n0.
 
 Everything is a finite collection of integer matrices with explicit
 degree caps; identities are checked degreewise wherever all the maps
@@ -29,9 +30,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .abelian import IntegerMatrix, PresentedModule, RowBlocks, block_matrix
+from .abelian import PresentedModule, RowBlocks, _identity_columns, block_matrix
 
 
 @dataclass(frozen=True)
@@ -96,10 +95,12 @@ class DoubleComplex:
 
     A differential may be an `IdentityKron` record I (x) B (x) I held by
     its factor B, as the perturbation transfer's large complex holds its
-    differentials.  Such a record is read only through products with an
-    `IntegerMatrix`, d @ M and M @ d, and has no product with another
-    record, so `validate`, which composes differentials with each other,
-    does not apply to a complex that holds them."""
+    differentials and its small complex X its vertical maps.  Such a
+    record is read only through products with an `IntegerMatrix`, d @ M
+    and M @ d, and its row and column slices, and has no product with
+    another record, so `validate`, which composes differentials with each
+    other, and `total_complex`, which assembles them, do not apply to a
+    complex that holds them."""
 
     cells: dict
     dh: dict = field(default_factory=dict)
@@ -223,14 +224,25 @@ def perturb_double_complex(system, delta, n0, verify=True):
     verifying that i1/p1 are morphisms of double complexes with
     p1 o i1 = id and that each row homotopy identity holds.
 
+    Smallness is read off the series the corrections form anyway.  At
+    each cell (r, s) with h and delta at (r + 1, s), delta h is formed
+    once, and the h-series T_1 = delta h, T_{j+1} = delta h T_j gives
+    Ah = T_1 + ... + T_n0.  (delta h)^n0 = 0 exactly when T_n0, or an
+    earlier term, is 0; otherwise the function raises
+    ValueError("perturbation not small at (r, s)").  The cells are
+    visited in the order of (s, r): Ah at (r, s) and Ai at (r + 1, s)
+    read that delta h, which is then dropped.
+
     The perturbed differential d_C + delta of C is never formed: the
     verification applies it as d_C @ M + delta @ M and M @ d_C + M @ delta,
     so C's differential is held once, beside delta, and C's differentials
     and delta are read only through such products (an `IdentityKron` or
     a `FaceDifference` serves).  The verification compares each identity
     a block of columns (or rows) at a time, so it reads column slices of
-    the right factors too, which these records give.  Of C's cells only
-    the ranks are read.
+    the right factors too, which these records give.  X's vertical maps
+    may be such records as well: the verification reads their column
+    slices and row slices, each a block wide.  Of C's cells only the
+    ranks are read.
 
     The function consumes the system's maps: each i, p or h that a
     correction replaces is deleted from `system.i`, `system.p` or
@@ -238,59 +250,56 @@ def perturb_double_complex(system, delta, n0, verify=True):
     map is not held through the verification.
     """
 
-    def dh_at(pos):
-        h = system.h.get(pos)
-        d = delta.get((pos[0] + 1, pos[1]))
-        if h is None or d is None:
-            return None
-        return d @ h
-
-    # smallness per row
-    dh = {pos: dh_at(pos) for pos in system.C.cells}
-    for pos, m in dh.items():
-        if m is not None and not m.power(n0).is_zero():
-            raise ValueError(f"perturbation not small at {pos}")
-
-    def A_times(pos, X):
-        """A @ X for A = sum_{j < n0} (delta h)^j delta at pos, applied to X
-        right to left: A itself, on the large C_{r,s}, is never formed."""
-        d = delta.get(pos) if pos in system.C.cells else None
-        if d is None:
-            return None
-        term = acc = d @ X
-        delta_h = dh.get((pos[0] - 1, pos[1]))
-        if delta_h is None:
-            return acc
-        for _ in range(n0 - 1):
-            term = delta_h @ term
+    def series(term, delta_h):
+        """The sum of term, delta_h @ term, ..., delta_h^(n0-1) @ term, and
+        the last of these formed: the series stops after its first zero
+        term, and is term alone where delta_h is None."""
+        total = term
+        for _ in range(n0 - 1 if delta_h is not None else 0):
             if term.is_zero():
                 break
-            acc = acc + term
-        return acc
+            term = delta_h @ term
+            total = total + term
+        return total, term
 
     new_dhX = dict(system.X.dh)
     i1 = dict(system.i)
     p1 = dict(system.p)
     h1 = dict(system.h)
-    for (r, s) in system.C.cells:
-        Ai = A_times((r, s), system.i[(r, s)]) if (r, s) in system.i else None
-        if Ai is not None:
+    # delta h at the last cell visited, read by Ai at the next one in its
+    # row; Ai, Ah and delta h are dropped at the end of each cell, so that
+    # neither the next cell's products nor the verification hold them
+    dh = {}
+    for r, s in sorted(system.C.cells, key=lambda pos: (pos[1], pos[0])):
+        delta_h = dh.pop((r - 1, s), None)
+        d = delta.get((r, s))
+        if (r, s) in system.i and d is not None:
+            Ai = series(d @ system.i[(r, s)], delta_h)[0]
             if (r - 1, s) in system.p:
                 corr = system.p[(r - 1, s)] @ Ai
                 base = system.X.dh.get((r, s))
                 new_dhX[(r, s)] = corr if base is None else base + corr
             if (r - 1, s) in system.h:
                 i1[(r, s)] = system.i[(r, s)] + system.h[(r - 1, s)] @ Ai
-        Ah = A_times((r + 1, s), system.h[(r, s)]) if (r, s) in system.h else None
-        if Ah is not None:
+            Ai = None
+        d = delta.get((r + 1, s))
+        if (r, s) in system.h and d is not None:
+            # the h-series T_1 = delta h, T_(j+1) = delta h T_j: Ah is
+            # T_1 + ... + T_n0, and (delta h)^n0 = 0 exactly when the
+            # series reaches a zero term by T_n0
+            delta_h = d @ system.h[(r, s)]
+            Ah, last = series(delta_h, delta_h)
+            if not last.is_zero():
+                raise ValueError(f"perturbation not small at {(r, s)}")
+            dh[(r, s)] = delta_h
             if (r, s) in system.p:
                 p1[(r, s)] = system.p[(r, s)] + system.p[(r, s)] @ Ah
             h1[(r, s)] = system.h[(r, s)] + system.h[(r, s)] @ Ah
-    # the verification reads neither the smallness products, nor the last
-    # series applied, nor the maps the corrections replaced, so they are
-    # released before it
+            Ah = last = None
+        delta_h = None
+    # the verification reads neither delta h nor the maps the corrections
+    # replaced, so they are released before it
     dh.clear()
-    Ai = Ah = None
     for old, new in ((system.i, i1), (system.p, p1), (system.h, h1)):
         for pos in [pos for pos, m in old.items() if new[pos] is not m]:
             del old[pos]
@@ -343,14 +352,6 @@ def _agree(lines, factors, lhs, rhs):
         if lhs(a, b, *cols) != rhs(a, b, *cols):
             return False
     return True
-
-
-def _identity_columns(n, c0, c1):
-    """Columns c0..c1-1 of the n x n identity."""
-    return IntegerMatrix._from_coo(
-        n, c1 - c0, np.arange(c0, c1), np.arange(c1 - c0), np.ones(c1 - c0, dtype=np.int64),
-        canonical=True,
-    )
 
 
 def _verify_perturbed_rows(Xp, C, delta, i1, p1, h1):

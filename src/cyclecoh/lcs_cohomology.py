@@ -379,15 +379,21 @@ def reduced_complex(params):
     perturbation-lemma transfer's output on its cells of total degree
     <= 3, cross-checked against the closed-form arrows.  The transfer
     reads X's cells by rank; they are presented here, after it: cell
-    (r, s) is r + 1 copies of Mbar(s)."""
+    (r, s) is r + 1 copies of Mbar(s), and its vertical map, held as a
+    record by the transfer, is made explicit, r + 1 copies of its
+    factor.  Of the transfer only X and the projection p1 at (1, 1) are
+    kept: the corrected maps are released before the cross-checks."""
     quotients = {s: shuffle_quotient(s, params.v) for s in (1, 2, 3)}
     transfer = _transfer_reduced(params, quotients)
-    X = transfer.X
-    cells = {}
+    X, phi_hat = transfer.X, transfer.p1[(1, 1)]
+    del transfer
+    cells, dv = {}, {}
     for r, s in X.cells:
         if r + s <= 3:
             relations = IntegerMatrix.identity(r + 1).kron(quotients[s].relations)
             cells[(r, s)] = PresentedModule(relations.cols, relations)
+            if (r, s) in X.dv:
+                dv[(r, s)] = IntegerMatrix.identity(r + 1).kron(X.dv[(r, s)].factor)
     arrows = _arrow_matrices(params)
     for r, s in cells:
         g = (params.v - 1) ** s
@@ -400,12 +406,11 @@ def reduced_complex(params):
             if name is not None and got != arrows[name]:
                 raise AssertionError(f"transfer output disagrees with the closed-form arrow {name}")
     # total_complex reads the differentials of the given cells only
-    total = total_complex(DoubleComplex(cells, X.dh, X.dv))
+    total = total_complex(DoubleComplex(cells, X.dh, dv))
     if not total.validate():
         raise AssertionError("reduced complex fails d o d = 0")
 
     # phi-hat: the projection on X_{1,1} = Mbar(1)_01 + Mbar(1)_10
-    phi_hat = transfer.p1[(1, 1)]
     closed01, closed10 = phi_hat_closed(params)
     if phi_hat != closed01.vstack(closed10):
         raise AssertionError("transferred degree-2 projection disagrees with closed form")
@@ -427,7 +432,9 @@ def _transfer_reduced(params, quotients):
     the system.
     The bar side's differentials are held factored: d_h is the tuple bar
     differential (x) id of Mbar(s), d_v is id of the (v-1)^r tuples (x)
-    the inner bar differential."""
+    the signed inner bar differential.  X's vertical maps are records
+    too, id of its r + 1 cells (x) the same signed factor: one factor per
+    s and sign serves both sides."""
     v, t = params.v, params.t
     lcs = make_cyclic_lcs(params)
     rmax = {1: 3, 2: 2, 3: 1}
@@ -454,12 +461,14 @@ def _transfer_reduced(params, quotients):
                 xdh[(r, s)] = cc.chain.diff[r]
     del cc
     for s in (2, 3):
+        # one signed inner bar differential per sign, shared by both sides
+        signed = {sign: bar[s].scale(sign) for sign in (1, -1)}
         for r in range(min(rmax[s], rmax[s - 1]) + 1):
-            signed = bar[s].scale((-1) ** (r + 1))
+            sign = (-1) ** (r + 1)
             # X side: block diagonal over the r + 1 cells of degree r; bar
             # side: id on the group slots tensor the inner map
-            xdv[(r, s)] = IntegerMatrix.identity(r + 1).kron(signed)
-            cdv[(r, s)] = IdentityKron((v - 1) ** r, signed, 1)
+            xdv[(r, s)] = IdentityKron(r + 1, signed[sign], 1)
+            cdv[(r, s)] = IdentityKron((v - 1) ** r, signed[sign], 1)
     delta = perturbation_delta(lcs, ccells)
     system = RowSDRSystem(
         DoubleComplex(xcells, xdh, xdv), DoubleComplex(ccells, cdh, cdv), i_maps, p_maps, h_maps

@@ -283,22 +283,6 @@ def test_column_slices_equal_the_submatrix(data):
         assert column_slice(a, b) == A.submatrix(0, rows, a, b)
 
 
-@pytest.mark.parametrize("n", range(8))
-def test_power_equals_repeated_products(n):
-    rng = random.Random(n)
-    for size, bound in ((4, 3), (3, 2**20), (5, 1)):
-        M = IntegerMatrix(size, size, _random_entries(rng, size, size, bound))
-        expected = IntegerMatrix.identity(size)
-        for _ in range(n):
-            expected = expected @ M
-        assert M.power(n) == expected
-    # a nilpotent matrix: every power from its degree on is zero
-    shift = IntegerMatrix(4, 4, {(i, i + 1): 2 for i in range(3)})
-    assert [shift.power(n).is_zero() for n in range(6)] == [False] * 4 + [True] * 2
-    with pytest.raises(ValueError):
-        shift.power(-1)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_identity_kron_products_equal_the_explicit_kron(data):
@@ -325,6 +309,32 @@ def test_identity_kron_products_equal_the_explicit_kron(data):
         if inner > 1 and copies:
             with pytest.raises(ValueError):
                 K.column_slice(1, K.cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_identity_kron_slices_equal_the_explicit_slices(data):
+    """Row slices at any offset, and with outer > 1 column slices at any
+    offset, equal the slices of the explicit Kronecker product."""
+    outer, inner = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    K = IdentityKron(outer, _matrices(data.draw, rows, cols), inner)
+    explicit = IntegerMatrix.identity(outer).kron(K.factor).kron(IntegerMatrix.identity(inner))
+    for _ in range(3):
+        a = data.draw(st.integers(0, K.rows))
+        b = data.draw(st.integers(a, K.rows))
+        assert K.row_slice(a, b) == explicit.submatrix(a, b, 0, K.cols)
+    if outer > 1:
+        assert K.column_unit == 1
+        column_slice = K.column_slices()
+        for _ in range(3):
+            a = data.draw(st.integers(0, K.cols))
+            b = data.draw(st.integers(a, K.cols))
+            S = column_slice(a, b)
+            if (a, b) == (0, K.cols):
+                assert S is K
+            else:
+                assert S == explicit.submatrix(0, K.rows, a, b)
 
 
 def _explicit_face_difference(F):

@@ -224,6 +224,48 @@ def test_perturb_sdr_rejects_non_small():
         perturb_double_complex(system, delta, 3)
 
 
+def shift(k):
+    """The k x k matrix with ones above the diagonal: nilpotent of degree
+    exactly k."""
+    return IntegerMatrix(k, k, {(i, i + 1): 1 for i in range(k - 1)})
+
+
+def test_smallness_at_the_nilpotency_degree():
+    """delta h = -shift(k) has (delta h)^k = 0 and (delta h)^(k-1) != 0:
+    k certifies it, k - 1 does not, at the disc's only h cell."""
+    for k in range(1, 6):
+        out = perturb_double_complex(disc_sdr(k), {(1, 0): shift(k)}, k)
+        assert out.report
+        if k > 1:
+            with pytest.raises(ValueError, match=r"perturbation not small at \(0, 0\)"):
+                perturb_double_complex(disc_sdr(k), {(1, 0): shift(k)}, k - 1)
+
+
+def two_disc_rows(k):
+    """Two rows s = 0, 1 of k discs each, with no vertical maps; X = 0."""
+    cells = {(r, s): free(k) for r in (0, 1) for s in (0, 1)}
+    C = DoubleComplex(cells, {(1, s): IntegerMatrix.identity(k) for s in (0, 1)})
+    zero = {(r, s): free(0) for r, s in cells}
+    X = DoubleComplex(zero, {(1, s): IntegerMatrix.zero(0, 0) for s in (0, 1)})
+    i = {pos: IntegerMatrix.zero(k, 0) for pos in cells}
+    p = {pos: IntegerMatrix.zero(0, k) for pos in cells}
+    h = {(0, s): IntegerMatrix.identity(k).scale(-1) for s in (0, 1)}
+    return RowSDRSystem(X, C, i, p, h)
+
+
+def test_not_small_names_the_cell():
+    """Row 0 is small at n0 = 3 and row 1 is not: the error names (0, 1),
+    whichever order the cells are listed in."""
+    delta = {(1, 0): shift(3), (1, 1): shift(3) + IntegerMatrix(3, 3, {(2, 0): 1})}
+    for order in (lambda pos: pos, lambda pos: (-pos[1], -pos[0])):
+        system = two_disc_rows(3)
+        system.C.cells = dict(sorted(system.C.cells.items(), key=lambda item: order(item[0])))
+        with pytest.raises(ValueError, match=r"perturbation not small at \(0, 1\)"):
+            perturb_double_complex(system, delta, 3)
+    out = perturb_double_complex(two_disc_rows(3), {(1, 0): shift(3), (1, 1): shift(3)}, 3)
+    assert out.report
+
+
 def test_perturb_double_complex_zero_delta():
     cells = {(r, s): free(1) for r in (0, 1) for s in (1, 2)}
     zero = IntegerMatrix.zero(1, 1)

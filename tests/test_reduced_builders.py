@@ -13,6 +13,7 @@ matrix for matrix.
 
 import itertools
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -481,7 +482,9 @@ def test_x_cells_enter_the_transfer_by_rank(member, monkeypatch):
     """X's cells enter the transfer as `CellRank`s, the cells of total
     degree 4 included; the reduced total complex presents the cells of
     degree <= 3 as the coefficient complexes do, and is the total complex
-    of the transfer's output on them, with phi2 from its projection."""
+    of the transfer's output on them, with its vertical maps explicit:
+    r + 1 copies of the signed inner bar differential at (r, s).  phi2
+    comes from the transfer's projection."""
     v = member.v
     original = lcs_cohomology.perturb_double_complex
     transfers = []
@@ -497,12 +500,16 @@ def test_x_cells_enter_the_transfer_by_rank(member, monkeypatch):
     assert {pos for pos in system.X.cells if sum(pos) == 4} == {(3, 1), (2, 2), (1, 3)}
     for (r, s), cell in system.X.cells.items():
         assert isinstance(cell, CellRank) and cell.ngens == (r + 1) * (v - 1) ** s, (r, s)
-    presented = {}
+    presented, dv = {}, {}
     for r, s in out.X.cells:
         if r + s <= 3:
             relations = ref_block_diagonal(shuffle_quotient(s, v).relations, r + 1)
             presented[(r, s)] = PresentedModule(relations.cols, relations)
-    X = homology_engine.DoubleComplex(presented, out.X.dh, out.X.dv)
+            if s >= 2:
+                signed = ref_tuple_bar_differential(s, v).scale((-1) ** (r + 1))
+                dv[(r, s)] = ref_block_diagonal(signed, r + 1)
+    assert set(dv) == {(0, 2), (1, 2), (0, 3)}
+    X = homology_engine.DoubleComplex(presented, out.X.dh, dv)
     assert reduced.total == homology_engine.total_complex(X)
     n2 = (v - 1) ** 2
     phi_hat = out.p1[(1, 1)]
@@ -666,6 +673,76 @@ def test_transfer_holds_only_factors_and_read_maps(monkeypatch):
     for (r, s), d in out.delta.items():
         assert isinstance(d, FaceDifference), (r, s)
         assert (d.rows, d.cols) == ((v - 1) ** (r + s - 1), (v - 1) ** (r + s))
+
+
+def test_vertical_maps_are_shared_records_and_delta_h_is_formed_once(monkeypatch):
+    """In a fresh (2,2,4) transfer no vertical map is an explicit matrix:
+    X's and C's are `IdentityKron` records that share one signed factor
+    per s and sign.  And delta @ h is formed once per cell: the
+    smallness certificate and both corrections read that one product (the
+    verification, which may form it again, is not counted)."""
+    params = CyclicFamilyParams(2, 2, 4)
+    quotients = {s: shuffle_quotient(s, params.v) for s in (1, 2, 3)}
+    systems, products, verifying = [], [], []
+    original = lcs_cohomology.perturb_double_complex
+    original_matmul = FaceDifference.__matmul__
+    original_verify = homology_engine._verify_perturbed_rows
+
+    def recording_transfer(system, delta, *args, **kwargs):
+        # the transfer consumes the maps it corrects: they are kept here
+        systems.append((system, dict(system.h), delta))
+        return original(system, delta, *args, **kwargs)
+
+    def recording_matmul(self, other):
+        if not verifying:
+            products.append((id(self), id(other)))
+        return original_matmul(self, other)
+
+    def marked_verify(*args):
+        verifying.append(True)
+        return original_verify(*args)
+
+    monkeypatch.setattr(lcs_cohomology, "perturb_double_complex", recording_transfer)
+    monkeypatch.setattr(FaceDifference, "__matmul__", recording_matmul)
+    monkeypatch.setattr(homology_engine, "_verify_perturbed_rows", marked_verify)
+    lcs_cohomology._transfer_reduced(params, quotients)
+    ((system, h, delta),) = systems
+    assert set(system.X.dv) == set(system.C.dv) == {(0, 2), (1, 2), (2, 2), (0, 3), (1, 3)}
+    factors = {}
+    for (r, s), xv in system.X.dv.items():
+        cv = system.C.dv[(r, s)]
+        assert isinstance(xv, IdentityKron) and isinstance(cv, IdentityKron), (r, s)
+        assert (xv.outer, xv.inner, cv.outer, cv.inner) == (r + 1, 1, (params.v - 1) ** r, 1)
+        assert xv.factor is cv.factor, (r, s)
+        assert factors.setdefault((s, (-1) ** (r + 1)), xv.factor) is xv.factor, (r, s)
+    assert len(factors) == 4
+    assert verifying == [True]
+    for (r, s), m in h.items():
+        count = products.count((id(delta[(r + 1, s)]), id(m)))
+        assert count == 1, ((r, s), count)
+
+
+def test_reduced_complex_releases_the_transfer_before_its_checks(monkeypatch):
+    """`reduced_complex` keeps X and phi-hat of the transfer: the transfer
+    with its corrected maps is gone before the closed-form arrows are
+    built."""
+    refs, alive = [], []
+    original = lcs_cohomology._transfer_reduced
+    original_arrows = lcs_cohomology._arrow_matrices
+
+    def recording_transfer(*args):
+        out = original(*args)
+        refs.append(weakref.ref(out))
+        return out
+
+    def checking_arrows(params):
+        alive.append(refs[0]() is not None)
+        return original_arrows(params)
+
+    monkeypatch.setattr(lcs_cohomology, "_transfer_reduced", recording_transfer)
+    monkeypatch.setattr(lcs_cohomology, "_arrow_matrices", checking_arrows)
+    lcs_cohomology.reduced_complex.__wrapped__(CyclicFamilyParams(2, 2, 3))
+    assert alive == [False]
 
 
 @pytest.mark.parametrize(

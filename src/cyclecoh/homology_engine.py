@@ -3,7 +3,8 @@ perturbation lemma.
 
 There is one perturbation lemma, `perturb_double_complex`: it transfers
 a small perturbation of the horizontal differential through special
-deformation retracts (SDRs) of the rows of a double complex.  A chain
+deformation retracts (SDRs) of the rows of a double complex, taking
+the rows from a source one at a time, or a whole grid at once.  A chain
 complex is a one-row double complex with cells (n, 0), so the same
 function perturbs an SDR of chain complexes.
 
@@ -25,7 +26,9 @@ involved exist.
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -67,10 +70,12 @@ class ChainComplex:
         return RowBlocks.of(self.modules[n].relations.vstack(self.diff[n + 1].transpose()))
 
     def validate(self):
+        """d o d = 0, d_{n-1} @ d_n composed a block of d_n's columns at a
+        time (`_holds`); a failure names the degree n."""
         for n in range(2, self.top + 1):
             if n in self.diff and (n - 1) in self.diff:
-                comp = self.diff[n - 1] @ self.diff[n]
-                if not comp.is_zero():
+                d, below = self.diff[n], self.diff[n - 1]
+                if not _holds(d.cols, (d,), lambda a, b, db: (below @ db).is_zero()):
                     return CheckReport(False, "d o d = 0", n)
         return CheckReport(True)
 
@@ -195,43 +200,42 @@ class RowSDRSystem:
 
 @dataclass
 class PerturbedRows:
-    """The transfer's output: X with its perturbed horizontal differential,
-    the corrected i1, p1, h1 and the verification report.
-
-    The perturbed differential d_C + delta of the large complex is held
-    as its two summands, `unperturbed.dh` and `delta`.  C's differentials
-    may be held factored, as `IdentityKron` records I (x) B (x) I of their
-    small factors B, and delta by its face index maps, as
-    `FaceDifference` records: they are read only through products with
-    matrices, d @ M and M @ d, and column slices of these records, which
-    never form them."""
+    """The transfer's output: X over every row, with its perturbed
+    horizontal differential, the corrected maps i1, p1 and h1 that the
+    call keeps, and the verification report."""
 
     X: DoubleComplex
-    unperturbed: DoubleComplex
-    delta: dict
     i1: dict
     p1: dict
     h1: dict
     report: CheckReport
 
 
-def perturb_double_complex(system, delta, n0, verify=True):
-    """Row-wise perturbation-lemma transfer across a double complex.
+def perturb_double_complex(rows, n0, verify=True, keep=None):
+    """Row-wise perturbation-lemma transfer across a double complex, one
+    row (or band of rows) at a time.
 
-    delta maps (r, s) -> matrix C_{r,s} -> C_{r-1,s}; n0 is the
-    nilpotency witness for every delta o h.  Returns the perturbed
-    horizontal differential on X together with the corrected i, p, h,
-    verifying that i1/p1 are morphisms of double complexes with
-    p1 o i1 = id and that each row homotopy identity holds.
+    `rows` yields (system, delta) pairs in increasing s.  Each system is a
+    `RowSDRSystem` on one row of the double complex, or on several
+    consecutive rows (a whole grid is one pair), and delta maps its cells
+    (r, s) -> matrix C_{r,s} -> C_{r-1,s}.  A system's X.dv and C.dv are
+    the vertical maps out of its cells, into the row below.  n0 is the
+    nilpotency witness for every delta o h.  Returns X over every row with
+    its perturbed horizontal differential, and the corrected i1, p1, h1
+    named by `keep`, {"i1" | "p1" | "h1": cells}, or all of them when
+    `keep` is None.
 
-    Smallness is read off the series the corrections form anyway.  At
-    each cell (r, s) with h and delta at (r + 1, s), delta h is formed
-    once, and the h-series T_1 = delta h, T_{j+1} = delta h T_j gives
-    Ah = T_1 + ... + T_n0.  (delta h)^n0 = 0 exactly when T_n0, or an
-    earlier term, is 0; otherwise the function raises
-    ValueError("perturbation not small at (r, s)").  The cells are
-    visited in the order of (s, r): Ah at (r, s) and Ai at (r + 1, s)
-    read that delta h, which is then dropped.
+    The perturbation is horizontal, so the corrections at (r, s) read row
+    s alone.  Each pair is corrected (`_corrected_rows`) and verified
+    before the next is drawn from `rows`: `_verify_perturbed_rows` checks
+    that i1/p1 are morphisms of double complexes with p1 o i1 = id, and
+    that each row homotopy identity holds, where the vertical chain-map
+    identities at (r, s) read the corrected i1 and p1 of the pair below.
+    Of a pair only X's corrected horizontal differentials, the kept maps
+    and, for the next pair's vertical identities, its i1 and p1 outlive
+    it: its system, delta, h1 and delta h are released before the next
+    pair is drawn, so a source that builds each row as it is drawn holds
+    one row of the large complex at a time.
 
     The perturbed differential d_C + delta of C is never formed: the
     verification applies it as d_C @ M + delta @ M and M @ d_C + M @ delta,
@@ -243,11 +247,50 @@ def perturb_double_complex(system, delta, n0, verify=True):
     may be such records as well: the verification reads their column
     slices and row slices, each a block wide.  Of C's cells only the
     ranks are read.
+    """
+    X = DoubleComplex({}, {}, {})
+    kept = {"i1": {}, "p1": {}, "h1": {}}
+    below = ({}, {})
+    report = CheckReport(True)
+    for system, delta in rows:
+        dhX, i1, p1, h1 = _corrected_rows(system, delta, n0)
+        Xp = DoubleComplex(system.X.cells, dhX, system.X.dv)
+        if verify:
+            report = _verify_perturbed_rows(
+                Xp, system.C, delta, collections.ChainMap(i1, below[0]),
+                collections.ChainMap(p1, below[1]), h1,
+            )
+            if not report:
+                raise AssertionError(f"perturbed double complex failed: {report}")
+            below = (i1, p1)
+        X.cells.update(Xp.cells)
+        X.dh.update(dhX)
+        X.dv.update(Xp.dv)
+        for name, maps in (("i1", i1), ("p1", p1), ("h1", h1)):
+            cells = maps if keep is None else keep.get(name, ())
+            kept[name].update((pos, maps[pos]) for pos in cells if pos in maps)
+        # nothing of this pair but X, the kept maps and `below` is held
+        # while the source makes the next
+        del system, delta, dhX, i1, p1, h1, maps, cells, Xp
+    return PerturbedRows(X, kept["i1"], kept["p1"], kept["h1"], report)
 
-    The function consumes the system's maps: each i, p or h that a
-    correction replaces is deleted from `system.i`, `system.p` or
-    `system.h` once the corrections are formed, so that the uncorrected
-    map is not held through the verification.
+
+def _corrected_rows(system, delta, n0):
+    """The perturbation lemma's corrections on the rows of one system:
+    X's perturbed horizontal differentials and the corrected i1, p1, h1.
+
+    Smallness is read off the series the corrections form anyway.  At
+    each cell (r, s) with h and delta at (r + 1, s), delta h is formed
+    once, and the h-series T_1 = delta h, T_{j+1} = delta h T_j gives
+    Ah = T_1 + ... + T_n0.  (delta h)^n0 = 0 exactly when T_n0, or an
+    earlier term, is 0; otherwise this raises
+    ValueError("perturbation not small at (r, s)").  The cells are
+    visited in the order of (s, r): Ah at (r, s) and Ai at (r + 1, s)
+    read that delta h, which is then dropped.
+
+    The system's maps are consumed: each i, p or h that a correction
+    replaces is deleted from `system.i`, `system.p` or `system.h`, so that
+    the uncorrected map is not held through the verification.
     """
 
     def series(term, delta_h):
@@ -303,14 +346,7 @@ def perturb_double_complex(system, delta, n0, verify=True):
     for old, new in ((system.i, i1), (system.p, p1), (system.h, h1)):
         for pos in [pos for pos, m in old.items() if new[pos] is not m]:
             del old[pos]
-
-    Xp = DoubleComplex(system.X.cells, new_dhX, system.X.dv)
-    report = CheckReport(True)
-    if verify:
-        report = _verify_perturbed_rows(Xp, system.C, delta, i1, p1, h1)
-        if not report:
-            raise AssertionError(f"perturbed double complex failed: {report}")
-    return PerturbedRows(Xp, system.C, delta, i1, p1, h1, report)
+    return new_dhX, i1, p1, h1
 
 
 def _perturbed_summands(C, delta, pos):
@@ -339,24 +375,30 @@ def _blocks(lines, factors):
     return [(a, min(a + width, lines)) for a in range(0, lines, width)]
 
 
-def _agree(lines, factors, lhs, rhs):
-    """lhs(a, b, *cols) == rhs(a, b, *cols) on every block [a, b) of
-    `_blocks`, cols the columns a..b-1 of each factor: an identity
-    compared a block of columns (or rows) at a time, so that no more than
-    one block of its products is held.  The factors' `column_slices`,
-    with their column orders, are made once here and released with the
-    check."""
+def _holds(lines, factors, check):
+    """check(a, b, *cols) on every block [a, b) of `_blocks`, cols the
+    columns a..b-1 of each factor: a property checked a block of columns
+    (or rows) at a time, so that no more than one block of its products
+    is held.  The factors' `column_slices`, with their column orders, are
+    made once here and released with the check."""
     slicers = [m.column_slices() for m in factors]
     for a, b in _blocks(lines, factors):
-        cols = [column_slice(a, b) for column_slice in slicers]
-        if lhs(a, b, *cols) != rhs(a, b, *cols):
+        if not check(a, b, *(column_slice(a, b) for column_slice in slicers)):
             return False
     return True
 
 
+def _agree(lines, factors, lhs, rhs):
+    """lhs(a, b, *cols) == rhs(a, b, *cols) on every block, by `_holds`."""
+    return _holds(lines, factors, lambda a, b, *cols: lhs(a, b, *cols) == rhs(a, b, *cols))
+
+
 def _verify_perturbed_rows(Xp, C, delta, i1, p1, h1):
-    """The identities of the perturbed SDR, with C's differential
-    d_C + delta read from C.dh and delta.
+    """The identities of the perturbed SDR on the cells of Xp and C, with
+    C's differential d_C + delta read from C.dh and delta.  i1 and p1 may
+    hold the maps of the row below too (a `collections.ChainMap`), which
+    the vertical chain-map identities at (r, s) read at (r, s - 1); the
+    identities are checked at Xp's and C's cells only.
 
     Each identity at each cell is compared a block of columns at a time,
     (L @ R)[:, J] = L @ R[:, J] for the right factors R, and a block of
@@ -420,7 +462,8 @@ def _verify_perturbed_rows(Xp, C, delta, i1, p1, h1):
         n = C.rank((r, s))
 
         def lhs(a, b, hb, pb, *hereb):
-            return _sum([d @ hb for d in up] + [prev @ db for db in hereb])
+            # each product joins the sum as soon as it is formed
+            return _sum(itertools.chain((d @ hb for d in up), (prev @ db for db in hereb)))
 
         if not _agree(
             n, (h, p, *here), lhs,

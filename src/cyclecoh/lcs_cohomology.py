@@ -257,7 +257,7 @@ def full_double_complex(lcs):
 def perturbation_delta(lcs, cells):
     """The dot-twist of the horizontal differential at every cell (r, s),
     r >= 1, whose (r - 1, s) is a cell: the square-zero perturbation
-    over the whole grid.
+    on the given cells, a row of the grid or the whole grid.
 
     Cell (r, s) must have the basis Dbar^{x r} (x) Dbar^{x s} in
     exp_tuples order of the joined tuples (gt, mt), as both the full
@@ -381,8 +381,8 @@ def reduced_complex(params):
     reads X's cells by rank; they are presented here, after it: cell
     (r, s) is r + 1 copies of Mbar(s), and its vertical map, held as a
     record by the transfer, is made explicit, r + 1 copies of its
-    factor.  Of the transfer only X and the projection p1 at (1, 1) are
-    kept: the corrected maps are released before the cross-checks."""
+    factor.  The transfer returns only X and the projection p1 at (1, 1);
+    it is released before the cross-checks."""
     quotients = {s: shuffle_quotient(s, params.v) for s in (1, 2, 3)}
     transfer = _transfer_reduced(params, quotients)
     X, phi_hat = transfer.X, transfer.p1[(1, 1)]
@@ -421,59 +421,73 @@ def reduced_complex(params):
     return ReducedComplexT(total, phi2)
 
 
+# the top cell r of each row s of the transfer's grid: the cells used in
+# degrees <= 3, and those of degree 4 whose corrections they read
+REDUCED_ROW_TOP = {1: 3, 2: 2, 3: 1}
+
+
 def _transfer_reduced(params, quotients):
     """Row-wise perturbation transfer on the grid {(r, s)} used in degrees
-    <= 3, over the shuffle quotients Mbar(s), s = 1, 2, 3.
+    <= 3, over the shuffle quotients Mbar(s), s = 1, 2, 3, one row at a
+    time: `perturb_double_complex` draws row s from `_reduced_row` only
+    after row s - 1 is corrected and verified, and releases each row but
+    X's corrected differentials and the projection p1 at (1, 1)
+    (phi-hat), which is all the transfer returns."""
+    t = params.t
+    lcs = make_cyclic_lcs(params)
+    bar = {n: tuple_bar_differential(n, params.v) for n in (1, 2, 3)}
+    rows = (_reduced_row(params, lcs, quotients[s], bar, s) for s in (1, 2, 3))
+    return perturb_double_complex(rows, t, verify=(t >= 2), keep={"p1": [(1, 1)]})
+
+
+def _reduced_row(params, lcs, quotient, bar, s):
+    """Row s of the transfer's system, with its delta: the coefficient
+    complex of Mbar(s) up to r = REDUCED_ROW_TOP[s], and the vertical maps
+    from the row's cells into row s - 1.
 
     The bar cells Dbar^{x r} (x) Mbar(s) enter by their ranks alone, and
     so do X's cells: the transfer and its verification read only their
     ranks, and `reduced_complex` presents those of degree <= 3 after the
-    transfer.  Each coefficient complex is dropped once its maps are in
-    the system.
+    transfer.  The coefficient complex is dropped once its maps are in
+    the system, before delta is built.
     The bar side's differentials are held factored: d_h is the tuple bar
     differential (x) id of Mbar(s), d_v is id of the (v-1)^r tuples (x)
     the signed inner bar differential.  X's vertical maps are records
     too, id of its r + 1 cells (x) the same signed factor: one factor per
-    s and sign serves both sides."""
-    v, t = params.v, params.t
-    lcs = make_cyclic_lcs(params)
-    rmax = {1: 3, 2: 2, 3: 1}
-
+    sign serves both sides."""
+    v, top = params.v, REDUCED_ROW_TOP[s]
     xcells, xdh, xdv = {}, {}, {}
     ccells, cdh, cdv = {}, {}, {}
     i_maps, p_maps, h_maps = {}, {}, {}
-    bar = {n: tuple_bar_differential(n, v) for n in (1, 2, 3)}
-    for s in (1, 2, 3):
-        cc = coefficient_complex(params, quotients[s], rmax[s])
-        g = quotients[s].ngens
-        for r in range(rmax[s] + 1):
-            xcells[(r, s)] = CellRank(cc.chain.rank(r))
-            ccells[(r, s)] = CellRank(cc.bar_rank(r))
-            i_maps[(r, s)] = cc.phibar[r]
-            if r + 1 <= rmax[s]:
-                # no p or h at a row's top cell: their corrections there
-                # would need delta and h above the cap, which the transfer
-                # does not have, so it emits no p1 or h1 there
-                p_maps[(r, s)] = cc.varphibar[r]
-                h_maps[(r, s)] = cc.omegabar[r + 1]
-            if r >= 1:
-                cdh[(r, s)] = IdentityKron(1, bar[r], g)
-                xdh[(r, s)] = cc.chain.diff[r]
+    cc = coefficient_complex(params, quotient, top)
+    g = quotient.ngens
+    for r in range(top + 1):
+        xcells[(r, s)] = CellRank(cc.chain.rank(r))
+        ccells[(r, s)] = CellRank(cc.bar_rank(r))
+        i_maps[(r, s)] = cc.phibar[r]
+        if r + 1 <= top:
+            # no p or h at a row's top cell: their corrections there
+            # would need delta and h above the cap, which the transfer
+            # does not have, so it emits no p1 or h1 there
+            p_maps[(r, s)] = cc.varphibar[r]
+            h_maps[(r, s)] = cc.omegabar[r + 1]
+        if r >= 1:
+            cdh[(r, s)] = IdentityKron(1, bar[r], g)
+            xdh[(r, s)] = cc.chain.diff[r]
     del cc
-    for s in (2, 3):
+    if s >= 2:
         # one signed inner bar differential per sign, shared by both sides
         signed = {sign: bar[s].scale(sign) for sign in (1, -1)}
-        for r in range(min(rmax[s], rmax[s - 1]) + 1):
+        for r in range(min(top, REDUCED_ROW_TOP[s - 1]) + 1):
             sign = (-1) ** (r + 1)
             # X side: block diagonal over the r + 1 cells of degree r; bar
             # side: id on the group slots tensor the inner map
             xdv[(r, s)] = IdentityKron(r + 1, signed[sign], 1)
             cdv[(r, s)] = IdentityKron((v - 1) ** r, signed[sign], 1)
-    delta = perturbation_delta(lcs, ccells)
     system = RowSDRSystem(
         DoubleComplex(xcells, xdh, xdv), DoubleComplex(ccells, cdh, cdv), i_maps, p_maps, h_maps
     )
-    return perturb_double_complex(system, delta, t, verify=(t >= 2))
+    return system, perturbation_delta(lcs, ccells)
 
 
 def phi_hat_closed(params):

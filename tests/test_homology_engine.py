@@ -146,7 +146,7 @@ def test_bar_resolution_sdr():
     for v in (2, 3):
         system = bar_sdr(v, 3)
         assert system.C.validate()
-        out = perturb_double_complex(system, {}, 1)
+        out = perturb_double_complex([(system, {})], 1)
         assert out.report, str(out.report)
 
 
@@ -157,7 +157,7 @@ def test_sdr_failure_reports_identity():
     ident = row({0: M([[1]]), 1: M([[1]])})
     system = RowSDRSystem(chain, chain, ident, dict(ident), {(0, 0): M([[1]])})
     with pytest.raises(AssertionError, match=r"fail \[row homotopy identity\] at \(0, 0\)"):
-        perturb_double_complex(system, {}, 1)
+        perturb_double_complex([(system, {})], 1)
 
 
 def disc_sdr(k=2):
@@ -172,18 +172,21 @@ def disc_sdr(k=2):
 
 def test_perturb_sdr_zero_delta_is_identity():
     system = disc_sdr()
-    out = perturb_double_complex(system, {}, 1)
+    h = dict(system.h)
+    out = perturb_double_complex([(system, {})], 1)
     assert out.report
-    assert out.unperturbed.dh == system.C.dh
-    assert out.h1 == system.h
+    assert system.C.dh == {(1, 0): IntegerMatrix.identity(2)}
+    assert out.h1 == h
 
 
 def test_perturb_sdr_nilpotent_delta():
     system = disc_sdr()
     delta = {(1, 0): M([[0, 2], [0, 0]])}
-    out = perturb_double_complex(system, delta, 2)
+    out = perturb_double_complex([(system, delta)], 2)
     assert out.report
-    assert out.unperturbed.dh[(1, 0)] + out.delta[(1, 0)] == M([[1, 2], [0, 1]])
+    # C's differential is left as it was: d_C + delta is never formed
+    assert system.C.dh[(1, 0)] + delta[(1, 0)] == M([[1, 2], [0, 1]])
+    assert system.C.dh == {(1, 0): IntegerMatrix.identity(2)}
 
 
 def test_verification_applies_delta_beside_d():
@@ -191,8 +194,8 @@ def test_verification_applies_delta_beside_d():
     # a flipped delta entry breaks the row homotopy identity in degree 0
     system = disc_sdr()
     delta = {(1, 0): M([[0, 2], [0, 0]])}
-    out = perturb_double_complex(system, delta, 2)
-    assert out.unperturbed.dh == system.C.dh and out.delta == delta
+    out = perturb_double_complex([(system, delta)], 2)
+    assert system.C.dh == {(1, 0): IntegerMatrix.identity(2)}
     maps = (out.i1, out.p1, out.h1)
     assert _verify_perturbed_rows(out.X, system.C, delta, *maps)
     report = _verify_perturbed_rows(out.X, system.C, {(1, 0): M([[0, -2], [0, 0]])}, *maps)
@@ -213,7 +216,7 @@ def test_perturb_sdr_randomized_nilpotent():
             for j in range(i + 1, k)
         }
         delta = {(1, 0): IntegerMatrix(k, k, data)}
-        out = perturb_double_complex(system, delta, k)
+        out = perturb_double_complex([(system, delta)], k)
         assert out.report
 
 
@@ -221,7 +224,7 @@ def test_perturb_sdr_rejects_non_small():
     system = disc_sdr()
     delta = {(1, 0): IntegerMatrix.identity(2)}
     with pytest.raises(ValueError, match="not small"):
-        perturb_double_complex(system, delta, 3)
+        perturb_double_complex([(system, delta)], 3)
 
 
 def shift(k):
@@ -234,11 +237,11 @@ def test_smallness_at_the_nilpotency_degree():
     """delta h = -shift(k) has (delta h)^k = 0 and (delta h)^(k-1) != 0:
     k certifies it, k - 1 does not, at the disc's only h cell."""
     for k in range(1, 6):
-        out = perturb_double_complex(disc_sdr(k), {(1, 0): shift(k)}, k)
+        out = perturb_double_complex([(disc_sdr(k), {(1, 0): shift(k)})], k)
         assert out.report
         if k > 1:
             with pytest.raises(ValueError, match=r"perturbation not small at \(0, 0\)"):
-                perturb_double_complex(disc_sdr(k), {(1, 0): shift(k)}, k - 1)
+                perturb_double_complex([(disc_sdr(k), {(1, 0): shift(k)})], k - 1)
 
 
 def two_disc_rows(k):
@@ -261,8 +264,8 @@ def test_not_small_names_the_cell():
         system = two_disc_rows(3)
         system.C.cells = dict(sorted(system.C.cells.items(), key=lambda item: order(item[0])))
         with pytest.raises(ValueError, match=r"perturbation not small at \(0, 1\)"):
-            perturb_double_complex(system, delta, 3)
-    out = perturb_double_complex(two_disc_rows(3), {(1, 0): shift(3), (1, 1): shift(3)}, 3)
+            perturb_double_complex([(system, delta)], 3)
+    out = perturb_double_complex([(two_disc_rows(3), {(1, 0): shift(3), (1, 1): shift(3)})], 3)
     assert out.report
 
 
@@ -275,6 +278,37 @@ def test_perturb_double_complex_zero_delta():
     p = {pos: ident for pos in cells}
     h = {(0, 1): zero, (0, 2): zero}
     system = RowSDRSystem(X, X, i, p, h)
-    out = perturb_double_complex(system, {}, 1)
+    out = perturb_double_complex([(system, {})], 1)
     assert out.X.dh == X.dh
     assert out.report
+
+
+def two_rows(flip=1):
+    """Rows s = 1, 2 of one Z per cell r = 0, 1, X = C, zero d_h and the
+    identity as d_v, with i = p = id and h = 0: each row as its own
+    (system, delta) pair, row 2 holding the vertical maps out of its
+    cells, X's at (1, 2) scaled by `flip`."""
+    zero, ident = IntegerMatrix.zero(1, 1), IntegerMatrix.identity(1)
+    pairs = []
+    for s in (1, 2):
+        cells = {(r, s): free(1) for r in (0, 1)}
+        dv = {(r, s): ident for r in (0, 1)} if s == 2 else {}
+        C = DoubleComplex(cells, {(1, s): zero}, dv)
+        X = DoubleComplex(cells, {(1, s): zero}, {**dv, (1, 2): ident.scale(flip)} if dv else {})
+        maps = {pos: ident for pos in cells}
+        pairs.append((RowSDRSystem(X, C, dict(maps), dict(maps), {(0, s): zero}), {}))
+    return pairs
+
+
+def test_rows_drawn_one_at_a_time_check_the_identities_between_them():
+    """A source of rows is corrected and verified row by row: the vertical
+    identities of row 2 read row 1's corrected maps, and a vertical map
+    broken in row 2 is named at its cell.  The result holds X over both
+    rows, and of the corrected maps what `keep` names."""
+    out = perturb_double_complex(iter(two_rows()), 1, keep={"p1": [(1, 1)]})
+    assert out.report
+    assert set(out.X.cells) == {(r, s) for r in (0, 1) for s in (1, 2)}
+    assert set(out.X.dv) == {(0, 2), (1, 2)}
+    assert (out.i1, set(out.p1), out.h1) == ({}, {(1, 1)}, {})
+    with pytest.raises(AssertionError, match=r"fail \[i1 vertical chain map\] at \(1, 2\)$"):
+        perturb_double_complex(iter(two_rows(-1)), 1)

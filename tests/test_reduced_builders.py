@@ -14,6 +14,7 @@ matrix for matrix.
 import itertools
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -486,19 +487,27 @@ def test_x_cells_enter_the_transfer_by_rank(member, monkeypatch):
     r + 1 copies of the signed inner bar differential at (r, s).  phi2
     comes from the transfer's projection."""
     v = member.v
+    original_row = lcs_cohomology._reduced_row
     original = lcs_cohomology.perturb_double_complex
-    transfers = []
+    x_cells, transfers = {}, []
 
-    def recording_transfer(system, *args, **kwargs):
-        out = original(system, *args, **kwargs)
-        transfers.append((system, out))
+    def recording_row(*args):
+        system, delta = original_row(*args)
+        x_cells.update(system.X.cells)
+        return system, delta
+
+    def recording_transfer(*args, **kwargs):
+        out = original(*args, **kwargs)
+        transfers.append(out)
         return out
 
+    monkeypatch.setattr(lcs_cohomology, "_reduced_row", recording_row)
     monkeypatch.setattr(lcs_cohomology, "perturb_double_complex", recording_transfer)
     reduced = lcs_cohomology.reduced_complex.__wrapped__(member)
-    ((system, out),) = transfers
-    assert {pos for pos in system.X.cells if sum(pos) == 4} == {(3, 1), (2, 2), (1, 3)}
-    for (r, s), cell in system.X.cells.items():
+    (out,) = transfers
+    assert set(out.X.cells) == set(x_cells)
+    assert {pos for pos in x_cells if sum(pos) == 4} == {(3, 1), (2, 2), (1, 3)}
+    for (r, s), cell in x_cells.items():
         assert isinstance(cell, CellRank) and cell.ngens == (r + 1) * (v - 1) ** s, (r, s)
     presented, dv = {}, {}
     for r, s in out.X.cells:
@@ -635,44 +644,69 @@ def test_reduced_build_holds_no_bar3_matrix(triple, monkeypatch):
     assert held and all(m.cols != bar3 for m in held)
 
 
+def _whole_grid(params, quotients):
+    """The transfer's three rows, as `_transfer_reduced` makes them, merged
+    into one system and one delta on the whole grid."""
+    lcs = make_cyclic_lcs(params)
+    bar = {n: tuple_bar_differential(n, params.v) for n in (1, 2, 3)}
+    X, C = (homology_engine.DoubleComplex({}, {}, {}) for _ in range(2))
+    i, p, h, delta = {}, {}, {}, {}
+    for s in (1, 2, 3):
+        row, row_delta = lcs_cohomology._reduced_row(params, lcs, quotients[s], bar, s)
+        for whole, part in ((X, row.X), (C, row.C)):
+            whole.cells.update(part.cells)
+            whole.dh.update(part.dh)
+            whole.dv.update(part.dv)
+        i.update(row.i)
+        p.update(row.p)
+        h.update(row.h)
+        delta.update(row_delta)
+    return homology_engine.RowSDRSystem(X, C, i, p, h), delta
+
+
 def test_transfer_holds_only_factors_and_read_maps(monkeypatch):
     """The large complex's differentials are held as I (x) B (x) I by their
     small factors: d_h is the tuple bar differential (x) id of Mbar(s),
     d_v is id of the (v-1)^r tuples (x) the signed inner bar differential.
     delta is held by its twisted face map alone.  And p is passed only
-    where it is read, below each row's top cell."""
+    where it is read, below each row's top cell.  Each row holds its own
+    cells and the vertical maps out of them; the transfer returns X and
+    p1 at (1, 1) alone."""
     params = CyclicFamilyParams(3, 1, 2)
     v = params.v
     quotients = {s: shuffle_quotient(s, v) for s in (1, 2, 3)}
-    systems = []
-    original = lcs_cohomology.perturb_double_complex
+    rows = []
+    original = lcs_cohomology._reduced_row
 
-    def recording_transfer(system, *args, **kwargs):
+    def recording_row(*args):
         # the transfer consumes the maps it corrects: their cells are
         # recorded before it
-        systems.append((system, set(system.p), set(system.h)))
-        return original(system, *args, **kwargs)
+        system, delta = original(*args)
+        rows.append((system, set(system.p), set(system.h), delta))
+        return system, delta
 
-    monkeypatch.setattr(lcs_cohomology, "perturb_double_complex", recording_transfer)
+    monkeypatch.setattr(lcs_cohomology, "_reduced_row", recording_row)
     out = lcs_cohomology._transfer_reduced(params, quotients)
-    ((system, p_cells, h_cells),) = systems
+    assert len(rows) == 3
     below_top = {(0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (0, 3)}
-    assert p_cells == h_cells == set(out.p1) == below_top
-    C = out.unperturbed
-    assert C is system.C
-    assert set(C.dh) == {(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)}
-    for (r, s), d in C.dh.items():
-        assert isinstance(d, IdentityKron), (r, s)
-        assert (d.outer, d.factor, d.inner) == (1, tuple_bar_differential(r, v), quotients[s].ngens)
-    assert set(C.dv) == {(0, 2), (1, 2), (2, 2), (0, 3), (1, 3)}
-    for (r, s), d in C.dv.items():
-        assert isinstance(d, IdentityKron), (r, s)
-        signed = tuple_bar_differential(s, v).scale((-1) ** (r + 1))
-        assert (d.outer, d.factor, d.inner) == ((v - 1) ** r, signed, 1)
-    assert set(out.delta) == set(C.dh)
-    for (r, s), d in out.delta.items():
-        assert isinstance(d, FaceDifference), (r, s)
-        assert (d.rows, d.cols) == ((v - 1) ** (r + s - 1), (v - 1) ** (r + s))
+    with_dh = {(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)}
+    for row_s, (system, p_cells, h_cells, delta) in zip((1, 2, 3), rows):
+        assert {s for _, s in system.C.cells} == {s for _, s in system.X.cells} == {row_s}
+        assert p_cells == h_cells == {(r, s) for r, s in below_top if s == row_s}
+        C = system.C
+        assert set(C.dh) == set(delta) == {(r, s) for r, s in with_dh if s == row_s}
+        for (r, s), d in C.dh.items():
+            assert isinstance(d, IdentityKron), (r, s)
+            assert (d.outer, d.factor, d.inner) == (1, tuple_bar_differential(r, v), quotients[s].ngens)
+        for (r, s), d in C.dv.items():
+            assert isinstance(d, IdentityKron), (r, s)
+            signed = tuple_bar_differential(s, v).scale((-1) ** (r + 1))
+            assert (d.outer, d.factor, d.inner) == ((v - 1) ** r, signed, 1)
+        for (r, s), d in delta.items():
+            assert isinstance(d, FaceDifference), (r, s)
+            assert (d.rows, d.cols) == ((v - 1) ** (r + s - 1), (v - 1) ** (r + s))
+    assert set().union(*(system.C.dv for system, *_ in rows)) == {(0, 2), (1, 2), (2, 2), (0, 3), (1, 3)}
+    assert (out.i1, set(out.p1), out.h1) == ({}, {(1, 1)}, {})
 
 
 def test_vertical_maps_are_shared_records_and_delta_h_is_formed_once(monkeypatch):
@@ -683,43 +717,130 @@ def test_vertical_maps_are_shared_records_and_delta_h_is_formed_once(monkeypatch
     verification, which may form it again, is not counted)."""
     params = CyclicFamilyParams(2, 2, 4)
     quotients = {s: shuffle_quotient(s, params.v) for s in (1, 2, 3)}
-    systems, products, verifying = [], [], []
-    original = lcs_cohomology.perturb_double_complex
+    rows, products, verifying, verified = [], [], [], []
+    original = lcs_cohomology._reduced_row
     original_matmul = FaceDifference.__matmul__
     original_verify = homology_engine._verify_perturbed_rows
 
-    def recording_transfer(system, delta, *args, **kwargs):
+    def recording_row(*args):
         # the transfer consumes the maps it corrects: they are kept here
-        systems.append((system, dict(system.h), delta))
-        return original(system, delta, *args, **kwargs)
+        system, delta = original(*args)
+        rows.append((system, dict(system.h), delta))
+        return system, delta
 
     def recording_matmul(self, other):
         if not verifying:
             products.append((id(self), id(other)))
         return original_matmul(self, other)
 
-    def marked_verify(*args):
+    def marked_verify(Xp, *args):
+        # each row is verified once, after its corrections and before
+        # the next row's
         verifying.append(True)
-        return original_verify(*args)
+        verified.append({s for _, s in Xp.cells})
+        try:
+            return original_verify(Xp, *args)
+        finally:
+            verifying.pop()
 
-    monkeypatch.setattr(lcs_cohomology, "perturb_double_complex", recording_transfer)
+    monkeypatch.setattr(lcs_cohomology, "_reduced_row", recording_row)
     monkeypatch.setattr(FaceDifference, "__matmul__", recording_matmul)
     monkeypatch.setattr(homology_engine, "_verify_perturbed_rows", marked_verify)
     lcs_cohomology._transfer_reduced(params, quotients)
-    ((system, h, delta),) = systems
-    assert set(system.X.dv) == set(system.C.dv) == {(0, 2), (1, 2), (2, 2), (0, 3), (1, 3)}
+    assert len(rows) == 3
     factors = {}
-    for (r, s), xv in system.X.dv.items():
-        cv = system.C.dv[(r, s)]
-        assert isinstance(xv, IdentityKron) and isinstance(cv, IdentityKron), (r, s)
-        assert (xv.outer, xv.inner, cv.outer, cv.inner) == (r + 1, 1, (params.v - 1) ** r, 1)
-        assert xv.factor is cv.factor, (r, s)
-        assert factors.setdefault((s, (-1) ** (r + 1)), xv.factor) is xv.factor, (r, s)
+    for system, _, _ in rows:
+        assert set(system.X.dv) == set(system.C.dv)
+        for (r, s), xv in system.X.dv.items():
+            cv = system.C.dv[(r, s)]
+            assert isinstance(xv, IdentityKron) and isinstance(cv, IdentityKron), (r, s)
+            assert (xv.outer, xv.inner, cv.outer, cv.inner) == (r + 1, 1, (params.v - 1) ** r, 1)
+            assert xv.factor is cv.factor, (r, s)
+            assert factors.setdefault((s, (-1) ** (r + 1)), xv.factor) is xv.factor, (r, s)
+    assert set().union(*(system.X.dv for system, _, _ in rows)) == {(0, 2), (1, 2), (2, 2), (0, 3), (1, 3)}
     assert len(factors) == 4
-    assert verifying == [True]
-    for (r, s), m in h.items():
-        count = products.count((id(delta[(r + 1, s)]), id(m)))
-        assert count == 1, ((r, s), count)
+    assert verified == [{1}, {2}, {3}]
+    for _, h, delta in rows:
+        for (r, s), m in h.items():
+            count = products.count((id(delta[(r + 1, s)]), id(m)))
+            assert count == 1, ((r, s), count)
+
+
+@pytest.mark.parametrize("member", family_members(16), ids=lambda m: f"{m.p}-{m.nu}-{m.eta}")
+def test_streamed_transfer_equals_one_whole_grid_call(member):
+    """The transfer, drawn a row at a time, gives the X (d_h and d_v on
+    every cell) and the phi-hat of one `perturb_double_complex` call on
+    the whole grid, verified as the transfer is: at t >= 2, not at t = 1."""
+    quotients = {s: shuffle_quotient(s, member.v) for s in (1, 2, 3)}
+    streamed = lcs_cohomology._transfer_reduced(member, quotients)
+    system, delta = _whole_grid(member, quotients)
+    whole = homology_engine.perturb_double_complex([(system, delta)], member.t, verify=member.t >= 2)
+    assert set(streamed.X.cells) == set(whole.X.cells)
+    assert streamed.X.dh == whole.X.dh
+    assert streamed.X.dv.keys() == whole.X.dv.keys()
+    for pos, xv in whole.X.dv.items():
+        got = streamed.X.dv[pos]
+        assert (got.outer, got.factor, got.inner) == (xv.outer, xv.factor, xv.inner), pos
+    assert streamed.p1 == {(1, 1): whole.p1[(1, 1)]}
+
+
+def test_a_corrupted_vertical_map_in_row_2_names_its_cell(monkeypatch):
+    """A sign flipped in X's vertical map at (1, 2), which only the
+    vertical chain-map identities read, fails the i1 vertical chain map
+    there, against row 1's corrected i1, once row 2 is corrected."""
+    params = CyclicFamilyParams(3, 1, 2)
+    quotients = {s: shuffle_quotient(s, params.v) for s in (1, 2, 3)}
+    original = lcs_cohomology._reduced_row
+    drawn = []
+
+    def corrupted_row(params, lcs, quotient, bar, s):
+        system, delta = original(params, lcs, quotient, bar, s)
+        drawn.append(s)
+        if s == 2:
+            xv = system.X.dv[(1, 2)]
+            system.X.dv[(1, 2)] = IdentityKron(xv.outer, xv.factor.scale(-1), xv.inner)
+        return system, delta
+
+    monkeypatch.setattr(lcs_cohomology, "_reduced_row", corrupted_row)
+    with pytest.raises(AssertionError, match=r"failed: fail \[i1 vertical chain map\] at \(1, 2\)$"):
+        lcs_cohomology._transfer_reduced(params, quotients)
+    # row 3 is never built: row 2 failed before it was drawn
+    assert drawn == [1, 2]
+
+
+def test_each_row_is_released_before_the_next_is_built(monkeypatch):
+    """Row s's corrected h1 and its delta are gone before row s + 1's
+    coefficient complex is built; the i1 and p1 of row s are held only
+    until row s + 1's vertical identities are checked."""
+    params = CyclicFamilyParams(2, 2, 4)
+    quotients = {s: shuffle_quotient(s, params.v) for s in (1, 2, 3)}
+    rows, alive = [], []
+    original_verify = homology_engine._verify_perturbed_rows
+    original_complex = lcs_cohomology.coefficient_complex
+
+    def recording_verify(Xp, C, delta, i1, p1, h1):
+        # the values arrays of the row's own maps (an IntegerMatrix has no
+        # weak reference slot), but not phi-hat, which the transfer keeps
+        own = {
+            "i1": [m.values for m in i1.maps[0].values()],
+            "p1": [m.values for pos, m in p1.maps[0].items() if pos != (1, 1)],
+            "h1": [m.values for m in h1.values()],
+            "delta": list(delta.values()),
+        }
+        rows.append({name: [weakref.ref(x) for x in held] for name, held in own.items()})
+        return original_verify(Xp, C, delta, i1, p1, h1)
+
+    def checking_complex(*args):
+        alive.append([{name: any(ref() is not None for ref in refs) for name, refs in row.items()} for row in rows])
+        return original_complex(*args)
+
+    monkeypatch.setattr(homology_engine, "_verify_perturbed_rows", recording_verify)
+    monkeypatch.setattr(lcs_cohomology, "coefficient_complex", checking_complex)
+    lcs_cohomology._transfer_reduced(params, quotients)
+    assert len(rows) == 3 and all(row["h1"] and row["delta"] for row in rows)
+    below = {"i1": True, "p1": True, "h1": False, "delta": False}
+    released = dict.fromkeys(below, False)
+    assert alive == [[], [below], [released, below]]
 
 
 def test_reduced_complex_releases_the_transfer_before_its_checks(monkeypatch):
@@ -750,13 +871,12 @@ def test_reduced_complex_releases_the_transfer_before_its_checks(monkeypatch):
     family_members(16),
     ids=lambda m: f"{m.p}-{m.nu}-{m.eta}",
 )
-def test_transfer_rows_equal_the_collapsed_differentials(member, monkeypatch):
+def test_transfer_rows_equal_the_collapsed_differentials(member):
     """X's row differentials are those of the coefficient complexes whose
     comparison maps the transfer reads, collapsed from the group-ring
     matrices, on every row it builds, t = 1 included."""
     quotients = {s: shuffle_quotient(s, member.v) for s in (1, 2, 3)}
-    monkeypatch.setattr(lcs_cohomology, "perturb_double_complex", lambda system, *a, **k: system)
-    X = lcs_cohomology._transfer_reduced(member, quotients).X
+    X = _whole_grid(member, quotients)[0].X
     assert set(X.dh) == {(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)}
     for s, quotient in quotients.items():
         top = max(r for r, cell_s in X.cells if cell_s == s)
@@ -794,9 +914,10 @@ def test_reduced_build_forms_no_bar_cell_relations(triple, monkeypatch):
     assert not built, f"bar-cell relations built at (r, s) = {built}"
 
 
-# traced peak of the transfer at (2, 2, 4) on a fresh context: 12.2 MB
-# (Python 3.11, numpy 2.4); the bound leaves about 25 % above it
-TRANSFER_PEAK_BOUND = 15.2e6
+# traced peak of the transfer at (2, 2, 4) on a fresh context: 5.0 MB
+# with one row held at a time, 6.9 MB with all three (Python 3.11,
+# numpy 2.4); the bound leaves about 25 % above it
+TRANSFER_PEAK_BOUND = 6.2e6
 
 
 def test_transfer_peak_at_v16(monkeypatch):
@@ -821,9 +942,13 @@ def _flip_entry(m, j):
 
 
 def _transfer_312():
+    """The transfer at (3,1,2) as one whole-grid call, with C and delta
+    beside its output."""
     params = CyclicFamilyParams(3, 1, 2)
     quotients = {s: shuffle_quotient(s, params.v) for s in (1, 2, 3)}
-    return lcs_cohomology._transfer_reduced(params, quotients)
+    system, delta = _whole_grid(params, quotients)
+    out = homology_engine.perturb_double_complex([(system, delta)], params.t)
+    return SimpleNamespace(X=out.X, unperturbed=system.C, delta=delta, i1=out.i1, p1=out.p1, h1=out.h1)
 
 
 @pytest.mark.parametrize("pos", [(1, 1), (2, 1), (1, 2)])

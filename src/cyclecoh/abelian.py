@@ -113,20 +113,6 @@ class IntegerMatrix:
                     data[(i, j)] = int(v)
         return cls(rows, cols, data)
 
-    @classmethod
-    def from_columns(cls, cols_list, rows=None):
-        cols = len(cols_list)
-        if rows is None:
-            rows = len(cols_list[0]) if cols else 0
-        data = {}
-        for j, col in enumerate(cols_list):
-            if len(col) != rows:
-                raise ValueError("ragged columns")
-            for i, v in enumerate(col):
-                if v:
-                    data[(i, j)] = int(v)
-        return cls(rows, cols, data)
-
     def entry(self, r, c):
         lo, hi = np.searchsorted(self.row_idx, (r, r + 1))
         j = lo + np.searchsorted(self.col_idx[lo:hi], c)
@@ -136,9 +122,6 @@ class IntegerMatrix:
         out = np.zeros((self.rows, self.cols), dtype=self.values.dtype)
         out[self.row_idx, self.col_idx] = self.values
         return out.tolist()
-
-    def _entries(self):
-        return zip(self.row_idx.tolist(), self.col_idx.tolist(), self.values.tolist())
 
     def column(self, c):
         hit = self.col_idx == c
@@ -350,17 +333,6 @@ class IntegerMatrix:
             self.rows * other.rows, self.cols * other.cols, *out, canonical=True
         )
 
-    def apply(self, vec):
-        """Matrix times a dense integer vector (length = cols)."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = [0] * self.rows
-        for r, c, v in self._entries():
-            x = vec[c]
-            if x:
-                out[r] += v * x
-        return out
-
     def vstack(self, other):
         return IntegerMatrix.stacked([self, other], self.cols)
 
@@ -441,10 +413,6 @@ class IdentityKron:
         """Column slices start and end at multiples of this: whole copies
         of the identity I_inner when outer is 1, else anywhere."""
         return self.inner if self.outer == 1 else 1
-
-    def column_slice(self, c0, c1):
-        """Columns c0..c1-1, as `column_slices` gives them."""
-        return self.column_slices()(c0, c1)
 
     def column_slices(self):
         """A function (c0, c1) -> columns c0..c1-1, for many slices.
@@ -570,15 +538,16 @@ class FaceDifference:
         plain face of a slice's column c is still c mod rows."""
         return self.rows
 
-    def column_slice(self, c0, c1):
-        """Columns c0..c1-1, both multiples of `rows`."""
-        if c0 % self.rows or c1 % self.rows:
-            raise ValueError(f"columns {c0}..{c1} split a copy of the plain face")
-        return FaceDifference(self.rows, self.twisted[c0:c1])
-
     def column_slices(self):
-        """`column_slice` as a function of (c0, c1)."""
-        return self.column_slice
+        """A function (c0, c1) -> columns c0..c1-1, both multiples of
+        `rows`."""
+
+        def column_slice(c0, c1):
+            if c0 % self.rows or c1 % self.rows:
+                raise ValueError(f"columns {c0}..{c1} split a copy of the plain face")
+            return FaceDifference(self.rows, self.twisted[c0:c1])
+
+        return column_slice
 
     def __matmul__(self, other):
         """self @ other: row c of other goes to row twisted[c] and, negated,

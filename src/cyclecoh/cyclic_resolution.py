@@ -40,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abelian import IntegerMatrix, PresentedModule, block_matrix
-from .homology_engine import CellRank, ChainComplex, CheckReport
+from .cycleset import Verdict
+from .homology_engine import CellRank, ChainComplex, _sum
 
 
 class CrossedProduct:
@@ -65,10 +66,6 @@ class CrossedProduct:
     def f_exp(self, e):
         """The isomorphism onto Z/v: x^i w_{y^j} -> t*i + j."""
         return self.t * e[0] + e[1]
-
-
-def _vec(n):
-    return [0] * n
 
 
 def exp_tuples(n, v):
@@ -227,77 +224,49 @@ class ResolutionContext:
     def unit(self):
         return IntegerMatrix(self.v, 1, {(self.G.index[(0, 0)], 0): 1})
 
-    # -- right E-linear extension ---------------------------------------
-
-    def extend_right(self, val):
-        """Full matrix of the right E-linear map with the given value on w_1,
-        a dense vector over the basis of a single E cell."""
-        return right_translate(IntegerMatrix.from_columns([val], rows=self.v), self.v)
-
-    def _w1(self):
-        vec = _vec(self.v)
-        vec[self.G.index[(0, 0)]] = 1
-        return vec
-
     # -- the higher differentials d^l -------------------------------------
 
     @_memoized
     def dl(self, l, alpha, beta):
-        """d^l_{alpha,beta}: X_{alpha,beta} -> X_{alpha+l-1,beta-l}, recursive."""
+        """d^l_{alpha,beta}: X_{alpha,beta} -> X_{alpha+l-1,beta-l}, recursive:
+        -sigma^0 applied to the terms that d^l must cancel, read on w_1 (the
+        element of index 0) and extended right E-linearly."""
         if not (1 <= l <= beta and alpha >= 0):
             raise ValueError(f"d^{l} undefined at ({alpha},{beta})")
-        w1 = self._w1()
         if l == 1 and alpha == 0:
-            val = self.sigma0(0) @ self.partial_col(beta) @ self.upsilon()
-            vec = [-x for x in val.apply(w1)]
-        elif l == 1:
-            val = self.sigma0(alpha) @ self.dl(1, alpha - 1, beta) @ self.d0(alpha, beta)
-            vec = [-x for x in val.apply(w1)]
-        elif alpha == 0:
-            acc = _vec(self.v)
-            for j in range(1, l):
-                m = self.sigma0(l - 1) @ self.dl(l - j, j - 1, beta - j) @ self.dl(j, 0, beta)
-                for idx, x in enumerate(m.apply(w1)):
-                    acc[idx] += x
-            vec = [-x for x in acc]
+            total = self.sigma0(0) @ self.partial_col(beta) @ self.upsilon()
         else:
-            acc = _vec(self.v)
-            m = self.sigma0(alpha + l - 1) @ self.dl(l, alpha - 1, beta) @ self.d0(alpha, beta)
-            for idx, x in enumerate(m.apply(w1)):
-                acc[idx] += x
-            for j in range(1, l):
-                m = (
-                    self.sigma0(alpha + l - 1)
-                    @ self.dl(l - j, alpha + j - 1, beta - j)
-                    @ self.dl(j, alpha, beta)
-                )
-                for idx, x in enumerate(m.apply(w1)):
-                    acc[idx] += x
-            vec = [-x for x in acc]
-        return self.extend_right(vec)
+            s0 = self.sigma0(alpha + l - 1)
+            terms = [s0 @ self.dl(l, alpha - 1, beta) @ self.d0(alpha, beta)] if alpha else []
+            terms += [
+                s0 @ self.dl(l - j, alpha + j - 1, beta - j) @ self.dl(j, alpha, beta)
+                for j in range(1, l)
+            ]
+            total = _sum(terms)
+        return right_translate(-total.submatrix(0, self.v, 0, 1), self.v)
 
     def dl_closed(self, l, alpha, beta):
         """Closed form: d^1 alternates w_1 - w_y / the y-norm, d^2 is -w_1
         on even columns and 0 on odd ones, d^l = 0 for l > 2.  At t = 1,
         where the odd-column d^1 vanish, d^2 is 0 as well (as in
         `pepito_scalar`)."""
-        G = self.G
-        vec = _vec(self.v)
+        # the normalised column as (j, c): c times the element (0, j)
         if l == 1:
             if beta % 2 == 1:
                 sign = (-1) ** alpha
-                vec[G.index[(0, 0)]] += sign
-                vec[G.index[(0, 1 % self.t)]] -= sign
+                terms = [(0, sign), (1 % self.t, -sign)]
             else:
                 sign = (-1) ** (alpha + 1)
-                for h in range(self.t):
-                    vec[G.index[(0, h)]] += sign
-        elif l == 2:
-            if alpha % 2 == 0 and self.t >= 2:
-                vec[G.index[(0, 0)]] = -1
+                terms = [(h, sign) for h in range(self.t)]
         elif l <= 0:
             raise ValueError("l must be >= 1")
-        return self.extend_right(vec)
+        else:
+            terms = [(0, -1)] if l == 2 and alpha % 2 == 0 and self.t >= 2 else []
+        col = {}
+        for j, c in terms:
+            key = (self.G.index[(0, j)], 0)
+            col[key] = col.get(key, 0) + c
+        return right_translate(IntegerMatrix(self.v, 1, col), self.v)
 
     # -- the Z-linear homotopies sigma^l ----------------------------------
 
@@ -400,17 +369,17 @@ class ResolutionContext:
             return rep
         pi = self.pi_E()
         if (pi @ sigma[0]) != IntegerMatrix.identity(1):
-            return CheckReport(False, "pi o sigma = id", 0)
+            return Verdict(False, "pi o sigma = id", 0)
         lhs = chain.diff[1] @ sigma[1] + sigma[0] @ pi
         if lhs != IntegerMatrix.identity(self.v):
-            return CheckReport(False, "d sigma + sigma pi = id", 0)
+            return Verdict(False, "d sigma + sigma pi = id", 0)
         if not (pi @ chain.diff[1]).is_zero():
-            return CheckReport(False, "pi o d = 0", 1)
+            return Verdict(False, "pi o d = 0", 1)
         for n in range(1, nmax):
             lhs = chain.diff[n + 1] @ sigma[n + 1] + sigma[n] @ chain.diff[n]
             if lhs != IntegerMatrix.identity(chain.rank(n)):
-                return CheckReport(False, "d sigma + sigma d = id", n)
-        return CheckReport(True)
+                return Verdict(False, "d sigma + sigma d = id", n)
+        return Verdict(True)
 
     # -- normalized bar resolution over E ---------------------------------
     #
@@ -458,11 +427,11 @@ class ResolutionContext:
             return self.unit()
         d = self.total_d(n)
         w1_cols = d.col_idx % v == 0
-        d_w1 = IntegerMatrix._from_coo(
+        d_normalised = IntegerMatrix._from_coo(
             d.rows, n + 1, d.row_idx[w1_cols], d.col_idx[w1_cols] // v, d.values[w1_cols],
             canonical=True,
         )
-        return self.bar_xi(n) @ (right_translate(self.phi(n - 1), v) @ d_w1)
+        return self.bar_xi(n) @ (right_translate(self.phi(n - 1), v) @ d_normalised)
 
     @_memoized
     def varphi(self, n):
@@ -550,8 +519,8 @@ def array_differential(n, size, block):
     array whose cells all have `size` generators, in the cell order of
     `ResolutionContext.cells`.  block(l, alpha, beta) is the map
     X_{alpha,beta} -> X_{alpha+l-1,beta-l}, for l = 0 (alpha >= 1) and
-    1 <= l <= beta, or None where it is zero; blocks that land on the same
-    cell are summed."""
+    1 <= l <= beta, or None where it is zero; each (alpha, l) has its own
+    block."""
     blocks = {}
     for alpha in range(n + 1):
         beta = n - alpha
@@ -559,8 +528,7 @@ def array_differential(n, size, block):
             m = block(l, alpha, beta)
             if m is not None:
                 # the target (alpha + l - 1, beta - l) is cell alpha + l - 1 of degree n - 1
-                key = (alpha + l - 1, alpha)
-                blocks[key] = blocks[key] + m if key in blocks else m
+                blocks[(alpha + l - 1, alpha)] = m
     return block_matrix(blocks, [size] * n, [size] * (n + 1))
 
 
@@ -591,7 +559,7 @@ class ComparisonData:
         if ctx.t >= 2:
             for n in range(self.nmax + 1):
                 if self.varphi[n] @ self.phi[n] != IntegerMatrix.identity(chain.rank(n)):
-                    return CheckReport(False, "varphi o phi = id", n)
+                    return Verdict(False, "varphi o phi = id", n)
         else:
             H_prev = None
             for n in range(self.nmax):
@@ -604,28 +572,28 @@ class ComparisonData:
                 if H_prev is not None:
                     lhs = lhs + H_prev @ chain.diff[n]
                 if lhs != f_n:
-                    return CheckReport(False, "varphi o phi ~ id", n)
+                    return Verdict(False, "varphi o phi ~ id", n)
                 H_prev = H_n
         for n in range(1, self.nmax + 1):
             if bprime[n] @ self.phi[n] != self.phi[n - 1] @ chain.diff[n]:
-                return CheckReport(False, "phi chain map", n)
+                return Verdict(False, "phi chain map", n)
             if chain.diff[n] @ self.varphi[n] != self.varphi[n - 1] @ bprime[n]:
-                return CheckReport(False, "varphi chain map", n)
+                return Verdict(False, "varphi chain map", n)
         for n in range(self.nmax):
             lhs = bprime[n + 1] @ self.omega[n + 1]
             if n >= 1:
                 lhs = lhs + self.omega[n] @ bprime[n]
             rhs = self.phi[n] @ self.varphi[n] - IntegerMatrix.identity(ctx.bar_rank(n))
             if lhs != rhs:
-                return CheckReport(False, "omega homotopy identity", n)
+                return Verdict(False, "omega homotopy identity", n)
         for n in range(1, self.nmax + 1):
             if not (self.varphi[n] @ self.omega[n]).is_zero():
-                return CheckReport(False, "varphi o omega = 0", n)
+                return Verdict(False, "varphi o omega = 0", n)
             if not (self.omega[n] @ self.phi[n - 1]).is_zero():
-                return CheckReport(False, "omega o phi = 0", n)
+                return Verdict(False, "omega o phi = 0", n)
             if n + 1 <= self.nmax and not (self.omega[n + 1] @ self.omega[n]).is_zero():
-                return CheckReport(False, "omega o omega = 0", n)
-        return CheckReport(True)
+                return Verdict(False, "omega o omega = 0", n)
+        return Verdict(True)
 
 
 # ---------------------------------------------------------------------------

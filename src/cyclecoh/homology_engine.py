@@ -34,19 +34,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .abelian import PresentedModule, RowBlocks, _identity_columns, block_matrix
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    ok: bool
-    identity: str = None
-    where: object = None
-
-    def __bool__(self):
-        return self.ok
-
-    def __str__(self):
-        return "pass" if self.ok else f"fail [{self.identity}] at {self.where}"
+from .cycleset import Verdict
 
 
 @dataclass
@@ -76,8 +64,8 @@ class ChainComplex:
             if n in self.diff and (n - 1) in self.diff:
                 d, below = self.diff[n], self.diff[n - 1]
                 if not _holds(d.cols, (d,), lambda a, b, db: (below @ db).is_zero()):
-                    return CheckReport(False, "d o d = 0", n)
-        return CheckReport(True)
+                    return Verdict(False, "d o d = 0", n)
+        return Verdict(True)
 
 
 @dataclass(frozen=True)
@@ -120,12 +108,12 @@ class DoubleComplex:
             tgt = (r - 1, s)
             if (r, s) in self.dh and tgt in self.dh:
                 if not (self.dh[tgt] @ m).is_zero():
-                    return CheckReport(False, "d_h o d_h = 0", (r, s))
+                    return Verdict(False, "d_h o d_h = 0", (r, s))
         for (r, s), m in self.dv.items():
             tgt = (r, s - 1)
             if tgt in self.dv:
                 if not (self.dv[tgt] @ m).is_zero():
-                    return CheckReport(False, "d_v o d_v = 0", (r, s))
+                    return Verdict(False, "d_v o d_v = 0", (r, s))
         for (r, s) in self.cells:
             h = self.dh.get((r, s))
             v = self.dv.get((r, s))
@@ -133,8 +121,8 @@ class DoubleComplex:
             vh = self.dh.get((r, s - 1))
             if h is not None and v is not None and hv is not None and vh is not None:
                 if not (hv @ h + vh @ v).is_zero():
-                    return CheckReport(False, "d_h d_v + d_v d_h = 0", (r, s))
-        return CheckReport(True)
+                    return Verdict(False, "d_h d_v + d_v d_h = 0", (r, s))
+        return Verdict(True)
 
 
 def total_complex(dc):
@@ -168,11 +156,7 @@ def total_complex(dc):
                 blocks[(tgt_index[(r - 1, s)], bj)] = m
             m = dc.dv.get((r, s))
             if m is not None and (r, s - 1) in tgt_index:
-                bi = tgt_index[(r, s - 1)]
-                if (bi, bj) in blocks:
-                    blocks[(bi, bj)] = blocks[(bi, bj)] + m
-                else:
-                    blocks[(bi, bj)] = m
+                blocks[(tgt_index[(r, s - 1)], bj)] = m
         diff[n] = block_matrix(
             blocks,
             [dc.cells[pos].ngens for pos in tgts],
@@ -201,14 +185,13 @@ class RowSDRSystem:
 @dataclass
 class PerturbedRows:
     """The transfer's output: X over every row, with its perturbed
-    horizontal differential, the corrected maps i1, p1 and h1 that the
-    call keeps, and the verification report."""
+    horizontal differential, and the corrected maps i1, p1 and h1 that
+    the call keeps."""
 
     X: DoubleComplex
     i1: dict
     p1: dict
     h1: dict
-    report: CheckReport
 
 
 def perturb_double_complex(rows, n0, verify=True, keep=None):
@@ -251,7 +234,6 @@ def perturb_double_complex(rows, n0, verify=True, keep=None):
     X = DoubleComplex({}, {}, {})
     kept = {"i1": {}, "p1": {}, "h1": {}}
     below = ({}, {})
-    report = CheckReport(True)
     for system, delta in rows:
         dhX, i1, p1, h1 = _corrected_rows(system, delta, n0)
         Xp = DoubleComplex(system.X.cells, dhX, system.X.dv)
@@ -272,7 +254,7 @@ def perturb_double_complex(rows, n0, verify=True, keep=None):
         # nothing of this pair but X, the kept maps and `below` is held
         # while the source makes the next
         del system, delta, dhX, i1, p1, h1, maps, cells, Xp
-    return PerturbedRows(X, kept["i1"], kept["p1"], kept["h1"], report)
+    return PerturbedRows(X, kept["i1"], kept["p1"], kept["h1"])
 
 
 def _corrected_rows(system, delta, n0):
@@ -414,7 +396,7 @@ def _verify_perturbed_rows(Xp, C, delta, i1, p1, h1):
                 lambda a, b, ib: p1[pos] @ ib,
                 lambda a, b, ib: _identity_columns(n, a, b),
             ):
-                return CheckReport(False, "p1 o i1 = id", pos)
+                return Verdict(False, "p1 o i1 = id", pos)
     for (r, s) in Xp.cells:
         tgt = (r - 1, s)
         dC = _perturbed_summands(C, delta, (r, s))
@@ -426,14 +408,14 @@ def _verify_perturbed_rows(Xp, C, delta, i1, p1, h1):
                 lambda a, b, ib, xhb: _sum(d @ ib for d in dC),
                 lambda a, b, ib, xhb: i1[tgt] @ xhb,
             ):
-                return CheckReport(False, "i1 horizontal chain map", (r, s))
+                return Verdict(False, "i1 horizontal chain map", (r, s))
         if p is not None and tgt in p1 and xh is not None and dC:
             if not _agree(
                 p.cols, (p, *dC),
                 lambda a, b, pb, *dCb: xh @ pb,
                 lambda a, b, pb, *dCb: _sum(p1[tgt] @ db for db in dCb),
             ):
-                return CheckReport(False, "p1 horizontal chain map", (r, s))
+                return Verdict(False, "p1 horizontal chain map", (r, s))
         vt = (r, s - 1)
         if i is not None and vt in i1 and xv is not None and cv is not None:
             if not _agree(
@@ -441,14 +423,14 @@ def _verify_perturbed_rows(Xp, C, delta, i1, p1, h1):
                 lambda a, b, ib, xvb: cv @ ib,
                 lambda a, b, ib, xvb: i1[vt] @ xvb,
             ):
-                return CheckReport(False, "i1 vertical chain map", (r, s))
+                return Verdict(False, "i1 vertical chain map", (r, s))
         if p is not None and vt in p1 and xv is not None and cv is not None:
             if not _agree(
                 xv.rows, (),
                 lambda a, b: xv.row_slice(a, b) @ p,
                 lambda a, b: p1[vt].row_slice(a, b) @ cv,
             ):
-                return CheckReport(False, "p1 vertical chain map", (r, s))
+                return Verdict(False, "p1 vertical chain map", (r, s))
     # item (2): row homotopy identity
     for (r, s) in C.cells:
         if (r, s) not in h1 or (r, s) not in i1 or (r, s) not in p1:
@@ -469,5 +451,5 @@ def _verify_perturbed_rows(Xp, C, delta, i1, p1, h1):
             n, (h, p, *here), lhs,
             lambda a, b, hb, pb, *hereb: i @ pb - _identity_columns(n, a, b),
         ):
-            return CheckReport(False, "row homotopy identity", (r, s))
-    return CheckReport(True)
+            return Verdict(False, "row homotopy identity", (r, s))
+    return Verdict(True)

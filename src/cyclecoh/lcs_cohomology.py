@@ -70,7 +70,6 @@ from .cyclic_resolution import (
 from .homology_engine import (
     CellRank,
     ChainComplex,
-    CheckReport,
     DoubleComplex,
     RowSDRSystem,
     perturb_double_complex,
@@ -167,8 +166,8 @@ class FullComplex(ChainComplex):
         d2_t = self.diff[2].transpose()
         for (r, s), block in self.d3_rows():
             if not (block @ d2_t).is_zero():
-                return CheckReport(False, DD_IDENTITIES[(r, s)], (r, s))
-        return CheckReport(True)
+                return Verdict(False, DD_IDENTITIES[(r, s)], (r, s))
+        return Verdict(True)
 
     def cocycle_rows(self, n):
         """The n-cocycle conditions as `RowBlocks`; in degree 2, X_2's
@@ -234,19 +233,28 @@ def _full_module(v, n):
     return PresentedModule(relations.cols, relations)
 
 
+@functools.lru_cache(maxsize=1)
+def _full_d2_transpose(lcs):
+    """d_2^T of the full total complex, the rows of its cells (0, 2) and
+    (1, 1): the coboundary of a degree-1 cochain lam, lam(a + b) - lam(a)
+    - lam(b) on (a, b) and lam(g.m) - lam(m) on (g, m).  Built once per
+    cycle set."""
+    v = lcs.v
+    dot = np.array(lcs.dot, dtype=np.int64)
+    return IntegerMatrix.stacked(
+        [_full_d_rows(dot, cell, 0, (v - 1) ** 2) for cell in _full_cells(2)], v - 1
+    )
+
+
 def full_double_complex(lcs):
     """The full total complex of the cycle-set double complex as H^1 and
     H^2 read it (see `FullComplex`), validated: every column of d_3 is
     checked for d o d = 0, a block at a time."""
     v = lcs.v
-    dot = np.array(lcs.dot, dtype=np.int64)
-    d2_t = IntegerMatrix.stacked(
-        [_full_d_rows(dot, cell, 0, (v - 1) ** 2) for cell in _full_cells(2)], v - 1
-    )
     chain = FullComplex(
         {1: _full_module(v, 1), 2: _full_module(v, 2), 3: CellRank(3 * (v - 1) ** 3)},
-        {2: d2_t.transpose()},
-        dot,
+        {2: _full_d2_transpose(lcs).transpose()},
+        np.array(lcs.dot, dtype=np.int64),
     )
     report = chain.validate()
     if not report:
@@ -639,7 +647,7 @@ def cohomology(params, gamma, n, method):
                 (order, (phiT @ IntegerMatrix.from_rows(c.tolist(), c.shape[1])).dense())
                 for order, c in reps
             ]
-        reps = [(order, _full_vector_to_pair(params, gamma, c)) for order, c in reps]
+        reps = [(order, _full_cochain_to_pair(params, gamma, c)) for order, c in reps]
     return CohomologyResult(res.group, method, reps)
 
 
@@ -658,7 +666,7 @@ def _closed_form(params, gamma, n):
     return quot.direct_sum(tors).direct_sum(tors)
 
 
-def _full_vector_to_pair(params, gamma, cochain):
+def _full_cochain_to_pair(params, gamma, cochain):
     """Scatter a full degree-2 cochain, (ngen, r) coordinates, onto a pair;
     the reduced route's cochains arrive pulled back along phi2.
 
@@ -673,6 +681,13 @@ def _full_vector_to_pair(params, gamma, cochain):
     xi = np.zeros((2, v, v, r), dtype=object)
     xi[:, 1:, 1:] = cochain.reshape(2, n1, n1, r)
     return CocyclePair(gamma, v, xi[0], xi[1])
+
+
+def _pair_to_full_cochain(pair):
+    """The inverse of `_full_cochain_to_pair`: the pair's coordinates as a
+    full degree-2 cochain, (ngen, r)."""
+    xi = np.stack([pair.xi1, pair.xi2])[:, 1:, 1:]
+    return xi.reshape(2 * (pair.v - 1) ** 2, len(pair.gamma.factors))
 
 
 # ---------------------------------------------------------------------------
@@ -915,40 +930,48 @@ def verify_cocycle(pair, lcs):
 def cohomologous(pair1, pair2, lcs):
     """Solve pair2 - pair1 = d(lam) for a degree-1 cochain lam, lam(0) = 0.
 
-    The coboundary matrix has two rows per (i, j), 1 <= i, j < v, in that
-    order: lam(i+j) - lam(i) - lam(j) (against xi1) and lam(i.j) - lam(j)
-    (against xi2), and one column per lam(1), ..., lam(v-1).  The system
-    is solved exactly modulo each prime power of gamma's invariant
-    factors; on success the witness is the (v-1, r) coordinate array of
-    lam.  A free factor of gamma is a resource limit.
+    d is the full complex's d_2, whose transpose has one column per
+    lam(1), ..., lam(v-1) (`_full_d2_transpose`).  The system is solved
+    modulo each prime power of gamma's invariant factors: (lam, 1) spans
+    the kernel of [d_2^T | -b] with the kernel of d_2^T, so a solution
+    exists iff a kernel generator has a unit last coordinate c, and then
+    lam is its other coordinates over c.  The solutions are joined into
+    each factor by CRT, and d(lam) = pair2 - pair1 is checked modulo
+    every factor.  On success the witness is the (v-1, r) coordinate
+    array of lam.  A free factor of gamma is a resource limit.
     """
     if pair1.gamma != pair2.gamma or pair1.v != pair2.v:
         raise ValueError("pairs live on different data")
     if lcs.v != pair1.v:
         raise ValueError(f"pairs on Z/{pair1.v} compared over a cycle set on Z/{lcs.v}")
-    gamma, v = pair1.gamma, lcs.v
+    gamma = pair1.gamma
     pp_coords = gamma.prime_power_coordinates()
-    n, r = v - 1, len(gamma.factors)
-    i, j = (g.ravel() for g in np.meshgrid(np.arange(1, v), np.arange(1, v), indexing="ij"))
-    rows = np.arange(len(i))
-    A = np.zeros((len(i), 2, v), dtype=np.int64)
-    for part, cols, sign in (
-        (0, (i + j) % v, 1),
-        (0, i, -1),
-        (0, j, -1),
-        (1, np.array(lcs.dot)[i, j], 1),
-        (1, j, -1),
-    ):
-        np.add.at(A, (rows, part, cols), sign)
-    A = A[:, :, 1:].reshape(-1, n)
-    rhs = np.stack([pair2.xi1 - pair1.xi1, pair2.xi2 - pair1.xi2], axis=2)[i, j].reshape(len(A), r)
-    # one solve per prime-power coordinate, joined into its factor by CRT
+    d2_t = _full_d2_transpose(lcs)
+    n, r = d2_t.cols, len(gamma.factors)
+    rhs = _pair_to_full_cochain(pair2) - _pair_to_full_cochain(pair1)
     witness = np.zeros((n, r), dtype=object)
     for p, k, fidx, embed in pp_coords:
-        x = modular.solve_mod_pk(A, rhs[:, fidx], p, k)
-        if x is None:
+        m = p**k
+        b = rhs[:, fidx] % m
+        hit = np.flatnonzero(b)
+        system = IntegerMatrix._from_coo(
+            d2_t.rows, n + 1,
+            np.concatenate((d2_t.row_idx, hit)),
+            np.concatenate((d2_t.col_idx, np.full(len(hit), n))),
+            np.concatenate((d2_t.values, -b[hit].astype(np.int64))),
+        )
+        for y in modular.kernel_mod_pk(system, p, k).gens:
+            c = int(y[-1])
+            if c % p:
+                break
+        else:
             return Verdict(False, "no degree-1 witness", None)
-        witness[:, fidx] = (witness[:, fidx] + x.astype(object) * embed) % gamma.factors[fidx]
+        lam = y[:-1].astype(object) * pow(c, -1, m) % m
+        witness[:, fidx] = (witness[:, fidx] + lam * embed) % gamma.factors[fidx]
+    # the CRT-joined witness, checked against every factor at once
+    d_lam = np.array((d2_t @ IntegerMatrix.from_rows(witness.tolist(), r)).dense(), dtype=object)
+    if _mod_factors(d_lam - rhs, np.array(gamma.factors, dtype=object)).any():
+        raise AssertionError("the coboundary solve's witness fails d(lam) = pair2 - pair1")
     return Verdict(True, None, witness)
 
 
@@ -985,4 +1008,4 @@ def all_cocycle_pairs(params, gamma):
     cochains = np.zeros((1, ngen, r), dtype=np.int64)
     for part in cocycle_kernels(chain.cocycle_rows(2), gamma, combinations):
         cochains = (cochains[:, None] + part[None]).reshape(len(cochains) * len(part), ngen, r)
-    return [_full_vector_to_pair(params, gamma, c) for c in cochains]
+    return [_full_cochain_to_pair(params, gamma, c) for c in cochains]

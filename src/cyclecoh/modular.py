@@ -483,26 +483,6 @@ def quotient_mod_pk(kd, b_rows, p, k):
     return [p**x for x in f[j0:]], list(reps)
 
 
-def solve_mod_pk(A, b, p, k):
-    """One solution of A x = b over Z/p^k, or None.
-
-    (x, 1) spans the kernel of [A | -b] together with the generators, so
-    a solution exists iff some kernel generator y has a unit last
-    coordinate c; then x = y[:-1] / c.
-    """
-    m = p**k
-    A = np.atleast_2d(np.array(A, dtype=np.int64)) % m
-    b = np.array(b, dtype=np.int64) % m
-    kd = kernel_mod_pk(np.column_stack([A, -b % m]), p, k)
-    for y in kd.gens:
-        c = int(y[-1])
-        if c % p:
-            x = (y[:-1] * pow(c, -1, m)) % m
-            assert not ((A @ x) % m != b).any()
-            return x
-    return None
-
-
 # the largest trial divisor of `factorize`: every m below 2^40 is
 # factored completely by the divisors up to it
 _TRIAL_BOUND = 1 << 20

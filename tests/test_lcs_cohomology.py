@@ -1,13 +1,16 @@
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from cyclecoh import modular
 from cyclecoh.abelian import FinAbGroup, IntegerMatrix, block_matrix, hom_cohomology_at
-from cyclecoh.cycleset import CyclicFamilyParams, LinearCycleSet, make_cyclic_lcs
+from cyclecoh.cycleset import CyclicFamilyParams, LinearCycleSet, family_members, make_cyclic_lcs
 from cyclecoh.lcs_cohomology import (
     ROUTES,
     CocyclePair,
+    _full_d2_transpose,
     _arrow_matrices,
     admitted_routes,
     all_cocycle_pairs,
@@ -776,6 +779,54 @@ def test_raw_coefficient_tables_match_canonical_rule():
                         a, c = base_coefficient(k * t + l, params)
                         canon = a * g1 - c * g
                         assert raw == canon, (params, fac, g, g1, k, l)
+
+
+def ref_coboundary(lcs):
+    """The coboundary of a degree-1 cochain lam, lam(0) = 0, written out:
+    two rows per (i, j), 1 <= i, j < v, in that order, lam(i+j) - lam(i) -
+    lam(j) (against xi1) and lam(i.j) - lam(j) (against xi2), and one
+    column per lam(1), ..., lam(v-1)."""
+    v = lcs.v
+    A = np.zeros(((v - 1) ** 2, 2, v), dtype=np.int64)
+    for i in range(1, v):
+        for j in range(1, v):
+            row = (i - 1) * (v - 1) + (j - 1)
+            for part, col, sign in (
+                (0, (i + j) % v, 1), (0, i, -1), (0, j, -1), (1, lcs.dot[i][j], 1), (1, j, -1)
+            ):
+                A[row, part, col] += sign
+    return A[:, :, 1:].reshape(-1, v - 1)
+
+
+@pytest.mark.parametrize(
+    "lcs",
+    [pytest.param(make_cyclic_lcs(m), id=f"{m.p}-{m.nu}-{m.eta}") for m in family_members(16)]
+    + [pytest.param(LinearCycleSet.trivial(v), id=f"trivial-{v}") for v in range(2, 7)],
+)
+def test_full_d2_transpose_is_the_coboundary(lcs):
+    """The full complex's d_2^T, which `cohomologous` solves against, is
+    the written-out coboundary with its rows permuted: row (i, j, part)
+    of the reference is row part * (v-1)^2 + (i, j) of d_2^T."""
+    v = lcs.v
+    n2 = (v - 1) ** 2
+    ref = ref_coboundary(lcs)
+    order = (np.arange(2)[None, :] * n2 + np.arange(n2)[:, None]).ravel()
+    d2_t = _full_d2_transpose(lcs)
+    assert d2_t.shape == ref.shape
+    assert np.array_equal(np.array(d2_t.dense())[order], ref)
+    assert d2_t.transpose() == full_double_complex(lcs).diff[2]
+
+
+def test_cohomologous_checks_its_witness(monkeypatch):
+    """A kernel generator with a unit last coordinate whose lam is no
+    solution is caught by the check of d(lam), which is a raise, not an
+    assert: lam = (1, 0, 0) has lam(3) - lam(1) - lam(2) = 1 mod 2."""
+    monkeypatch.setattr(
+        modular, "kernel_mod_pk", lambda *_: SimpleNamespace(gens=np.array([[1, 0, 0, 1]]))
+    )
+    zero = CocyclePair.zero(FinAbGroup((2,)), P212.v)
+    with pytest.raises(AssertionError, match="witness fails"):
+        cohomologous(zero, zero, make_cyclic_lcs(P212))
 
 
 def test_cohomologous_reflexive_and_criterion_t1():

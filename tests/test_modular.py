@@ -532,27 +532,6 @@ def test_hom_cohomology_holds_one_prime_at_a_time(monkeypatch):
     assert group == cohomology(params, gamma, 2, "closed").group
 
 
-def test_solve_against_enumeration():
-    rng = random.Random(11)
-    solvable = 0
-    for _ in range(300):
-        p, k = rng.choice((2, 3)), rng.randint(1, 2)
-        m = p**k
-        rows, cols = rng.randint(1, 4), rng.randint(1, 3)
-        A = _random_matrix(rng, p, k, rows, cols, rng.random() < 0.3)
-        b = np.array([rng.randrange(m) for _ in range(rows)], dtype=np.int64)
-        x = modular.solve_mod_pk(A, b, p, k)
-        exists = any(
-            not ((A @ np.array(y) - b) % m).any()
-            for y in itertools.product(range(m), repeat=cols)
-        )
-        assert (x is not None) == exists
-        if exists:
-            solvable += 1
-            assert not ((A @ x - b) % m).any()
-    assert 0 < solvable < 300
-
-
 def test_modulus_cap_is_a_resource_limit():
     with pytest.raises(modular.ResourceLimitError):
         modular.local_smith(np.ones((1, 1), dtype=np.int64), 2, 15)

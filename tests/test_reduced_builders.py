@@ -388,7 +388,8 @@ def test_comparison_maps_match_reference(member):
     rng = np.random.default_rng(v)
     for _ in range(5):
         val = rng.integers(-3, 4, size=v).tolist()
-        assert ctx.extend_right(val) == ref_extend_right(ctx, val)
+        col = IntegerMatrix.from_rows([[x] for x in val], 1)
+        assert right_translate(col, v) == ref_extend_right(ctx, val)
 
 
 def test_tuple_maps_match_reference(member):
@@ -963,7 +964,7 @@ def test_transfer_verification_reads_delta(pos):
     j = int(np.flatnonzero(np.isin(d.col_idx, out.i1[pos].row_idx))[0])
     flipped = {**out.delta, pos: _flip_entry(d, j)}
     report = _verify_perturbed_rows(out.X, out.unperturbed, flipped, *maps)
-    assert (report.ok, report.identity, report.where) == (False, "i1 horizontal chain map", pos)
+    assert (report.ok, report.axiom, report.witness) == (False, "i1 horizontal chain map", pos)
 
 
 @pytest.mark.parametrize("block", [5, 192])
@@ -1002,8 +1003,8 @@ def test_blocked_verification_skips_no_block(block, target):
         assert not whole.ok
         assert blocked == whole
         if target == "h1":
-            assert (whole.identity, whole.where) == ("row homotopy identity", pos)
+            assert (whole.axiom, whole.witness) == ("row homotopy identity", pos)
         else:
             # a column beyond i1's reach shows in p1's chain map instead
             identity = "p1 horizontal chain map" if k else "i1 horizontal chain map"
-            assert (whole.identity, whole.where) == (identity, pos)
+            assert (whole.axiom, whole.witness) == (identity, pos)

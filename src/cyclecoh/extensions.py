@@ -15,6 +15,7 @@ coboundary of eta.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,10 +32,14 @@ from .cycleset import (
     make_cyclic_lcs,
 )
 from .lcs_cohomology import (
+    FAMILY_ARITY,
     CocyclePair,
     all_cocycle_pairs,
+    coboundary_orbit,
     cocycle_family,
     cohomologous,
+    family_case,
+    family_condition,
     verify_cocycle,
 )
 from .modular import ResourceLimitError
@@ -237,105 +242,38 @@ def extensions_equivalent(ext1, ext2):
     Either may be a `CentralExtension` or an `ExtensionClass`: only the
     data they are built from is read.
 
-    For family-built extensions of one case the closed-form criterion is
-    evaluated too and must agree with the coboundary solve.
+    For family-built extensions the class keys are compared too and must
+    agree with the coboundary solve.
     """
     if ext1.gamma != ext2.gamma or ext1.params != ext2.params:
         raise ValueError("extensions over different data are never compared")
     verdict = cohomologous(ext1.pair, ext2.pair, make_cyclic_lcs(ext1.params))
-    if ext1.family and ext2.family and ext1.family[0] == ext2.family[0]:
-        closed = _closed_criterion(ext1, ext2)
-        if closed != verdict.ok:
-            raise AssertionError(
-                "closed-form equivalence criterion disagrees with the coboundary solve"
-            )
+    if ext1.family and ext2.family:
+        key1, key2 = (_class_key(e.params, e.gamma, e.family[1]) for e in (ext1, ext2))
+        if (key1 == key2) != verdict.ok:
+            raise AssertionError("the class keys disagree with the coboundary solve")
     return verdict
 
 
-def _multiples(gamma, m):
-    return {(m * x).coords for x in gamma.elements()}
-
-
-def _closed_criterion(ext1, ext2):
-    case = ext1.family[0]
-    gamma = ext1.gamma
-    params = ext1.params
-    if case == "A":
-        g, g1 = ext1.family[1]
-        h, h1 = ext2.family[1]
-        return g1 == h1 and (g - h).coords in _multiples(gamma, params.v)
-    if case == "B":
-        g, g1 = ext1.family[1]
-        h, h1 = ext2.family[1]
-        t = params.t
-        return (g1 - h1).coords in _multiples(gamma, params.u) and t * (g1 - h1) == g - h
-    g, g1, g1p = ext1.family[1]
-    h, h1, h1p = ext2.family[1]
-    return (
-        (g1 - h1).coords in _multiples(gamma, 2)
-        and g - h == 2 * (g1 - h1)
-        and g1p == h1p
-    )
-
-
-def family_case(params):
-    if params.t == 1:
-        return "A"
-    if params.u > 2:
-        return "B"
-    return "C"
-
-
 def family_parameter_grid(gamma, params):
-    """All admissible family parameter tuples for the case of params."""
-    case = family_case(params)
-    v, u = params.v, params.u
-    out = []
-    if case == "A":
-        for g in gamma.elements():
-            for g1 in gamma.elements():
-                if (v * g1).is_zero:
-                    out.append((g, g1))
-    elif case == "B":
-        for g in gamma.elements():
-            for g1 in gamma.elements():
-                if v * g1 == u * g:
-                    out.append((g, g1))
-    else:
-        for g in gamma.elements():
-            for g1 in gamma.elements():
-                if 4 * g1 != 2 * g:
-                    continue
-                for g1p in gamma.elements():
-                    if (2 * g1p).is_zero:
-                        out.append((g, g1, g1p))
-    return out
+    """The family parameter tuples of the case of params that satisfy its
+    condition, in the order of `itertools.product` over gamma.elements()."""
+    tuples = itertools.product(gamma.elements(), repeat=FAMILY_ARITY[family_case(params)])
+    return [tup for tup in tuples if family_condition(params, tup)]
 
 
-def _class_key(case, gamma, params, tup):
-    """Canonical representative of the equivalence class of a parameter
-    tuple: lexicographic minimum over its coboundary orbit."""
-    v, u, t = params.v, params.u, params.t
-    orbit = []
-    for delta in gamma.elements():
-        if case == "A":
-            g, g1 = tup
-            orbit.append((g1.coords, (g + v * delta).coords))
-        elif case == "B":
-            g, g1 = tup
-            orbit.append(((g1 + u * delta).coords, (g + v * delta).coords))
-        else:
-            g, g1, g1p = tup
-            orbit.append(((g1 + 2 * delta).coords, g1p.coords, (g + 4 * delta).coords))
-    return min(orbit)
+def _class_key(params, gamma, tup):
+    """The class of a family parameter tuple: the least element of its
+    coboundary orbit, read as coordinates with g1 (and g1') before g."""
+    return min(tuple(x.coords for x in (*o[1:], o[0])) for o in coboundary_orbit(params, tup, gamma))
 
 
 def enumerate_extension_classes(gamma, params, method="theorem"):
     """Representatives of all equivalence classes of central extensions,
     as `ExtensionClass` records.
 
-    method "theorem": sweep the family parameter ranges of the matching
-    case and quotient by its closed-form criterion.  method "brute":
+    method "theorem": sweep the family parameter grid of the matching
+    case and keep one tuple per class key, the least.  method "brute":
     enumerate every normalized cocycle pair and classify by the coboundary
     solve.  Both orders are deterministic.  Each representative's
     extension is built and verified, one at a time: only one extension's
@@ -345,14 +283,10 @@ def enumerate_extension_classes(gamma, params, method="theorem"):
         raise ResourceLimitError("enumeration requires finite coefficients")
     if method == "theorem":
         case = family_case(params)
-        grid = family_parameter_grid(gamma, params)
+        # the grid ascends in coordinates, so each class keeps its least tuple
         classes = {}
-        for tup in grid:
-            key = _class_key(case, gamma, params, tup)
-            cur = classes.get(key)
-            flat = tuple(x.coords for x in tup)
-            if cur is None or flat < tuple(x.coords for x in cur):
-                classes[key] = tup
+        for tup in family_parameter_grid(gamma, params):
+            classes.setdefault(_class_key(params, gamma, tup), tup)
         out = []
         for key in sorted(classes):
             tup = classes[key]

@@ -1,5 +1,7 @@
 """Cohomology of cyclic linear cycle sets in degrees 1 and 2, by three
-independent routes, plus the explicit degree-2 cocycle families.
+independent routes, plus the classification theorem's three cases
+(`family_case`, `family_condition`, `coboundary_orbit`) and their
+explicit degree-2 cocycle families.
 
 The chain-level objects: for a linear cycle set on Z/vZ write D-bar for
 the reduced group ring slots (exponents 1..v-1) and Mbar(s) for the
@@ -632,6 +634,11 @@ def cohomology(params, gamma, n, method):
         raise modular.ResourceLimitError("full/reduced routes require finite coefficients")
     if method == "closed":
         return CohomologyResult(_closed_form(params, gamma, n), "closed")
+    # refuse a modulus that `local_smith` refuses before the complex is
+    # built: each prime at its largest power, in `cocycle_kernels`' order
+    coords = gamma.prime_power_coordinates()
+    for p in dict.fromkeys(coord[0] for coord in coords):
+        modular._check_modulus(p ** max(k for q, k, *_ in coords if q == p))
     if method == "full":
         chain, phi2 = _full_slice(params), None
     else:
@@ -655,14 +662,13 @@ def _closed_form(params, gamma, n):
     u, v = params.u, params.v
     if n == 1:
         return torsion_and_quotient(gamma, u)[0]
-    if params.t == 1:
+    case = family_case(params)
+    if case == "A":
         tors, quot = torsion_and_quotient(gamma, v)
         return tors.direct_sum(quot)
-    if params.u > 2:
-        tors, quot = torsion_and_quotient(gamma, u)
+    tors, quot = torsion_and_quotient(gamma, u)
+    if case == "B":
         return quot.direct_sum(tors)
-    # u = 2 with t > 1 forces v = 4
-    tors, quot = torsion_and_quotient(gamma, 2)
     return quot.direct_sum(tors).direct_sum(tors)
 
 
@@ -812,13 +818,14 @@ def _family_xi2_tables(params):
     i1 (i - u2 C(j, 2)) (t g1 - g) + sum_{l<j} gamma_{(1-ul) i1} (2 < u < v);
     -i i1 g1' + sum_{l<j} gamma_{(1-2l) i1} (u = 2, v = 4)."""
     v, u, t, u2 = params.v, params.u, params.t, params.u2
+    case = family_case(params)
     tables = np.zeros((3, v, v), dtype=np.int64)
     for a in range(1, v):
         i, j = divmod(a, t)
         for i1 in range(1, v):
-            if t == 1:
+            if case == "A":
                 tables[1, a, i1] = a * i1
-            elif u > 2:
+            elif case == "B":
                 n = i1 * (i - u2 * comb(j, 2))
                 tables[0, a, i1] = -n
                 tables[1, a, i1] = t * n
@@ -832,34 +839,53 @@ def _family_xi2_tables(params):
     return tables
 
 
-def cocycle_family(params, gamma, g, g1, g1p=None):
-    """The explicit degree-2 cocycle pair for the case of the parameters.
+def family_case(params):
+    """The case of the classification theorem the member falls in: "A"
+    when u = v, "B" when 2 < u < v, "C" when u = 2 and v = 4."""
+    if params.t == 1:
+        return "A"
+    return "B" if params.u > 2 else "C"
 
-    u = v: needs v*g1 = 0; 2 < u < v: needs v*g1 = u*g; u = 2, v = 4:
-    needs 4*g1 = 2*g and 2*g1p = 0 (third parameter required).  The pair
+
+# the number of family parameters of each case: (g, g1), or (g, g1, g1')
+FAMILY_ARITY = {"A": 2, "B": 2, "C": 3}
+
+
+def family_condition(params, tup):
+    """Whether the family parameters tup, (g, g1) or (g, g1, g1') in case
+    C, satisfy the theorem's condition: v g1 = 0 in case A, v g1 = u g in
+    cases B and C, and 2 g1' = 0 in case C."""
+    case = family_case(params)
+    if len(tup) != FAMILY_ARITY[case]:
+        raise ValueError(f"case {case} takes {FAMILY_ARITY[case]} family parameters, not {len(tup)}")
+    g, g1 = tup[:2]
+    if case == "A":
+        return (params.v * g1).is_zero
+    return params.v * g1 == params.u * g and (case == "B" or (2 * tup[2]).is_zero)
+
+
+def coboundary_orbit(params, tup, gamma):
+    """The family parameter tuples whose pairs differ from tup's by a
+    coboundary: (g + v d, g1 + u d, g1') for each d in gamma, with g1
+    fixed in case A."""
+    g, g1, *rest = tup
+    shift = 0 if family_case(params) == "A" else params.u
+    return [(g + params.v * d, g1 + shift * d, *rest) for d in gamma.elements()]
+
+
+def cocycle_family(params, gamma, g, g1, g1p=None):
+    """The explicit degree-2 cocycle pair of the family parameters (g, g1),
+    with g1p in case C, which must satisfy `family_condition`.  The pair
     is the integer coefficient tables of the case times the coordinates
     of the parameters.
     """
-    v, u = params.v, params.u
-    if params.t == 1:
-        if g1p is not None:
-            raise ValueError("third parameter only applies when u = 2, v = 4")
-        if not (v * g1).is_zero:
-            raise ValueError("parameter constraint v*g1 = 0 violated")
-    elif u > 2:
-        if g1p is not None:
-            raise ValueError("third parameter only applies when u = 2, v = 4")
-        if (v * g1) != (u * g):
-            raise ValueError("parameter constraint v*g1 = u*g violated")
-    else:
-        if v != 4 or u != 2:
-            raise ValueError("unreachable parameter case")
-        if g1p is None:
-            raise ValueError("the u = 2, v = 4 case needs a third parameter")
-        if (4 * g1) != (2 * g):
-            raise ValueError("parameter constraint 4*g1 = 2*g violated")
-        if not (2 * g1p).is_zero:
-            raise ValueError("parameter constraint 2*g1p = 0 violated")
+    tup = (g, g1) if g1p is None else (g, g1, g1p)
+    if not family_condition(params, tup):
+        raise ValueError(
+            f"family parameters {', '.join(map(str, tup))} violate the condition of "
+            f"case {family_case(params)}"
+        )
+    v = params.v
     g1p = gamma.zero() if g1p is None else g1p
     coords = np.array([g.coords, g1.coords, g1p.coords], dtype=object)
     xi1 = xi1_standard(v).astype(object)[:, :, None] * coords[0]

@@ -20,13 +20,13 @@ from cyclecoh.extensions import (
     build_extension,
     enumerate_extension_classes,
     extensions_equivalent,
-    family_case,
     family_parameter_grid,
     verify_central_extension,
 )
 from cyclecoh.lcs_cohomology import (
     cocycle_family,
     cohomology,
+    family_case,
     reduced_complex,
     verify_cocycle,
 )
@@ -132,10 +132,7 @@ def test_criterion_5_extension_classification():
         case = family_case(params)
         exts = []
         for tup in family_parameter_grid(gamma, params):
-            if case == "C":
-                pair = cocycle_family(params, gamma, tup[0], tup[1], tup[2])
-            else:
-                pair = cocycle_family(params, gamma, tup[0], tup[1])
+            pair = cocycle_family(params, gamma, *tup)
             exts.append(build_extension(gamma, params, pair, family=(case, tup), verify=False))
         for a in exts:
             for b in exts:
@@ -218,14 +215,10 @@ def test_criterion_8_cocycle_families():
     for triple, facs in sweeps:
         params = CyclicFamilyParams(*triple)
         lcs = make_cyclic_lcs(params)
-        case = family_case(params)
         for fac in facs:
             gamma = FinAbGroup(fac)
             for tup in family_parameter_grid(gamma, params):
-                if case == "C":
-                    pair = cocycle_family(params, gamma, tup[0], tup[1], tup[2])
-                else:
-                    pair = cocycle_family(params, gamma, tup[0], tup[1])
+                pair = cocycle_family(params, gamma, *tup)
                 if not verify_cocycle(pair, lcs):
                     ok = False
                 ext = build_extension(gamma, params, pair, verify=False)

@@ -152,6 +152,28 @@ def test_int64_modulus_cap_is_a_resource_limit(capsys):
     }
 
 
+@pytest.mark.parametrize("method", ["full", "reduced"])
+@pytest.mark.parametrize("coeff, modulus", [("32771", 32771), ("3,32771", 32771), ("32768,65536", 65536)])
+def test_modulus_cap_is_refused_before_the_complex_is_built(capsys, monkeypatch, method, coeff, modulus):
+    from cyclecoh import lcs_cohomology
+
+    def unbuilt(params):
+        raise AssertionError("the complex was built")
+
+    monkeypatch.setattr(lcs_cohomology, "_full_slice", unbuilt)
+    monkeypatch.setattr(lcs_cohomology, "reduced_complex", unbuilt)
+    code, out, err = run_cli(
+        capsys,
+        "cohomology", "--p", "2", "--nu", "3", "--eta", "5", "--coeff", coeff,
+        "--degree", "2", "--method", method,
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "type": "resource-limit",
+        "message": f"modulus {modulus} too large for the int64 fast path",
+    }
+
+
 def test_failed_self_check_is_a_structured_error(capsys, monkeypatch):
     import cyclecoh.extensions
     from cyclecoh.cycleset import Verdict

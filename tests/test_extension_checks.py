@@ -29,7 +29,6 @@ from cyclecoh.cycleset import (
 from cyclecoh.extensions import (
     build_extension,
     extensions_equivalent,
-    family_case,
     family_parameter_grid,
     verify_central_extension,
 )
@@ -281,15 +280,8 @@ def same(verdict, expected):
 
 
 def family_pairs(params, gamma, count, rng):
-    case = family_case(params)
     grid = family_parameter_grid(gamma, params)
-    out = []
-    for tup in rng.sample(grid, min(count, len(grid))):
-        if case == "C":
-            out.append(cocycle_family(params, gamma, tup[0], tup[1], tup[2]))
-        else:
-            out.append(cocycle_family(params, gamma, tup[0], tup[1]))
-    return out
+    return [cocycle_family(params, gamma, *tup) for tup in rng.sample(grid, min(count, len(grid)))]
 
 
 def corrupt_pair(pair, rng):

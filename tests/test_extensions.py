@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from cyclecoh.abelian import FinAbGroup
-from cyclecoh.cycleset import CyclicFamilyParams, make_cyclic_lcs
+from cyclecoh.cycleset import CyclicFamilyParams, family_members, make_cyclic_lcs
 from cyclecoh.extensions import (
+    _class_key,
     build_extension,
     enumerate_extension_classes,
     extensions_equivalent,
@@ -119,6 +120,39 @@ def test_equivalence_example_A():
         family=("A", (gamma.element((1,)), gamma.element((0,)))),
     )
     assert not extensions_equivalent(a, c)
+
+
+@pytest.mark.parametrize("params", family_members(9), ids=lambda q: f"{q.p}{q.nu}{q.eta}")
+def test_class_keys_match_the_coboundary_solve(params):
+    # every member with v <= 9, the case-B members (2,2,3) and (3,1,2)
+    # among them: one class key per class of H^2, and equal keys exactly
+    # for the cohomologous pairs of the grid
+    lcs = make_cyclic_lcs(params)
+    for fac in ((2,), (3,), (4,), (2, 2)):
+        gamma = FinAbGroup(fac)
+        grid = family_parameter_grid(gamma, params)
+        keys = [_class_key(params, gamma, tup) for tup in grid]
+        assert len(set(keys)) == cohomology(params, gamma, 2, "closed").group.order(), fac
+        pairs = [cocycle_family(params, gamma, *tup) for tup in grid]
+        for a, key_a in zip(pairs, keys):
+            for b, key_b in zip(pairs, keys):
+                assert (key_a == key_b) == cohomologous(a, b, lcs).ok, (fac, key_a, key_b)
+
+
+def test_class_keys_that_split_from_the_solve_raise(monkeypatch):
+    from cyclecoh import extensions
+
+    gamma = FinAbGroup((4,))
+    tups = [(gamma.element((g,)), gamma.element((2,))) for g in (1, 3)]
+    a, b = (
+        build_extension(gamma, P211, cocycle_family(P211, gamma, *tup), family=("A", tup), verify=False)
+        for tup in tups
+    )
+    assert extensions_equivalent(a, b)
+    # an orbit of one tuple gives the two cohomologous pairs different keys
+    monkeypatch.setattr(extensions, "coboundary_orbit", lambda params, tup, gamma: [tup])
+    with pytest.raises(AssertionError, match="class keys disagree with the coboundary solve"):
+        extensions_equivalent(a, b)
 
 
 def test_equivalence_criterion_matches_search_case_B():

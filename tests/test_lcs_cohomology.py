@@ -17,8 +17,11 @@ from cyclecoh.lcs_cohomology import (
     base_coefficient,
     cocycle_family,
     cohomologous,
+    coboundary_orbit,
     cohomology,
     exp_tuples,
+    family_case,
+    family_condition,
     full_double_complex,
     lambda_table,
     perturbation_delta,
@@ -727,6 +730,32 @@ def test_family_case_C_table():
     assert count > 0
     with pytest.raises(ValueError):
         cocycle_family(params, gamma, gamma.zero(), gamma.zero())  # missing g1p
+
+
+def test_family_case_condition_and_orbit():
+    gamma = FinAbGroup((4,))
+    x = [gamma.element((i,)) for i in range(4)]
+
+    def orbit(params, tup):
+        return sorted({tuple(y.coords[0] for y in o) for o in coboundary_orbit(params, tup, gamma)})
+
+    assert [family_case(q) for q in (P211, P312, P212)] == ["A", "B", "C"]
+    # A, v = 2: 2 g1 = 0; g moves by 2 gamma, g1 stays
+    assert family_condition(P211, (x[1], x[2])) and not family_condition(P211, (x[2], x[1]))
+    assert orbit(P211, (x[1], x[2])) == [(1, 2), (3, 2)]
+    # B, u = 3, v = 9: 9 g1 = 3 g; (g, g1) moves by (9 d, 3 d)
+    assert family_condition(P312, (x[1], x[3])) and not family_condition(P312, (x[1], x[1]))
+    assert orbit(P312, (x[1], x[3])) == [(0, 0), (1, 3), (2, 2), (3, 1)]
+    # C, u = 2, v = 4: 4 g1 = 2 g and 2 g1' = 0; g1' stays
+    assert family_condition(P212, (x[2], x[1], x[2]))
+    assert not family_condition(P212, (x[1], x[1], x[2]))
+    assert not family_condition(P212, (x[2], x[1], x[1]))
+    assert orbit(P212, (x[2], x[1], x[2])) == [(2, 1, 2), (2, 3, 2)]
+    for params, arity in ((P211, 2), (P312, 2), (P212, 3)):
+        with pytest.raises(ValueError, match=f"takes {arity} family parameters, not {5 - arity}"):
+            family_condition(params, (x[0],) * (5 - arity))
+    with pytest.raises(ValueError, match="violate the condition of case C"):
+        cocycle_family(P212, gamma, x[1], x[1], x[2])
 
 
 def test_raw_coefficient_tables_match_canonical_rule():
